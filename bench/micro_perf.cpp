@@ -323,8 +323,8 @@ void BM_IngestDispatch(benchmark::State& state) {
   // The controller's per-fragment hot path over an N-device fleet: one
   // flat-table probe resolving the consolidated DeviceState, then the
   // track update and the once-per-announce report trigger. This is the
-  // unit cost bench/ingest_throughput section 2 measures end-to-end
-  // against the legacy three-map replica.
+  // unit cost bench/ingest_throughput section 2 measures end-to-end as
+  // dispatch_pipeline_fps.
   const auto n_devices = static_cast<std::uint32_t>(state.range(0));
   core::IngestTable table;
   for (std::uint32_t id = 0; id < n_devices; ++id) table.state(id);

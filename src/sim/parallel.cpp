@@ -204,24 +204,6 @@ void ParallelEngine::worker_loop(unsigned thread_idx, TimePoint start,
   }
 }
 
-std::uint64_t ParallelEngine::total_events_run() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) n += s.scheduler->events_run();
-  return n;
-}
-
-Medium::Stats ParallelEngine::total_medium_stats() const {
-  Medium::Stats total;
-  for (const Shard& s : shards_) {
-    const Medium::Stats& m = s.medium->stats();
-    total.transmissions += m.transmissions;
-    total.deliveries += m.deliveries;
-    total.collision_losses += m.collision_losses;
-    total.channel_losses += m.channel_losses;
-  }
-  return total;
-}
-
 TimePoint ParallelEngine::now() const {
   TimePoint t{};
   for (const Shard& s : shards_) t = std::max(t, s.scheduler->now());

@@ -160,10 +160,7 @@ class ParallelEngine {
   [[nodiscard]] unsigned threads() const { return threads_; }
   [[nodiscard]] Duration window() const { return window_; }
 
-  /// Aggregates over shards, for drop-in use where the serial engine's
-  /// single-scheduler counters were read.
-  [[nodiscard]] std::uint64_t total_events_run() const;
-  [[nodiscard]] Medium::Stats total_medium_stats() const;
+  /// Latest simulated time over every shard.
   [[nodiscard]] TimePoint now() const;
 
  private:

@@ -15,9 +15,8 @@
 // decision — track update, report trigger, downlink pick, sequence
 // allocation — reads the same already-hot record.
 //
-// bench/ingest_throughput drives this exact type against a replica of
-// the legacy three-map dispatch; keep the bookkeeping here so the bench
-// measures the shipped code path.
+// bench/ingest_throughput drives this exact type; keep the bookkeeping
+// here so the bench measures the shipped code path.
 #pragma once
 
 #include <algorithm>

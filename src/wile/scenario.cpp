@@ -14,6 +14,16 @@ std::string node_prefix(NodeId id, const char* component) {
   return "node." + std::to_string(id) + "." + component;
 }
 
+/// Run `go` now, or at `at` on `scheduler` when starts are staggered.
+template <typename F>
+void start_node(Scheduler& scheduler, bool stagger, TimePoint at, F go) {
+  if (stagger) {
+    scheduler.schedule_at(at, std::move(go));
+  } else {
+    go();
+  }
+}
+
 }  // namespace
 
 ScenarioBuilder& ScenarioBuilder::payload(Bytes fixed) {
@@ -32,6 +42,12 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() const {
         "ScenarioBuilder: unicast WUR round-robin supports at most 4095 "
         "devices (12-bit ID space); use a group_id for larger fleets");
   }
+  if (mode_ == TxMode::Ble && !rules_.empty()) {
+    // BleScanners accept advertising PDUs, not Wi-LE messages: nothing
+    // would ever feed the engine, yet its staleness poll would still run.
+    throw std::invalid_argument(
+        "ScenarioBuilder: rules need gateway Receivers; mode(TxMode::Ble) has none");
+  }
   if (threads_ > 0) {
     // These subsystems hold a reference to THE scheduler/medium and run
     // unsynchronized callbacks; the sharded engine has neither a single
@@ -47,38 +63,21 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() const {
   return std::unique_ptr<Scenario>(new Scenario(*this));
 }
 
+// One wiring path for every mode and engine. The serial engine is the
+// one-core case: its core draws the unforked medium seed and run_until
+// calls its scheduler inline. Every node attaches to the core its
+// position falls in, so the only thing the engine choice changes is
+// WHICH core that is. Shard assignment is a pure function of position
+// and shard count, never of thread count, which is what makes sharded
+// digests comparable across threads={1,2,4}.
 Scenario::Scenario(const ScenarioBuilder& b)
-    : medium_{scheduler_, phy::Channel{b.channel_}, Rng{b.medium_seed_}},
-      telemetry_enabled_(b.telemetry_),
+    : telemetry_enabled_(b.telemetry_),
       // Derived, not equal to any seed the medium/devices use: the fault
       // injector's rng must not alias theirs.
       fault_seed_(b.master_seed_ ^ 0x0FA1'7000),
       mode_(b.mode_),
       user_on_message_(b.on_message_),
       user_on_adv_(b.on_adv_) {
-  if (b.threads_ > 0) {
-    build_parallel(b);
-    return;
-  }
-  if (b.loss_floor_) medium_.set_loss_floor(*b.loss_floor_);
-  tracer_.set_max_events(b.trace_max_events_);
-  tracer_.set_enabled(b.trace_);
-  if (!b.rules_.empty()) {
-    rules_engine_ = std::make_unique<rules::Engine>(b.rules_);
-    if (b.rules_extractor_) rules_engine_->set_value_extractor(*b.rules_extractor_);
-    if (b.rules_poll_period_) schedule_rules_poll(*b.rules_poll_period_);
-  }
-  if (mode_ == TxMode::Ble) {
-    // A BLE fleet shares the environment ritual (grid, stagger, gateway
-    // slots, telemetry names) but none of the Wi-LE node types.
-    build_ble(b);
-    return;
-  }
-
-  // --- devices: exact scale_fleet wiring order -------------------------------
-  // Master fork per device and the staggered-start schedule_at are
-  // interleaved inside one loop, in this order, because that is the
-  // historical construction sequence the determinism oracle pinned.
   const int n = b.n_devices_;
   const int side =
       n > 0 ? static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))) : 1;
@@ -88,9 +87,91 @@ Scenario::Scenario(const ScenarioBuilder& b)
                                      b.period_)
                                      .count());
 
+  // --- event cores -----------------------------------------------------------
+  // Sharded: the medium RNG master forks once per shard in shard order,
+  // so every shard draws an independent loss/PER stream and the set of
+  // streams depends only on the shard count.
+  const bool sharded = b.threads_ > 0;
+  const std::size_t n_cores = sharded ? b.shards_ : 1;
+  Rng medium_master{b.medium_seed_};
+  cores_.reserve(n_cores);  // gateway callbacks hold pointers into cores_
+  for (std::size_t s = 0; s < n_cores; ++s) {
+    EventCore core;
+    core.scheduler = std::make_unique<Scheduler>();
+    core.medium = std::make_unique<Medium>(*core.scheduler, phy::Channel{b.channel_},
+                                           sharded ? medium_master.fork()
+                                                   : Rng{b.medium_seed_});
+    if (b.loss_floor_) core.medium->set_loss_floor(*b.loss_floor_);
+    cores_.push_back(std::move(core));
+  }
+  if (sharded) {
+    std::vector<ParallelEngine::Shard> shards;
+    shards.reserve(n_cores);
+    for (auto& core : cores_) {
+      shards.push_back(ParallelEngine::Shard{core.scheduler.get(), core.medium.get()});
+    }
+    // The router needs a non-empty span; node placement keeps the true
+    // extent, so narrow grids place gateways the same on both engines.
+    engine_ = std::make_unique<ParallelEngine>(std::move(shards), 0.0,
+                                               std::max(extent, 1.0), b.window_,
+                                               b.threads_);
+  }
+  const auto core_at = [this](const Position& pos) -> EventCore& {
+    return engine_ ? cores_[engine_->router().shard_of(pos.x_m)] : cores_.front();
+  };
+
+  tracer_.set_max_events(b.trace_max_events_);
+  tracer_.set_enabled(b.trace_);
+  if (!b.rules_.empty()) {
+    rules_engine_ = std::make_unique<rules::Engine>(b.rules_);
+    if (b.rules_extractor_) rules_engine_->set_value_extractor(*b.rules_extractor_);
+    if (b.rules_poll_period_) schedule_rules_poll(*b.rules_poll_period_);
+  }
+
+  // --- devices: exact scale_fleet wiring order -------------------------------
+  // Master fork per device and the staggered-start schedule_at are
+  // interleaved inside one loop, in this order, because that is the
+  // historical construction sequence the determinism oracle pinned.
+  // Device i draws the same fork in every mode, so a BLE fleet shares
+  // the Wi-LE grid, stagger and RNG streams but none of its node types.
+  const auto make_provider = [&b](int i) -> core::Sender::PayloadProvider {
+    if (b.make_provider_) return b.make_provider_(i);
+    return [] { return Bytes(16, 0xA5); };
+  };
+  const auto device_position = [&b, side](int i) {
+    return b.place_device_ ? b.place_device_(i)
+                           : Position{(i % side) * b.spacing_m_, (i / side) * b.spacing_m_};
+  };
   Rng master{b.master_seed_};
-  senders_.reserve(static_cast<std::size_t>(n));
+  if (mode_ == TxMode::Ble) {
+    ble_advertisers_.reserve(static_cast<std::size_t>(n));
+  } else {
+    senders_.reserve(static_cast<std::size_t>(n));
+  }
   for (int i = 0; i < n; ++i) {
+    // Stagger starts uniformly across one period so the fleet doesn't
+    // wake in a single thundering herd at t=0.
+    const TimePoint start{usec(static_cast<std::int64_t>(
+        (static_cast<std::uint64_t>(i) * period_us) / static_cast<std::uint64_t>(n)))};
+
+    if (mode_ == TxMode::Ble) {
+      ble::BleAdvertiserConfig cfg = b.ble_opts_.advertiser;
+      cfg.address = MacAddress::from_seed(0xB1E0'0000u + static_cast<std::uint64_t>(i) + 1);
+      cfg.adv_interval = b.period_;
+      cfg.adv_delay_max = b.ble_opts_.adv_delay_max;
+      const Position pos = device_position(i);
+      Rng rng = master.fork();  // advDelay stream
+      EventCore& core = core_at(pos);
+      ble_advertisers_.push_back(std::make_unique<ble::BleAdvertiser>(
+          *core.scheduler, *core.medium, pos, cfg, std::move(rng)));
+      if (!b.auto_start_) continue;
+      start_node(*core.scheduler, b.stagger_, start,
+                 [a = ble_advertisers_.back().get(), provider = make_provider(i)] {
+                   a->start(std::move(provider));
+                 });
+      continue;
+    }
+
     core::SenderConfig cfg;
     cfg.device_id = static_cast<std::uint32_t>(i + 1);
     cfg.period = b.period_;
@@ -107,24 +188,20 @@ Scenario::Scenario(const ScenarioBuilder& b)
     }
     if (b.configure_sender_) b.configure_sender_(cfg, i);
 
-    const Position pos = b.place_device_
-                             ? b.place_device_(i)
-                             : Position{(i % side) * b.spacing_m_,
-                                        (i / side) * b.spacing_m_};
+    const Position pos = device_position(i);
     // The fork happens whether or not device_rng overrides it, so
     // toggling the override never shifts the master sequence for later
     // consumers.
     Rng forked = master.fork();
     Rng rng = b.device_rng_ ? b.device_rng_(i) : std::move(forked);
-    senders_.push_back(std::make_unique<core::Sender>(scheduler_, medium_, pos,
+    EventCore& core = core_at(pos);
+    senders_.push_back(std::make_unique<core::Sender>(*core.scheduler, *core.medium, pos,
                                                       cfg, std::move(rng)));
     core::Sender* s = senders_.back().get();
     if (b.trace_) s->set_tracer(&tracer_);
 
     if (!b.auto_start_) continue;
-    core::Sender::PayloadProvider provider =
-        b.make_provider_ ? b.make_provider_(i)
-                         : [] { return Bytes(16, 0xA5); };
+    core::Sender::PayloadProvider provider = make_provider(i);
     core::Sender::SendCallback per_cycle;
     if (b.on_send_report_) {
       per_cycle = [fn = b.on_send_report_, i](const core::SendReport& r) {
@@ -136,39 +213,56 @@ Scenario::Scenario(const ScenarioBuilder& b)
       // scheduling a local duty-cycle timer (no stagger — the device
       // transmits only when woken).
       s->arm_wur(std::move(provider), std::move(per_cycle));
-    } else if (b.stagger_) {
-      // Stagger duty-cycle starts uniformly across one period so the
-      // fleet doesn't wake in a single thundering herd at t=0.
-      const auto start_us = static_cast<std::int64_t>(
-          (static_cast<std::uint64_t>(i) * period_us) /
-          static_cast<std::uint64_t>(n));
-      scheduler_.schedule_at(
-          TimePoint{usec(start_us)},
-          [s, provider = std::move(provider), per_cycle = std::move(per_cycle)] {
-            s->start_duty_cycle(std::move(provider), std::move(per_cycle));
-          });
     } else {
-      s->start_duty_cycle(std::move(provider), std::move(per_cycle));
+      start_node(*core.scheduler, b.stagger_, start,
+                 [s, provider = std::move(provider), per_cycle = std::move(per_cycle)] {
+                   s->start_duty_cycle(std::move(provider), std::move(per_cycle));
+                 });
     }
   }
 
   // --- gateways --------------------------------------------------------------
   // Environment-only scenarios (devices(0)) get no implicit gateway;
-  // any fleet gets at least one.
+  // any fleet gets at least one. Each gateway counts into its own core's
+  // tally: on the sharded engine the callback runs on that core's worker
+  // thread, and per-core counters need no atomics.
   const int n_gw = b.n_gateways_
                        ? *b.n_gateways_
                        : (n > 0 ? std::max(1, n / std::max(1, b.gateway_every_)) : 0);
-  receivers_.reserve(static_cast<std::size_t>(n_gw));
+  const auto gateway_position = [&b, extent, n_gw](int k) {
+    const double c = (k + 0.5) * extent / n_gw;  // along the diagonal
+    return b.place_gateway_ ? b.place_gateway_(k) : Position{c, c};
+  };
+  if (mode_ == TxMode::Ble) {
+    ble_scanners_.reserve(static_cast<std::size_t>(n_gw));
+  } else {
+    receivers_.reserve(static_cast<std::size_t>(n_gw));
+  }
   for (int k = 0; k < n_gw; ++k) {
+    if (mode_ == TxMode::Ble) {
+      const Position pos = gateway_position(k);
+      EventCore& core = core_at(pos);
+      ble_scanners_.push_back(
+          std::make_unique<ble::BleScanner>(*core.scheduler, *core.medium, pos));
+      ble_scanners_.back()->set_callback(
+          [this, k, counter = &core.messages](const ble::AdvertisingPdu& pdu,
+                                              double rssi) {
+            ++*counter;
+            if (user_on_adv_) user_on_adv_(k, pdu, rssi);
+          });
+      continue;
+    }
+
     core::ReceiverConfig cfg;
     if (b.configure_gateway_) b.configure_gateway_(cfg, k);
-    const double c = (k + 0.5) * extent / n_gw;  // along the diagonal
-    const Position pos = b.place_gateway_ ? b.place_gateway_(k) : Position{c, c};
+    const Position pos = gateway_position(k);
+    EventCore& core = core_at(pos);
     receivers_.push_back(
-        std::make_unique<core::Receiver>(scheduler_, medium_, pos, cfg));
+        std::make_unique<core::Receiver>(*core.scheduler, *core.medium, pos, cfg));
     receivers_.back()->set_message_callback(
-        [this](const core::Message& msg, const core::RxMeta& meta) {
-          ++messages_;
+        [this, counter = &core.messages](const core::Message& msg,
+                                         const core::RxMeta& meta) {
+          ++*counter;
           if (rules_engine_) rules_engine_->on_message(msg, meta.rssi_dbm, meta.received_at);
           if (user_on_message_) user_on_message_(msg, meta);
         });
@@ -177,14 +271,17 @@ Scenario::Scenario(const ScenarioBuilder& b)
   // --- WUR access point ------------------------------------------------------
   // Built after the fleet so round-robin can collect the derived WUR
   // IDs in device order. Transmit-only (rx_enabled false), so attaching
-  // it never adds medium RNG draws for frames it merely overhears.
+  // it never adds medium RNG draws for frames it merely overhears. On
+  // the sharded engine, wake frames to devices on other shards ride the
+  // boundary-transmission phantoms like any other cross-shard traffic.
   if (mode_ == TxMode::Wur && n > 0) {
     const Position ap_pos = b.wur_opts_.ap_position
                                 ? *b.wur_opts_.ap_position
                                 : Position{extent / 2.0, extent / 2.0};
+    EventCore& core = core_at(ap_pos);
     // Derived seed: the AP's CSMA backoff stream must alias neither the
     // device forks nor the medium stream.
-    wur_ap_ = std::make_unique<ap::WurScheduler>(scheduler_, medium_, ap_pos,
+    wur_ap_ = std::make_unique<ap::WurScheduler>(*core.scheduler, *core.medium, ap_pos,
                                                  Rng{b.master_seed_ ^ 0x11BA'0000},
                                                  b.wur_opts_.scheduler);
     if (b.auto_start_) {
@@ -210,23 +307,44 @@ Scenario::Scenario(const ScenarioBuilder& b)
   // --- telemetry bindings ----------------------------------------------------
   // Everything above ran without touching the registry, so a disabled
   // scenario is byte-identical to a pre-telemetry build: zero registry
-  // entries, zero extra events, zero extra RNG draws.
+  // entries, zero extra events, zero extra RNG draws. Aggregates keep
+  // one set of names on both engines, so every consumer (export schema,
+  // dashboards) reads sharded runs unchanged.
   if (!telemetry_enabled_) return;
 
-  registry_.bind_counter_fn("scheduler.events_run",
-                            [this] { return scheduler_.events_run(); });
+  registry_.bind_counter_fn("scheduler.events_run", [this] { return events_run(); });
   registry_.bind_gauge_fn("scheduler.pending_events", [this] {
-    return static_cast<double>(scheduler_.pending_events());
+    std::size_t pending = 0;
+    for (const auto& core : cores_) pending += core.scheduler->pending_events();
+    return static_cast<double>(pending);
   });
   registry_.bind_gauge_fn("sim.time_us", [this] {
-    return static_cast<double>(scheduler_.now().since_epoch().count());
+    return static_cast<double>(now().since_epoch().count());
   });
-  medium_.publish_metrics(registry_);
-  registry_.bind_counter_fn("fleet.messages", [this] { return messages_; });
-  registry_.bind_gauge_fn("fleet.devices",
-                          [this] { return static_cast<double>(senders_.size()); });
+  if (engine_) {
+    registry_.bind_counter_fn("medium.transmissions",
+                              [this] { return medium_stats().transmissions; });
+    registry_.bind_counter_fn("medium.deliveries",
+                              [this] { return medium_stats().deliveries; });
+    registry_.bind_counter_fn("medium.collision_losses",
+                              [this] { return medium_stats().collision_losses; });
+    registry_.bind_counter_fn("medium.channel_losses",
+                              [this] { return medium_stats().channel_losses; });
+    registry_.bind_counter_fn("medium.nodes", [this] {
+      std::uint64_t nodes = 0;
+      for (const auto& core : cores_) nodes += core.medium->node_count();
+      return nodes;
+    });
+  } else {
+    cores_.front().medium->publish_metrics(registry_);
+  }
+  registry_.bind_counter_fn("fleet.messages", [this] { return messages(); });
+  // One of each pair is empty: the mode picks the node types.
+  registry_.bind_gauge_fn("fleet.devices", [this] {
+    return static_cast<double>(senders_.size() + ble_advertisers_.size());
+  });
   registry_.bind_gauge_fn("fleet.gateways", [this] {
-    return static_cast<double>(receivers_.size());
+    return static_cast<double>(receivers_.size() + ble_scanners_.size());
   });
   if (wur_ap_) {
     registry_.bind_counter_fn("wur.ap.wakes_sent",
@@ -237,450 +355,46 @@ Scenario::Scenario(const ScenarioBuilder& b)
   }
   if (rules_engine_) rules_engine_->publish_metrics(registry_, "rules");
 
+  if (engine_) {
+    registry_.bind_gauge_fn("parallel.threads", [this] {
+      return static_cast<double>(engine_->threads());
+    });
+    registry_.bind_gauge_fn("parallel.shards", [this] {
+      return static_cast<double>(cores_.size());
+    });
+    registry_.bind_gauge_fn("parallel.window_us", [this] {
+      return static_cast<double>(engine_->window().count());
+    });
+    for (std::size_t s = 0; s < cores_.size(); ++s) {
+      const std::string prefix = "parallel.shard" + std::to_string(s);
+      registry_.bind_counter_fn(prefix + ".windows",
+                                [this, s] { return engine_->shard_stats()[s].windows; });
+      registry_.bind_counter_fn(prefix + ".barrier_stalls", [this, s] {
+        return engine_->shard_stats()[s].barrier_stalls;
+      });
+      registry_.bind_counter_fn(prefix + ".boundary_tx_in", [this, s] {
+        return engine_->shard_stats()[s].boundary_tx_in;
+      });
+      registry_.bind_counter_fn(prefix + ".boundary_tx_out", [this, s] {
+        return engine_->shard_stats()[s].boundary_tx_out;
+      });
+    }
+  }
+
   if (b.per_node_) {
-    for (auto& s : senders_) {
-      s->publish_metrics(registry_, node_prefix(s->node_id(), "sender"));
-    }
-    for (auto& r : receivers_) {
-      r->publish_metrics(registry_, node_prefix(r->node_id(), "receiver"));
-    }
+    // Named by fleet-wide index (devices, then gateways): the serial
+    // engine's NodeIds, which shards would repeat, since each numbers
+    // its own nodes from 0.
+    NodeId id = 0;
+    for (auto& s : senders_) s->publish_metrics(registry_, node_prefix(id++, "sender"));
+    for (auto& r : receivers_) r->publish_metrics(registry_, node_prefix(id++, "receiver"));
   }
 
   if (b.sample_period_) {
     sampler_ = std::make_unique<telemetry::PeriodicSampler<Scheduler>>(
-        scheduler_, registry_, *b.sample_period_);
+        scheduler(), registry_, *b.sample_period_);
     sampler_->start();
   }
-}
-
-// Sharded build path. Deliberately mirrors the serial loop line for
-// line — same SenderConfig defaults, same master.fork() per device in
-// index order, same staggered start times — so the only difference is
-// WHICH event core each node attaches to. Shard assignment is a pure
-// function of position and shard count, never of thread count, which
-// is what makes digests comparable across threads={1,2,4}.
-void Scenario::build_parallel(const ScenarioBuilder& b) {
-  if (mode_ == TxMode::Ble) {
-    build_ble_parallel(b);
-    return;
-  }
-  const int n = b.n_devices_;
-  const std::size_t n_shards = b.shards_;
-  const int side =
-      n > 0 ? static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))) : 1;
-  const double extent = std::max(side * b.spacing_m_, 1.0);
-  const auto period_us =
-      static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                     b.period_)
-                                     .count());
-
-  // Per-shard event cores. The medium RNG master forks once per shard
-  // in shard order: every shard draws an independent loss/PER stream,
-  // and the set of streams depends only on the shard count.
-  Rng medium_master{b.medium_seed_};
-  shard_runtimes_.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    ShardRuntime rt;
-    rt.scheduler = std::make_unique<Scheduler>();
-    rt.medium = std::make_unique<Medium>(*rt.scheduler, phy::Channel{b.channel_},
-                                         medium_master.fork());
-    if (b.loss_floor_) rt.medium->set_loss_floor(*b.loss_floor_);
-    shard_runtimes_.push_back(std::move(rt));
-  }
-
-  // Stripe partition for node assignment; the engine below builds its
-  // router over the same [0, extent) so spans and assignment agree.
-  ShardRouter partition{n_shards, 0.0, extent};
-
-  Rng master{b.master_seed_};
-  senders_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    core::SenderConfig cfg;
-    cfg.device_id = static_cast<std::uint32_t>(i + 1);
-    cfg.period = b.period_;
-    cfg.wake_jitter = b.wake_jitter_;
-    cfg.timeline_max_segments = b.timeline_max_segments_;
-    if (b.harvesting_) cfg.harvesting = b.harvesting_;
-    if (mode_ == TxMode::Wur) {
-      core::WurCompanionConfig wur;
-      wur.group_id = b.wur_opts_.group_id;
-      wur.receiver = b.wur_opts_.receiver;
-      cfg.wur = wur;
-    }
-    if (b.configure_sender_) b.configure_sender_(cfg, i);
-
-    const Position pos = b.place_device_
-                             ? b.place_device_(i)
-                             : Position{(i % side) * b.spacing_m_,
-                                        (i / side) * b.spacing_m_};
-    Rng forked = master.fork();
-    Rng rng = b.device_rng_ ? b.device_rng_(i) : std::move(forked);
-    ShardRuntime& rt = shard_runtimes_[partition.shard_of(pos.x_m)];
-    senders_.push_back(std::make_unique<core::Sender>(*rt.scheduler, *rt.medium,
-                                                      pos, cfg, std::move(rng)));
-    core::Sender* s = senders_.back().get();
-
-    if (!b.auto_start_) continue;
-    core::Sender::PayloadProvider provider =
-        b.make_provider_ ? b.make_provider_(i)
-                         : [] { return Bytes(16, 0xA5); };
-    core::Sender::SendCallback per_cycle;
-    if (b.on_send_report_) {
-      per_cycle = [fn = b.on_send_report_, i](const core::SendReport& r) {
-        fn(i, r);
-      };
-    }
-    if (cfg.wur) {
-      s->arm_wur(std::move(provider), std::move(per_cycle));
-    } else if (b.stagger_) {
-      const auto start_us = static_cast<std::int64_t>(
-          (static_cast<std::uint64_t>(i) * period_us) /
-          static_cast<std::uint64_t>(n));
-      rt.scheduler->schedule_at(
-          TimePoint{usec(start_us)},
-          [s, provider = std::move(provider), per_cycle = std::move(per_cycle)] {
-            s->start_duty_cycle(std::move(provider), std::move(per_cycle));
-          });
-    } else {
-      s->start_duty_cycle(std::move(provider), std::move(per_cycle));
-    }
-  }
-
-  const int n_gw = b.n_gateways_
-                       ? *b.n_gateways_
-                       : (n > 0 ? std::max(1, n / std::max(1, b.gateway_every_)) : 0);
-  receivers_.reserve(static_cast<std::size_t>(n_gw));
-  for (int k = 0; k < n_gw; ++k) {
-    core::ReceiverConfig cfg;
-    if (b.configure_gateway_) b.configure_gateway_(cfg, k);
-    const double c = (k + 0.5) * extent / n_gw;  // along the diagonal
-    const Position pos = b.place_gateway_ ? b.place_gateway_(k) : Position{c, c};
-    ShardRuntime& rt = shard_runtimes_[partition.shard_of(pos.x_m)];
-    receivers_.push_back(
-        std::make_unique<core::Receiver>(*rt.scheduler, *rt.medium, pos, cfg));
-    // Count into the owning shard's tally: the callback runs on that
-    // shard's worker thread, and per-shard counters need no atomics.
-    receivers_.back()->set_message_callback(
-        [this, counter = &rt.messages](const core::Message& msg,
-                                       const core::RxMeta& meta) {
-          ++*counter;
-          if (user_on_message_) user_on_message_(msg, meta);
-        });
-  }
-
-  // WUR AP: attaches to the shard its position falls in; wake frames to
-  // devices on other shards ride the engine's boundary-transmission
-  // phantoms like any other cross-shard traffic.
-  if (mode_ == TxMode::Wur && n > 0) {
-    const Position ap_pos = b.wur_opts_.ap_position
-                                ? *b.wur_opts_.ap_position
-                                : Position{extent / 2.0, extent / 2.0};
-    ShardRuntime& rt = shard_runtimes_[partition.shard_of(ap_pos.x_m)];
-    wur_ap_ = std::make_unique<ap::WurScheduler>(*rt.scheduler, *rt.medium, ap_pos,
-                                                 Rng{b.master_seed_ ^ 0x11BA'0000},
-                                                 b.wur_opts_.scheduler);
-    if (b.auto_start_) {
-      const Duration cadence =
-          b.wur_opts_.cadence.count() > 0 ? b.wur_opts_.cadence : b.period_;
-      if (b.wur_opts_.group_id != 0) {
-        wur_ap_->start_group_cadence(b.wur_opts_.group_id, cadence);
-      } else {
-        std::vector<std::uint16_t> ids;
-        ids.reserve(senders_.size());
-        for (auto& s : senders_) ids.push_back(s->wur_id());
-        wur_ap_->start_round_robin(std::move(ids), cadence);
-      }
-    }
-  }
-
-  std::vector<ParallelEngine::Shard> shards;
-  shards.reserve(n_shards);
-  for (auto& rt : shard_runtimes_) {
-    shards.push_back(ParallelEngine::Shard{rt.scheduler.get(), rt.medium.get()});
-  }
-  engine_ = std::make_unique<ParallelEngine>(std::move(shards), 0.0, extent,
-                                             b.window_, b.threads_);
-
-  if (!telemetry_enabled_) return;
-
-  // Aggregate bindings keep the serial metric names so every consumer
-  // (export schema, dashboards) reads sharded runs unchanged.
-  registry_.bind_counter_fn("scheduler.events_run", [this] { return events_run(); });
-  registry_.bind_gauge_fn("scheduler.pending_events", [this] {
-    std::size_t pending = 0;
-    for (const auto& rt : shard_runtimes_) pending += rt.scheduler->pending_events();
-    return static_cast<double>(pending);
-  });
-  registry_.bind_gauge_fn("sim.time_us", [this] {
-    return static_cast<double>(now().since_epoch().count());
-  });
-  registry_.bind_counter_fn("medium.transmissions",
-                            [this] { return medium_stats().transmissions; });
-  registry_.bind_counter_fn("medium.deliveries",
-                            [this] { return medium_stats().deliveries; });
-  registry_.bind_counter_fn("medium.collision_losses",
-                            [this] { return medium_stats().collision_losses; });
-  registry_.bind_counter_fn("medium.channel_losses",
-                            [this] { return medium_stats().channel_losses; });
-  registry_.bind_counter_fn("medium.nodes", [this] {
-    std::uint64_t nodes = 0;
-    for (const auto& rt : shard_runtimes_) nodes += rt.medium->node_count();
-    return nodes;
-  });
-  registry_.bind_counter_fn("fleet.messages", [this] { return messages(); });
-  registry_.bind_gauge_fn("fleet.devices",
-                          [this] { return static_cast<double>(senders_.size()); });
-  registry_.bind_gauge_fn("fleet.gateways", [this] {
-    return static_cast<double>(receivers_.size());
-  });
-  if (wur_ap_) {
-    registry_.bind_counter_fn("wur.ap.wakes_sent",
-                              [this] { return wur_ap_->wakes_sent(); });
-    registry_.bind_gauge_fn("wur.ap.tx_airtime_us", [this] {
-      return static_cast<double>(wur_ap_->tx_airtime_total().count());
-    });
-  }
-
-  registry_.bind_gauge_fn("parallel.threads", [this] {
-    return static_cast<double>(engine_->threads());
-  });
-  registry_.bind_gauge_fn("parallel.shards", [this] {
-    return static_cast<double>(shard_runtimes_.size());
-  });
-  registry_.bind_gauge_fn("parallel.window_us", [this] {
-    return static_cast<double>(engine_->window().count());
-  });
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    const std::string prefix = "parallel.shard" + std::to_string(s);
-    registry_.bind_counter_fn(prefix + ".windows",
-                              [this, s] { return engine_->shard_stats()[s].windows; });
-    registry_.bind_counter_fn(prefix + ".barrier_stalls", [this, s] {
-      return engine_->shard_stats()[s].barrier_stalls;
-    });
-    registry_.bind_counter_fn(prefix + ".boundary_tx_in", [this, s] {
-      return engine_->shard_stats()[s].boundary_tx_in;
-    });
-    registry_.bind_counter_fn(prefix + ".boundary_tx_out", [this, s] {
-      return engine_->shard_stats()[s].boundary_tx_out;
-    });
-  }
-
-  if (b.per_node_) {
-    for (auto& s : senders_) {
-      s->publish_metrics(registry_, node_prefix(s->node_id(), "sender"));
-    }
-    for (auto& r : receivers_) {
-      r->publish_metrics(registry_, node_prefix(r->node_id(), "receiver"));
-    }
-  }
-}
-
-// TxMode::Ble, serial engine. Shares the environment ritual with the
-// Wi-LE loop — same grid, same diagonal gateway slots, same staggered
-// start times, same master.fork() per device in index order (so device
-// i draws the same RNG stream in every mode) — but populates the fleet
-// with BleAdvertisers and the gateway slots with BleScanners.
-void Scenario::build_ble(const ScenarioBuilder& b) {
-  const int n = b.n_devices_;
-  const int side =
-      n > 0 ? static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))) : 1;
-  const double extent = side * b.spacing_m_;
-  const auto period_us =
-      static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                     b.period_)
-                                     .count());
-
-  Rng master{b.master_seed_};
-  ble_advertisers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ble::BleAdvertiserConfig cfg = b.ble_opts_.advertiser;
-    cfg.address = MacAddress::from_seed(0xB1E0'0000u + static_cast<std::uint64_t>(i) + 1);
-    cfg.adv_interval = b.period_;
-    cfg.adv_delay_max = b.ble_opts_.adv_delay_max;
-
-    const Position pos = b.place_device_
-                             ? b.place_device_(i)
-                             : Position{(i % side) * b.spacing_m_,
-                                        (i / side) * b.spacing_m_};
-    Rng rng = master.fork();  // advDelay stream; same fork discipline
-    ble_advertisers_.push_back(std::make_unique<ble::BleAdvertiser>(
-        scheduler_, medium_, pos, cfg, std::move(rng)));
-    ble::BleAdvertiser* a = ble_advertisers_.back().get();
-
-    if (!b.auto_start_) continue;
-    ble::BleAdvertiser::PayloadProvider provider =
-        b.make_provider_ ? b.make_provider_(i)
-                         : [] { return Bytes(16, 0xA5); };
-    if (b.stagger_) {
-      const auto start_us = static_cast<std::int64_t>(
-          (static_cast<std::uint64_t>(i) * period_us) /
-          static_cast<std::uint64_t>(n));
-      scheduler_.schedule_at(TimePoint{usec(start_us)},
-                             [a, provider = std::move(provider)] {
-                               a->start(std::move(provider));
-                             });
-    } else {
-      a->start(std::move(provider));
-    }
-  }
-
-  const int n_gw = b.n_gateways_
-                       ? *b.n_gateways_
-                       : (n > 0 ? std::max(1, n / std::max(1, b.gateway_every_)) : 0);
-  ble_scanners_.reserve(static_cast<std::size_t>(n_gw));
-  for (int k = 0; k < n_gw; ++k) {
-    const double c = (k + 0.5) * extent / n_gw;  // along the diagonal
-    const Position pos = b.place_gateway_ ? b.place_gateway_(k) : Position{c, c};
-    ble_scanners_.push_back(
-        std::make_unique<ble::BleScanner>(scheduler_, medium_, pos));
-    ble_scanners_.back()->set_callback(
-        [this, k](const ble::AdvertisingPdu& pdu, double rssi) {
-          ++messages_;
-          if (user_on_adv_) user_on_adv_(k, pdu, rssi);
-        });
-  }
-
-  if (!telemetry_enabled_) return;
-  registry_.bind_counter_fn("scheduler.events_run",
-                            [this] { return scheduler_.events_run(); });
-  registry_.bind_gauge_fn("scheduler.pending_events", [this] {
-    return static_cast<double>(scheduler_.pending_events());
-  });
-  registry_.bind_gauge_fn("sim.time_us", [this] {
-    return static_cast<double>(scheduler_.now().since_epoch().count());
-  });
-  medium_.publish_metrics(registry_);
-  registry_.bind_counter_fn("fleet.messages", [this] { return messages_; });
-  registry_.bind_gauge_fn("fleet.devices", [this] {
-    return static_cast<double>(ble_advertisers_.size());
-  });
-  registry_.bind_gauge_fn("fleet.gateways", [this] {
-    return static_cast<double>(ble_scanners_.size());
-  });
-
-  if (b.sample_period_) {
-    sampler_ = std::make_unique<telemetry::PeriodicSampler<Scheduler>>(
-        scheduler_, registry_, *b.sample_period_);
-    sampler_->start();
-  }
-}
-
-// TxMode::Ble on the sharded engine: same shard striping as the Wi-LE
-// parallel path (assignment is a pure function of position and shard
-// count), with per-shard accepted-PDU tallies.
-void Scenario::build_ble_parallel(const ScenarioBuilder& b) {
-  const int n = b.n_devices_;
-  const std::size_t n_shards = b.shards_;
-  const int side =
-      n > 0 ? static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))) : 1;
-  const double extent = std::max(side * b.spacing_m_, 1.0);
-  const auto period_us =
-      static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                     b.period_)
-                                     .count());
-
-  Rng medium_master{b.medium_seed_};
-  shard_runtimes_.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    ShardRuntime rt;
-    rt.scheduler = std::make_unique<Scheduler>();
-    rt.medium = std::make_unique<Medium>(*rt.scheduler, phy::Channel{b.channel_},
-                                         medium_master.fork());
-    if (b.loss_floor_) rt.medium->set_loss_floor(*b.loss_floor_);
-    shard_runtimes_.push_back(std::move(rt));
-  }
-  ShardRouter partition{n_shards, 0.0, extent};
-
-  Rng master{b.master_seed_};
-  ble_advertisers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ble::BleAdvertiserConfig cfg = b.ble_opts_.advertiser;
-    cfg.address = MacAddress::from_seed(0xB1E0'0000u + static_cast<std::uint64_t>(i) + 1);
-    cfg.adv_interval = b.period_;
-    cfg.adv_delay_max = b.ble_opts_.adv_delay_max;
-
-    const Position pos = b.place_device_
-                             ? b.place_device_(i)
-                             : Position{(i % side) * b.spacing_m_,
-                                        (i / side) * b.spacing_m_};
-    Rng rng = master.fork();
-    ShardRuntime& rt = shard_runtimes_[partition.shard_of(pos.x_m)];
-    ble_advertisers_.push_back(std::make_unique<ble::BleAdvertiser>(
-        *rt.scheduler, *rt.medium, pos, cfg, std::move(rng)));
-    ble::BleAdvertiser* a = ble_advertisers_.back().get();
-
-    if (!b.auto_start_) continue;
-    ble::BleAdvertiser::PayloadProvider provider =
-        b.make_provider_ ? b.make_provider_(i)
-                         : [] { return Bytes(16, 0xA5); };
-    if (b.stagger_) {
-      const auto start_us = static_cast<std::int64_t>(
-          (static_cast<std::uint64_t>(i) * period_us) /
-          static_cast<std::uint64_t>(n));
-      rt.scheduler->schedule_at(TimePoint{usec(start_us)},
-                                [a, provider = std::move(provider)] {
-                                  a->start(std::move(provider));
-                                });
-    } else {
-      a->start(std::move(provider));
-    }
-  }
-
-  const int n_gw = b.n_gateways_
-                       ? *b.n_gateways_
-                       : (n > 0 ? std::max(1, n / std::max(1, b.gateway_every_)) : 0);
-  ble_scanners_.reserve(static_cast<std::size_t>(n_gw));
-  for (int k = 0; k < n_gw; ++k) {
-    const double c = (k + 0.5) * extent / n_gw;  // along the diagonal
-    const Position pos = b.place_gateway_ ? b.place_gateway_(k) : Position{c, c};
-    ShardRuntime& rt = shard_runtimes_[partition.shard_of(pos.x_m)];
-    ble_scanners_.push_back(
-        std::make_unique<ble::BleScanner>(*rt.scheduler, *rt.medium, pos));
-    ble_scanners_.back()->set_callback(
-        [this, k, counter = &rt.messages](const ble::AdvertisingPdu& pdu,
-                                          double rssi) {
-          ++*counter;
-          if (user_on_adv_) user_on_adv_(k, pdu, rssi);
-        });
-  }
-
-  std::vector<ParallelEngine::Shard> shards;
-  shards.reserve(n_shards);
-  for (auto& rt : shard_runtimes_) {
-    shards.push_back(ParallelEngine::Shard{rt.scheduler.get(), rt.medium.get()});
-  }
-  engine_ = std::make_unique<ParallelEngine>(std::move(shards), 0.0, extent,
-                                             b.window_, b.threads_);
-
-  if (!telemetry_enabled_) return;
-  registry_.bind_counter_fn("scheduler.events_run", [this] { return events_run(); });
-  registry_.bind_gauge_fn("sim.time_us", [this] {
-    return static_cast<double>(now().since_epoch().count());
-  });
-  registry_.bind_counter_fn("medium.transmissions",
-                            [this] { return medium_stats().transmissions; });
-  registry_.bind_counter_fn("medium.deliveries",
-                            [this] { return medium_stats().deliveries; });
-  registry_.bind_counter_fn("medium.collision_losses",
-                            [this] { return medium_stats().collision_losses; });
-  registry_.bind_counter_fn("medium.channel_losses",
-                            [this] { return medium_stats().channel_losses; });
-  registry_.bind_counter_fn("fleet.messages", [this] { return messages(); });
-  registry_.bind_gauge_fn("fleet.devices", [this] {
-    return static_cast<double>(ble_advertisers_.size());
-  });
-  registry_.bind_gauge_fn("fleet.gateways", [this] {
-    return static_cast<double>(ble_scanners_.size());
-  });
-  registry_.bind_gauge_fn("parallel.threads", [this] {
-    return static_cast<double>(engine_->threads());
-  });
-  registry_.bind_gauge_fn("parallel.shards", [this] {
-    return static_cast<double>(shard_runtimes_.size());
-  });
-  registry_.bind_gauge_fn("parallel.window_us", [this] {
-    return static_cast<double>(engine_->window().count());
-  });
 }
 
 Scenario::~Scenario() = default;
@@ -694,32 +408,41 @@ void Scenario::require_serial(const char* what) const {
 
 Scheduler& Scenario::scheduler() {
   require_serial("scheduler()");
-  return scheduler_;
+  return *cores_.front().scheduler;
 }
 
 Medium& Scenario::medium() {
   require_serial("medium()");
-  return medium_;
+  return *cores_.front().medium;
 }
 
 std::uint64_t Scenario::events_run() const {
-  if (engine_) return engine_->total_events_run();
-  return scheduler_.events_run();
+  std::uint64_t n = 0;
+  for (const auto& core : cores_) n += core.scheduler->events_run();
+  return n;
 }
 
 Medium::Stats Scenario::medium_stats() const {
-  if (engine_) return engine_->total_medium_stats();
-  return medium_.stats();
+  Medium::Stats total;
+  for (const auto& core : cores_) {
+    const Medium::Stats& m = core.medium->stats();
+    total.transmissions += m.transmissions;
+    total.deliveries += m.deliveries;
+    total.collision_losses += m.collision_losses;
+    total.channel_losses += m.channel_losses;
+  }
+  return total;
 }
 
 TimePoint Scenario::now() const {
-  if (engine_) return engine_->now();
-  return scheduler_.now();
+  TimePoint t{};
+  for (const auto& core : cores_) t = std::max(t, core.scheduler->now());
+  return t;
 }
 
 std::uint64_t Scenario::messages() const {
-  std::uint64_t total = messages_;
-  for (const auto& rt : shard_runtimes_) total += rt.messages;
+  std::uint64_t total = 0;
+  for (const auto& core : cores_) total += core.messages;
   return total;
 }
 
@@ -727,14 +450,14 @@ void Scenario::run_until(TimePoint deadline) {
   if (engine_) {
     engine_->run_until(deadline);
   } else {
-    scheduler_.run_until(deadline);
+    cores_.front().scheduler->run_until(deadline);
   }
 }
 
 FaultInjector& Scenario::faults() {
   require_serial("faults()");
   if (!faults_) {
-    faults_ = std::make_unique<FaultInjector>(scheduler_, medium_, Rng{fault_seed_});
+    faults_ = std::make_unique<FaultInjector>(scheduler(), medium(), Rng{fault_seed_});
     if (telemetry_enabled_) faults_->publish_metrics(registry_);
     // Every harvesting device is an energy-fault target, in device
     // order, so fleet-wide brown-outs / droughts hit the whole fleet
@@ -750,19 +473,21 @@ FaultInjector& Scenario::faults() {
 
 void Scenario::attach_invariants(InvariantMonitor& monitor) {
   require_serial("attach_invariants()");
+  Scheduler* sched = &scheduler();
+  const Medium* med = &medium();
   // Scheduler: simulated time and the event counter only move forward.
-  monitor.add_monotone_counter("scheduler.time_us", [this] {
-    return static_cast<std::uint64_t>(scheduler_.now().since_epoch().count());
+  monitor.add_monotone_counter("scheduler.time_us", [sched] {
+    return static_cast<std::uint64_t>(sched->now().since_epoch().count());
   });
   monitor.add_monotone_counter("scheduler.events_run",
-                               [this] { return scheduler_.events_run(); });
+                               [sched] { return sched->events_run(); });
 
   // Frame-buffer leak accounting: every payload allocation alive must be
   // owned by an in-flight transmission. Sweeps run as scheduler events,
   // so no delivery is mid-flight when this is sampled.
-  monitor.add_check("medium.frame_buffer_leak", [this]() -> std::optional<std::string> {
+  monitor.add_check("medium.frame_buffer_leak", [med]() -> std::optional<std::string> {
     const std::uint64_t live = FrameBuffer::live_buffers();
-    const auto in_flight = static_cast<std::uint64_t>(medium_.active_transmissions());
+    const auto in_flight = static_cast<std::uint64_t>(med->active_transmissions());
     if (live > in_flight) {
       return std::to_string(live) + " live frame buffers but only " +
              std::to_string(in_flight) + " in-flight transmissions";
@@ -781,10 +506,11 @@ void Scenario::attach_invariants(InvariantMonitor& monitor) {
         [gw] { return static_cast<double>(gw->reassembler_partials()); }, 0.0,
         static_cast<double>(gw->config().max_partials), gw->node_id());
     gw->set_message_callback(
-        [this, &monitor, key = static_cast<std::uint32_t>(gw->node_id())](
-            const core::Message& msg, const core::RxMeta& meta) {
-          ++messages_;
-          monitor.on_delivery(key, msg.device_id, msg.sequence, scheduler_.now());
+        [this, sched, &monitor, counter = &cores_.front().messages,
+         key = static_cast<std::uint32_t>(gw->node_id())](const core::Message& msg,
+                                                          const core::RxMeta& meta) {
+          ++*counter;
+          monitor.on_delivery(key, msg.device_id, msg.sequence, sched->now());
           if (rules_engine_) rules_engine_->on_message(msg, meta.rssi_dbm, meta.received_at);
           if (user_on_message_) user_on_message_(msg, meta);
         });
@@ -810,8 +536,8 @@ void Scenario::attach_invariants(InvariantMonitor& monitor) {
       const double tol = 1e-9 + 1e-6 * capacity;
       monitor.add_check(
           "sender.energy_conservation",
-          [this, gov, capacity, initial, harvest_w, tol]() -> std::optional<std::string> {
-            const TimePoint now = scheduler_.now();
+          [sched, gov, capacity, initial, harvest_w, tol]() -> std::optional<std::string> {
+            const TimePoint now = sched->now();
             const double q = gov->projected_charge(now).value;
             const double elapsed_s =
                 static_cast<double>(now.since_epoch().count()) / 1e6;
@@ -846,7 +572,7 @@ ChaosTargets Scenario::chaos_targets() {
   }
   for (auto& r : receivers_) targets.gateway_nodes.push_back(r->node_id());
   if (!receivers_.empty()) {
-    targets.jammer_position = medium_.position(receivers_.front()->node_id());
+    targets.jammer_position = medium().position(receivers_.front()->node_id());
   }
   return targets;
 }
@@ -863,8 +589,8 @@ std::string Scenario::export_json(telemetry::ExportMeta meta,
 }
 
 void Scenario::schedule_rules_poll(Duration every) {
-  scheduler_.schedule_in(every, [this, every] {
-    rules_engine_->poll(scheduler_.now());
+  scheduler().schedule_in(every, [this, every] {
+    rules_engine_->poll(now());
     schedule_rules_poll(every);
   });
 }

@@ -98,10 +98,10 @@ class Scenario {
   ~Scenario();
 
   // --- environment -----------------------------------------------------------
-  /// The single serial scheduler/medium. Throws std::logic_error in
-  /// parallel mode (threads(n>0)): there is no single event core there —
-  /// use the aggregate accessors events_run()/medium_stats()/now(), or
-  /// shard_schedulers()/shard_mediums() for per-shard access.
+  /// The serial engine's one scheduler/medium. Throws std::logic_error
+  /// in parallel mode (threads(n>0)): there is no single event core
+  /// there — use the aggregate accessors events_run()/medium_stats()/
+  /// now()/messages(), which sum over every core on both engines.
   [[nodiscard]] Scheduler& scheduler();
   [[nodiscard]] Medium& medium();
   /// Lazily constructed on first use (so scenarios that never inject
@@ -158,8 +158,9 @@ class Scenario {
   [[nodiscard]] ap::WurScheduler* wur_ap() { return wur_ap_.get(); }
   /// Messages delivered across all gateway receivers (deduplicated per
   /// receiver, summed over receivers — matches the legacy benches'
-  /// shared counter). In parallel mode each shard counts its own
-  /// gateways (no cross-thread counter contention) and this sums them.
+  /// shared counter). Each event core counts its own gateways (no
+  /// cross-thread counter contention on the sharded engine) and this
+  /// sums them.
   [[nodiscard]] std::uint64_t messages() const;
   /// The fleet rules engine, or nullptr unless ScenarioBuilder::rules()
   /// configured one. Fed every message each gateway delivers.
@@ -190,25 +191,21 @@ class Scenario {
  private:
   friend class ScenarioBuilder;
   Scenario(const ScenarioBuilder& b);
-  void build_parallel(const ScenarioBuilder& b);
-  void build_ble(const ScenarioBuilder& b);
-  void build_ble_parallel(const ScenarioBuilder& b);
   void require_serial(const char* what) const;
 
-  /// One shard's event core plus its message tally. The schedulers and
-  /// mediums live behind unique_ptrs because Medium holds a Scheduler&
-  /// and neither is movable.
-  struct ShardRuntime {
+  /// One event core plus its message tally: the serial engine has one,
+  /// the sharded engine one per shard. The schedulers and mediums live
+  /// behind unique_ptrs because Medium holds a Scheduler& and neither is
+  /// movable.
+  struct EventCore {
     std::unique_ptr<Scheduler> scheduler;
     std::unique_ptr<Medium> medium;
-    /// Written only by the shard's owning thread (its gateways' message
+    /// Written only by the core's owning thread (its gateways' message
     /// callbacks), read after run — no atomics needed.
     std::uint64_t messages = 0;
   };
 
-  Scheduler scheduler_;
-  Medium medium_;
-  std::vector<ShardRuntime> shard_runtimes_;
+  std::vector<EventCore> cores_;
   std::unique_ptr<ParallelEngine> engine_;
   telemetry::MetricsRegistry registry_;
   telemetry::Tracer tracer_;
@@ -223,7 +220,6 @@ class Scenario {
   std::vector<std::unique_ptr<ble::BleScanner>> ble_scanners_;
   std::unique_ptr<ap::WurScheduler> wur_ap_;
   std::unique_ptr<rules::Engine> rules_engine_;
-  std::uint64_t messages_ = 0;
   core::Receiver::MessageCallback user_on_message_;
   std::function<void(int, const ble::AdvertisingPdu&, double)> user_on_adv_;
 
@@ -344,17 +340,21 @@ class ScenarioBuilder {
   }
   // --- sharded parallel engine ----------------------------------------------
   /// Run on the sharded parallel engine with this many worker threads.
-  /// 0 (default) = the legacy serial engine, bit-identical to every
-  /// pre-sharding build. With threads > 0 the fleet is striped across
-  /// shards() per-shard schedulers/mediums and advanced in window()
-  /// conservative time windows; results depend on the SHARD count, not
-  /// the thread count (see sim/parallel.hpp). Parallel scenarios reject
-  /// faults()/attach_invariants()/chaos_targets()/trace()/sample_every()
-  /// — those subsystems assume one serial event core.
+  /// 0 (default) = the serial engine: the one-shard case of the same
+  /// wiring, with no ParallelEngine, the unforked medium_seed() and
+  /// run_until() calling the single scheduler inline — bit-identical to
+  /// every pre-sharding build. With threads > 0 the fleet is striped
+  /// across shards() per-shard schedulers/mediums and advanced in
+  /// window() conservative time windows; results depend on the SHARD
+  /// count, not the thread count (see sim/parallel.hpp). Parallel
+  /// scenarios reject faults()/attach_invariants()/chaos_targets()/
+  /// trace()/sample_every()/configure_faults()/rules() — those
+  /// subsystems still assume one event core.
   ScenarioBuilder& threads(unsigned t) { threads_ = t; return *this; }
   /// Spatial stripes (and independent event cores) for the parallel
   /// engine. Fixed default of 8 so digests are comparable across thread
-  /// counts out of the box. Ignored when threads() is 0.
+  /// counts out of the box. Ignored when threads() is 0: the serial
+  /// engine is always one core.
   ScenarioBuilder& shards(std::size_t s) { shards_ = s; return *this; }
   /// Conservative window length for cross-shard commit (see
   /// sim/parallel.hpp for what this trades away). Ignored when serial.
@@ -386,8 +386,10 @@ class ScenarioBuilder {
 
   // --- rules engine ----------------------------------------------------------
   /// Declarative fleet rules, evaluated over every message any gateway
-  /// delivers (see wile/rules/engine.hpp). Serial engine only. Telemetry
-  /// lands under "rules.*" (rules.fired, per-rule/node counters).
+  /// delivers (see wile/rules/engine.hpp). Serial engine only, and not
+  /// with mode(TxMode::Ble), whose scanners deliver no messages (build()
+  /// throws). Telemetry lands under "rules.*" (rules.fired, per-rule/node
+  /// counters).
   ScenarioBuilder& rules(std::vector<rules::RuleSpec> specs) {
     rules_ = std::move(specs);
     return *this;
@@ -412,7 +414,9 @@ class ScenarioBuilder {
   /// simulation is byte-identical to a pre-telemetry build.
   ScenarioBuilder& telemetry(bool on) { telemetry_ = on; return *this; }
   /// Register per-node metrics (node.<id>.sender.* / .receiver.*) in
-  /// addition to aggregates. Default on; fleet-scale benches turn it
+  /// addition to aggregates. <id> is the fleet-wide index (devices, then
+  /// gateways) — each node's NodeId on the serial engine, and the same
+  /// name on the sharded one. Default on; fleet-scale benches turn it
   /// off above ~10k nodes to keep registry RSS out of the measurement.
   ScenarioBuilder& per_node_metrics(bool on) { per_node_ = on; return *this; }
   /// Enable protocol-phase tracing with the given event-buffer bound.

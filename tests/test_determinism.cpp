@@ -18,8 +18,13 @@
 //     global delivery order does not exist across concurrent shards,
 //     the digest is per-gateway (deterministic within a shard) and
 //     combined in gateway order.
+//  4. Serial vs sharded — the same builder chain on threads(0) and on
+//     8 shards sends exactly the same frames; Wi-LE deliveries agree
+//     within the statistical bound of independent per-shard PER streams
+//     plus collisions (DESIGN.md §13).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -303,6 +308,49 @@ TEST(Determinism, WurShardedEngineIsRepeatable) {
   const RunResult a = run_sharded_wur_scenario(2);
   const RunResult b = run_sharded_wur_scenario(2);
   EXPECT_EQ(a, b);
+}
+
+// One fleet, two engines: 2000 devices on the default 5 m grid with a
+// gateway per 20 devices, 120 simulated seconds, at threads(0) and at
+// threads(2) over 8 shards.
+sim::Medium::Stats run_on_engine(TxMode mode, unsigned threads) {
+  auto builder =
+      sim::ScenarioBuilder{}.mode(mode).devices(2000).gateway_every(20).telemetry(false);
+  if (threads > 0) builder.threads(threads).shards(8);
+  auto scenario = builder.build();
+  scenario->run_until(TimePoint{seconds(120)});
+  return scenario->medium_stats();
+}
+
+TEST(Determinism, ShardedWiLeAgreesWithSerialWithinLossBound) {
+  const sim::Medium::Stats serial = run_on_engine(TxMode::WiLeBeacon, 0);
+  const sim::Medium::Stats sharded = run_on_engine(TxMode::WiLeBeacon, 2);
+  EXPECT_GT(serial.transmissions, 1000u);
+  EXPECT_EQ(serial.transmissions, sharded.transmissions);
+
+  // Each shard draws its own PER stream, so the engines' loss draws are
+  // two independent binomials over the serial run's decode attempts;
+  // allow four standard deviations of their difference, plus every
+  // collision loss on either engine (a cross-stripe frame commits at the
+  // next window barrier and may collide differently).
+  const auto d_serial = static_cast<double>(serial.deliveries);
+  const double attempts = d_serial + static_cast<double>(serial.channel_losses);
+  ASSERT_GT(attempts, 0.0);
+  const double p = d_serial / attempts;
+  const double bound =
+      4.0 * std::sqrt(2.0 * attempts * p * (1.0 - p)) +
+      static_cast<double>(serial.collision_losses + sharded.collision_losses);
+  EXPECT_LE(std::fabs(d_serial - static_cast<double>(sharded.deliveries)), bound);
+}
+
+TEST(Determinism, ShardedBleSendsWhatSerialSends) {
+  // Deliveries are not bounded here: the always-listening scanner hears
+  // cross-stripe frames only at window barriers, where they collide far
+  // more often than on the serial engine (DESIGN.md §13).
+  const sim::Medium::Stats serial = run_on_engine(TxMode::Ble, 0);
+  const sim::Medium::Stats sharded = run_on_engine(TxMode::Ble, 2);
+  EXPECT_GT(serial.transmissions, 1000u);
+  EXPECT_EQ(serial.transmissions, sharded.transmissions);
 }
 
 TEST(Determinism, ScenarioActuallyExercisesTheMedium) {

@@ -485,5 +485,16 @@ TEST(ScenarioRules, ParallelModeRejectsRules) {
                std::invalid_argument);
 }
 
+TEST(ScenarioRules, BleModeRejectsRules) {
+  // BleScanners deliver advertising PDUs, never Wi-LE messages, so an
+  // engine on a BLE fleet would only ever run its staleness poll.
+  rules::RuleSpec spec;
+  spec.name = "r";
+  spec.when = rules::ConditionSpec{};
+  EXPECT_THROW(
+      sim::ScenarioBuilder{}.devices(4).mode(TxMode::Ble).rules({spec}).build(),
+      std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace wile

@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -229,6 +231,51 @@ TEST(ParallelScenario, ShardCountExceedingOccupiedStripesStillRuns) {
   EXPECT_GT(scenario->medium_stats().transmissions, 0u);
   EXPECT_GT(scenario->messages(), 0u);
   EXPECT_EQ(scenario->now(), TimePoint{seconds(20)});
+}
+
+TEST(ParallelScenario, NarrowGridPlacesGatewayLikeSerial) {
+  // A 0.5 m fleet is narrower than the router's minimum 1 m span. The
+  // clamp widens the stripes only; the default gateway still sits on
+  // the true grid diagonal, so the first delivery's RSSI (a pure
+  // function of distance) matches the serial engine's exactly.
+  const auto first_rssi = [](unsigned threads) {
+    std::optional<double> rssi;
+    auto builder = ScenarioBuilder{}
+                       .devices(1)
+                       .grid_spacing_m(0.5)
+                       .duty_cycle(seconds(5))
+                       .telemetry(false)
+                       .on_message([&rssi](const core::Message&, const core::RxMeta& meta) {
+                         if (!rssi) rssi = meta.rssi_dbm;
+                       });
+    if (threads > 0) builder.threads(threads).shards(2);
+    auto scenario = builder.build();
+    scenario->run_for(seconds(20));
+    return rssi;
+  };
+  const std::optional<double> serial = first_rssi(0);
+  const std::optional<double> sharded = first_rssi(1);
+  ASSERT_TRUE(serial.has_value());
+  ASSERT_TRUE(sharded.has_value());
+  EXPECT_EQ(*serial, *sharded);
+}
+
+TEST(ParallelScenario, PerNodeMetricsNameTheSameNodesAsSerial) {
+  // Every shard numbers its own nodes from 0, so per-node metric names
+  // must come from the fleet-wide index, not the shard-local NodeId.
+  const auto node_metrics = [](unsigned threads) {
+    auto builder = ScenarioBuilder{}.devices(16).gateways(2);
+    if (threads > 0) builder.threads(threads).shards(4);
+    auto scenario = builder.build();
+    std::vector<std::string> names;
+    for (const auto& v : scenario->snapshot().values) {
+      if (v.name.rfind("node.", 0) == 0) names.push_back(v.name);
+    }
+    return names;
+  };
+  const std::vector<std::string> serial = node_metrics(0);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, node_metrics(1));
 }
 
 TEST(ParallelScenario, SerialOnlySubsystemsAreRejected) {

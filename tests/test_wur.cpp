@@ -324,8 +324,9 @@ TEST(TxModePreset, ExplicitWiLeBeaconIsBitIdenticalToDefaultPath) {
 }
 
 /// The BLE fleet the mode preset assembles, by hand, in the exact
-/// historical order (see Scenario::build_ble): advertisers with
-/// master.fork() + staggered starts, then the scanner on the diagonal.
+/// historical order (the BLE branches of Scenario's device and gateway
+/// loops): advertisers with master.fork() + staggered starts, then the
+/// scanner on the diagonal.
 FleetDigest run_hand_wired_ble(int n, int sim_seconds) {
   sim::Scheduler scheduler;
   sim::Medium medium{scheduler, phy::Channel{}, Rng{0xF1EE7}};
@@ -385,6 +386,23 @@ TEST(TxModePreset, BleModeIsBitIdenticalToHandWiring) {
   EXPECT_EQ(scenario->medium().stats().channel_losses, legacy.medium.channel_losses);
   EXPECT_EQ(scenario->messages(), legacy.messages);
   EXPECT_GT(scenario->messages(), 0u);  // guard against silent fleets
+}
+
+TEST(TxModePreset, BleFleetRunsTheFaultHook) {
+  // The fault schedule is part of the shared wiring, not of the Wi-LE
+  // node types: a BLE fleet's hook must reach the injector too.
+  auto scenario = sim::ScenarioBuilder{}
+                      .mode(TxMode::Ble)
+                      .devices(6)
+                      .duty_cycle(seconds(2))
+                      .configure_faults([](sim::FaultInjector& faults) {
+                        faults.per_floor(TimePoint{seconds(2)}, seconds(4), 0.9);
+                      })
+                      .build();
+  EXPECT_EQ(scenario->faults().stats().windows_scheduled, 1u);
+  scenario->run_until(TimePoint{seconds(10)});
+  EXPECT_EQ(scenario->faults().stats().windows_ended, 1u);
+  EXPECT_GT(scenario->medium().stats().channel_losses, 0u);
 }
 
 TEST(TxModePreset, WurFleetDeliversViaGroupWakes) {

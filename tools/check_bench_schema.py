@@ -15,9 +15,9 @@ silently reshaped file):
     randomized fault-campaign soak, which must report zero invariant
     violations and a passing same-seed determinism oracle;
   * the ingest_throughput verdict (BENCH_ingest_throughput*.json) —
-    batched gateway drain vs the pre-refactor single-send pipeline,
-    which must hold the >= 3x sustained-frames/s speedup, dispatch
-    no-regression, and a passing dual-run determinism oracle;
+    batched gateway drain vs the single-send drain, which must hold the
+    >= 3x sustained-frames/s speedup and a passing dual-run determinism
+    oracle;
   * the ablate_wur contention study (BENCH_ablate_wur*.json) — the
     massive-IoT energy/latency/delivery frontier across the three
     transmission modes (wile_beacon / ble / wur), which must cover all
@@ -78,8 +78,7 @@ INGEST_TOP_REQUIRED = ["bench", "quick", "batch_max", "drain_senders",
                        "drain_sim_seconds", "baseline_fps", "pipeline_fps",
                        "speedup", "baseline_forwarded", "pipeline_forwarded",
                        "pipeline_batches", "n_devices", "frames",
-                       "dispatch_baseline_fps", "dispatch_pipeline_fps",
-                       "dispatch_speedup", "dispatch_reports",
+                       "dispatch_pipeline_fps", "dispatch_reports",
                        "rules_eval_fps", "rules_fired", "determinism_ok"]
 
 WUR_TOP_REQUIRED = ["bench", "quick", "sim_seconds", "period_seconds",
@@ -290,17 +289,12 @@ def check_ingest(doc, errors):
         fail(errors, "no traffic drained — broken run?")
     if doc["pipeline_batches"] <= 0:
         fail(errors, "batched path sent no batches")
-    # Dispatch is a wall-clock no-regression guard, not a speedup claim:
-    # the flat table collapses 4 probes to 1 on rx-window frames, which
-    # on big-LLC hosts nets out to parity with the legacy maps' smaller
-    # footprint. 0.9 leaves margin for shared-runner noise.
-    if doc["dispatch_speedup"] < 0.9:
-        fail(errors, f"dispatch regressed: {doc['dispatch_speedup']}x "
-                     "against the legacy three-map replica")
+    # Dispatch is an absolute row (dispatch_pipeline_fps), not gated: its
+    # trend lives in the BENCH history.
     if doc["dispatch_reports"] <= 0 or doc["rules_fired"] <= 0:
         fail(errors, "dispatch/rules sections saw no work — broken stream?")
     # Dual-run oracle: same seeds, same counters, same FNV-1a payload
-    # digests, and identical report decisions across both dispatch paths.
+    # digests and report decisions.
     if doc["determinism_ok"] is not True:
         fail(errors, "determinism oracle failed: same-seed runs diverged")
 
