@@ -258,6 +258,49 @@ void BM_MediumSparseFleet(benchmark::State& state) {
 }
 BENCHMARK(BM_MediumSparseFleet)->Arg(1000)->Arg(10000);
 
+class DeafClient final : public sim::MediumClient {
+ public:
+  void on_frame(const sim::RxFrame&) override {}
+  [[nodiscard]] bool rx_enabled() const override { return false; }
+};
+
+void BM_MediumSleepingNeighbours(benchmark::State& state) {
+  // One transmitter, one listening receiver and N deep-sleeping
+  // neighbours, all in earshot: the Wi-LE fleet's shape, where almost
+  // every radio in range is a sender that cannot hear. The neighbours
+  // leave the listener index, so the per-frame cost should be flat in N.
+  const int n_sleeping = static_cast<int>(state.range(0));
+  sim::Scheduler scheduler;
+  phy::Channel channel{};
+  sim::Medium medium{scheduler, channel, Rng{19}};
+
+  CountingClient tx_client, rx_client;
+  const sim::NodeId tx = medium.attach(&tx_client, {0, 0});
+  medium.attach(&rx_client, {1, 0});
+  std::vector<DeafClient> neighbours(static_cast<std::size_t>(n_sleeping));
+  const int side = static_cast<int>(std::ceil(std::sqrt(n_sleeping)));
+  for (int i = 0; i < n_sleeping; ++i) {
+    const sim::NodeId id = medium.attach(
+        &neighbours[static_cast<std::size_t>(i)],
+        {1.0 + static_cast<double>(i % side) * 0.5, static_cast<double>(i / side) * 0.5});
+    medium.set_listening(id, false);
+  }
+
+  const Bytes payload(200, 0xBE);
+  for (auto _ : state) {
+    sim::TxRequest req;
+    req.mpdu = payload;
+    req.airtime = usec(100);
+    req.rate = phy::WifiRate::Mcs7Sgi;
+    medium.transmit(tx, std::move(req));
+    scheduler.run_until_idle();
+    benchmark::DoNotOptimize(rx_client.frames);
+  }
+  if (rx_client.frames + rx_client.corrupt == 0) state.SkipWithError("receiver heard nothing");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MediumSleepingNeighbours)->Arg(100)->Arg(1000);
+
 void BM_ShardBoundary(benchmark::State& state) {
   // The cross-shard commit path of the parallel engine: route a
   // boundary transmission whose audible circle spans `span` stripes

@@ -9,6 +9,7 @@ WurScheduler::WurScheduler(sim::Scheduler& scheduler, sim::Medium& medium,
                            sim::Position position, Rng rng, Config config)
     : scheduler_(scheduler), medium_(medium), config_(config) {
   node_id_ = medium_.attach(this, position);
+  medium_.set_listening(node_id_, false);  // transmit-only: never polled
   sim::CsmaConfig csma_cfg;
   csma_cfg.tx_power_dbm = config_.tx_power_dbm;
   csma_ = std::make_unique<sim::Csma>(scheduler_, medium_, node_id_, rng.fork(), csma_cfg);

@@ -15,6 +15,7 @@ BleAdvertiser::BleAdvertiser(sim::Scheduler& scheduler, sim::Medium& medium,
     throw std::invalid_argument("BleAdvertiser: channels must be 1..3");
   }
   node_id_ = medium_.attach(this, position);
+  medium_.set_listening(node_id_, false);  // transmit-only: never polled
   timeline_.set_current(scheduler_.now(), config_.power.sleep, "Sleep");
 }
 

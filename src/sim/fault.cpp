@@ -21,6 +21,7 @@ class FaultInjector::Jammer : public MediumClient {
       : scheduler_(scheduler), medium_(medium), config_(config), stats_(stats) {
     config_.duty_cycle = std::clamp(config_.duty_cycle, 0.0, 0.95);
     node_id_ = medium_.attach(this, config_.position);
+    medium_.set_listening(node_id_, false);  // transmit-only: never polled
     // Garbage payload: random but fixed per jammer, so runs are seeded.
     garbage_.resize(std::max<std::size_t>(config_.frame_bytes, 4));
     for (auto& b : garbage_) b = static_cast<std::uint8_t>(rng.below(256));

@@ -21,6 +21,14 @@ Medium::Medium(Scheduler& scheduler, phy::Channel channel, Rng rng)
       std::clamp(channel_.max_audible_range_m(0.0, kCarrierSenseDbm), 1.0, 500.0);
 }
 
+void Medium::check_position(const Position& pos) {
+  // A NaN or infinite coordinate has no grid cell (the int cast in
+  // cell_coord is undefined for it) and no distance to anything.
+  if (!std::isfinite(pos.x_m) || !std::isfinite(pos.y_m)) {
+    throw std::invalid_argument("Medium: non-finite node position");
+  }
+}
+
 std::int32_t Medium::cell_coord(double meters) const {
   return static_cast<std::int32_t>(std::floor(meters / cell_size_m_));
 }
@@ -30,19 +38,21 @@ std::uint64_t Medium::cell_key(std::int32_t cx, std::int32_t cy) {
          static_cast<std::uint32_t>(cy);
 }
 
+// Buckets stay sorted by NodeId. Listeners leave and rejoin their cell
+// at every listen-state change (a WUR companion on each wake), and an
+// unordered bucket would hand deliver() a shuffled candidate list to
+// sort on every frame instead of an already sorted one.
 void Medium::grid_insert(NodeId id, const Position& pos) {
-  cells_[cell_key(cell_coord(pos.x_m), cell_coord(pos.y_m))].push_back(id);
+  auto& bucket = cells_[cell_key(cell_coord(pos.x_m), cell_coord(pos.y_m))];
+  bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), id), id);
 }
 
 void Medium::grid_remove(NodeId id, const Position& pos) {
   auto it = cells_.find(cell_key(cell_coord(pos.x_m), cell_coord(pos.y_m)));
   if (it == cells_.end()) return;
   auto& bucket = it->second;
-  auto pos_it = std::find(bucket.begin(), bucket.end(), id);
-  if (pos_it != bucket.end()) {
-    *pos_it = bucket.back();
-    bucket.pop_back();
-  }
+  auto pos_it = std::lower_bound(bucket.begin(), bucket.end(), id);
+  if (pos_it != bucket.end() && *pos_it == id) bucket.erase(pos_it);
 }
 
 void Medium::collect_in_range(const Position& center, double range_m,
@@ -62,11 +72,12 @@ void Medium::collect_in_range(const Position& center, double range_m,
 
 NodeId Medium::attach(MediumClient* client, Position position) {
   if (client == nullptr) throw std::invalid_argument("Medium::attach: null client");
+  check_position(position);
   clients_.push_back(client);
   pos_x_.push_back(position.x_m);
   pos_y_.push_back(position.y_m);
   position_epochs_.push_back(0);
-  node_flags_.push_back(0);
+  node_flags_.push_back(kFlagListening);
   const auto id = static_cast<NodeId>(clients_.size() - 1);
   grid_insert(id, position);
   return id;
@@ -74,11 +85,29 @@ NodeId Medium::attach(MediumClient* client, Position position) {
 
 void Medium::set_position(NodeId id, Position position) {
   check_id(id);
-  grid_remove(id, node_position(id));
+  check_position(position);
+  const bool listed = listening(id);
+  if (listed) grid_remove(id, node_position(id));
   pos_x_[id] = position.x_m;
   pos_y_[id] = position.y_m;
   ++position_epochs_[id];  // cached path losses involving this node go stale
-  grid_insert(id, position);
+  if (listed) grid_insert(id, position);
+}
+
+void Medium::set_listening(NodeId id, bool on) {
+  if (listening(id) == on) return;  // listening() validates the id
+  if (on) {
+    node_flags_[id] |= kFlagListening;
+    grid_insert(id, node_position(id));
+  } else {
+    node_flags_[id] &= static_cast<std::uint8_t>(~kFlagListening);
+    grid_remove(id, node_position(id));
+  }
+}
+
+bool Medium::listening(NodeId id) const {
+  check_id(id);
+  return (node_flags_[id] & kFlagListening) != 0;
 }
 
 Position Medium::position(NodeId id) const {
@@ -326,15 +355,21 @@ void Medium::finish_transmission(std::uint64_t tx_id) {
 }
 
 void Medium::deliver(const ActiveTx& tx) {
-  // Candidate receivers: with the grid, only nodes inside the audible
-  // radius; sorted so RNG draws happen in the same ascending-NodeId
-  // order as the dense scan (bit-for-bit equivalence between modes).
+  // Candidate receivers: with the grid, only listening nodes inside the
+  // audible radius; sorted so RNG draws happen in the same
+  // ascending-NodeId order as the dense scan, which polls every node
+  // (bit-for-bit equivalence between modes: an unlisted node's
+  // rx_enabled() is false, so it never reaches a draw).
   std::vector<NodeId>& candidates = delivery_scratch_;
   candidates.clear();
   const Position origin = tx_origin(tx);
   if (grid_enabled_) {
     collect_in_range(origin, tx.audible_range_m, candidates);
-    std::sort(candidates.begin(), candidates.end());
+    // Each cell's bucket is sorted, so candidates from a single cell
+    // (a dense hall) need no sort at all.
+    if (!std::is_sorted(candidates.begin(), candidates.end())) {
+      std::sort(candidates.begin(), candidates.end());
+    }
   } else {
     candidates.resize(clients_.size());
     std::iota(candidates.begin(), candidates.end(), NodeId{0});

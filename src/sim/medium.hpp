@@ -8,11 +8,16 @@
 // The WiFi network and the BLE pair run on separate Medium instances —
 // separate bands in the real world.
 //
-// Fleet-scale design: nodes are indexed by a sparse uniform grid over
-// their positions, so delivering a transmission (and pre-filtering
-// carrier sense) only visits cells within the maximum audible radius
+// Fleet-scale design: the nodes that are listening are indexed by a
+// sparse uniform grid over their positions, so delivering a transmission
+// only visits the listeners in cells within the maximum audible radius
 // for the TX power — derived by inverting Channel::rx_power_dbm down
-// to the carrier-sense floor — instead of every attached node. Path
+// to the carrier-sense floor — instead of every attached node. A node
+// starts listening at attach(); radios that are deaf most of the time
+// (a Wi-LE sender in deep sleep, a BLE advertiser, a jammer) leave the
+// grid through set_listening(id, false), so a frame costs nothing per
+// sleeping neighbour. Carrier sense does not use the grid: it scans the
+// in-flight transmissions, pre-filtered by their audible radius. Path
 // loss between static nodes is cached per pair in a flat open-addressed
 // table (no per-entry allocation, linear probing over one contiguous
 // array), and the frame payload is a refcounted FrameBuffer shared by
@@ -20,8 +25,9 @@
 // performs zero payload copies. Candidate receivers are visited in
 // ascending NodeId order either way, so the RNG draw sequence — and
 // therefore every simulation outcome — is bit-for-bit identical with
-// the spatial grid on or off (the dense path survives as the
-// equivalence oracle; see tests/test_determinism).
+// the spatial grid on or off. The dense path polls every attached node
+// and ignores the listener index, so it is the equivalence oracle for
+// both the grid and the index (see tests/test_determinism).
 //
 // Per-node hot state is structure-of-arrays: position coordinates,
 // path-loss epochs and radio flag bytes live in parallel contiguous
@@ -104,6 +110,12 @@ class MediumClient {
   /// transmission; a radio must be listening for the whole frame in a
   /// real receiver, but end-sampling is the standard simulator shortcut
   /// and conservative for our energy questions.
+  ///
+  /// This stays the per-frame authority for every node the medium
+  /// polls. The listener index (Medium::set_listening) only decides
+  /// which nodes are polled, and the contract is one-way: a node may be
+  /// unlisted only while this returns false. A listed node may still
+  /// return false (transmitting right now, an AP that is down).
   [[nodiscard]] virtual bool rx_enabled() const = 0;
 };
 
@@ -138,11 +150,23 @@ class Medium {
   Medium(Scheduler& scheduler, phy::Channel channel, Rng rng);
 
   /// Attach a radio at a position. The returned id identifies the node in
-  /// all later calls.
+  /// all later calls. The node starts listening (see set_listening).
+  /// Throws std::invalid_argument on a non-finite coordinate.
   NodeId attach(MediumClient* client, Position position);
 
+  /// Move a node. Throws std::invalid_argument on a non-finite
+  /// coordinate and leaves the node where it was.
   void set_position(NodeId id, Position position);
   [[nodiscard]] Position position(NodeId id) const;
+
+  /// Add the node to (true) or drop it from (false) the listener index
+  /// that delivery consults: an unlisted node is never polled through
+  /// rx_enabled() and never receives a frame, but still transmits and
+  /// senses carrier. Allowed only while the node's rx_enabled() is
+  /// false (see MediumClient::rx_enabled). Idempotent. The dense scan
+  /// (set_spatial_grid_enabled(false)) ignores the index.
+  void set_listening(NodeId id, bool on);
+  [[nodiscard]] bool listening(NodeId id) const;
 
   /// Begin a transmission. Throws if this node is already transmitting.
   /// The request's payload is moved into a shared FrameBuffer; receivers
@@ -244,9 +268,10 @@ class Medium {
   void set_rx_blocked(NodeId id, bool blocked);
   [[nodiscard]] bool rx_blocked(NodeId id) const;
 
-  /// Toggle the spatial index. Disabled = the exhaustive per-node scan
-  /// the seed implementation used; kept as the equivalence oracle for
-  /// determinism tests. Results are identical either way.
+  /// Toggle the spatial index. Disabled = the exhaustive scan that polls
+  /// every attached node, listening or not; kept as the equivalence
+  /// oracle for the grid and the listener index in determinism tests.
+  /// Results are identical either way.
   void set_spatial_grid_enabled(bool enabled) { grid_enabled_ = enabled; }
   [[nodiscard]] bool spatial_grid_enabled() const { return grid_enabled_; }
 
@@ -327,6 +352,7 @@ class Medium {
   // --- SoA node state --------------------------------------------------------
   static constexpr std::uint8_t kFlagTransmitting = 1u << 0;
   static constexpr std::uint8_t kFlagRxBlocked = 1u << 1;
+  static constexpr std::uint8_t kFlagListening = 1u << 2;
 
   void check_id(NodeId id) const {
     if (id >= clients_.size()) throw std::out_of_range("Medium: bad NodeId");
@@ -338,13 +364,15 @@ class Medium {
     return tx.remote ? tx.origin : node_position(tx.transmitter);
   }
 
-  // --- spatial grid ----------------------------------------------------------
+  // --- spatial grid (listening nodes only) -----------------------------------
+  static void check_position(const Position& pos);
   [[nodiscard]] std::int32_t cell_coord(double meters) const;
   static std::uint64_t cell_key(std::int32_t cx, std::int32_t cy);
   void grid_insert(NodeId id, const Position& pos);
   void grid_remove(NodeId id, const Position& pos);
-  /// All nodes within `range_m` of `center` (plus grid-granularity
-  /// slack), appended to `out` in arbitrary order.
+  /// All listening nodes within `range_m` of `center` (plus
+  /// grid-granularity slack), appended to `out` cell by cell, each
+  /// cell's ids in ascending order.
   void collect_in_range(const Position& center, double range_m,
                         std::vector<NodeId>& out) const;
 

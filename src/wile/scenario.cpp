@@ -270,10 +270,11 @@ Scenario::Scenario(const ScenarioBuilder& b)
 
   // --- WUR access point ------------------------------------------------------
   // Built after the fleet so round-robin can collect the derived WUR
-  // IDs in device order. Transmit-only (rx_enabled false), so attaching
-  // it never adds medium RNG draws for frames it merely overhears. On
-  // the sharded engine, wake frames to devices on other shards ride the
-  // boundary-transmission phantoms like any other cross-shard traffic.
+  // IDs in device order. Transmit-only (rx_enabled false, and out of
+  // the medium's listener index), so attaching it never adds medium RNG
+  // draws for frames it merely overhears. On the sharded engine, wake
+  // frames to devices on other shards ride the boundary-transmission
+  // phantoms like any other cross-shard traffic.
   if (mode_ == TxMode::Wur && n > 0) {
     const Position ap_pos = b.wur_opts_.ap_position
                                 ? *b.wur_opts_.ap_position

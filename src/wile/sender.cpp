@@ -77,16 +77,21 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
   } else {
     timeline_.set_current(scheduler_.now(), config_.power.deep_sleep, kPhaseSleep);
   }
+  // A sleeping Wi-LE sender is deaf: keep it out of the medium's
+  // listener index until its RX window opens.
+  publish_listening();
 }
 
-bool Sender::rx_enabled() const {
+bool Sender::listens() const {
   if (config_.wur && phase_ == Phase::DeepSleep) {
     // The uW companion receiver listens whenever the main radio sleeps —
     // unless a brown-out darkened the whole board.
-    return !recovering_ && !medium_.transmitting(node_id_);
+    return !recovering_;
   }
-  return phase_ == Phase::RxWindow && !medium_.transmitting(node_id_);
+  return phase_ == Phase::RxWindow;
 }
+
+bool Sender::rx_enabled() const { return listens() && !medium_.transmitting(node_id_); }
 
 void Sender::send_now(Bytes data, SendCallback done) {
   if (phase_ != Phase::DeepSleep) {
@@ -407,7 +412,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
     cycle_failed_ = true;
   }
 
-  phase_ = Phase::Init;
+  enter_phase(Phase::Init);
   tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
   const Duration init =
       config_.power.boot_from_deep_sleep + config_.power.wifi_inject_init;
@@ -420,7 +425,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
       finish_cycle();
       return;
     }
-    phase_ = Phase::Tx;
+    enter_phase(Phase::Tx);
     tracker_.set_phase(config_.power.cpu_active, kPhaseTx);
     trace_begin(telemetry::Phase::Tx);
     inject_fragments(std::move(mpdus), 0);
@@ -485,13 +490,13 @@ void Sender::after_last_beacon() {
   // Two-way extension: idle briefly, then listen for the announced
   // window. The radio draws RX current for the whole window — this is
   // the energy cost E8 measures against always-on listening.
-  phase_ = Phase::Tx;  // offset gap: radio on but not yet listening
+  enter_phase(Phase::Tx);  // offset gap: radio on but not yet listening
   tracker_.set_phase(config_.power.cpu_active, kPhaseRxWindow);
   const std::uint64_t epoch = cycle_epoch_;
   scheduler_.schedule_in(config_.rx_window->offset, [this, epoch] {
     if (epoch != cycle_epoch_) return;
     if (maybe_brown_out()) return;
-    phase_ = Phase::RxWindow;
+    enter_phase(Phase::RxWindow);
     tracker_.set_phase(config_.power.radio_rx, kPhaseRxWindow);
     trace_begin(telemetry::Phase::RxWindow);
     scheduler_.schedule_in(config_.rx_window->duration, [this, epoch] {
@@ -504,12 +509,12 @@ void Sender::after_last_beacon() {
 
 void Sender::finish_cycle() {
   checkpoint_.reset();  // cycle completed (or failed terminally)
-  phase_ = Phase::Shutdown;
+  enter_phase(Phase::Shutdown);
   tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
   const std::uint64_t epoch = cycle_epoch_;
   scheduler_.schedule_in(config_.power.shutdown_time, [this, epoch] {
     if (epoch != cycle_epoch_) return;  // browned out during shutdown
-    phase_ = Phase::DeepSleep;
+    enter_phase(Phase::DeepSleep);
     tracker_.set_phase(config_.power.deep_sleep,
                        config_.wur ? kPhaseWurListen : kPhaseSleep);
     // A capacitor that ran dry during shutdown browns out here; the
@@ -587,9 +592,10 @@ void Sender::on_brown_out() {
     // written in begin_cycle survives in the persistent region.
     ++cycle_epoch_;
     csma_->drop_queued();
-    phase_ = Phase::DeepSleep;
+    phase_ = Phase::DeepSleep;  // published below, with recovering_
   }
   recovering_ = true;
+  publish_listening();
   brown_out_at_ = scheduler_.now();
   // Dark: not even sleep current, and the WUR companion receiver dies
   // with the rest of the board (its overlay must not keep integrating).
@@ -628,6 +634,7 @@ void Sender::resume_cycle() {
     return;
   }
   recovering_ = false;
+  publish_listening();
   if (config_.wur) tracker_.set_overlay(config_.wur->receiver.listen);
   tracker_.set_phase(config_.power.deep_sleep,
                      config_.wur ? kPhaseWurListen : kPhaseSleep);

@@ -378,6 +378,19 @@ class Sender : public sim::MediumClient {
     bool fec = false;
   };
 
+  /// Whether the radio can hear in its current state: the main radio in
+  /// its RX window, or the WUR companion while the board deep-sleeps and
+  /// is not browned out. rx_enabled() adds "not transmitting right now".
+  [[nodiscard]] bool listens() const;
+  /// Publish listens() to the medium's listener index. Called at every
+  /// phase_ and recovering_ change, so the index never drops a node
+  /// whose rx_enabled() could be true.
+  void publish_listening() { medium_.set_listening(node_id_, listens()); }
+  void enter_phase(Phase phase) {
+    phase_ = phase;
+    publish_listening();
+  }
+
   void begin_cycle(Bytes data, SendCallback done);
   /// Shared back half of begin_cycle/resume_cycle: encode `message`
   /// into this cycle's beacon train and schedule the init->TX chain.

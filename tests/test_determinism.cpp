@@ -7,9 +7,13 @@
 //  1. Repeatability — two runs with the same seeds digest identically.
 //  2. Data-structure independence — the spatially-indexed delivery path
 //     and the exhaustive dense scan it replaced produce identical runs.
-//     The grid must only skip nodes that are provably below the
-//     carrier-sense floor (which never consume RNG draws), so switching
-//     it on is invisible to the simulation.
+//     The grid holds only listening nodes and must only skip nodes that
+//     are provably below the carrier-sense floor or deaf (neither ever
+//     consumes an RNG draw), so switching it on is invisible to the
+//     simulation. The dense scan polls every node, so it is the oracle
+//     for the listener index too: fleets whose radios listen part of
+//     the time (RX windows, WUR companions across a brown-out) must
+//     match it exactly.
 //  3. Thread-count independence — the sharded parallel engine at a
 //     fixed shard count produces identical runs for threads={1,2,4}.
 //     Shard assignment, per-shard RNG streams and the cross-shard merge
@@ -27,6 +31,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "wile/receiver.hpp"
@@ -64,6 +69,9 @@ struct RunResult {
   std::uint64_t messages = 0;
   std::uint64_t events_run = 0;
   double total_energy_j = 0.0;
+  /// Frames the fleet's own radios heard (RX windows, WUR wakes); 0 for
+  /// transmit-only fleets.
+  std::uint64_t fleet_frames_heard = 0;
 
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
@@ -73,7 +81,10 @@ struct RunResult {
 // one monitor. Thirty simulated seconds of overlapping cycles exercises
 // scheduler churn (CSMA defers/cancels), collisions, and the PER draw
 // order — everything that could diverge if event or RNG ordering drifted.
-RunResult run_reference_scenario(bool grid_enabled) {
+// With `rx_window` set the senders are two-way: each listens after its
+// beacon and hears its neighbours' beacons inside the window.
+RunResult run_reference_scenario(bool grid_enabled,
+                                 std::optional<RxWindow> rx_window = std::nullopt) {
   sim::Scheduler scheduler;
   sim::Medium medium{scheduler, phy::Channel{}, Rng{0xD37E12}};
   medium.set_spatial_grid_enabled(grid_enabled);
@@ -96,6 +107,7 @@ RunResult run_reference_scenario(bool grid_enabled) {
     cfg.period = seconds(5);
     cfg.use_csma = true;
     cfg.wake_jitter = msec(200);
+    cfg.rx_window = rx_window;
     senders.push_back(std::make_unique<Sender>(
         scheduler, medium,
         sim::Position{static_cast<double>(i % kSide) * 4.0,
@@ -117,6 +129,66 @@ RunResult run_reference_scenario(bool grid_enabled) {
     result.total_energy_j +=
         s->timeline().energy_between(TimePoint{}, TimePoint{seconds(30)}).value;
   }
+  // Every frame on the air is a beacon, so whatever the monitor did not
+  // see as one was delivered to a sender.
+  result.fleet_frames_heard = result.medium_stats.deliveries - monitor.stats().beacons_seen;
+  return result;
+}
+
+// A serial WUR fleet with its AP: every companion listens whenever its
+// board deep-sleeps, so the listener index changes at every wake. With
+// `harvesting`, the whole fleet browns out at 7 s and recharges a few
+// seconds later; a companion that is not re-listed on recharge misses
+// every later wake on the grid but not on the dense scan.
+RunResult run_wur_fleet_scenario(bool grid_enabled, bool harvesting) {
+  Digest digest;
+  auto builder = sim::ScenarioBuilder{}
+                     .devices(36)
+                     .grid_spacing_m(4.0)
+                     .gateways(2)
+                     .duty_cycle(seconds(2))
+                     .wake_jitter(msec(200))
+                     .seed(0xD7E7E241ULL)
+                     .medium_seed(0xD37E12)
+                     .wur(sim::WurFleetOptions{})
+                     .telemetry(false)
+                     .on_message([&digest](const Message& m, const RxMeta& meta) {
+                       digest.add(m.device_id);
+                       digest.add(m.sequence);
+                       digest.add_bytes(m.data);
+                       digest.add(static_cast<std::uint64_t>(meta.received_at.us()));
+                     });
+  if (harvesting) {
+    HarvestingConfig h;
+    h.harvester.capacitance_f = 20e-3;  // ~109 mJ: about two cycles stored
+    h.harvester.harvest_power = Watts{20e-3};
+    builder.harvesting(h).configure_faults(
+        [](sim::FaultInjector& f) { f.brown_out_all(TimePoint{seconds(7)}); });
+  }
+  auto scenario = builder.build();
+  scenario->medium().set_spatial_grid_enabled(grid_enabled);
+  scenario->run_until(TimePoint{seconds(30)});
+
+  RunResult result;
+  result.medium_stats = scenario->medium_stats();
+  for (const auto& s : scenario->devices()) {
+    digest.add(s->wur_wakes());
+    digest.add(s->brown_outs());
+    result.fleet_frames_heard += s->wur_wakes();
+    result.total_energy_j +=
+        s->timeline().energy_between(TimePoint{}, TimePoint{seconds(30)}).value;
+  }
+  digest.add(scenario->wur_ap()->wakes_sent());
+  result.message_digest = digest.value();
+  result.messages = scenario->messages();
+  result.events_run = scenario->events_run();
+  if (harvesting) {
+    // The scripted brown-out hit, and the fleet came back from it.
+    for (const auto& s : scenario->devices()) {
+      EXPECT_EQ(s->brown_outs(), 1u);
+      EXPECT_FALSE(s->recovering());
+    }
+  }
   return result;
 }
 
@@ -134,10 +206,7 @@ TEST(Determinism, IdenticalSeedsProduceIdenticalRuns) {
   EXPECT_EQ(a.total_energy_j, b.total_energy_j);  // bit-exact, not NEAR
 }
 
-TEST(Determinism, SpatialGridMatchesDenseScanExactly) {
-  const RunResult grid = run_reference_scenario(/*grid_enabled=*/true);
-  const RunResult dense = run_reference_scenario(/*grid_enabled=*/false);
-
+void expect_grid_matches_dense(const RunResult& grid, const RunResult& dense) {
   EXPECT_EQ(grid.medium_stats.transmissions, dense.medium_stats.transmissions);
   EXPECT_EQ(grid.medium_stats.deliveries, dense.medium_stats.deliveries);
   EXPECT_EQ(grid.medium_stats.collision_losses, dense.medium_stats.collision_losses);
@@ -146,6 +215,34 @@ TEST(Determinism, SpatialGridMatchesDenseScanExactly) {
   EXPECT_EQ(grid.messages, dense.messages);
   EXPECT_EQ(grid.events_run, dense.events_run);
   EXPECT_EQ(grid.total_energy_j, dense.total_energy_j);
+  EXPECT_EQ(grid.fleet_frames_heard, dense.fleet_frames_heard);
+}
+
+TEST(Determinism, SpatialGridMatchesDenseScanExactly) {
+  {
+    SCOPED_TRACE("transmit-only senders");
+    expect_grid_matches_dense(run_reference_scenario(/*grid_enabled=*/true),
+                              run_reference_scenario(/*grid_enabled=*/false));
+  }
+  {
+    SCOPED_TRACE("two-way senders with RX windows");
+    const RxWindow window{msec(2), msec(300)};
+    const RunResult grid = run_reference_scenario(/*grid_enabled=*/true, window);
+    expect_grid_matches_dense(grid, run_reference_scenario(/*grid_enabled=*/false, window));
+    EXPECT_GT(grid.fleet_frames_heard, 50u);
+  }
+  {
+    SCOPED_TRACE("WUR fleet");
+    const RunResult grid = run_wur_fleet_scenario(/*grid_enabled=*/true, false);
+    expect_grid_matches_dense(grid, run_wur_fleet_scenario(/*grid_enabled=*/false, false));
+    EXPECT_GT(grid.fleet_frames_heard, 100u);
+  }
+  {
+    SCOPED_TRACE("WUR harvesting fleet across a brown-out and recharge");
+    const RunResult grid = run_wur_fleet_scenario(/*grid_enabled=*/true, true);
+    expect_grid_matches_dense(grid, run_wur_fleet_scenario(/*grid_enabled=*/false, true));
+    EXPECT_GT(grid.fleet_frames_heard, 100u);
+  }
 }
 
 // Same contended-neighbourhood shape as run_reference_scenario, but on

@@ -4,6 +4,8 @@
 
 #include <array>
 #include <functional>
+#include <limits>
+#include <stdexcept>
 
 #include "dot11/frame.hpp"
 #include "sim/csma.hpp"
@@ -419,6 +421,172 @@ TEST_F(MediumTest, SetPositionUpdatesSpatialIndex) {
   medium.transmit(tx, std::move(r3));
   scheduler.run_until_idle();
   EXPECT_EQ(rx_client.frames.size(), 1u);  // out of earshot again
+}
+
+TEST_F(MediumTest, RejectsNonFinitePositions) {
+  RecordingClient tx_client, rx_client, other;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  const NodeId rx = medium.attach(&rx_client, {2, 0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::array<Position, 6> bad{
+      {{nan, 0}, {0, nan}, {inf, 0}, {0, inf}, {-inf, 0}, {0, -inf}}};
+
+  for (const Position& p : bad) {
+    EXPECT_THROW(medium.attach(&other, p), std::invalid_argument);
+    EXPECT_THROW(medium.set_position(rx, p), std::invalid_argument);
+  }
+  EXPECT_EQ(medium.node_count(), 2u);  // no half-attached node
+  EXPECT_EQ(medium.position(rx).x_m, 2.0);
+  EXPECT_EQ(medium.position(rx).y_m, 0.0);
+
+  // The rejected moves left the receiver's grid entry where it was.
+  TxRequest req;
+  req.mpdu = Bytes{1};
+  req.airtime = usec(50);
+  medium.transmit(tx, std::move(req));
+  scheduler.run_until_idle();
+  EXPECT_EQ(rx_client.frames.size(), 1u);
+}
+
+// Counts rx_enabled() polls; the listener index must make them zero for
+// a node that is not listening.
+class PollCountingClient : public RecordingClient {
+ public:
+  [[nodiscard]] bool rx_enabled() const override {
+    ++polls;
+    return RecordingClient::rx_enabled();
+  }
+  mutable int polls = 0;
+};
+
+TEST_F(MediumTest, UnlistedNodeIsNeverPolledButStillTransmitsAndSenses) {
+  RecordingClient tx_client, rx_client;
+  PollCountingClient sleeper;
+  sleeper.listening = false;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  const NodeId rx = medium.attach(&rx_client, {2, 0});
+  const NodeId sl = medium.attach(&sleeper, {1, 1});
+  EXPECT_TRUE(medium.listening(sl));  // attach starts every node listening
+
+  auto send = [&](NodeId from, std::uint8_t tag) {
+    TxRequest req;
+    req.mpdu = Bytes{tag};
+    req.airtime = usec(100);
+    medium.transmit(from, std::move(req));
+  };
+
+  // Listed: polled once per frame, answers false, hears nothing.
+  send(tx, 1);
+  const bool busy_listed = medium.carrier_busy(sl);
+  scheduler.run_until_idle();
+  EXPECT_EQ(sleeper.polls, 1);
+
+  medium.set_listening(sl, false);
+  EXPECT_FALSE(medium.listening(sl));
+  send(tx, 2);
+  EXPECT_EQ(medium.carrier_busy(sl), busy_listed);  // energy detection unchanged
+  EXPECT_TRUE(busy_listed);
+  scheduler.run_until_idle();
+  EXPECT_EQ(sleeper.polls, 1);  // skipped, not polled
+  EXPECT_TRUE(sleeper.frames.empty());
+  EXPECT_EQ(rx_client.frames.size(), 2u);
+
+  // A deaf node can still shout.
+  send(sl, 3);
+  EXPECT_TRUE(medium.carrier_busy(rx));
+  scheduler.run_until_idle();
+  ASSERT_EQ(rx_client.frames.size(), 3u);
+  EXPECT_EQ(rx_client.frames.back().transmitter, sl);
+  EXPECT_EQ(sleeper.polls, 1);
+
+  // The dense scan is the oracle: it ignores the index and polls everyone.
+  medium.set_spatial_grid_enabled(false);
+  send(tx, 4);
+  scheduler.run_until_idle();
+  EXPECT_EQ(sleeper.polls, 2);
+  EXPECT_EQ(rx_client.frames.size(), 4u);
+}
+
+TEST_F(MediumTest, SetListeningIsIdempotent) {
+  RecordingClient tx_client;
+  PollCountingClient rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  const NodeId rx = medium.attach(&rx_client, {2, 0});
+
+  auto send = [&] {
+    TxRequest req;
+    req.mpdu = Bytes{7};
+    req.airtime = usec(50);
+    medium.transmit(tx, std::move(req));
+    scheduler.run_until_idle();
+  };
+
+  medium.set_listening(rx, true);  // already listening since attach
+  send();
+  EXPECT_EQ(rx_client.polls, 1);  // one grid entry: one poll, one frame
+  EXPECT_EQ(rx_client.frames.size(), 1u);
+
+  rx_client.listening = false;  // unlisted only while deaf (the contract)
+  medium.set_listening(rx, false);
+  medium.set_listening(rx, false);
+  EXPECT_FALSE(medium.listening(rx));
+  send();
+  EXPECT_EQ(rx_client.polls, 1);
+
+  rx_client.listening = true;
+  medium.set_listening(rx, true);
+  medium.set_listening(rx, true);
+  EXPECT_TRUE(medium.listening(rx));
+  send();
+  EXPECT_EQ(rx_client.polls, 2);
+  EXPECT_EQ(rx_client.frames.size(), 2u);
+}
+
+TEST_F(MediumTest, RelistedNodeIsDeliveredToAtItsNewPosition) {
+  RecordingClient tx_client;
+  PollCountingClient rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  const NodeId rx = medium.attach(&rx_client, {100'000, 0});  // far cell
+
+  auto send = [&] {
+    TxRequest req;
+    req.mpdu = Bytes{9};
+    req.airtime = usec(50);
+    medium.transmit(tx, std::move(req));
+    scheduler.run_until_idle();
+  };
+
+  rx_client.listening = false;
+  medium.set_listening(rx, false);
+  medium.set_position(rx, {2, 0});  // moves while unlisted
+  EXPECT_EQ(medium.position(rx).x_m, 2.0);
+  send();
+  EXPECT_EQ(rx_client.polls, 0);
+  rx_client.listening = true;
+  medium.set_listening(rx, true);  // listed in the new cell
+  send();
+  EXPECT_EQ(rx_client.polls, 1);
+  EXPECT_EQ(rx_client.frames.size(), 1u);
+
+  // And back out: unlisted, moved out of earshot, re-listed there. No
+  // entry may linger in the transmitter's cell.
+  rx_client.listening = false;
+  medium.set_listening(rx, false);
+  medium.set_position(rx, {100'000, 0});
+  rx_client.listening = true;
+  medium.set_listening(rx, true);
+  send();
+  EXPECT_EQ(rx_client.polls, 1);
+  EXPECT_EQ(rx_client.frames.size(), 1u);
+}
+
+TEST_F(MediumTest, SetListeningRejectsBadId) {
+  RecordingClient client;
+  const NodeId id = medium.attach(&client, {0, 0});
+  EXPECT_THROW(medium.set_listening(id + 1, false), std::out_of_range);
+  EXPECT_THROW((void)medium.listening(id + 1), std::out_of_range);
+  EXPECT_TRUE(medium.listening(id));
 }
 
 // ---------------------------------------------------------------------------
