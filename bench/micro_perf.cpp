@@ -191,39 +191,58 @@ class CountingClient final : public sim::MediumClient {
 };
 
 void BM_MediumBroadcast(benchmark::State& state) {
-  // One transmitter, N listeners packed within audible range: the
-  // delivery fan-out cost per frame (spatial query + shared-buffer
-  // handoff + PER draw per receiver).
+  // N listeners packed within audible range of each other: the delivery
+  // fan-out cost per frame (spatial query + rx power + shared-buffer
+  // handoff + PER draw per receiver). The second input picks who sends:
+  // 0 = node 0 sends every frame, so only its N links are ever used;
+  // 1 = every node transmits in turn, as in a dense hall, so the frames
+  // span all ~N^2/2 links, the working set any per-link state would have
+  // to hold.
   const int n_rx = static_cast<int>(state.range(0));
+  const bool rotate = state.range(1) != 0;
   sim::Scheduler scheduler;
   phy::Channel channel{};
   sim::Medium medium{scheduler, channel, Rng{17}};
 
-  CountingClient tx_client;
-  const sim::NodeId tx = medium.attach(&tx_client, {0, 0});
-  std::vector<std::unique_ptr<CountingClient>> listeners;
+  std::vector<std::unique_ptr<CountingClient>> clients;
+  std::vector<sim::NodeId> ids;
+  clients.push_back(std::make_unique<CountingClient>());
+  ids.push_back(medium.attach(clients.back().get(), {0, 0}));
   const int side = static_cast<int>(std::ceil(std::sqrt(n_rx)));
   for (int i = 0; i < n_rx; ++i) {
-    listeners.push_back(std::make_unique<CountingClient>());
-    // 0.5 m spacing keeps even the 1000-listener square inside ~25 m
-    // carrier-sense range of the transmitter.
-    medium.attach(listeners.back().get(),
-                  {1.0 + static_cast<double>(i % side) * 0.5,
-                   static_cast<double>(i / side) * 0.5});
+    clients.push_back(std::make_unique<CountingClient>());
+    // 0.5 m spacing keeps even the 1000-listener square inside the ~25 m
+    // carrier-sense range of every node in it.
+    ids.push_back(medium.attach(clients.back().get(),
+                                {1.0 + static_cast<double>(i % side) * 0.5,
+                                 static_cast<double>(i / side) * 0.5}));
   }
 
   const Bytes payload(200, 0xBE);
-  for (auto _ : state) {
+  const auto send = [&](sim::NodeId from) {
     sim::TxRequest req;
     req.mpdu = payload;
     req.airtime = usec(100);
     req.rate = phy::WifiRate::Mcs7Sgi;
-    medium.transmit(tx, std::move(req));
+    medium.transmit(from, std::move(req));
     scheduler.run_until_idle();
+  };
+  // Untimed warm-up: every node sends once, so the timed frames see the
+  // steady state of a hall that has been running for a while.
+  for (const sim::NodeId id : ids) send(id);
+
+  std::size_t sender = 0;
+  for (auto _ : state) {
+    send(ids[sender]);
+    if (rotate) sender = (sender + 1) % ids.size();
   }
   state.SetItemsProcessed(state.iterations() * n_rx);
 }
-BENCHMARK(BM_MediumBroadcast)->Arg(100)->Arg(1000);
+BENCHMARK(BM_MediumBroadcast)
+    ->ArgNames({"listeners", "rotate"})
+    ->Args({100, 0})
+    ->Args({1000, 0})
+    ->Args({1000, 1});
 
 void BM_MediumSparseFleet(benchmark::State& state) {
   // N nodes spread far apart, one transmission: the spatial grid should

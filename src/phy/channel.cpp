@@ -1,6 +1,7 @@
 #include "phy/channel.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace wile::phy {
 
@@ -36,6 +37,18 @@ double bisect_range(double lo, double hi, const auto& per_at, double target_per)
 }
 
 }  // namespace
+
+Channel::Channel(ChannelConfig config) : config_(config) {
+  if (!std::isfinite(config.path_loss_exponent) || config.path_loss_exponent <= 0.0) {
+    throw std::invalid_argument("Channel: path_loss_exponent must be finite and > 0");
+  }
+  if (!std::isfinite(config.reference_loss_db) || !std::isfinite(config.noise_floor_dbm)) {
+    throw std::invalid_argument("Channel: reference_loss_db and noise_floor_dbm must be finite");
+  }
+  if (!std::isfinite(config.shadowing_sigma_db) || config.shadowing_sigma_db < 0.0) {
+    throw std::invalid_argument("Channel: shadowing_sigma_db must be finite and >= 0");
+  }
+}
 
 double Channel::rx_power_dbm(double tx_power_dbm, double distance_m) const {
   const double d = std::max(distance_m, 0.1);

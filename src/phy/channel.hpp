@@ -39,7 +39,12 @@ struct ChannelConfig {
 
 class Channel {
  public:
-  explicit Channel(ChannelConfig config = {}) : config_(config) {}
+  /// Throws std::invalid_argument unless the path-loss exponent is finite
+  /// and positive, the reference loss and noise floor are finite, and
+  /// the shadowing sigma is finite and non-negative. Any other config has
+  /// no audible range (an exponent of 0 hears forever, a negative one
+  /// nowhere) and would feed NaN or infinity into the medium's grid.
+  explicit Channel(ChannelConfig config = {});
 
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
 

@@ -76,7 +76,6 @@ NodeId Medium::attach(MediumClient* client, Position position) {
   clients_.push_back(client);
   pos_x_.push_back(position.x_m);
   pos_y_.push_back(position.y_m);
-  position_epochs_.push_back(0);
   node_flags_.push_back(kFlagListening);
   const auto id = static_cast<NodeId>(clients_.size() - 1);
   grid_insert(id, position);
@@ -90,7 +89,6 @@ void Medium::set_position(NodeId id, Position position) {
   if (listed) grid_remove(id, node_position(id));
   pos_x_[id] = position.x_m;
   pos_y_[id] = position.y_m;
-  ++position_epochs_[id];  // cached path losses involving this node go stale
   if (listed) grid_insert(id, position);
 }
 
@@ -115,80 +113,6 @@ Position Medium::position(NodeId id) const {
   return node_position(id);
 }
 
-void Medium::path_loss_store(std::uint64_t key, double loss, std::uint32_t ea,
-                             std::uint32_t eb) const {
-  if (path_loss_slots_.empty()) {
-    path_loss_slots_.resize(kInitialPathLossSlots);
-  } else if ((path_loss_used_ + 1) * 2 > path_loss_slots_.size()) {
-    // Keep load factor <= 1/2. Double up to the cap; past it, start over
-    // (the seed's unordered_map cleared wholesale at its cap too).
-    if (path_loss_slots_.size() >= kMaxPathLossSlots) {
-      std::fill(path_loss_slots_.begin(), path_loss_slots_.end(), PathLossSlot{});
-      path_loss_used_ = 0;
-    } else {
-      std::vector<PathLossSlot> old(path_loss_slots_.size() * 2);
-      old.swap(path_loss_slots_);
-      path_loss_used_ = 0;
-      for (const PathLossSlot& s : old) {
-        if (s.key != kEmptySlotKey) {
-          path_loss_store(s.key, s.loss_db, s.epoch_a, s.epoch_b);
-        }
-      }
-    }
-  }
-  // Fibonacci-style multiplicative hash; the high bits carry the mix.
-  const std::size_t mask = path_loss_slots_.size() - 1;
-  std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
-  h ^= h >> 32;
-  std::size_t i = static_cast<std::size_t>(h) & mask;
-  while (path_loss_slots_[i].key != kEmptySlotKey && path_loss_slots_[i].key != key) {
-    i = (i + 1) & mask;
-  }
-  if (path_loss_slots_[i].key == kEmptySlotKey) ++path_loss_used_;
-  path_loss_slots_[i] = PathLossSlot{key, loss, ea, eb};
-}
-
-double Medium::path_loss_db(NodeId a, NodeId b) const {
-  const NodeId lo = std::min(a, b);
-  const NodeId hi = std::max(a, b);
-  const std::uint64_t key = (static_cast<std::uint64_t>(lo) << 32) | hi;
-  const std::uint32_t ea = position_epochs_[lo];
-  const std::uint32_t eb = position_epochs_[hi];
-  if (!path_loss_slots_.empty()) {
-    const std::size_t mask = path_loss_slots_.size() - 1;
-    std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
-    h ^= h >> 32;
-    std::size_t i = static_cast<std::size_t>(h) & mask;
-    while (path_loss_slots_[i].key != kEmptySlotKey) {
-      const PathLossSlot& s = path_loss_slots_[i];
-      if (s.key == key) {
-        if (s.epoch_a == ea && s.epoch_b == eb) return s.loss_db;
-        break;  // stale entry: recompute and overwrite below
-      }
-      i = (i + 1) & mask;
-    }
-  }
-  // Same expression as Channel::rx_power_dbm's loss term, so cached and
-  // uncached paths produce bit-identical powers.
-  const double loss =
-      channel_.rx_power_dbm(0.0, distance_m(node_position(lo), node_position(hi)));
-  path_loss_store(key, loss, ea, eb);
-  return loss;
-}
-
-double Medium::rx_power_at(const ActiveTx& tx, NodeId listener) const {
-  if (tx.remote) {
-    // Phantom: the origin node is not attached here, so compute from the
-    // snapshot directly (no per-pair cache entry to key it by). The model
-    // is the same expression the cache stores, shifted by TX power.
-    return channel_.rx_power_dbm(tx.tx_power_dbm,
-                                 distance_m(tx.origin, node_position(listener)));
-  }
-  // path_loss_db returns rx power for a 0 dBm transmitter; shift by the
-  // actual TX power (the model is linear in dB).
-  return tx.tx_power_dbm + path_loss_db(tx.transmitter, listener);
-}
-
 double Medium::audible_range_m(double tx_power_dbm) const {
   // Slack absorbs floating-point disagreement between the analytic
   // inversion and the per-node power check; the exact >= threshold test
@@ -204,8 +128,9 @@ bool Medium::carrier_busy(NodeId listener) const {
     if (!tx.remote && tx.transmitter == listener) continue;
     // Cheap pre-filter: beyond the audible radius the exact check below
     // cannot pass (the radius is computed with slack).
-    if (distance_m(tx_origin(tx), me) > tx.audible_range_m) continue;
-    if (rx_power_at(tx, listener) >= kCarrierSenseDbm) return true;
+    const double d = distance_m(tx_origin(tx), me);
+    if (d > tx.audible_range_m) continue;
+    if (channel_.rx_power_dbm(tx.tx_power_dbm, d) >= kCarrierSenseDbm) return true;
   }
   return false;
 }
@@ -388,14 +313,17 @@ void Medium::deliver(const ActiveTx& tx) {
     if (node_flags_[receiver] & kFlagRxBlocked) continue;  // injected deafness
     if (!clients_[receiver]->rx_enabled()) continue;
 
-    const double rx_power = rx_power_at(tx, receiver);
+    // A local transmitter is heard from where it is now, like the
+    // interferers below.
+    const Position rx_pos = node_position(receiver);
+    const double rx_power =
+        channel_.rx_power_dbm(tx.tx_power_dbm, distance_m(tx_origin(tx), rx_pos));
     if (rx_power < kCarrierSenseDbm) continue;  // below detection: silence
 
     frame.rx_power_dbm = rx_power;
     frame.snr_db = rx_power - channel_.config().noise_floor_dbm - noise_offset_db_;
 
     // Collision: any overlapping transmission audible at this receiver.
-    const Position rx_pos = node_position(receiver);
     bool collided = false;
     for (const auto& intf : tx.interferers) {
       if (!intf.remote && intf.transmitter == receiver) {

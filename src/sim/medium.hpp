@@ -17,27 +17,28 @@
 // (a Wi-LE sender in deep sleep, a BLE advertiser, a jammer) leave the
 // grid through set_listening(id, false), so a frame costs nothing per
 // sleeping neighbour. Carrier sense does not use the grid: it scans the
-// in-flight transmissions, pre-filtered by their audible radius. Path
-// loss between static nodes is cached per pair in a flat open-addressed
-// table (no per-entry allocation, linear probing over one contiguous
-// array), and the frame payload is a refcounted FrameBuffer shared by
-// all receivers, so one transmission heard by a thousand radios
-// performs zero payload copies. Candidate receivers are visited in
-// ascending NodeId order either way, so the RNG draw sequence — and
-// therefore every simulation outcome — is bit-for-bit identical with
-// the spatial grid on or off. The dense path polls every attached node
-// and ignores the listener index, so it is the equivalence oracle for
-// both the grid and the index (see tests/test_determinism).
+// in-flight transmissions, pre-filtered by their audible radius.
+// Received power is computed from the two positions at every use, with
+// no per-pair table: in a dense hall every frame reaches every listener,
+// so an all-pairs table grows with the square of the node count, outgrows
+// the cache and misses it on nearly every lookup, while the log-distance
+// model itself is one sqrt and one log10. The frame payload is a
+// refcounted FrameBuffer shared by all receivers, so one transmission
+// heard by a thousand radios performs zero payload copies. Candidate
+// receivers are visited in ascending NodeId order either way, so the RNG
+// draw sequence — and therefore every simulation outcome — is bit-for-bit
+// identical with the spatial grid on or off. The dense path polls every
+// attached node and ignores the listener index, so it is the equivalence
+// oracle for both the grid and the index (see tests/test_determinism).
 //
-// Per-node hot state is structure-of-arrays: position coordinates,
-// path-loss epochs and radio flag bytes live in parallel contiguous
-// vectors rather than one array-of-structs, so the delivery and
-// carrier-sense loops touch only the columns they read (a collision
-// scan streams positions at 16 B/node instead of dragging a 56 B
-// struct through cache) and a million-node fleet costs ~25 B/node of
-// medium state. Rarely-set state (per-node loss floors) is a sparse
-// side map guarded by an emptiness check so unimpaired fleets never
-// pay the lookup.
+// Per-node hot state is structure-of-arrays: position coordinates and
+// radio flag bytes live in parallel contiguous vectors rather than one
+// array-of-structs, so the delivery and carrier-sense loops touch only
+// the columns they read (a collision scan streams positions at 16 B/node
+// instead of dragging a 56 B struct through cache) and a million-node
+// fleet costs ~25 B/node of medium state. Rarely-set state (per-node
+// loss floors) is a sparse side map guarded by an emptiness check so
+// unimpaired fleets never pay the lookup.
 //
 // Sharded operation (sim/parallel.hpp): a Medium can be told the x-span
 // it owns via set_owned_span(); transmissions whose audible circle
@@ -343,10 +344,6 @@ class Medium {
 
   void finish_transmission(std::uint64_t tx_id);
   void deliver(const ActiveTx& tx);
-  [[nodiscard]] double rx_power_at(const ActiveTx& tx, NodeId listener) const;
-  /// Log-distance path loss between two nodes, cached while neither
-  /// moves (static fleets pay the log10 once per pair).
-  [[nodiscard]] double path_loss_db(NodeId a, NodeId b) const;
   [[nodiscard]] double audible_range_m(double tx_power_dbm) const;
 
   // --- SoA node state --------------------------------------------------------
@@ -386,8 +383,6 @@ class Medium {
   std::vector<MediumClient*> clients_;
   std::vector<double> pos_x_;
   std::vector<double> pos_y_;
-  /// Bumped on set_position; invalidates cached path losses.
-  std::vector<std::uint32_t> position_epochs_;
   std::vector<std::uint8_t> node_flags_;
   /// Sparse: only nodes with a floor set appear (see set_node_loss_floor).
   std::unordered_map<NodeId, double> node_loss_floors_;
@@ -408,28 +403,6 @@ class Medium {
   double cell_size_m_ = 25.0;  // set from the channel in the ctor
   std::unordered_map<std::uint64_t, std::vector<NodeId>> cells_;
   std::vector<NodeId> delivery_scratch_;
-
-  // --- flat path-loss cache --------------------------------------------------
-  // Open-addressed, linear probing, power-of-two capacity. Replaces the
-  // unordered_map the seed used: no per-entry heap node (24 B/slot flat
-  // vs ~56 B/entry + allocator overhead), and the probe walks one cache
-  // line instead of chasing a bucket list. Keyed by (lo_id<<32 | hi_id);
-  // lo < hi always (callers never ask for a self-loss), so the all-ones
-  // key can serve as the empty sentinel. Doubles until
-  // kMaxPathLossSlots, then clears wholesale like the seed did.
-  struct PathLossSlot {
-    std::uint64_t key = kEmptySlotKey;
-    double loss_db = 0.0;
-    std::uint32_t epoch_a = 0;
-    std::uint32_t epoch_b = 0;
-  };
-  static constexpr std::uint64_t kEmptySlotKey = ~std::uint64_t{0};
-  static constexpr std::size_t kInitialPathLossSlots = 1u << 12;
-  static constexpr std::size_t kMaxPathLossSlots = 1u << 22;
-  void path_loss_store(std::uint64_t key, double loss, std::uint32_t ea,
-                       std::uint32_t eb) const;
-  mutable std::vector<PathLossSlot> path_loss_slots_;
-  mutable std::size_t path_loss_used_ = 0;
 };
 
 }  // namespace wile::sim

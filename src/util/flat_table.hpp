@@ -1,13 +1,12 @@
 // Flat open-addressing hash table keyed by 32-bit ids.
 //
-// The layout PR 8 proved out for the medium's path-loss cache, made
-// generic: one contiguous slot array, Fibonacci multiplicative hashing
-// (the high bits carry the mix, so power-of-two masking stays well
-// distributed), linear probing, and a load factor capped at 1/2 with
-// doubling growth. Lookup is a single probe sequence over one cache
-// line in the common case — no node allocations, no bucket chains, no
-// rehash-on-read. Keys are never removed (device registries only grow),
-// which keeps probing tombstone-free.
+// One contiguous slot array, Fibonacci multiplicative hashing (the high
+// bits carry the mix, so power-of-two masking stays well distributed),
+// linear probing, and a load factor capped at 1/2 with doubling growth.
+// Lookup is a single probe sequence over one cache line in the common
+// case — no node allocations, no bucket chains, no rehash-on-read. Keys
+// are never removed (device registries only grow), which keeps probing
+// tombstone-free.
 //
 // Used for every per-device registry on the ingest hot path: the
 // controller's DeviceState table (wile/ingest.hpp) and the rules

@@ -9,11 +9,10 @@
 // 802.11ba evaluation regime) that dispatch cost is the fleet ceiling.
 //
 // IngestTable consolidates all of it into one DeviceState record in a
-// flat Fibonacci-hash open-addressing table (util/flat_table.hpp, the
-// layout the medium's path-loss cache proved out), so each fragment
-// resolves its device with exactly one probe and every per-device
-// decision — track update, report trigger, downlink pick, sequence
-// allocation — reads the same already-hot record.
+// flat Fibonacci-hash open-addressing table (util/flat_table.hpp), so
+// each fragment resolves its device with exactly one probe and every
+// per-device decision — track update, report trigger, downlink pick,
+// sequence allocation — reads the same already-hot record.
 //
 // bench/ingest_throughput drives this exact type; keep the bookkeeping
 // here so the bench measures the shipped code path.

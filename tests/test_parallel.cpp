@@ -297,6 +297,16 @@ TEST(ParallelScenario, SerialOnlySubsystemsAreRejected) {
       std::invalid_argument);
 }
 
+TEST(ParallelScenario, DegenerateChannelIsRejectedOnEveryEngine) {
+  // Every core's Medium takes its model from phy::Channel's constructor,
+  // which refuses a channel with no finite audible range.
+  phy::ChannelConfig flat;
+  flat.path_loss_exponent = 0.0;
+  EXPECT_THROW(ScenarioBuilder{}.devices(4).channel(flat).build(), std::invalid_argument);
+  EXPECT_THROW(ScenarioBuilder{}.devices(4).threads(2).channel(flat).build(),
+               std::invalid_argument);
+}
+
 // --- lock-free plumbing under contention ------------------------------------
 
 TEST(SpscQueue, OrderedDeliveryAcrossOverflowSegments) {

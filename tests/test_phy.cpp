@@ -2,6 +2,9 @@
 // the channel/PER model, and the energy-per-bit accounting behind E6.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "phy/airtime.hpp"
 #include "phy/ble_phy.hpp"
 #include "phy/channel.hpp"
@@ -114,6 +117,48 @@ TEST(Channel, RxPowerDecaysWithDistance) {
 TEST(Channel, ReferenceLossAtOneMeter) {
   Channel ch;
   EXPECT_NEAR(ch.rx_power_dbm(0.0, 1.0), -40.0, 1e-9);
+}
+
+TEST(Channel, RejectsDegenerateConfig) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto with = [](double ChannelConfig::*field, double value) {
+    ChannelConfig cfg;
+    cfg.*field = value;
+    return cfg;
+  };
+
+  // An exponent of 0 hears forever, a negative one nowhere.
+  for (const double bad : {0.0, -0.0, -1.0, nan, inf, -inf}) {
+    EXPECT_THROW(Channel{with(&ChannelConfig::path_loss_exponent, bad)},
+                 std::invalid_argument)
+        << bad;
+  }
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(Channel{with(&ChannelConfig::reference_loss_db, bad)},
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(Channel{with(&ChannelConfig::noise_floor_dbm, bad)},
+                 std::invalid_argument)
+        << bad;
+  }
+  for (const double bad : {-0.5, nan, inf, -inf}) {
+    EXPECT_THROW(Channel{with(&ChannelConfig::shadowing_sigma_db, bad)},
+                 std::invalid_argument)
+        << bad;
+  }
+
+  // The defaults, both bands and the non-default configs used in the
+  // repository stay valid, as do the boundary values.
+  EXPECT_NO_THROW(Channel{});
+  EXPECT_NO_THROW(Channel{ChannelConfig::for_band(Band::G5)});
+  ChannelConfig farm;
+  farm.path_loss_exponent = 2.4;
+  farm.shadowing_sigma_db = 2.0;
+  EXPECT_NO_THROW(Channel{farm});
+  EXPECT_NO_THROW(Channel{with(&ChannelConfig::path_loss_exponent, 1e-3)});
+  EXPECT_NO_THROW(Channel{with(&ChannelConfig::shadowing_sigma_db, 0.0)});
+  EXPECT_NO_THROW(Channel{with(&ChannelConfig::reference_loss_db, -10.0)});
 }
 
 TEST(Channel, PerBoundsAndMonotonicity) {

@@ -581,6 +581,67 @@ TEST_F(MediumTest, RelistedNodeIsDeliveredToAtItsNewPosition) {
   EXPECT_EQ(rx_client.frames.size(), 1u);
 }
 
+// Delivery reports exactly the channel model's power at the current
+// distance: from listeners on either side of the transmitter's NodeId, at
+// two TX powers, after a listener moves, and from a phantom.
+TEST_F(MediumTest, RxPowerIsTheChannelModelExactly) {
+  RecordingClient lo_client, tx_client, hi_client;
+  const NodeId lo = medium.attach(&lo_client, {1.5, 0.7});
+  const NodeId tx = medium.attach(&tx_client, {0.3, -0.2});
+  const NodeId hi = medium.attach(&hi_client, {-2.3, 1.1});
+  ASSERT_LT(lo, tx);
+  ASSERT_LT(tx, hi);
+
+  const auto expected = [&](double tx_power_dbm, Position origin, NodeId rx) {
+    return channel.rx_power_dbm(tx_power_dbm, distance_m(origin, medium.position(rx)));
+  };
+  const auto send = [&](double tx_power_dbm) {
+    TxRequest req;
+    req.mpdu = Bytes{1, 2, 3};
+    req.airtime = usec(50);
+    req.tx_power_dbm = tx_power_dbm;
+    req.rate = phy::WifiRate::G6;
+    medium.transmit(tx, std::move(req));
+    scheduler.run_until_idle();
+  };
+  const auto expect_last = [&](double tx_power_dbm, Position origin) {
+    ASSERT_FALSE(lo_client.frames.empty());
+    ASSERT_FALSE(hi_client.frames.empty());
+    EXPECT_EQ(lo_client.frames.back().rx_power_dbm, expected(tx_power_dbm, origin, lo));
+    EXPECT_EQ(hi_client.frames.back().rx_power_dbm, expected(tx_power_dbm, origin, hi));
+  };
+
+  for (const double power : {0.0, 20.0}) {
+    send(power);
+    expect_last(power, medium.position(tx));
+  }
+
+  medium.set_position(lo, {3.7, -2.9});
+  for (const double power : {20.0, 0.0}) {
+    send(power);
+    expect_last(power, medium.position(tx));
+  }
+  ASSERT_EQ(lo_client.frames.size(), 4u);
+  EXPECT_NE(lo_client.frames[0].rx_power_dbm, lo_client.frames[3].rx_power_dbm);
+
+  // A phantom from another shard is heard from its position snapshot.
+  RemoteTx remote;
+  remote.origin_node = 7;
+  remote.origin = Position{0.9, -1.4};
+  remote.start = scheduler.now();
+  remote.end = scheduler.now() + usec(50);
+  remote.tx_power_dbm = 20.0;
+  remote.audible_range_m = 1000.0;
+  remote.mpdu = FrameBuffer{Bytes{4, 5}};
+  remote.airtime = usec(50);
+  remote.rate = phy::WifiRate::G6;
+  medium.inject_remote(remote);
+  scheduler.run_until_idle();
+  ASSERT_EQ(lo_client.frames.size(), 5u);
+  EXPECT_EQ(lo_client.frames.back().transmitter, 7u);
+  expect_last(20.0, remote.origin);
+}
+
 TEST_F(MediumTest, SetListeningRejectsBadId) {
   RecordingClient client;
   const NodeId id = medium.attach(&client, {0, 0});
