@@ -10,6 +10,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -283,12 +284,27 @@ class DeafClient final : public sim::MediumClient {
   [[nodiscard]] bool rx_enabled() const override { return false; }
 };
 
+/// An armed WUR companion: listed and listening, but its OOK envelope
+/// detector demodulates no 802.11 frame.
+class CompanionClient final : public sim::MediumClient {
+ public:
+  void on_frame(const sim::RxFrame&) override {}
+  [[nodiscard]] bool rx_enabled() const override { return true; }
+  [[nodiscard]] bool demodulates(const std::optional<phy::WifiRate>& rate) const override {
+    return !rate.has_value();
+  }
+};
+
 void BM_MediumSleepingNeighbours(benchmark::State& state) {
-  // One transmitter, one listening receiver and N deep-sleeping
-  // neighbours, all in earshot: the Wi-LE fleet's shape, where almost
-  // every radio in range is a sender that cannot hear. The neighbours
-  // leave the listener index, so the per-frame cost should be flat in N.
-  const int n_sleeping = static_cast<int>(state.range(0));
+  // One transmitter, one listening receiver and N neighbours, all in
+  // earshot of the MCS7 frame: the Wi-LE fleet's shape, where almost
+  // every radio in range cannot take the frame. The second input picks
+  // the neighbours: 0 = deep-sleeping senders, which leave the listener
+  // index; 1 = armed WUR companions (the hall_wur shape), which stay
+  // listed and listening but cannot demodulate 802.11. Either way no
+  // neighbour should cost an rx-power computation or a PER draw.
+  const int n_neighbours = static_cast<int>(state.range(0));
+  const bool companions = state.range(1) != 0;
   sim::Scheduler scheduler;
   phy::Channel channel{};
   sim::Medium medium{scheduler, channel, Rng{19}};
@@ -296,13 +312,18 @@ void BM_MediumSleepingNeighbours(benchmark::State& state) {
   CountingClient tx_client, rx_client;
   const sim::NodeId tx = medium.attach(&tx_client, {0, 0});
   medium.attach(&rx_client, {1, 0});
-  std::vector<DeafClient> neighbours(static_cast<std::size_t>(n_sleeping));
-  const int side = static_cast<int>(std::ceil(std::sqrt(n_sleeping)));
-  for (int i = 0; i < n_sleeping; ++i) {
+  std::vector<std::unique_ptr<sim::MediumClient>> neighbours;
+  const int side = static_cast<int>(std::ceil(std::sqrt(n_neighbours)));
+  for (int i = 0; i < n_neighbours; ++i) {
+    if (companions) {
+      neighbours.push_back(std::make_unique<CompanionClient>());
+    } else {
+      neighbours.push_back(std::make_unique<DeafClient>());
+    }
     const sim::NodeId id = medium.attach(
-        &neighbours[static_cast<std::size_t>(i)],
+        neighbours.back().get(),
         {1.0 + static_cast<double>(i % side) * 0.5, static_cast<double>(i / side) * 0.5});
-    medium.set_listening(id, false);
+    if (!companions) medium.set_listening(id, false);
   }
 
   const Bytes payload(200, 0xBE);
@@ -318,7 +339,12 @@ void BM_MediumSleepingNeighbours(benchmark::State& state) {
   if (rx_client.frames + rx_client.corrupt == 0) state.SkipWithError("receiver heard nothing");
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MediumSleepingNeighbours)->Arg(100)->Arg(1000);
+BENCHMARK(BM_MediumSleepingNeighbours)
+    ->ArgNames({"neighbours", "companions"})
+    ->Args({100, 0})
+    ->Args({1000, 0})
+    ->Args({100, 1})
+    ->Args({1000, 1});
 
 void BM_ShardBoundary(benchmark::State& state) {
   // The cross-shard commit path of the parallel engine: route a

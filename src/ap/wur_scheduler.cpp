@@ -45,6 +45,9 @@ void WurScheduler::send_wake(phy::WakeUpFrame frame) {
 void WurScheduler::start_round_robin(std::vector<std::uint16_t> ids,
                                      Duration sweep_period) {
   if (ids.empty()) throw std::invalid_argument("WurScheduler: empty WUR ID list");
+  if (sweep_period.count() <= 0) {
+    throw std::invalid_argument("WurScheduler: period must be > 0");
+  }
   ++campaign_epoch_;
   rr_ids_ = std::move(ids);
   rr_index_ = 0;

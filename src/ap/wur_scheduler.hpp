@@ -48,10 +48,12 @@ class WurScheduler : public sim::MediumClient {
   /// `sweep_period / ids.size()`, first one gap in. The cadence is
   /// anchored to absolute times (schedule_at), so CSMA deferral of one
   /// frame never skews when the next is queued — the polling rate each
-  /// device experiences is sweep_period exactly.
+  /// device experiences is sweep_period exactly. Throws
+  /// std::invalid_argument on an empty list or a non-positive period.
   void start_round_robin(std::vector<std::uint16_t> ids, Duration sweep_period);
 
-  /// Periodic group wake every `period`, first one period in.
+  /// Periodic group wake every `period`, first one period in. Throws
+  /// std::invalid_argument on a non-positive period.
   void start_group_cadence(std::uint16_t group_id, Duration period);
 
   /// Cancel any running cadence (in-flight frames still leave the antenna).

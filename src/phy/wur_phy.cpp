@@ -1,5 +1,7 @@
 #include "phy/wur_phy.hpp"
 
+#include <array>
+
 namespace wile::phy {
 namespace {
 
@@ -9,16 +11,26 @@ namespace {
 // MPDUs sharing the medium.
 constexpr std::uint8_t kWurFrameControl = 0xBA;
 
-// CRC-8/ATM (poly 0x07), enough for a 5-byte body and cheap to model.
-std::uint8_t crc8(BytesView data) {
-  std::uint8_t crc = 0;
-  for (std::uint8_t byte : data) {
-    crc ^= byte;
+// CRC-8/ATM (poly 0x07, init 0), enough for a 5-byte body and cheap to
+// model. Table-driven, one lookup per byte: every armed companion in
+// earshot checks every wake frame, so a dense hall runs this about once
+// per station per wake.
+constexpr std::array<std::uint8_t, 256> kCrc8Table = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    auto crc = static_cast<std::uint8_t>(i);
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 0x80) != 0 ? static_cast<std::uint8_t>((crc << 1) ^ 0x07)
                               : static_cast<std::uint8_t>(crc << 1);
     }
+    table[i] = crc;
   }
+  return table;
+}();
+
+std::uint8_t crc8(BytesView data) {
+  std::uint8_t crc = 0;
+  for (std::uint8_t byte : data) crc = kCrc8Table[crc ^ byte];
   return crc;
 }
 

@@ -312,6 +312,9 @@ void Medium::deliver(const ActiveTx& tx) {
     if (!tx.remote && receiver == tx.transmitter) continue;
     if (node_flags_[receiver] & kFlagRxBlocked) continue;  // injected deafness
     if (!clients_[receiver]->rx_enabled()) continue;
+    // A waveform this radio cannot demodulate is only interference: no
+    // callback, no counter, no RNG draw.
+    if (!clients_[receiver]->demodulates(tx.rate)) continue;
 
     // A local transmitter is heard from where it is now, like the
     // interferers below.

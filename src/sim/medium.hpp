@@ -16,8 +16,13 @@
 // starts listening at attach(); radios that are deaf most of the time
 // (a Wi-LE sender in deep sleep, a BLE advertiser, a jammer) leave the
 // grid through set_listening(id, false), so a frame costs nothing per
-// sleeping neighbour. Carrier sense does not use the grid: it scans the
-// in-flight transmissions, pre-filtered by their audible radius.
+// sleeping neighbour. A listener that hears but cannot demodulate a
+// frame's waveform (MediumClient::demodulates: a WUR envelope detector
+// under an OFDM beacon, a monitor radio under an OOK wake frame) is
+// skipped before any rx-power, collision or PER work and consumes no RNG
+// draw; the frame still interferes with everything it overlaps. Carrier
+// sense does not use the grid: it scans the in-flight transmissions,
+// pre-filtered by their audible radius.
 // Received power is computed from the two positions at every use, with
 // no per-pair table: in a dense hall every frame reaches every listener,
 // so an all-pairs table grows with the square of the node count, outgrows
@@ -88,7 +93,7 @@ struct RxFrame {
   double rx_power_dbm = 0.0;
   double snr_db = 0.0;
   Duration airtime{};
-  std::optional<phy::WifiRate> rate;  // nullopt for non-WiFi media (BLE)
+  std::optional<phy::WifiRate> rate;  // nullopt: non-802.11 waveform (BLE, WUR OOK)
 };
 
 /// Receiver interface implemented by every node's radio.
@@ -118,6 +123,20 @@ class MediumClient {
   /// unlisted only while this returns false. A listed node may still
   /// return false (transmitting right now, an AP that is down).
   [[nodiscard]] virtual bool rx_enabled() const = 0;
+
+  /// Whether the radio that is listening right now can demodulate a
+  /// frame of this kind: `rate` set is an 802.11 PPDU, nullopt a
+  /// non-802.11 waveform on this medium (an 802.11ba OOK wake frame, a
+  /// jammer burst, a BLE PDU). Asked per frame right after rx_enabled(),
+  /// and a per-frame authority like it. A frame this refuses is energy
+  /// at the antenna only: no on_frame/on_corrupt_frame, no Stats
+  /// counter (neither a delivery nor a loss) and no RNG draw. It still
+  /// interferes with the frames it overlaps and still busies carrier
+  /// sense. The default accepts every frame.
+  [[nodiscard]] virtual bool demodulates(const std::optional<phy::WifiRate>& rate) const {
+    (void)rate;
+    return true;
+  }
 };
 
 struct TxRequest {
@@ -279,7 +298,9 @@ class Medium {
   /// Carrier-sense / preamble-detection floor.
   static constexpr double kCarrierSenseDbm = -82.0;
 
-  /// Total frames delivered/lost, for tests and loss-rate benches.
+  /// Total frames delivered/lost, for tests and loss-rate benches. Only
+  /// receivers that demodulate a frame (MediumClient::demodulates) count
+  /// toward deliveries and losses.
   struct Stats {
     std::uint64_t transmissions = 0;
     std::uint64_t deliveries = 0;

@@ -27,6 +27,10 @@ Receiver::Receiver(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position
 
 bool Receiver::rx_enabled() const { return true; }  // mains-powered monitor
 
+bool Receiver::demodulates(const std::optional<phy::WifiRate>& rate) const {
+  return rate.has_value();
+}
+
 void Receiver::on_corrupt_frame(const sim::RxFrame&, bool collision) {
   ++stats_.fcs_failures;
   if (collision) ++stats_.collisions_observed;

@@ -110,6 +110,8 @@ class Receiver : public sim::MediumClient {
   void on_frame(const sim::RxFrame& frame) override;
   void on_corrupt_frame(const sim::RxFrame& frame, bool collision) override;
   [[nodiscard]] bool rx_enabled() const override;
+  /// A monitor-mode 802.11 radio: it demodulates 802.11 PPDUs only.
+  [[nodiscard]] bool demodulates(const std::optional<phy::WifiRate>& rate) const override;
 
  private:
   /// How many payloads (and how far back in sequence space) the FEC

@@ -93,6 +93,11 @@ bool Sender::listens() const {
 
 bool Sender::rx_enabled() const { return listens() && !medium_.transmitting(node_id_); }
 
+bool Sender::demodulates(const std::optional<phy::WifiRate>& rate) const {
+  const bool companion = config_.wur && phase_ == Phase::DeepSleep;
+  return companion ? !rate.has_value() : rate.has_value();
+}
+
 void Sender::send_now(Bytes data, SendCallback done) {
   if (phase_ != Phase::DeepSleep) {
     throw std::logic_error("wile::Sender: send_now requires deep sleep");
@@ -688,9 +693,9 @@ void Sender::resume_cycle() {
 
 void Sender::on_frame(const sim::RxFrame& frame) {
   if (config_.wur && phase_ == Phase::DeepSleep) {
-    // Only the companion receiver is powered: the sole thing it can
-    // decode is a 6-byte OOK wake-up frame. Everything else on the air
-    // is energy the envelope detector discards.
+    // Only the companion receiver is powered, and the medium hands it
+    // only non-802.11 frames (demodulates): of those, the sole thing it
+    // can decode is a 6-byte OOK wake-up frame.
     if (auto wake = phy::decode_wakeup_frame(frame.mpdu.view())) {
       on_wakeup_frame(*wake);
     }

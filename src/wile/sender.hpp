@@ -367,6 +367,9 @@ class Sender : public sim::MediumClient {
   // --- sim::MediumClient -----------------------------------------------------
   void on_frame(const sim::RxFrame& frame) override;
   [[nodiscard]] bool rx_enabled() const override;
+  /// The WUR companion (deep sleep) demodulates only non-802.11 frames,
+  /// the main radio (RX window) only 802.11 PPDUs.
+  [[nodiscard]] bool demodulates(const std::optional<phy::WifiRate>& rate) const override;
 
  private:
   enum class Phase { DeepSleep, Init, Tx, RxWindow, Shutdown };

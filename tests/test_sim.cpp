@@ -5,7 +5,9 @@
 #include <array>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "dot11/frame.hpp"
 #include "sim/csma.hpp"
@@ -648,6 +650,134 @@ TEST_F(MediumTest, SetListeningRejectsBadId) {
   EXPECT_THROW(medium.set_listening(id + 1, false), std::out_of_range);
   EXPECT_THROW((void)medium.listening(id + 1), std::out_of_range);
   EXPECT_TRUE(medium.listening(id));
+}
+
+// --- modulation filter (MediumClient::demodulates) ---------------------------
+
+/// Logs every outcome in order: 'D' delivered, 'L' channel loss, 'C'
+/// collision.
+class OutcomeClient : public MediumClient {
+ public:
+  void on_frame(const RxFrame&) override { log += 'D'; }
+  void on_corrupt_frame(const RxFrame&, bool collision) override {
+    log += collision ? 'C' : 'L';
+  }
+  [[nodiscard]] bool rx_enabled() const override { return true; }
+
+  std::string log;
+};
+
+/// Demodulates one kind of waveform only: 802.11 PPDUs (`wifi`), or
+/// non-802.11 frames like a WUR companion's OOK envelope detector.
+class OneModulationClient : public OutcomeClient {
+ public:
+  explicit OneModulationClient(bool wifi) : wifi_(wifi) {}
+  [[nodiscard]] bool demodulates(const std::optional<phy::WifiRate>& rate) const override {
+    return rate.has_value() == wifi_;
+  }
+
+ private:
+  bool wifi_;
+};
+
+struct FilterRun {
+  std::string listener;  // the ordinary listener's outcome per frame
+  std::string stub;
+  Medium::Stats stats;
+};
+
+enum class Stub { None, CannotDemodulate, Demodulates };
+
+/// kFrames frames from node 0 to an ordinary listener 11.5 m away (PER
+/// about 0.3), optionally with a stub 11 m away (PER about 0.2, so it
+/// would draw too) whose NodeId lies between the two.
+FilterRun run_filter_case(bool grid, bool wifi_frames, Stub stub_kind) {
+  constexpr int kFrames = 200;
+  Scheduler scheduler;
+  Medium medium{scheduler, phy::Channel{}, Rng{0xF117}};
+  medium.set_spatial_grid_enabled(grid);
+  OutcomeClient tx_client, listener;
+  OneModulationClient stub{/*wifi=*/(stub_kind == Stub::Demodulates) == wifi_frames};
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  if (stub_kind != Stub::None) medium.attach(&stub, {11, 0});
+  medium.attach(&listener, {11.5, 0});
+
+  for (int i = 0; i < kFrames; ++i) {
+    scheduler.schedule_at(TimePoint{msec(i)}, [&] {
+      TxRequest req;
+      req.mpdu = Bytes(100, 0x5A);
+      req.airtime = usec(100);
+      if (wifi_frames) req.rate = phy::WifiRate::Mcs7;
+      medium.transmit(tx, std::move(req));
+    });
+  }
+  scheduler.run_until_idle();
+  return {listener.log, stub.log, medium.stats()};
+}
+
+void expect_filtered_stub_is_invisible(bool wifi_frames) {
+  for (const bool grid : {true, false}) {
+    SCOPED_TRACE(grid ? "grid" : "dense");
+    const FilterRun filtered = run_filter_case(grid, wifi_frames, Stub::CannotDemodulate);
+    const FilterRun without = run_filter_case(grid, wifi_frames, Stub::None);
+
+    // 0 < PER < 1 at the listener, so every frame consumed a draw.
+    EXPECT_NE(filtered.listener.find('D'), std::string::npos);
+    EXPECT_NE(filtered.listener.find('L'), std::string::npos);
+    // The stub got neither callback, moved no counter and drew nothing:
+    // the listener's outcomes are those of the medium without it.
+    EXPECT_EQ(filtered.stub, "");
+    EXPECT_EQ(filtered.listener, without.listener);
+    EXPECT_EQ(filtered.stats, without.stats);
+    EXPECT_EQ(filtered.stats.deliveries + filtered.stats.channel_losses,
+              filtered.stats.transmissions);
+
+    // Control: a stub that can demodulate the frames draws from the same
+    // stream, which shifts the listener's outcomes.
+    const FilterRun control = run_filter_case(grid, wifi_frames, Stub::Demodulates);
+    EXPECT_EQ(control.stub.size(), filtered.listener.size());
+    EXPECT_NE(control.listener, without.listener);
+  }
+}
+
+TEST(MediumModulationFilter, WifiFrameSkipsAnOokOnlyListener) {
+  expect_filtered_stub_is_invisible(/*wifi_frames=*/true);
+}
+
+TEST(MediumModulationFilter, RatelessFrameSkipsAWifiOnlyListener) {
+  expect_filtered_stub_is_invisible(/*wifi_frames=*/false);
+}
+
+// A frame a listener cannot demodulate is still energy at its antenna:
+// it busies carrier sense and collides with the frame the listener can
+// demodulate.
+TEST_F(MediumTest, FilteredFrameStillInterferes) {
+  RecordingClient wifi_client, ook_client;
+  wifi_client.listening = false;
+  ook_client.listening = false;
+  OneModulationClient companion{/*wifi=*/false};
+  const NodeId wifi_tx = medium.attach(&wifi_client, {0, 0});
+  const NodeId ook_tx = medium.attach(&ook_client, {1, 0});
+  const NodeId rx = medium.attach(&companion, {0.5, 1});
+
+  TxRequest beacon;
+  beacon.mpdu = Bytes{1};
+  beacon.airtime = usec(200);
+  beacon.rate = phy::WifiRate::G6;
+  medium.transmit(wifi_tx, std::move(beacon));
+  EXPECT_TRUE(medium.carrier_busy(rx));
+  scheduler.schedule_in(usec(50), [&] {
+    TxRequest wake;
+    wake.mpdu = Bytes{2};
+    wake.airtime = usec(100);
+    medium.transmit(ook_tx, std::move(wake));
+  });
+  scheduler.run_until_idle();
+
+  EXPECT_EQ(companion.log, "C");  // the wake frame collided; the beacon is unseen
+  EXPECT_EQ(medium.stats().collision_losses, 1u);
+  EXPECT_EQ(medium.stats().deliveries, 0u);
+  EXPECT_EQ(medium.stats().channel_losses, 0u);
 }
 
 // ---------------------------------------------------------------------------

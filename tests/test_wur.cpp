@@ -3,13 +3,15 @@
 // Pins the WUR contracts:
 //  * WurPhy timing — the 48-bit wake-up frame occupies exactly 920 us at
 //    the low rate and 280 us at the high rate, decomposed per 802.11ba;
-//  * the wake-frame codec round-trips, masks addresses to 12 bits, and
-//    rejects every corruption class (length, frame control, reserved
-//    flag bits, 12-bit address overflow, FCS);
+//  * the wake-frame codec round-trips, matches golden wire bytes (FCS
+//    included), masks addresses to 12 bits, and rejects every
+//    corruption class (length, frame control, reserved flag bits,
+//    12-bit address overflow, FCS);
 //  * wake behaviour end-to-end through a real Scheduler + Medium: a
 //    unicast wake runs exactly one cycle, reliability repeats dedupe on
 //    the sequence counter, wrong-ID and wrong-group frames are ignored,
-//    group wakes fire members, and a disarmed companion stays asleep;
+//    group wakes fire members, a disarmed companion stays asleep, and
+//    each radio is handed only the frames it can demodulate;
 //  * companion-receiver energy settlement across brown-outs — the uW
 //    listen overlay rides every parked segment, dies with the board
 //    during the dark window (it must not keep integrating), and is
@@ -18,14 +20,16 @@
 //  * ScenarioBuilder mode presets (the unified transmission-mode API):
 //    an explicit .mode(TxMode::WiLeBeacon) is bit-identical to the
 //    historical default path, .mode(TxMode::Ble) is bit-identical to
-//    hand-wiring the BLE fleet, and a .wur() fleet delivers samples via
-//    AP group wakes with the wake ledger consistent end to end.
+//    hand-wiring the BLE fleet, a .wur() fleet delivers samples via AP
+//    group wakes with the wake ledger consistent end to end, and a zero
+//    wake cadence is rejected in both WUR variants.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "ap/wur_scheduler.hpp"
@@ -77,6 +81,20 @@ TEST(WurCodec, RoundTripsUnicastAndGroupFrames) {
   const auto decoded_group = phy::decode_wakeup_frame(phy::encode_wakeup_frame(group));
   ASSERT_TRUE(decoded_group.has_value());
   EXPECT_EQ(*decoded_group, group);
+}
+
+TEST(WurCodec, WireBytesMatchGoldenVectors) {
+  // Pins the on-air bytes, FCS included: a round trip alone would pass
+  // with any CRC table, because encode and decode share it. The FCS is
+  // CRC-8/ATM (poly 0x07, init 0) over the first five bytes.
+  EXPECT_EQ(phy::encode_wakeup_frame({false, 0x123, 7}),
+            (Bytes{0xBA, 0x00, 0x23, 0x01, 0x07, 0xE2}));
+  EXPECT_EQ(phy::encode_wakeup_frame({true, 0xABC, 255}),
+            (Bytes{0xBA, 0x01, 0xBC, 0x0A, 0xFF, 0x6B}));
+  const auto decoded =
+      phy::decode_wakeup_frame(Bytes{0xBA, 0x01, 0xBC, 0x0A, 0xFF, 0x6B});
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, (phy::WakeUpFrame{true, 0xABC, 255}));
 }
 
 TEST(WurCodec, MasksAddressesToTwelveBits) {
@@ -154,6 +172,11 @@ TEST(WurWake, UnicastWakeRunsExactlyOneCycle) {
   EXPECT_EQ(rig.sender->cycles_run(), 1u);
   EXPECT_EQ(rig.sender->wur_frames_ignored(), 0u);
   EXPECT_EQ(rig.deliveries, 1u);
+  // Each radio is handed only what it can demodulate: the wake frame at
+  // the companion and the beacon at the monitor. Neither the monitor
+  // (OOK wake frame) nor the deep-sleeping companion (OFDM beacon) sees
+  // the other's frame.
+  EXPECT_EQ(rig.medium.stats().deliveries, 2u);
   // The AP's airtime ledger counted one high-rate wake frame.
   EXPECT_EQ(rig.ap->tx_airtime_total(),
             phy::WurPhy::frame_airtime(phy::WurRate::kHigh));
@@ -403,6 +426,28 @@ TEST(TxModePreset, BleFleetRunsTheFaultHook) {
   scenario->run_until(TimePoint{seconds(10)});
   EXPECT_EQ(scenario->faults().stats().windows_ended, 1u);
   EXPECT_GT(scenario->medium().stats().channel_losses, 0u);
+}
+
+TEST(TxModePreset, WurFleetRejectsAZeroCadence) {
+  // A zero duty cycle leaves the wake cadence at zero: both the unicast
+  // round robin and the group cadence refuse it rather than waking
+  // every microsecond.
+  EXPECT_THROW(sim::ScenarioBuilder()
+                   .devices(4)
+                   .gateways(1)
+                   .duty_cycle(Duration{0})
+                   .wur(sim::WurFleetOptions{})
+                   .build(),
+               std::invalid_argument);
+  sim::WurFleetOptions group;
+  group.group_id = 7;
+  EXPECT_THROW(sim::ScenarioBuilder()
+                   .devices(4)
+                   .gateways(1)
+                   .duty_cycle(Duration{0})
+                   .wur(group)
+                   .build(),
+               std::invalid_argument);
 }
 
 TEST(TxModePreset, WurFleetDeliversViaGroupWakes) {
