@@ -349,7 +349,7 @@ BENCHMARK(BM_MediumSleepingNeighbours)
 void BM_ShardBoundary(benchmark::State& state) {
   // The cross-shard commit path of the parallel engine: route a
   // boundary transmission whose audible circle spans `span` stripes
-  // through the ShardRouter's SPSC queues, then drain at every
+  // into the ShardRouter's outboxes, then drain at every
   // destination in canonical merge order. This is the per-frame cost a
   // boundary node adds over an interior node.
   const int span = static_cast<int>(state.range(0));

@@ -71,9 +71,6 @@ Campaign generate_campaign(std::uint64_t seed, const ChaosConfig& config) {
   // the same master seed).
   Rng rng{seed ^ 0xC7A0'5EEDull};
 
-  std::vector<FaultKind> kinds(config.kinds);
-  if (kinds.empty()) kinds.assign(std::begin(kAllKinds), std::end(kAllKinds));
-
   const int lo = std::max(0, config.min_actions);
   const int hi = std::max(lo, config.max_actions);
   const int n_actions = lo + static_cast<int>(rng.below(
@@ -81,7 +78,7 @@ Campaign generate_campaign(std::uint64_t seed, const ChaosConfig& config) {
 
   for (int i = 0; i < n_actions; ++i) {
     FaultAction action;
-    action.kind = kinds[rng.below(kinds.size())];
+    action.kind = kAllKinds[rng.below(std::size(kAllKinds))];
 
     // Windows start inside the first 90% of the horizon so even the
     // longest draw gets some open time; one-shots land anywhere.
@@ -166,12 +163,9 @@ std::size_t schedule_campaign(const Campaign& campaign,
 
     switch (action.kind) {
       case FaultKind::kApOutage:
-        if (targets.ap_stop && targets.ap_start) {
-          fi.window(start, duration, targets.ap_stop, targets.ap_start);
-          ++armed;
-        } else if (!targets.gateway_nodes.empty()) {
-          // No real AP in the scenario: the closest observable failure
-          // is every gateway going deaf for the window.
+        if (!targets.gateway_nodes.empty()) {
+          // The scenario's observable AP failure: every gateway goes
+          // deaf for the window.
           for (const NodeId node : targets.gateway_nodes) {
             fi.radio_deaf(start, duration, node);
           }

@@ -41,7 +41,7 @@ namespace wile::sim {
 /// Everything the generator knows how to inject. Keep in sync with
 /// kind_name()/kind_from_name() in chaos.cpp (the JSON vocabulary).
 enum class FaultKind : std::uint8_t {
-  kApOutage,        // window: AP down (real hooks, or gateway radio deafness)
+  kApOutage,        // window: AP down, modelled as gateway radio deafness
   kJammer,          // window: duty-cycled interferer; magnitude = duty cycle
   kNoiseRise,       // window: noise floor + magnitude dB
   kPerMultiplier,   // window: PER x magnitude
@@ -88,12 +88,11 @@ struct ChaosConfig {
   /// Device count of the scenario the campaign targets; per-device
   /// faults draw their target from [0, n_devices).
   int n_devices = 1;
-  /// Restrict generation to these kinds; empty = the full vocabulary.
-  std::vector<FaultKind> kinds;
 };
 
-/// Draw a campaign from `seed`. Pure: same (seed, config) -> identical
-/// campaign, independent of any scenario state.
+/// Draw a campaign from `seed` over the full FaultKind vocabulary. Pure:
+/// same (seed, config) -> identical campaign, independent of any
+/// scenario state.
 [[nodiscard]] Campaign generate_campaign(std::uint64_t seed,
                                          const ChaosConfig& config);
 
@@ -105,13 +104,9 @@ struct ChaosTargets {
   FaultInjector* faults = nullptr;
   /// Medium node ids of the fleet's devices, campaign target order.
   std::vector<NodeId> device_nodes;
-  /// Medium node ids of gateways/receivers — the kApOutage fallback
-  /// deafens these (an AP that stops hearing its clients).
+  /// Medium node ids of gateways/receivers — kApOutage deafens these
+  /// (an AP that stops hearing its clients).
   std::vector<NodeId> gateway_nodes;
-  /// Real AP stop/start hooks; when set they replace the deafness
-  /// fallback for kApOutage.
-  std::function<void()> ap_stop;
-  std::function<void()> ap_start;
   /// Per-device clock-drift appliers (Sender::apply_clock_drift_ppm).
   std::vector<std::function<void(double)>> clock_drift;
   /// Per-device energy targets; null entries = mains-powered device.

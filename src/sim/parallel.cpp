@@ -1,6 +1,7 @@
 #include "sim/parallel.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 
@@ -28,11 +29,9 @@ ShardRouter::ShardRouter(std::size_t shards, double x0_m, double x1_m)
   if (shards == 0) throw std::invalid_argument("ShardRouter: zero shards");
   if (!(x1_m > x0_m)) throw std::invalid_argument("ShardRouter: empty extent");
   stripe_m_ = (x1_m - x0_m) / static_cast<double>(shards);
-  queues_.reserve(shards * shards);
-  for (std::size_t i = 0; i < shards * shards; ++i) {
-    queues_.push_back(std::make_unique<SpscQueue<BoundaryTx>>());
-  }
+  outboxes_.resize(shards * shards);
   seq_.assign(shards, 0);
+  routed_.assign(shards, 0);
 }
 
 std::size_t ShardRouter::shard_of(double x_m) const {
@@ -55,8 +54,8 @@ void ShardRouter::route(std::size_t src, const RemoteTx& tx) {
   const std::uint64_t seq = seq_[src]++;
   for (std::size_t dst = lo; dst <= hi; ++dst) {
     if (dst == src) continue;
-    queue(src, dst).push(
-        BoundaryTx{tx, static_cast<std::uint32_t>(src), seq});
+    outbox(src, dst).push_back(BoundaryTx{tx, static_cast<std::uint32_t>(src), seq});
+    ++routed_[src];
   }
 }
 
@@ -64,32 +63,22 @@ std::size_t ShardRouter::drain(std::size_t dst, std::vector<BoundaryTx>& out) {
   std::size_t n = 0;
   for (std::size_t src = 0; src < shards_; ++src) {
     if (src == dst) continue;
-    n += queue(src, dst).drain_into(out);
+    std::vector<BoundaryTx>& box = outbox(src, dst);
+    n += box.size();
+    out.insert(out.end(), std::make_move_iterator(box.begin()),
+               std::make_move_iterator(box.end()));
+    // clear() keeps the capacity for the next window; the moved-from
+    // entries hold no payload reference.
+    box.clear();
   }
-  // Canonical merge order: thread scheduling decides nothing. Per-queue
-  // FIFO already orders each origin; the sort interleaves origins the
+  // Canonical merge order: thread scheduling decides nothing. Each
+  // outbox is already in route order; the sort interleaves origins the
   // same way every run.
   std::sort(out.begin(), out.end(), [](const BoundaryTx& a, const BoundaryTx& b) {
     if (a.tx.start != b.tx.start) return a.tx.start < b.tx.start;
     if (a.origin_shard != b.origin_shard) return a.origin_shard < b.origin_shard;
     return a.seq < b.seq;
   });
-  return n;
-}
-
-std::uint64_t ShardRouter::routed_from(std::size_t shard) const {
-  std::uint64_t n = 0;
-  for (std::size_t dst = 0; dst < shards_; ++dst) {
-    n += queues_[shard * shards_ + dst]->pushed();
-  }
-  return n;
-}
-
-std::uint64_t ShardRouter::drained_by(std::size_t shard) const {
-  std::uint64_t n = 0;
-  for (std::size_t src = 0; src < shards_; ++src) {
-    n += queues_[src * shards_ + shard]->popped();
-  }
   return n;
 }
 
@@ -137,8 +126,9 @@ void ParallelEngine::run_until(TimePoint deadline) {
 void ParallelEngine::worker_loop(unsigned thread_idx, TimePoint start,
                                  TimePoint deadline) {
   // Static shard ownership: thread t runs shards {i : i % T == t}. The
-  // assignment never changes mid-run, which is what keeps every SPSC
-  // queue single-producer (src thread) and single-consumer (dst thread).
+  // assignment never changes mid-run, so each outbox has one writer in
+  // the run phase (its origin's thread) and one in the drain phase (its
+  // destination's thread); see ShardRouter.
   std::vector<std::size_t> owned;
   for (std::size_t i = thread_idx; i < shards_.size(); i += threads_) {
     owned.push_back(i);
@@ -151,7 +141,7 @@ void ParallelEngine::worker_loop(unsigned thread_idx, TimePoint start,
     if (!abort_.load(std::memory_order_relaxed)) {
       try {
         // Phase 1: run every owned shard to the window boundary. All
-        // boundary pushes for this window happen here.
+        // boundary routes for this window happen here.
         for (const std::size_t i : owned) {
           shards_[i].scheduler->run_until(window_end);
           ++stats_[i].windows;
@@ -171,10 +161,10 @@ void ParallelEngine::worker_loop(unsigned thread_idx, TimePoint start,
     if (!abort_.load(std::memory_order_acquire)) {
       try {
         // Phase 2: drain and inject. The barrier above guarantees every
-        // producer finished its window; the barrier below guarantees no
-        // producer starts the next window until every inbox is empty —
-        // so each drain sees exactly the windows-so-far traffic, a
-        // thread-count-independent set.
+        // shard finished routing its window; the barrier below guarantees
+        // no shard routes into the next window until every outbox is
+        // empty — so each drain sees exactly the windows-so-far traffic,
+        // a thread-count-independent set.
         for (const std::size_t i : owned) {
           inbox.clear();
           const std::size_t n = router_.drain(i, inbox);
@@ -198,7 +188,7 @@ void ParallelEngine::worker_loop(unsigned thread_idx, TimePoint start,
   }
 
   // Final bookkeeping once per run: out-counts come from the router's
-  // push counters (exact now that all producers are done).
+  // per-origin counters, which only this thread writes.
   for (const std::size_t i : owned) {
     stats_[i].boundary_tx_out = router_.routed_from(i);
   }

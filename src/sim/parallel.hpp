@@ -9,8 +9,8 @@
 // lockstep *windows*: each runs its own event loop up to the window
 // boundary, then all meet at a barrier, exchange the transmissions
 // whose audible circles crossed a stripe edge (position-snapshot
-// RemoteTx phantoms, shipped over lock-free SPSC queues), and start
-// the next window.
+// RemoteTx phantoms, appended to plain per-(origin, destination)
+// outboxes), and start the next window.
 //
 // Lookahead and the window length. Classic conservative PDES bounds
 // the window by the minimum cross-shard propagation delay: a frame
@@ -41,14 +41,12 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/spsc_queue.hpp"
 #include "util/units.hpp"
 
 namespace wile::sim {
@@ -79,8 +77,17 @@ class SpinBarrier {
   std::atomic<std::uint64_t> generation_{0};
 };
 
-/// Stripe partition of the x-axis plus the SPSC queue matrix that
-/// carries boundary transmissions between shards.
+/// Stripe partition of the x-axis plus the outbox matrix that carries
+/// boundary transmissions between shards.
+///
+/// The outboxes are plain vectors with no synchronisation of their own.
+/// ParallelEngine separates the phases that touch them with
+/// SpinBarrier::arrive_and_wait: in the run phase only shard `src`'s
+/// thread appends to row `src`, in the drain phase only shard `dst`'s
+/// thread empties column `dst`, and the barrier's acq_rel arrival count
+/// plus its release/acquire generation flip order every append before
+/// every read. Callers outside the engine must keep the same rule: no
+/// route() concurrent with a drain().
 class ShardRouter {
  public:
   /// Stripes cover [x0_m, x1_m); positions outside clamp to the edge
@@ -93,31 +100,33 @@ class ShardRouter {
   /// Owned span of `shard` as [first, second).
   [[nodiscard]] std::pair<double, double> span(std::size_t shard) const;
 
-  /// Producer side; must be called from shard `src`'s owning thread.
-  /// Enqueues `tx` to every other shard whose stripe intersects the
-  /// audible circle [x - r, x + r].
+  /// Run phase, on shard `src`'s owning thread. Appends `tx` to the
+  /// outbox of every other shard whose stripe intersects the audible
+  /// circle [x - r, x + r].
   void route(std::size_t src, const RemoteTx& tx);
 
-  /// Consumer side; must be called from shard `dst`'s owning thread.
-  /// Appends everything queued for `dst` to `out` and sorts the whole
-  /// vector into the canonical (start, origin_shard, seq) merge order.
-  /// Returns the number of frames drained.
+  /// Drain phase, on shard `dst`'s owning thread. Moves every outbox
+  /// addressed to `dst` into `out`, leaves those outboxes empty, and
+  /// sorts the whole vector into the canonical (start, origin_shard,
+  /// seq) merge order. Returns the number of frames drained.
   std::size_t drain(std::size_t dst, std::vector<BoundaryTx>& out);
 
-  /// Frames ever routed out of / into `shard` (exact once quiescent).
-  [[nodiscard]] std::uint64_t routed_from(std::size_t shard) const;
-  [[nodiscard]] std::uint64_t drained_by(std::size_t shard) const;
+  /// Frame copies ever routed out of `shard`, one per destination.
+  [[nodiscard]] std::uint64_t routed_from(std::size_t shard) const {
+    return routed_[shard];
+  }
 
  private:
-  [[nodiscard]] SpscQueue<BoundaryTx>& queue(std::size_t src, std::size_t dst) {
-    return *queues_[src * shards_ + dst];
+  [[nodiscard]] std::vector<BoundaryTx>& outbox(std::size_t src, std::size_t dst) {
+    return outboxes_[src * shards_ + dst];
   }
 
   std::size_t shards_;
   double x0_m_;
   double stripe_m_;
-  std::vector<std::unique_ptr<SpscQueue<BoundaryTx>>> queues_;  // src-major matrix
-  std::vector<std::uint64_t> seq_;  // per-src counters, owner-thread private
+  std::vector<std::vector<BoundaryTx>> outboxes_;  // src-major matrix
+  std::vector<std::uint64_t> seq_;     // per-src frame counters
+  std::vector<std::uint64_t> routed_;  // per-src copies routed
 };
 
 /// Per-shard progress counters, exported through telemetry as

@@ -42,17 +42,6 @@ Station::Station(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position p
     pmk_ = crypto::wpa2_psk(config_.passphrase, config_.ssid);
   }
   timeline_.set_current(scheduler_.now(), config_.power.deep_sleep, kPhaseSleep);
-  if (config_.wur) {
-    // WUR companion: derive the 12-bit ID from the MAC's low bytes when
-    // unset and add the uW listen draw over the whole timeline.
-    if (config_.wur_id == 0) {
-      const auto& o = config_.mac.octets();
-      config_.wur_id =
-          static_cast<std::uint16_t>(((o[4] << 8) | o[5]) & phy::WurPhy::kMaxId);
-    }
-    tracker_.set_overlay(config_.wur->listen);
-    tracker_.set_phase(config_.power.deep_sleep, kPhaseSleep);
-  }
 }
 
 bool Station::radio_on() const {
@@ -73,10 +62,6 @@ bool Station::radio_on() const {
 }
 
 bool Station::rx_enabled() const {
-  if (config_.wur && phase_ == Phase::DeepSleep) {
-    // Only the uW companion receiver is listening.
-    return !medium_.transmitting(node_id_);
-  }
   return radio_on() && !medium_.transmitting(node_id_);
 }
 
@@ -503,26 +488,6 @@ void Station::close_ps_beacon_window() {
 // ---------------------------------------------------------------------------
 
 void Station::on_frame(const sim::RxFrame& frame) {
-  if (config_.wur && phase_ == Phase::DeepSleep) {
-    // Deep sleep with the companion receiver up: the only decodable
-    // waveform is a 6-byte OOK wake-up frame for this station.
-    auto wake = phy::decode_wakeup_frame(frame.mpdu.view());
-    if (!wake) return;
-    const bool addressed_here =
-        wake->group_addressed
-            ? (config_.wur_group_id != 0 && wake->address == config_.wur_group_id)
-            : wake->address == config_.wur_id;
-    if (!addressed_here) return;
-    if (last_wur_seq_ && *last_wur_seq_ == wake->seq) return;  // repeat
-    last_wur_seq_ = wake->seq;
-    ++stats_.wur_wakes;
-    if (wur_wake_) {
-      scheduler_.schedule_in(config_.wur->wake_latency, [this] {
-        if (phase_ == Phase::DeepSleep && wur_wake_) wur_wake_();
-      });
-    }
-    return;
-  }
   if (dot11::is_control_frame(frame.mpdu)) {
     if (auto ack = dot11::parse_ack(frame.mpdu); ack && ack->fcs_ok) {
       if (ack->receiver == config_.mac) {

@@ -29,7 +29,6 @@
 #include "net/dhcp.hpp"
 #include "net/llc.hpp"
 #include "net/udp.hpp"
-#include "phy/wur_phy.hpp"
 #include "power/devices.hpp"
 #include "power/radio_tracker.hpp"
 #include "power/timeline.hpp"
@@ -85,17 +84,6 @@ struct StationConfig {
   int step_retry_limit = 4;
 
   power::Esp32PowerProfile power{};
-
-  /// 802.11ba wake-up companion (optional): while in deep sleep the
-  /// station keeps a uW-class WUR receiver listening; an AP wake-up
-  /// frame matching `wur_id` (or `wur_group_id`) fires the wake handler
-  /// so the owner can run a duty-cycle transmission or PS send without
-  /// ever polling. The listen draw overlays the whole power timeline.
-  std::optional<power::WurReceiverModel> wur;
-  /// 12-bit WUR ID; 0 = derive from the MAC's low bytes.
-  std::uint16_t wur_id = 0;
-  /// Group membership for multicast wakes; 0 = no group.
-  std::uint16_t wur_group_id = 0;
 };
 
 /// Counters for the §3.1 frame-count claims (experiment E5).
@@ -119,8 +107,6 @@ struct StationStats {
   std::uint64_t beacons_missed = 0;
   /// Times link supervision (or a forced fault) declared the link dead.
   std::uint64_t link_losses = 0;
-  /// 802.11ba wake-up frames that matched this station's WUR ID/group.
-  std::uint64_t wur_wakes = 0;
 };
 
 /// Summary of one completed transmission cycle.
@@ -174,13 +160,6 @@ class Station : public sim::MediumClient {
   /// again from inside the handler.
   using LinkLostHandler = std::function<void()>;
   void set_link_lost_handler(LinkLostHandler handler) { link_lost_ = std::move(handler); }
-
-  /// Invoked (from deep sleep) when the 802.11ba companion receiver
-  /// decodes a wake-up frame addressed to this station. The handler
-  /// typically calls run_duty_cycle_transmission — the station is
-  /// guaranteed deep-sleeping when it fires. Requires config.wur.
-  using WurWakeHandler = std::function<void()>;
-  void set_wur_wake_handler(WurWakeHandler handler) { wur_wake_ = std::move(handler); }
 
   /// Injected fault: the radio/driver dies while associated. Tears down
   /// to deep sleep immediately (failing any in-flight PS send via its
@@ -322,9 +301,6 @@ class Station : public sim::MediumClient {
 
   DownlinkHandler downlink_;
   LinkLostHandler link_lost_;
-  WurWakeHandler wur_wake_;
-  /// Sequence dedupe for repeated (reliability) wake frames.
-  std::optional<std::uint8_t> last_wur_seq_;
   StationStats stats_;
 };
 

@@ -7,15 +7,12 @@
 // diagram (telemetry depends only on util; sim components and the
 // ScenarioBuilder instantiate the sampler with the real sim::Scheduler).
 //
-// Sampling records aggregates only by default (names not under
-// "node."): a fleet of 100k devices would otherwise serialize 100k rows
-// per tick. The per-node detail belongs to the final snapshot, which is
-// taken once.
+// Sampling records aggregates only (names not under "node."): a fleet
+// of 100k devices would otherwise serialize 100k rows per tick. The
+// per-node detail belongs to the final snapshot, which is taken once.
 #pragma once
 
-#include <functional>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
@@ -23,7 +20,7 @@
 
 namespace wile::telemetry {
 
-/// Default sample filter: keep aggregate metrics, skip per-node ones.
+/// The sample filter: keep aggregate metrics, skip per-node ones.
 inline bool aggregate_metrics_only(std::string_view name) {
   return name.substr(0, 5) != "node.";
 }
@@ -45,17 +42,14 @@ class PeriodicSampler {
 
   void stop() { running_ = false; }
 
-  void set_filter(std::function<bool(std::string_view)> keep) {
-    keep_ = std::move(keep);
-  }
-
   [[nodiscard]] const std::vector<Snapshot>& samples() const { return samples_; }
 
  private:
   void schedule_next() {
     scheduler_.schedule_in(period_, [this] {
       if (!running_) return;
-      samples_.push_back(registry_.snapshot_filtered(scheduler_.now(), keep_));
+      samples_.push_back(
+          registry_.snapshot_filtered(scheduler_.now(), aggregate_metrics_only));
       schedule_next();
     });
   }
@@ -64,7 +58,6 @@ class PeriodicSampler {
   const MetricsRegistry& registry_;
   Duration period_;
   bool running_ = false;
-  std::function<bool(std::string_view)> keep_ = aggregate_metrics_only;
   std::vector<Snapshot> samples_;
 };
 

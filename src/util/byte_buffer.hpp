@@ -75,16 +75,9 @@ class ByteWriter {
   void zeros(std::size_t n) { buf_.insert(buf_.end(), n, 0); }
 
   /// Overwrite previously written bytes (e.g. patching a length field).
-  void patch_u8(std::size_t offset, std::uint8_t v) {
-    buf_.at(offset) = v;
-  }
   void patch_u16be(std::size_t offset, std::uint16_t v) {
     buf_.at(offset) = static_cast<std::uint8_t>(v >> 8);
     buf_.at(offset + 1) = static_cast<std::uint8_t>(v & 0xff);
-  }
-  void patch_u16le(std::size_t offset, std::uint16_t v) {
-    buf_.at(offset) = static_cast<std::uint8_t>(v & 0xff);
-    buf_.at(offset + 1) = static_cast<std::uint8_t>(v >> 8);
   }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -172,9 +165,6 @@ class ByteReader {
   }
 
   void skip(std::size_t n) { need(n), pos_ += n; }
-
-  /// Borrow everything left without consuming it.
-  [[nodiscard]] BytesView peek_rest() const { return data_.subspan(pos_); }
 
   /// Borrow and consume everything left.
   BytesView rest() {

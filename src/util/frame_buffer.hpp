@@ -44,12 +44,6 @@ class FrameBuffer {
   FrameBuffer(Bytes bytes)  // NOLINT(google-explicit-constructor)
       : data_(bytes.empty() ? nullptr : allocate(bytes.data(), bytes.size())) {}
 
-  static FrameBuffer copy_of(BytesView view) {
-    FrameBuffer fb;
-    if (!view.empty()) fb.data_ = allocate(view.data(), view.size());
-    return fb;
-  }
-
   FrameBuffer(const FrameBuffer& other) : data_(other.data_) {
     // Relaxed: we hold a reference through `other` for the whole call,
     // so the count cannot reach zero concurrently.
@@ -84,11 +78,6 @@ class FrameBuffer {
     return data_ ? BytesView{data_->payload(), data_->size} : BytesView{};
   }
   operator BytesView() const { return view(); }  // NOLINT(google-explicit-constructor)
-
-  /// Materialise an owned copy (only where mutation is genuinely needed).
-  [[nodiscard]] Bytes to_bytes() const {
-    return data_ ? Bytes(begin(), end()) : Bytes{};
-  }
 
   /// How many FrameBuffers share these bytes (tests pin the zero-copy
   /// contract with this). A relaxed snapshot: exact when no other thread

@@ -48,7 +48,9 @@ std::optional<Bytes> from_hex(std::string_view text) {
 
 std::string hexdump(BytesView data) {
   std::string out;
-  char line[16];
+  // Widest line piece: a full-width offset (16 hex digits on a 64-bit
+  // size_t), two spaces and the terminator.
+  char line[2 * sizeof(std::size_t) + 3];
   for (std::size_t row = 0; row < data.size(); row += 16) {
     std::snprintf(line, sizeof(line), "%08zx  ", row);
     out += line;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "dot11/mgmt.hpp"
 
@@ -29,8 +28,6 @@ void Controller::queue_downlink(std::uint32_t device_id, Bytes data) {
 }
 
 void Controller::on_frame(const sim::RxFrame& frame) {
-  const auto t0 = dispatch_ns_ ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
   auto parsed = dot11::parse_mpdu(frame.mpdu);
   if (!parsed || !parsed->fcs_ok) return;
   if (!parsed->header.fc.is_mgmt(dot11::MgmtSubtype::Beacon)) return;
@@ -100,12 +97,6 @@ void Controller::on_frame(const sim::RxFrame& frame) {
       if (callback_) callback_(*message, meta);
     }
   }
-  if (dispatch_ns_) {
-    dispatch_ns_->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
 }
 
 ChannelReport Controller::make_report(const DeviceState& dev) const {
@@ -174,11 +165,6 @@ void Controller::publish_metrics(telemetry::MetricsRegistry& registry,
   registry.bind_counter(prefix + ".windows_seen", &stats_.windows_seen);
   registry.bind_counter(prefix + ".acks_sent", &stats_.acks_sent);
   registry.bind_counter(prefix + ".reports_sent", &stats_.reports_sent);
-}
-
-void Controller::publish_ingest_timing(telemetry::MetricsRegistry& registry,
-                                       const std::string& prefix) {
-  dispatch_ns_ = registry.histogram(prefix + ".dispatch_ns");
 }
 
 }  // namespace wile::core

@@ -66,20 +66,11 @@ class Controller : public sim::MediumClient {
 
   [[nodiscard]] const ControllerStats& stats() const { return stats_; }
   [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
-  [[nodiscard]] std::size_t devices_tracked() const { return devices_.devices(); }
 
   /// Bind controller counters into a telemetry registry under `prefix`
   /// (canonically "node.<id>.controller").
   void publish_metrics(telemetry::MetricsRegistry& registry,
                        const std::string& prefix) const;
-
-  /// Opt-in wall-clock dispatch timing: records nanoseconds spent in
-  /// on_frame into `<prefix>.dispatch_ns` (canonically
-  /// "ingest.dispatch_ns"). Separate from publish_metrics because
-  /// wall-clock values are nondeterministic — byte-identical telemetry
-  /// exports stay byte-identical unless a scenario asks for timing.
-  void publish_ingest_timing(telemetry::MetricsRegistry& registry,
-                             const std::string& prefix);
 
   // --- sim::MediumClient -----------------------------------------------------
   void on_frame(const sim::RxFrame& frame) override;
@@ -107,7 +98,6 @@ class Controller : public sim::MediumClient {
   IngestTable devices_;
   std::uint16_t seq_ctl_ = 0;
   ControllerStats stats_;
-  telemetry::Histogram* dispatch_ns_ = nullptr;  // opt-in, see above
 };
 
 }  // namespace wile::core

@@ -105,9 +105,6 @@ Gateway::Gateway(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position p
   monitor_ = std::make_unique<Receiver>(scheduler, medium, position, config_.monitor);
   station_ = std::make_unique<sta::Station>(scheduler, medium, position, config_.station,
                                             rng_.fork());
-  if (!config_.rules.empty()) {
-    rules_ = std::make_unique<rules::Engine>(config_.rules);
-  }
   monitor_->set_message_callback(
       [this](const Message& message, const RxMeta& meta) { enqueue(message, meta); });
   station_->set_link_lost_handler([this] { on_uplink_lost(); });
@@ -209,7 +206,6 @@ void Gateway::drop_reading(std::uint64_t& reason_counter) {
 
 void Gateway::enqueue(const Message& message, const RxMeta& meta) {
   ++stats_.received;
-  if (rules_) rules_->on_message(message, meta.rssi_dbm, meta.received_at);
   ForwardedReading reading;
   reading.device_id = message.device_id;
   reading.sequence = message.sequence;
@@ -304,7 +300,6 @@ void Gateway::publish_metrics(telemetry::MetricsRegistry& registry,
     return static_cast<std::uint64_t>(queue_.size());
   });
   batch_fill_ = registry.histogram(prefix + ".batch_fill");
-  if (rules_) rules_->publish_metrics(registry, prefix + ".rules");
   monitor_->publish_metrics(registry, prefix + ".monitor");
   station_->publish_metrics(registry, prefix + ".station");
 }

@@ -32,7 +32,6 @@
 #include "sta/station.hpp"
 #include "telemetry/trace.hpp"
 #include "wile/receiver.hpp"
-#include "wile/rules/engine.hpp"
 
 namespace wile::core {
 
@@ -104,8 +103,6 @@ struct GatewayConfig {
   /// still lands every reassociation in the same ~200 ms; this spreads
   /// the first wave across the whole window. 0 disables.
   Duration reconnect_desync_spread = seconds(1);
-  /// Rules evaluated over every decoded reading (empty = no engine).
-  std::vector<rules::RuleSpec> rules;
 };
 
 struct GatewayStats {
@@ -164,10 +161,6 @@ class Gateway {
   /// destroys — chaos-soak oracles can bound loss from the trace.
   void set_tracer(telemetry::Tracer* tracer) { tracer_ = tracer; }
 
-  /// The rules engine, or nullptr when GatewayConfig::rules was empty.
-  [[nodiscard]] rules::Engine* rules() { return rules_.get(); }
-  [[nodiscard]] const rules::Engine* rules() const { return rules_.get(); }
-
   /// Next reconnect delay (capped exponential backoff x jitter, plus
   /// the one-shot desync spread after a loss). Public so tests can pin
   /// the distribution; consumes this gateway's jitter RNG.
@@ -194,7 +187,6 @@ class Gateway {
   Rng rng_;  // backoff jitter
   std::unique_ptr<Receiver> monitor_;
   std::unique_ptr<sta::Station> station_;
-  std::unique_ptr<rules::Engine> rules_;
   std::deque<QueuedReading> queue_;
   /// Readings riding the current send cycle (front of queue_ at pump
   /// time, in order). Capacity is reused across cycles.

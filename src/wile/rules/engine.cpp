@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "wile/rules/extractors.hpp"
-
 namespace wile::rules {
 
 std::string_view node_kind_name(NodeKind k) {
@@ -17,8 +15,7 @@ std::string_view node_kind_name(NodeKind k) {
   return "node";
 }
 
-Engine::Engine(std::vector<RuleSpec> specs)
-    : extract_(ExtractorRegistry::global().get(ExtractorRegistry::kDefault)) {
+Engine::Engine(std::vector<RuleSpec> specs) {
   rules_.reserve(specs.size());
   for (RuleSpec& spec : specs) {
     Rule rule;
@@ -33,10 +30,6 @@ Engine::Engine(std::vector<RuleSpec> specs)
     if (rule.spec.cooldown.count() > 0) rule.cooldown_node = add_node(NodeKind::Cooldown);
     rules_.push_back(std::move(rule));
   }
-}
-
-void Engine::set_value_extractor(std::string_view name) {
-  extract_ = ExtractorRegistry::global().get(name);
 }
 
 bool Engine::compare(double lhs, Cmp cmp, double rhs) {
@@ -57,7 +50,12 @@ void Engine::on_message(const core::Message& message, double rssi_dbm, TimePoint
   reading.sequence = message.sequence;
   reading.type = message.type;
   reading.rssi_dbm = rssi_dbm;
-  reading.value = extract_ ? extract_(message) : std::nullopt;
+  if (message.data.size() >= 2) {
+    reading.value = static_cast<double>(
+        message.data[0] | (static_cast<std::uint32_t>(message.data[1]) << 8));
+  } else if (message.data.size() == 1) {
+    reading.value = static_cast<double>(message.data[0]);
+  }
   reading.at = at;
   on_reading(reading);
 }
@@ -185,10 +183,7 @@ void Engine::emit(Rule& rule, std::uint32_t device_id, TimePoint at, double obse
                   bool stale) {
   ++rule.fired;
   ++fired_total_;
-  Fire fire{rule.spec.name, device_id, at, observed, stale};
-  if (fires_.size() >= kMaxRetainedFires) fires_.pop_front();
-  fires_.push_back(fire);
-  if (on_fire_) on_fire_(fire);
+  if (on_fire_) on_fire_(Fire{rule.spec.name, device_id, at, observed, stale});
 }
 
 std::uint64_t Engine::fired(std::string_view rule) const {

@@ -37,8 +37,8 @@
 namespace wile::rules {
 
 /// Which field of a reading a condition looks at. Value is the decoded
-/// sensor scalar (see Engine::set_value_extractor); readings without a
-/// value fail Value conditions.
+/// sensor scalar (see Engine::on_message); readings without a value fail
+/// Value conditions.
 enum class Field : std::uint8_t { Value, RssiDbm, DeviceId, Sequence };
 enum class Cmp : std::uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
 enum class AggOp : std::uint8_t { Count, Sum, Mean, Min, Max };
@@ -102,26 +102,15 @@ struct NodeCounters {
 
 class Engine {
  public:
-  /// Fires retained for inspection before old ones are discarded.
-  static constexpr std::size_t kMaxRetainedFires = 1024;
-
   explicit Engine(std::vector<RuleSpec> specs);
 
   using FireCallback = std::function<void(const Fire&)>;
   void set_fire_callback(FireCallback cb) { on_fire_ = std::move(cb); }
 
-  /// How to turn a message payload into the scalar Value conditions and
-  /// aggregates read. The default is ExtractorRegistry::kDefault
-  /// ("u16le"): little-endian unsigned from the first bytes — u16le when
-  /// the payload has >= 2 bytes, the single byte when it has 1, nothing
-  /// when empty (the historical hard-coded decode, unchanged).
-  using ValueExtractor = std::function<std::optional<double>(const core::Message&)>;
-  void set_value_extractor(ValueExtractor fn) { extract_ = std::move(fn); }
-  /// Named form: resolve through ExtractorRegistry::global(). Throws
-  /// std::out_of_range on unknown names.
-  void set_value_extractor(std::string_view name);
-
-  /// Feed one decoded gateway message (convenience over on_reading).
+  /// Feed one decoded gateway message (convenience over on_reading). Its
+  /// Value is the payload read as little-endian unsigned: u16le when the
+  /// payload has >= 2 bytes, the single byte when it has 1, none when it
+  /// is empty.
   void on_message(const core::Message& message, double rssi_dbm, TimePoint at);
   void on_reading(const Reading& reading);
 
@@ -132,9 +121,6 @@ class Engine {
   [[nodiscard]] std::uint64_t fired_total() const { return fired_total_; }
   [[nodiscard]] std::uint64_t fired(std::string_view rule) const;
   [[nodiscard]] const std::vector<NodeCounters>& nodes(std::string_view rule) const;
-  /// Most recent fires, oldest first (bounded by kMaxRetainedFires).
-  [[nodiscard]] const std::deque<Fire>& recent_fires() const { return fires_; }
-  [[nodiscard]] std::size_t rule_count() const { return rules_.size(); }
 
   /// Bind `<prefix>.fired` plus per-rule and per-node counters
   /// (canonically prefix = "rules").
@@ -172,9 +158,7 @@ class Engine {
   [[nodiscard]] static bool compare(double lhs, Cmp cmp, double rhs);
 
   std::vector<Rule> rules_;
-  ValueExtractor extract_;
   FireCallback on_fire_;
-  std::deque<Fire> fires_;
   std::uint64_t fired_total_ = 0;
 };
 

@@ -42,6 +42,17 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() const {
         "ScenarioBuilder: unicast WUR round-robin supports at most 4095 "
         "devices (12-bit ID space); use a group_id for larger fleets");
   }
+  if (mode_ != TxMode::Wur && period_.count() <= 0) {
+    // A zero period re-arms every wake timer at the same instant forever
+    // (Wi-LE) or overlaps advertising events on one radio (BLE). WUR
+    // fleets run on the AP's cadence, which rejects zero itself.
+    throw std::invalid_argument("ScenarioBuilder: duty_cycle must be > 0");
+  }
+  if (mode_ == TxMode::WiLeBeacon && wake_jitter_ >= period_) {
+    // The jitter could then schedule a wake at or before the current one.
+    throw std::invalid_argument(
+        "ScenarioBuilder: wake_jitter must be shorter than duty_cycle");
+  }
   if (mode_ == TxMode::Ble && !rules_.empty()) {
     // BleScanners accept advertising PDUs, not Wi-LE messages: nothing
     // would ever feed the engine, yet its staleness poll would still run.
@@ -124,7 +135,6 @@ Scenario::Scenario(const ScenarioBuilder& b)
   tracer_.set_enabled(b.trace_);
   if (!b.rules_.empty()) {
     rules_engine_ = std::make_unique<rules::Engine>(b.rules_);
-    if (b.rules_extractor_) rules_engine_->set_value_extractor(*b.rules_extractor_);
     if (b.rules_poll_period_) schedule_rules_poll(*b.rules_poll_period_);
   }
 

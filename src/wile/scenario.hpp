@@ -271,8 +271,11 @@ class ScenarioBuilder {
   ScenarioBuilder& gateway_every(int n) { gateway_every_ = n; return *this; }
   /// Explicit gateway count (overrides gateway_every).
   ScenarioBuilder& gateways(int n) { n_gateways_ = n; return *this; }
-  /// Duty-cycle period for every device.
+  /// Duty-cycle period for every device. build() rejects a period <= 0
+  /// in the Wi-LE and BLE modes.
   ScenarioBuilder& duty_cycle(Duration period) { period_ = period; return *this; }
+  /// Uniform per-wake jitter (± this amount) of every Wi-LE sender.
+  /// build() rejects a jitter >= duty_cycle() in the Wi-LE mode.
   ScenarioBuilder& wake_jitter(Duration j) { wake_jitter_ = j; return *this; }
   /// Master RNG seed; each device gets master.fork() in construction
   /// order (the scale_fleet discipline).
@@ -400,13 +403,6 @@ class ScenarioBuilder {
     rules_poll_period_ = period;
     return *this;
   }
-  /// Named payload decoder for the rules engine, resolved through
-  /// ExtractorRegistry::global() at build time (see
-  /// wile/rules/extractors.hpp). Default: the registry's "u16le".
-  ScenarioBuilder& rules_extractor(std::string name) {
-    rules_extractor_ = std::move(name);
-    return *this;
-  }
 
   // --- telemetry knobs -------------------------------------------------------
   /// Master switch. Disabled = no metrics are registered at all: zero
@@ -469,7 +465,6 @@ class ScenarioBuilder {
   std::function<void(int, const core::SendReport&)> on_send_report_;
   std::vector<rules::RuleSpec> rules_;
   std::optional<Duration> rules_poll_period_;
-  std::optional<std::string> rules_extractor_;
   bool telemetry_ = true;
   bool per_node_ = true;
   bool trace_ = false;

@@ -107,6 +107,14 @@ void Sender::send_now(Bytes data, SendCallback done) {
 
 void Sender::start_duty_cycle(PayloadProvider provider, SendCallback per_cycle) {
   if (!provider) throw std::invalid_argument("wile::Sender: null payload provider");
+  // A period the jitter can drive to zero or below would re-arm the wake
+  // timer at (or before) the current instant.
+  if (config_.period.count() <= 0) {
+    throw std::invalid_argument("wile::Sender: duty-cycle period must be > 0");
+  }
+  if (config_.wake_jitter >= config_.period) {
+    throw std::invalid_argument("wile::Sender: wake_jitter must be shorter than period");
+  }
   duty_cycling_ = true;
   provider_ = std::move(provider);
   per_cycle_ = std::move(per_cycle);

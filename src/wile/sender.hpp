@@ -257,6 +257,8 @@ class Sender : public sim::MediumClient {
 
   /// Periodic operation: every (jittered) period, wake and transmit
   /// whatever `provider` returns. `per_cycle` fires after each cycle.
+  /// Throws std::invalid_argument unless 0 < config.period and
+  /// config.wake_jitter < config.period.
   void start_duty_cycle(PayloadProvider provider, SendCallback per_cycle = {});
   void stop_duty_cycle();
 

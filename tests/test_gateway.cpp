@@ -95,7 +95,7 @@ TEST_F(GatewayTest, QueuesBurstsAndDrainsInOrder) {
     cfg.device_id = 0x600 + i;
     sensors.push_back(std::make_unique<Sender>(scheduler_, medium_,
                                                sim::Position{5.0 + i, 0}, cfg,
-                                               Rng{40 + i}));
+                                               Rng{static_cast<std::uint64_t>(40 + i)}));
   }
   for (int i = 0; i < 3; ++i) {
     scheduler_.schedule_in(msec(i * 5), [&, i] {

@@ -1,13 +1,13 @@
 // Sharded parallel engine: partition edge cases, cross-shard frame
-// exchange, and the lock-free plumbing under genuine thread contention.
+// exchange, and the atomic refcount under genuine thread contention.
 //
 // The determinism story (threads={1,2,4} bit-exact at a fixed shard
 // count) lives in test_determinism.cpp; this file covers the pieces it
 // stands on — stripe assignment at exact boundaries, audible circles
 // spanning 3+ stripes, degenerate shard layouts with empty stripes,
 // phantom (remote) transmissions delivering without perturbing local
-// bookkeeping, and the SPSC queue / atomic FrameBuffer refcount under
-// real concurrent producers and consumers.
+// bookkeeping, the outbox handoff between windows, and the atomic
+// FrameBuffer refcount under real concurrent copies.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@
 
 #include "sim/medium.hpp"
 #include "sim/parallel.hpp"
-#include "sim/spsc_queue.hpp"
 #include "util/frame_buffer.hpp"
 #include "wile/scenario.hpp"
 
@@ -106,6 +105,81 @@ TEST(ShardRouter, DrainMergesIntoCanonicalOrder) {
   EXPECT_EQ(inbox[1].origin_shard, 2u);
   EXPECT_EQ(inbox[2].tx.start.us(), 700);
   EXPECT_EQ(inbox[3].tx.start.us(), 900);
+}
+
+TEST(ShardRouter, EachRoutedFrameIsDrainedOnceAndReleased) {
+  const std::uint64_t live_before = FrameBuffer::live_buffers();
+  ShardRouter router{4, 0.0, 40.0};  // stripe width 10 m
+  // Origin A sits in stripe 0 and reaches stripes 1 and 2; origin B sits
+  // in stripe 2 and reaches stripes 1 and 3. Stripe 1 hears both.
+  auto from_a = [](std::int64_t start_us, std::uint8_t tag) {
+    RemoteTx tx;
+    tx.origin = Position{8.0, 0.0};
+    tx.audible_range_m = 14.0;  // [-6, 22]
+    tx.start = TimePoint{usec(start_us)};
+    tx.mpdu = FrameBuffer{Bytes{tag}};
+    return tx;
+  };
+  auto from_b = [](std::int64_t start_us, std::uint8_t tag) {
+    RemoteTx tx;
+    tx.origin = Position{25.0, 0.0};
+    tx.audible_range_m = 9.0;  // [16, 34]
+    tx.start = TimePoint{usec(start_us)};
+    tx.mpdu = FrameBuffer{Bytes{tag}};
+    return tx;
+  };
+  std::vector<BoundaryTx> inboxes[4];
+  auto drain_all = [&] {
+    for (std::size_t dst = 0; dst < 4; ++dst) {
+      inboxes[dst].clear();
+      router.drain(dst, inboxes[dst]);
+    }
+  };
+  auto tags = [&inboxes](std::size_t dst) {
+    std::vector<int> out;
+    for (const BoundaryTx& b : inboxes[dst]) out.push_back(b.tx.mpdu[0]);
+    return out;
+  };
+  using Tags = std::vector<int>;
+
+  router.route(0, from_a(500, 1));
+  router.route(2, from_b(200, 2));
+  router.route(0, from_a(200, 3));
+  drain_all();
+  // Each destination holds each frame that reached it exactly once, in
+  // canonical (start, origin_shard, seq) order: the start tie at 200 us
+  // goes to the lower origin.
+  EXPECT_EQ(tags(0), Tags{});
+  EXPECT_EQ(tags(1), (Tags{3, 2, 1}));
+  EXPECT_EQ(tags(2), (Tags{3, 1}));
+  EXPECT_EQ(tags(3), Tags{2});
+  EXPECT_EQ(router.routed_from(0), 4u);  // two frames x stripes {1, 2}
+  EXPECT_EQ(router.routed_from(1), 0u);
+  EXPECT_EQ(router.routed_from(2), 2u);  // one frame x stripes {1, 3}
+  EXPECT_EQ(router.routed_from(3), 0u);
+
+  // A second drain finds every outbox empty.
+  drain_all();
+  for (std::size_t dst = 0; dst < 4; ++dst) EXPECT_EQ(tags(dst), Tags{}) << dst;
+
+  // The next window's traffic arrives alone, in canonical order: the
+  // start tie at 900 us goes to the lower origin, then the lower seq.
+  router.route(2, from_b(900, 4));
+  router.route(0, from_a(900, 5));
+  router.route(2, from_b(800, 6));
+  router.route(0, from_a(900, 7));
+  drain_all();
+  EXPECT_EQ(tags(0), Tags{});
+  EXPECT_EQ(tags(1), (Tags{6, 5, 7, 4}));
+  EXPECT_EQ(tags(2), (Tags{5, 7}));
+  EXPECT_EQ(tags(3), (Tags{6, 4}));
+  EXPECT_EQ(router.routed_from(0), 8u);
+  EXPECT_EQ(router.routed_from(2), 6u);
+
+  // Only the inboxes still hold payloads; no outbox keeps one alive.
+  EXPECT_EQ(FrameBuffer::live_buffers(), live_before + 4);
+  for (auto& inbox : inboxes) inbox.clear();
+  EXPECT_EQ(FrameBuffer::live_buffers(), live_before);
 }
 
 // --- boundary hook + phantom injection --------------------------------------
@@ -307,31 +381,7 @@ TEST(ParallelScenario, DegenerateChannelIsRejectedOnEveryEngine) {
                std::invalid_argument);
 }
 
-// --- lock-free plumbing under contention ------------------------------------
-
-TEST(SpscQueue, OrderedDeliveryAcrossOverflowSegments) {
-  SpscQueue<std::uint64_t> queue{64};  // tiny segments force overflow
-  constexpr std::uint64_t kCount = 200'000;
-
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i) queue.push(i);
-  });
-  std::uint64_t expected = 0;
-  std::uint64_t out = 0;
-  while (expected < kCount) {
-    if (queue.try_pop(out)) {
-      ASSERT_EQ(out, expected);  // FIFO survives segment hops
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_FALSE(queue.try_pop(out));
-  EXPECT_EQ(queue.pushed(), kCount);
-  EXPECT_EQ(queue.popped(), kCount);
-  EXPECT_GT(queue.overflow_segments(), 0u);
-}
+// --- atomic refcount under contention ---------------------------------------
 
 TEST(FrameBuffer, RefcountSurvivesThreadedCopyChurn) {
   const std::uint64_t live_before = FrameBuffer::live_buffers();

@@ -23,7 +23,9 @@ TEST(Rates, TableIsComplete) {
   EXPECT_EQ(all_rates().size(), 21u);
   for (const RateInfo& info : all_rates()) {
     EXPECT_GT(info.bits_per_us, 0.0);
-    if (info.modulation != Modulation::Dsss) EXPECT_GT(info.n_dbps, 0);
+    if (info.modulation != Modulation::Dsss) {
+      EXPECT_GT(info.n_dbps, 0);
+    }
   }
 }
 

@@ -21,8 +21,10 @@
 //    an explicit .mode(TxMode::WiLeBeacon) is bit-identical to the
 //    historical default path, .mode(TxMode::Ble) is bit-identical to
 //    hand-wiring the BLE fleet, a .wur() fleet delivers samples via AP
-//    group wakes with the wake ledger consistent end to end, and a zero
-//    wake cadence is rejected in both WUR variants.
+//    group wakes with the wake ledger consistent end to end, a zero
+//    wake cadence is rejected in both WUR variants, and a duty cycle
+//    that cannot advance time (zero period, or jitter >= period) is
+//    rejected by build() and Sender::start_duty_cycle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -448,6 +450,62 @@ TEST(TxModePreset, WurFleetRejectsAZeroCadence) {
                    .wur(group)
                    .build(),
                std::invalid_argument);
+}
+
+TEST(TxModePreset, WiLeFleetRejectsADutyCycleThatCannotAdvance) {
+  // A zero period re-arms every wake timer at the same instant forever;
+  // a jitter as long as the period can schedule a wake in the past.
+  // build() refuses both instead of hanging or throwing mid-run.
+  EXPECT_THROW(sim::ScenarioBuilder{}
+                   .devices(4)
+                   .duty_cycle(Duration{0})
+                   .wake_jitter(Duration{0})
+                   .build(),
+               std::invalid_argument);
+  EXPECT_THROW(
+      sim::ScenarioBuilder{}.devices(4).duty_cycle(seconds(1)).wake_jitter(seconds(2)).build(),
+      std::invalid_argument);
+  EXPECT_THROW(
+      sim::ScenarioBuilder{}.devices(4).duty_cycle(seconds(1)).wake_jitter(seconds(1)).build(),
+      std::invalid_argument);
+  // The longest jitter that still advances time is accepted.
+  EXPECT_NO_THROW(sim::ScenarioBuilder{}
+                      .devices(4)
+                      .duty_cycle(seconds(1))
+                      .wake_jitter(seconds(1) - usec(1))
+                      .build());
+}
+
+TEST(TxModePreset, BleFleetRejectsAZeroDutyCycle) {
+  // Zero-interval advertising events would overlap on one radio.
+  EXPECT_THROW(
+      sim::ScenarioBuilder{}.mode(TxMode::Ble).devices(4).duty_cycle(Duration{0}).build(),
+      std::invalid_argument);
+}
+
+TEST(SenderDutyCycle, RejectsAPeriodThatCannotAdvance) {
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{0xD07}};
+  const auto provider = [] { return Bytes{0x01}; };
+
+  SenderConfig zero;
+  zero.period = Duration{0};
+  Sender stuck{scheduler, medium, sim::Position{0, 0}, zero, Rng{1}};
+  SenderConfig jittery;
+  jittery.period = seconds(1);
+  jittery.wake_jitter = seconds(2);
+  Sender backwards{scheduler, medium, sim::Position{1, 0}, jittery, Rng{2}};
+
+  const std::size_t pending = scheduler.pending_events();
+  EXPECT_THROW(stuck.start_duty_cycle(provider), std::invalid_argument);
+  EXPECT_THROW(backwards.start_duty_cycle(provider), std::invalid_argument);
+  EXPECT_EQ(scheduler.pending_events(), pending);  // no wake timer armed
+
+  SenderConfig ok;
+  ok.period = seconds(1);
+  ok.wake_jitter = seconds(1) - usec(1);
+  Sender fine{scheduler, medium, sim::Position{2, 0}, ok, Rng{3}};
+  EXPECT_NO_THROW(fine.start_duty_cycle(provider));
 }
 
 TEST(TxModePreset, WurFleetDeliversViaGroupWakes) {
