@@ -26,6 +26,7 @@
 #include "wile/codec.hpp"
 #include "wile/ingest.hpp"
 #include "wile/rules/engine.hpp"
+#include "wile/sender.hpp"
 
 using namespace wile;
 
@@ -76,6 +77,33 @@ void BM_WileEncodeEncrypted(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_WileEncodeEncrypted)->Arg(16)->Arg(227);
+
+void BM_WileDutyCycle(benchmark::State& state) {
+  // One sender's steady-state cycle: wake, Codec::write_element into the
+  // reused beacon train, CSMA, one transmission on the medium, sleep.
+  // Nothing listens, so this is the sender's transmit path alone. The
+  // argument is the payload size (16 B = one beacon, 600 B = three).
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{23}};
+  core::SenderConfig cfg;
+  cfg.period = seconds(1);
+  cfg.timeline_max_segments = 16;
+  core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{24}};
+  const auto payload_bytes = static_cast<std::size_t>(state.range(0));
+  sender.start_duty_cycle([payload_bytes] { return Bytes(payload_bytes, 0x5a); });
+  TimePoint t{msec(500)};
+  for (int warm = 0; warm < 60; ++warm) {
+    t = t + seconds(1);
+    scheduler.run_until(t);
+  }
+  for (auto _ : state) {
+    t = t + seconds(1);
+    scheduler.run_until(t);
+  }
+  if (medium.stats().transmissions == 0) state.SkipWithError("sender transmitted nothing");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WileDutyCycle)->Arg(16)->Arg(600);
 
 void BM_BeaconAssembleParse(benchmark::State& state) {
   dot11::Beacon beacon;

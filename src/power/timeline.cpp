@@ -19,6 +19,11 @@ void PowerTimeline::set_current(TimePoint t, Amps current, std::string_view phas
       return;
     }
   }
+  if (max_segments_ > 0 && segments_.size() == segments_.capacity()) {
+    // Bounded: the history never holds more than max_segments_ + 1
+    // segments (the fold below runs at that size), so grow no further.
+    segments_.reserve(std::min(2 * segments_.capacity(), max_segments_ + 1));
+  }
   segments_.push_back(Segment{t, current, std::string(phase)});
   if (max_segments_ > 0 && segments_.size() > max_segments_) fold_history();
 }

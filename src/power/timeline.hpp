@@ -42,7 +42,8 @@ class PowerTimeline {
   /// inside the discarded span cannot be answered segment-accurately
   /// any more; fleet-scale simulations that only need per-cycle and
   /// lifetime totals set this to a small multiple of the segments one
-  /// duty cycle produces (see bench/scale_fleet).
+  /// duty cycle produces (see bench/scale_fleet). The history's capacity
+  /// then grows on demand to max_segments + 1 and no further.
   void set_max_segments(std::size_t max_segments) { max_segments_ = max_segments; }
 
   /// Time before which segment history has been folded away.

@@ -1,5 +1,6 @@
 #include "sim/csma.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "dot11/frame.hpp"
@@ -11,40 +12,62 @@ using phy::MacTiming;
 Csma::Csma(Scheduler& scheduler, Medium& medium, NodeId self, Rng rng, Config config)
     : scheduler_(scheduler), medium_(medium), self_(self), rng_(rng), config_(config) {}
 
-void Csma::send(Bytes mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done,
+void Csma::send(BytesView mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done,
                 std::optional<RtsAddresses> rts) {
-  Pending p;
-  p.mpdu = std::move(mpdu);
-  p.rate = rate;
-  p.expect_ack = expect_ack;
-  p.done = std::move(done);
-  p.rts = rts;
-  p.cw = config_.cw_min;
-  queue_.push_back(std::move(p));
+  Slot& s = enqueue(mpdu, std::move(done));
+  s.rate = rate;
+  s.expect_ack = expect_ack;
+  s.rts = rts;
+  s.raw_airtime.reset();
   if (!busy_) start_next();
 }
 
-void Csma::send_raw(Bytes mpdu, Duration airtime, DoneCallback done) {
-  Pending p;
-  p.mpdu = std::move(mpdu);
-  p.expect_ack = false;
-  p.done = std::move(done);
-  p.raw_airtime = airtime;
-  p.cw = config_.cw_min;
-  queue_.push_back(std::move(p));
+void Csma::send_raw(BytesView mpdu, Duration airtime, DoneCallback done) {
+  Slot& s = enqueue(mpdu, std::move(done));
+  s.rate = {};
+  s.expect_ack = false;
+  s.rts.reset();
+  s.raw_airtime = airtime;
   if (!busy_) start_next();
+}
+
+Csma::Slot& Csma::enqueue(BytesView mpdu, DoneCallback done) {
+  if (queued_ == ring_.size()) {
+    // Full: unroll into a ring twice the size, oldest first.
+    std::vector<Slot> bigger(std::max<std::size_t>(1, 2 * ring_.size()));
+    for (std::size_t i = 0; i < queued_; ++i) {
+      bigger[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+    }
+    ring_ = std::move(bigger);
+    head_ = 0;
+  }
+  Slot& s = ring_[(head_ + queued_) % ring_.size()];
+  ++queued_;
+  s.mpdu.assign(mpdu.begin(), mpdu.end());
+  s.done = std::move(done);
+  s.transmissions = 0;
+  s.cw = config_.cw_min;
+  return s;
+}
+
+void Csma::drop_queued() {
+  // The head send keeps going while it is in flight; every other slot
+  // is freed, its callback destroyed uninvoked.
+  const std::size_t keep = busy_ ? 1 : 0;
+  for (std::size_t i = keep; i < queued_; ++i) {
+    ring_[(head_ + i) % ring_.size()].done.reset();
+  }
+  queued_ = keep;
 }
 
 void Csma::start_next() {
-  if (queue_.empty()) return;
+  if (queued_ == 0) return;
   busy_ = true;
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
   begin_access();
 }
 
 void Csma::begin_access() {
-  ++current_->transmissions;
+  ++current().transmissions;
   sense_difs(Duration{0});
 }
 
@@ -68,7 +91,7 @@ void Csma::sense_difs(Duration observed_idle) {
     return;
   }
   if (observed_idle >= MacTiming::kDifs) {
-    const int slots = static_cast<int>(rng_.below(static_cast<std::uint64_t>(current_->cw) + 1));
+    const int slots = static_cast<int>(rng_.below(static_cast<std::uint64_t>(current().cw) + 1));
     backoff_slot(slots);
     return;
   }
@@ -107,7 +130,7 @@ void Csma::resume_after_busy(int remaining_slots) {
 }
 
 void Csma::transmit_now() {
-  if (current_->rts && current_->mpdu.size() >= config_.rts_threshold) {
+  if (current().rts && current().mpdu.size() >= config_.rts_threshold) {
     transmit_rts();
   } else {
     transmit_data();
@@ -115,15 +138,15 @@ void Csma::transmit_now() {
 }
 
 void Csma::transmit_rts() {
+  const Slot& cur = current();
   const Duration cts_time = phy::ack_airtime(config_.band);  // same 14-byte format
-  const Duration data_time =
-      phy::frame_airtime(current_->mpdu.size(), current_->rate, config_.band);
+  const Duration data_time = phy::frame_airtime(cur.mpdu.size(), cur.rate, config_.band);
   Duration reserved = MacTiming::kSifs + cts_time + MacTiming::kSifs + data_time;
-  if (current_->expect_ack) {
+  if (cur.expect_ack) {
     reserved = reserved + MacTiming::kSifs + phy::ack_airtime(config_.band);
   }
   TxRequest req;
-  req.mpdu = dot11::build_rts(current_->rts->receiver, current_->rts->transmitter,
+  req.mpdu = dot11::build_rts(cur.rts->receiver, cur.rts->transmitter,
                               static_cast<std::uint16_t>(reserved.count()));
   req.airtime = phy::frame_airtime(req.mpdu.size(), phy::kControlResponseRate, config_.band);
   req.tx_power_dbm = config_.tx_power_dbm;
@@ -147,7 +170,7 @@ void Csma::notify_cts() {
   }
   // Data follows the CTS after SIFS, no re-contention.
   scheduler_.schedule_in(MacTiming::kSifs, [this] {
-    if (current_) transmit_data();
+    if (busy_) transmit_data();
   });
 }
 
@@ -159,31 +182,33 @@ void Csma::on_cts_timeout() {
 }
 
 void Csma::transmit_data() {
+  const Slot& cur = current();
   TxRequest req;
-  // Fill the Duration/ID field just before transmission: unicast frames
-  // reserve the channel through their ACK (SIFS + ACK airtime).
-  if (current_->expect_ack) {
+  // The frame's one FrameBuffer, made as it goes on the air. Fill the
+  // Duration/ID field just before transmission: unicast frames reserve
+  // the channel through their ACK (SIFS + ACK airtime).
+  if (cur.expect_ack) {
     const auto nav = static_cast<std::uint16_t>(
         (MacTiming::kSifs + phy::ack_airtime(config_.band)).count());
-    req.mpdu = dot11::with_duration(current_->mpdu, nav);
+    req.mpdu = dot11::with_duration(cur.mpdu, nav);
   } else {
-    req.mpdu = current_->mpdu;
+    req.mpdu = FrameBuffer{cur.mpdu};
   }
-  if (current_->raw_airtime) {
-    req.airtime = *current_->raw_airtime;
+  if (cur.raw_airtime) {
+    req.airtime = *cur.raw_airtime;
     req.rate = std::nullopt;
   } else {
-    req.airtime = phy::frame_airtime(current_->mpdu.size(), current_->rate, config_.band);
-    req.rate = current_->rate;
+    req.airtime = phy::frame_airtime(cur.mpdu.size(), cur.rate, config_.band);
+    req.rate = cur.rate;
   }
   req.tx_power_dbm = config_.tx_power_dbm;
   req.on_complete = [this] { on_tx_complete(); };
-  if (tx_listener_) tx_listener_(req.airtime, current_->rate);
+  if (tx_listener_) tx_listener_(req.airtime, cur.rate);
   medium_.transmit(self_, std::move(req));
 }
 
 void Csma::on_tx_complete() {
-  if (!current_->expect_ack) {
+  if (!current().expect_ack) {
     finish(true);
     return;
   }
@@ -212,11 +237,12 @@ void Csma::on_ack_timeout() {
 }
 
 void Csma::retry_or_fail() {
-  if (current_->transmissions > config_.retry_limit) {
+  Slot& cur = current();
+  if (cur.transmissions > config_.retry_limit) {
     finish(false);
     return;
   }
-  current_->cw = std::min(current_->cw * 2 + 1, config_.cw_max);
+  cur.cw = std::min(cur.cw * 2 + 1, config_.cw_max);
   begin_access();
 }
 
@@ -228,13 +254,15 @@ void Csma::finish(bool success) {
   }
   Result result;
   result.success = success;
-  result.transmissions = current_->transmissions;
-  DoneCallback done = std::move(current_->done);
-  current_.reset();
+  result.transmissions = current().transmissions;
+  DoneCallback done = std::move(current().done);
+  // Free the slot before the callback, which may queue the next send.
+  head_ = (head_ + 1) % ring_.size();
+  --queued_;
   busy_ = false;
   if (done) done(result);
   // The callback may have queued more work.
-  if (!busy_ && !queue_.empty()) start_next();
+  if (!busy_ && queued_ > 0) start_next();
 }
 
 }  // namespace wile::sim

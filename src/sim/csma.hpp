@@ -9,13 +9,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "phy/airtime.hpp"
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
+#include "util/inline_function.hpp"
 #include "util/mac_address.hpp"
 #include "util/rng.hpp"
 
@@ -47,24 +48,29 @@ class Csma {
     bool success = false;
     int transmissions = 0;  // 1 = no retries
   };
-  using DoneCallback = std::function<void(const Result&)>;
+  /// Completion of one send; a capture of up to 48 bytes is stored inline.
+  using DoneCallback = InlineFunction<void(const Result&)>;
 
   Csma(Scheduler& scheduler, Medium& medium, NodeId self, Rng rng, Config config = {});
 
-  /// Queue an MPDU for transmission. `expect_ack` enables the ACK-timeout
-  /// retry loop (unicast); broadcast frames complete when they leave the
-  /// antenna. Sends are serviced FIFO. When `rts` is provided and the
-  /// MPDU reaches the configured rts_threshold, the transmission is
-  /// protected by an RTS/CTS handshake.
-  void send(Bytes mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done,
+  /// Queue an MPDU for transmission. The bytes are copied into a recycled
+  /// queue slot before this returns, so the caller may reuse its buffer
+  /// at once; the slot keeps its capacity, and the frame's one
+  /// FrameBuffer is made when it goes on the air. `expect_ack` enables
+  /// the ACK-timeout retry loop (unicast); broadcast frames complete when
+  /// they leave the antenna. Sends are serviced FIFO. When `rts` is
+  /// provided and the MPDU reaches the configured rts_threshold, the
+  /// transmission is protected by an RTS/CTS handshake.
+  void send(BytesView mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done,
             std::optional<RtsAddresses> rts = std::nullopt);
 
   /// Queue a frame whose airtime does not follow the 802.11 rate table —
   /// the 802.11ba WUR PPDU's OOK body, whose duration the caller computes
   /// from phy::WurPhy. The frame contends exactly like any broadcast
   /// (DIFS + backoff, no ACK) and is put on the medium with no WiFi rate,
-  /// so receivers apply the non-OFDM error model.
-  void send_raw(Bytes mpdu, Duration airtime, DoneCallback done);
+  /// so receivers apply the non-OFDM error model. Copies `mpdu` as
+  /// send() does.
+  void send_raw(BytesView mpdu, Duration airtime, DoneCallback done);
 
   /// The owner observed an ACK addressed to this station.
   void notify_ack();
@@ -87,16 +93,19 @@ class Csma {
   }
 
   /// True when no send is queued or in flight.
-  [[nodiscard]] bool idle() const { return !busy_ && queue_.empty(); }
+  [[nodiscard]] bool idle() const { return !busy_ && queued_ == 0; }
 
   /// Discard every queued (not yet begun) send without invoking its
   /// callback. An in-flight transmission still completes — a crashing
   /// node's final frame leaves the antenna. Used by fault injection
-  /// (AP outage) to silence a node instantly.
-  void drop_queued() { queue_.clear(); }
+  /// (AP outage) and brown-outs to silence a node instantly.
+  void drop_queued();
 
  private:
-  struct Pending {
+  /// One send. Slots are recycled in place, so `mpdu` keeps its capacity
+  /// and a steady stream of similar frames copies into storage the slot
+  /// already owns.
+  struct Slot {
     Bytes mpdu;
     phy::WifiRate rate{};
     bool expect_ack = false;
@@ -108,6 +117,12 @@ class Csma {
     int transmissions = 0;
     int cw = 0;
   };
+
+  /// Copy `mpdu` into the next free slot (growing the ring when full)
+  /// and return it with its per-send state reset.
+  Slot& enqueue(BytesView mpdu, DoneCallback done);
+  /// The send at the head of the queue: the one in flight while busy_.
+  Slot& current() { return ring_[head_]; }
 
   [[nodiscard]] bool channel_busy() const;
   void start_next();
@@ -130,9 +145,12 @@ class Csma {
   Rng rng_;
   Config config_;
 
-  std::deque<Pending> queue_;
+  /// FIFO ring of sends, oldest at head_; doubles when a send finds it
+  /// full. `queued_` counts the in-flight send too.
+  std::vector<Slot> ring_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   bool busy_ = false;
-  std::optional<Pending> current_;
   std::optional<EventId> ack_timer_;
   bool awaiting_ack_ = false;
   std::optional<EventId> cts_timer_;

@@ -187,7 +187,7 @@ void Medium::transmit(NodeId transmitter, TxRequest request) {
   tx.tx_power_dbm = request.tx_power_dbm;
   tx.audible_range_m = audible_range_m(request.tx_power_dbm);
   tx.origin = node_position(transmitter);
-  tx.mpdu = FrameBuffer{std::move(request.mpdu)};  // one allocation per TX
+  tx.mpdu = std::move(request.mpdu);  // no copy: the caller made the one buffer
   tx.airtime = request.airtime;
   tx.rate = request.rate;
   tx.on_complete = std::move(request.on_complete);

@@ -69,6 +69,7 @@
 #include "telemetry/metrics.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/frame_buffer.hpp"
+#include "util/inline_function.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -140,12 +141,15 @@ class MediumClient {
 };
 
 struct TxRequest {
-  Bytes mpdu;
+  /// The transmission's one payload allocation, made by the caller right
+  /// before transmit(). The medium moves it into the transmission, and
+  /// every receiver shares it.
+  FrameBuffer mpdu;
   Duration airtime{};
   double tx_power_dbm = 0.0;
   std::optional<phy::WifiRate> rate;  // enables the WiFi PER model
   /// Invoked on the transmitter when the last bit leaves the antenna.
-  std::function<void()> on_complete;
+  InlineFunction<void()> on_complete;
 };
 
 /// A transmission crossing a shard boundary, as shipped between shards
@@ -189,8 +193,8 @@ class Medium {
   [[nodiscard]] bool listening(NodeId id) const;
 
   /// Begin a transmission. Throws if this node is already transmitting.
-  /// The request's payload is moved into a shared FrameBuffer; receivers
-  /// see the same bytes without further copies.
+  /// The request's FrameBuffer moves into the transmission, so this
+  /// copies no payload, and receivers share the same bytes.
   void transmit(NodeId transmitter, TxRequest request);
 
   /// Carrier sense at `listener`: any in-flight transmission audible
@@ -358,7 +362,7 @@ class Medium {
     FrameBuffer mpdu;
     Duration airtime{};
     std::optional<phy::WifiRate> rate;
-    std::function<void()> on_complete;
+    InlineFunction<void()> on_complete;
     /// Transmissions that overlapped this one at any point.
     std::vector<Interferer> interferers;
   };

@@ -83,6 +83,10 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] BytesView view() const { return buf_; }
 
+  /// Drop the bytes written so far but keep the storage: a writer reused
+  /// frame after frame stops allocating once it has grown to fit.
+  void clear() { buf_.clear(); }
+
   /// Move the accumulated bytes out; the writer is empty afterwards.
   [[nodiscard]] Bytes take() { return std::move(buf_); }
 

@@ -39,10 +39,15 @@ class FrameBuffer {
   FrameBuffer() = default;
 
   /// Copies `bytes` into a fresh single-allocation buffer (header and
-  /// payload contiguous). The argument is taken by value for call-site
-  /// compatibility; the payload is memcpy'd once either way.
-  FrameBuffer(Bytes bytes)  // NOLINT(google-explicit-constructor)
+  /// payload contiguous): one allocation, one memcpy. A transmission
+  /// makes exactly one of these, at transmit time (sim::Csma, or the
+  /// node that calls Medium::transmit directly).
+  explicit FrameBuffer(BytesView bytes)
       : data_(bytes.empty() ? nullptr : allocate(bytes.data(), bytes.size())) {}
+  /// Implicit, so `req.mpdu = build_...()` call sites keep compiling.
+  /// Taken by reference: an lvalue is copied once, into the buffer.
+  FrameBuffer(const Bytes& bytes)  // NOLINT(google-explicit-constructor)
+      : FrameBuffer(BytesView{bytes}) {}
 
   FrameBuffer(const FrameBuffer& other) : data_(other.data_) {
     // Relaxed: we hold a reference through `other` for the whole call,

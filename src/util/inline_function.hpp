@@ -5,7 +5,8 @@
 // lambdas (which capture `this` plus a couple of words) onto the heap.
 // InlineFunction stores any callable up to InlineBytes directly inside
 // the wrapper — no allocation on the schedule hot path — and falls back
-// to the heap only for oversized captures (e.g. a whole TxRequest).
+// to the heap only for oversized captures (e.g. a BLE advertising event
+// that carries its payload from channel to channel).
 // Move-only by design: event handlers are consumed exactly once.
 #pragma once
 

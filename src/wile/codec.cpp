@@ -46,8 +46,8 @@ std::size_t Codec::capacity(std::size_t max_elements, bool has_window) const {
   return max_elements * max_fragment_data(true, has_window);
 }
 
-Bytes Codec::encode_one(const Message& message, std::uint8_t frag_index,
-                        std::uint8_t frag_count, BytesView data, bool parity) const {
+void Codec::write_one(ByteWriter& w, const Message& message, std::uint8_t frag_index,
+                      std::uint8_t frag_count, BytesView data, bool parity) const {
   const bool fragmented = frag_count > 1 || parity;
   std::uint8_t flags = 0;
   if (aead_) flags |= kFlagEncrypted;
@@ -55,7 +55,8 @@ Bytes Codec::encode_one(const Message& message, std::uint8_t frag_index,
   if (message.rx_window) flags |= kFlagRxWindow;
   if (parity) flags |= kFlagParity;
 
-  Bytes body;  // data or sealed data
+  BytesView body = data;  // data or sealed data
+  Bytes sealed;
   if (aead_) {
     // Associated data binds identity fields so they cannot be spliced.
     std::array<std::uint8_t, 9> ad{};
@@ -64,13 +65,21 @@ Bytes Codec::encode_one(const Message& message, std::uint8_t frag_index,
       ad[4 + i] = static_cast<std::uint8_t>(message.sequence >> (8 * i));
     }
     ad[8] = frag_index;
-    body = aead_->seal(make_nonce(message.device_id, message.sequence, frag_index), ad, data);
-  } else {
-    body.assign(data.begin(), data.end());
+    sealed = aead_->seal(make_nonce(message.device_id, message.sequence, frag_index), ad, data);
+    body = sealed;
   }
   if (body.size() > 255) throw std::logic_error("Wi-LE fragment body exceeds length field");
+  const std::size_t container = kFixedOverhead + (fragmented ? kFragOverhead : 0) +
+                                (message.rx_window ? kWindowOverhead : 0) + body.size();
+  if (container > dot11::vendor_payload_capacity()) {
+    throw std::logic_error("Wi-LE element exceeded vendor IE capacity");
+  }
 
-  ByteWriter w(kFixedOverhead + kFragOverhead + kWindowOverhead + body.size());
+  w.u8(static_cast<std::uint8_t>(dot11::IeId::VendorSpecific));
+  w.u8(static_cast<std::uint8_t>(kWileOui.size() + 1 + container));
+  w.bytes(kWileOui);
+  w.u8(kWileSubtype);
+  const std::size_t covered_from = w.size();
   w.u8(kVersion);
   w.u8(flags);
   w.u32le(message.device_id);
@@ -86,46 +95,62 @@ Bytes Codec::encode_one(const Message& message, std::uint8_t frag_index,
   }
   w.u8(static_cast<std::uint8_t>(body.size()));
   w.bytes(body);
-  w.u32le(crypto::crc32(w.view()));
-  return w.take();
+  w.u32le(crypto::crc32(w.view().subspan(covered_from)));
+}
+
+Codec::Split Codec::split(const Message& message, bool parity) const {
+  const bool has_window = message.rx_window.has_value();
+  if (message.data.size() <= max_fragment_data(false, has_window)) {
+    return {message.data.size(), 1};
+  }
+  // Parity mode gives up one data byte per fragment: the parity body is
+  // [last_len][per_frag-byte XOR block] and must fit the same element.
+  Split s;
+  s.per_frag = max_fragment_data(true, has_window) - (parity ? 1 : 0);
+  s.count = (message.data.size() + s.per_frag - 1) / s.per_frag;
+  if (s.count > 255) throw std::invalid_argument("Wi-LE message needs more than 255 fragments");
+  return s;
+}
+
+std::size_t Codec::element_count(const Message& message, bool parity) const {
+  const Split s = split(message, parity);
+  return parity && s.count > 1 ? s.count + 1 : s.count;
+}
+
+void Codec::write_element(ByteWriter& w, const Message& message, std::size_t index,
+                          bool parity) const {
+  const Split s = split(message, parity);
+  const auto count = static_cast<std::uint8_t>(s.count);
+  if (index < s.count) {
+    const std::size_t off = index * s.per_frag;
+    const std::size_t len = std::min(s.per_frag, message.data.size() - off);
+    write_one(w, message, static_cast<std::uint8_t>(index), count,
+              BytesView{message.data.data() + off, len}, false);
+    return;
+  }
+  if (!parity || s.count == 1 || index != s.count) {
+    throw std::out_of_range("Codec::write_element: no such element");
+  }
+  // The parity element: [last_len][XOR of every data fragment, each
+  // zero-padded to per_frag bytes].
+  std::array<std::uint8_t, dot11::IeList::kMaxIeData> body{};
+  body[0] = static_cast<std::uint8_t>(message.data.size() - (s.count - 1) * s.per_frag);
+  for (std::size_t i = 0; i < message.data.size(); ++i) {
+    body[1 + i % s.per_frag] ^= message.data[i];
+  }
+  write_one(w, message, count, count, BytesView{body.data(), 1 + s.per_frag}, true);
 }
 
 std::vector<dot11::InfoElement> Codec::encode(const Message& message, bool parity) const {
-  const bool has_window = message.rx_window.has_value();
-  const std::size_t single = max_fragment_data(false, has_window);
+  const std::size_t n = element_count(message, parity);
   std::vector<dot11::InfoElement> out;
-
-  auto wrap = [&](BytesView payload) {
-    auto ie = dot11::make_vendor_ie(kWileOui, kWileSubtype, payload);
-    if (!ie) throw std::logic_error("Wi-LE element exceeded vendor IE capacity");
-    out.push_back(std::move(*ie));
-  };
-
-  if (message.data.size() <= single) {
-    wrap(encode_one(message, 0, 1, message.data));
-    return out;
-  }
-
-  // Parity mode gives up one data byte per fragment: the parity body is
-  // [last_len][per_frag-byte XOR block] and must fit the same element.
-  const std::size_t per_frag = max_fragment_data(true, has_window) - (parity ? 1 : 0);
-  const std::size_t count = (message.data.size() + per_frag - 1) / per_frag;
-  if (count > 255) throw std::invalid_argument("Wi-LE message needs more than 255 fragments");
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t off = i * per_frag;
-    const std::size_t len = std::min(per_frag, message.data.size() - off);
-    wrap(encode_one(message, static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(count),
-                    BytesView{message.data.data() + off, len}));
-  }
-  if (parity) {
-    const std::size_t last_len = message.data.size() - (count - 1) * per_frag;
-    Bytes body(1 + per_frag, 0);
-    body[0] = static_cast<std::uint8_t>(last_len);
-    for (std::size_t i = 0; i < message.data.size(); ++i) {
-      body[1 + i % per_frag] ^= message.data[i];
-    }
-    wrap(encode_one(message, static_cast<std::uint8_t>(count),
-                    static_cast<std::uint8_t>(count), body, /*parity=*/true));
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ByteWriter w(2 + dot11::IeList::kMaxIeData);
+    write_element(w, message, i, parity);
+    Bytes data = w.take();
+    data.erase(data.begin(), data.begin() + 2);  // the element's id and length
+    out.push_back({dot11::IeId::VendorSpecific, std::move(data)});
   }
   return out;
 }

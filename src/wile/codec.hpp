@@ -98,6 +98,18 @@ class Codec {
   [[nodiscard]] std::vector<dot11::InfoElement> encode(const Message& message,
                                                        bool parity = false) const;
 
+  /// How many elements encode(message, parity) returns. Throws
+  /// std::invalid_argument, as encode() does, past 255 fragments.
+  [[nodiscard]] std::size_t element_count(const Message& message, bool parity = false) const;
+
+  /// Append element `index` of encode(message, parity) to `w` as it goes
+  /// on the air: id, length, then the payload. This is the one encoder;
+  /// encode() is built on it, and the sender writes each element straight
+  /// into its beacon. Allocates nothing but the writer's own growth,
+  /// unless the codec encrypts.
+  void write_element(ByteWriter& w, const Message& message, std::size_t index,
+                     bool parity = false) const;
+
   /// Decode one vendor IE payload (after OUI+subtype matching, which
   /// decode() performs itself from the raw element).
   [[nodiscard]] std::optional<Fragment> decode(const dot11::InfoElement& element,
@@ -107,9 +119,15 @@ class Codec {
   [[nodiscard]] std::vector<Fragment> decode_all(const dot11::IeList& ies) const;
 
  private:
-  [[nodiscard]] Bytes encode_one(const Message& message, std::uint8_t frag_index,
-                                 std::uint8_t frag_count, BytesView data,
-                                 bool parity = false) const;
+  /// How a message's data divides into elements: `count` slices of
+  /// `per_frag` bytes, the last one shorter. count 1 = unfragmented.
+  struct Split {
+    std::size_t per_frag = 0;
+    std::size_t count = 1;
+  };
+  [[nodiscard]] Split split(const Message& message, bool parity) const;
+  void write_one(ByteWriter& w, const Message& message, std::uint8_t frag_index,
+                 std::uint8_t frag_count, BytesView data, bool parity) const;
 
   std::optional<crypto::Aead> aead_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/crc.hpp"
 #include "dot11/frame.hpp"
 #include "dot11/mgmt.hpp"
 
@@ -64,6 +65,12 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
   prototype.ies.add(dot11::make_supported_rates_ie(dot11::default_bg_rates()));
   prototype.ies.add(dot11::make_ds_param_ie(6));
   body_prefix_ = prototype.encode();
+
+  keep_recovery_history_ =
+      config_.recovery_k > 0 ||
+      (config_.adaptation &&
+       std::any_of(config_.adaptation->tiers.begin(), config_.adaptation->tiers.end(),
+                   [](const RedundancyTier& t) { return t.recovery_k > 0; }));
 
   if (config_.wur) {
     // Companion receiver: derive the 12-bit WUR ID when unset and hang
@@ -209,26 +216,29 @@ void Sender::schedule_next_cycle() {
   });
 }
 
-Bytes Sender::build_beacon_mpdu(const dot11::InfoElement& vendor_ie) {
-  // Patch the precomputed prefix: timestamp (first 8 bytes of the body).
-  Bytes body = body_prefix_;
-  const auto ts = static_cast<std::uint64_t>(scheduler_.now().us());
-  for (int i = 0; i < 8; ++i) body[i] = static_cast<std::uint8_t>(ts >> (8 * i));
-  // Append the data-bearing vendor element.
-  ByteWriter ie_w(2 + vendor_ie.data.size());
-  ie_w.u8(static_cast<std::uint8_t>(vendor_ie.id));
-  ie_w.u8(static_cast<std::uint8_t>(vendor_ie.data.size()));
-  ie_w.bytes(vendor_ie.data);
-  const Bytes ie_bytes = ie_w.take();
-  body.insert(body.end(), ie_bytes.begin(), ie_bytes.end());
-
+dot11::MacHeader Sender::next_beacon_header() {
   dot11::MacHeader h;
   h.fc = dot11::FrameControl::mgmt(dot11::MgmtSubtype::Beacon);
   h.addr1 = MacAddress::broadcast();
   h.addr2 = config_.mac;
   h.addr3 = config_.mac;  // the device itself is the (fake) BSSID
   h.set_sequence(seq_ctl_++ & 0x0fff);
-  return dot11::assemble_mpdu(h, body);
+  return h;
+}
+
+void Sender::append_beacon(const Message& message, std::size_t element, bool parity,
+                           bool fec) {
+  const std::size_t offset = train_.size();
+  next_beacon_header().write_to(train_);
+  // The precomputed body prefix, its timestamp (the first 8 bytes)
+  // patched to the encode instant.
+  train_.u64le(static_cast<std::uint64_t>(scheduler_.now().us()));
+  train_.bytes(BytesView{body_prefix_}.subspan(8));
+  // The data-bearing vendor element, then the FCS over the whole MPDU.
+  codec_.write_element(train_, message, element, parity);
+  train_.u32le(crypto::crc32(train_.view().subspan(offset)));
+  train_entries_.push_back({static_cast<std::uint32_t>(offset),
+                            static_cast<std::uint32_t>(train_.size() - offset), fec});
 }
 
 Bytes Sender::build_ssid_stuffed_mpdu(const std::string& stuffed_ssid) {
@@ -240,13 +250,7 @@ Bytes Sender::build_ssid_stuffed_mpdu(const std::string& stuffed_ssid) {
   beacon.ies.add(dot11::make_supported_rates_ie(dot11::default_bg_rates()));
   beacon.ies.add(dot11::make_ds_param_ie(6));
 
-  dot11::MacHeader h;
-  h.fc = dot11::FrameControl::mgmt(dot11::MgmtSubtype::Beacon);
-  h.addr1 = MacAddress::broadcast();
-  h.addr2 = config_.mac;
-  h.addr3 = config_.mac;
-  h.set_sequence(seq_ctl_++ & 0x0fff);
-  return dot11::assemble_mpdu(h, beacon.encode());
+  return dot11::assemble_mpdu(next_beacon_header(), beacon.encode());
 }
 
 RedundancyTier Sender::active_tier() const {
@@ -270,16 +274,17 @@ std::optional<Message> Sender::maybe_recovery_message(const RedundancyTier& tier
   if (msgs_since_recovery_ < stride) return std::nullopt;
   msgs_since_recovery_ = 0;
 
+  const std::size_t n = recent_sent_.size();
   RecoveryPayload payload;
-  payload.base_sequence = recent_sent_[recent_sent_.size() - k].sequence;
-  for (std::size_t i = recent_sent_.size() - k; i < recent_sent_.size(); ++i) {
-    const RecentMessage& r = recent_sent_[i];
+  payload.base_sequence = recent(n - k).sequence;
+  for (std::size_t i = n - k; i < n; ++i) {
+    const RecentMessage& r = recent(i);
     payload.entries.push_back(
         {r.type, static_cast<std::uint16_t>(std::min<std::size_t>(r.data.size(), 0xffff))});
     if (r.data.size() > payload.xor_block.size()) payload.xor_block.resize(r.data.size());
   }
-  for (std::size_t i = recent_sent_.size() - k; i < recent_sent_.size(); ++i) {
-    const Bytes& d = recent_sent_[i].data;
+  for (std::size_t i = n - k; i < n; ++i) {
+    const Bytes& d = recent(i).data;
     for (std::size_t b = 0; b < d.size(); ++b) payload.xor_block[b] ^= d[b];
   }
 
@@ -366,9 +371,17 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
 
   const bool fec_usable = !config_.ssid_stuffing;
   if (fresh && fec_usable) {
-    recent_sent_.push_back({message.sequence, message.type, message.data});
-    if (recent_sent_.size() > kMaxRecoveryGroup) {
-      recent_sent_.erase(recent_sent_.begin());
+    if (keep_recovery_history_) {
+      RecentMessage* slot = nullptr;
+      if (recent_sent_.size() < kMaxRecoveryGroup) {
+        slot = &recent_sent_.emplace_back();
+      } else {
+        slot = &recent_sent_[recent_head_];  // overwrite the oldest in place
+        recent_head_ = (recent_head_ + 1) % recent_sent_.size();
+      }
+      slot->sequence = message.sequence;
+      slot->type = message.type;
+      slot->data.assign(message.data.begin(), message.data.end());
     }
     ++msgs_since_recovery_;
   }
@@ -385,38 +398,43 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
 
 void Sender::encode_and_transmit(const Message& message, bool include_recovery) {
   const RedundancyTier tier = active_tier();
-  std::vector<CycleMpdu> mpdus;
+  // The whole train is built now, at the encode instant, into storage
+  // kept from earlier cycles.
+  train_.clear();
+  train_entries_.clear();
   trace_instant(telemetry::Phase::Encode);
   try {
-    std::vector<CycleMpdu> once;
     if (config_.ssid_stuffing) {
       if (auto stuffed = encode_ssid_stuffed(message)) {
-        once.push_back({build_ssid_stuffed_mpdu(*stuffed), false});
+        const Bytes mpdu = build_ssid_stuffed_mpdu(*stuffed);
+        train_.bytes(mpdu);
+        train_entries_.push_back({0, static_cast<std::uint32_t>(mpdu.size()), false});
       } else {
         cycle_failed_ = true;  // message does not fit the SSID field
       }
     } else {
-      const auto elements = codec_.encode(message, tier.fec_parity);
+      const std::size_t elements = codec_.element_count(message, tier.fec_parity);
       // With parity on, a fragmented message's last element is the
-      // parity (encode() only appends one when there are >= 2 data
+      // parity (the codec only adds one when there are >= 2 data
       // fragments, so a parity train always has >= 3 elements).
       const std::size_t parity_from =
-          tier.fec_parity && elements.size() >= 3 ? elements.size() - 1 : elements.size();
-      for (std::size_t i = 0; i < elements.size(); ++i) {
-        once.push_back({build_beacon_mpdu(elements[i]), i >= parity_from});
+          tier.fec_parity && elements >= 3 ? elements - 1 : elements;
+      for (std::size_t i = 0; i < elements; ++i) {
+        append_beacon(message, i, tier.fec_parity, /*fec=*/i >= parity_from);
       }
     }
     // Open-loop reliability: repeat the whole fragment train. Receivers
     // drop the duplicates by (device, sequence).
-    const int repeats = std::max(tier.repeats, 1);
-    for (int r = 0; r < repeats; ++r) {
-      mpdus.insert(mpdus.end(), once.begin(), once.end());
+    const std::size_t once = train_entries_.size();
+    for (int r = 1; r < std::max(tier.repeats, 1); ++r) {
+      for (std::size_t i = 0; i < once; ++i) train_entries_.push_back(train_entries_[i]);
     }
     // Cross-cycle FEC: one (unrepeated) recovery beacon when due.
     if (include_recovery) {
       if (auto recovery = maybe_recovery_message(tier)) {
-        for (const auto& ie : codec_.encode(*recovery)) {
-          mpdus.push_back({build_beacon_mpdu(ie), true});
+        const std::size_t elements = codec_.element_count(*recovery);
+        for (std::size_t i = 0; i < elements; ++i) {
+          append_beacon(*recovery, i, /*parity=*/false, /*fec=*/true);
         }
         ++recovery_beacons_sent_;
       }
@@ -430,61 +448,63 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
   const Duration init =
       config_.power.boot_from_deep_sleep + config_.power.wifi_inject_init;
   const std::uint64_t epoch = cycle_epoch_;
-  scheduler_.schedule_in(init, [this, epoch, mpdus = std::move(mpdus)]() mutable {
+  scheduler_.schedule_in(init, [this, epoch] {
     if (epoch != cycle_epoch_) return;  // browned out during init
     trace_end(telemetry::Phase::Wake);
     if (maybe_brown_out()) return;  // the init phase outran the charge
-    if (cycle_failed_ || mpdus.empty()) {
+    if (cycle_failed_ || train_entries_.empty()) {
       finish_cycle();
       return;
     }
     enter_phase(Phase::Tx);
     tracker_.set_phase(config_.power.cpu_active, kPhaseTx);
     trace_begin(telemetry::Phase::Tx);
-    inject_fragments(std::move(mpdus), 0);
+    inject_fragments(0);
   });
 }
 
-void Sender::inject_fragments(std::vector<CycleMpdu> mpdus, std::size_t index) {
+void Sender::inject_fragments(std::size_t index) {
   // Organic brown-out check at every fragment boundary: a capacitor
   // that ran dry during the previous fragment kills the train here.
   if (maybe_brown_out()) return;
-  if (index >= mpdus.size()) {
+  if (index >= train_entries_.size()) {
     trace_end(telemetry::Phase::Tx);
     after_last_beacon();
     return;
   }
-  const Bytes& mpdu = mpdus[index].mpdu;
+  const TrainEntry& beacon = train_entries_[index];
+  const BytesView mpdu = train_.view().subspan(beacon.offset, beacon.size);
   const Duration airtime = phy::frame_airtime(mpdu.size(), config_.rate, config_.band);
   cycle_airtime_ += airtime;
   ++cycle_beacons_;
   ++beacons_sent_total_;
   tx_airtime_total_ += airtime;
-  if (mpdus[index].fec) {
+  if (beacon.fec) {
     cycle_parity_airtime_ += airtime;
     ++cycle_parity_beacons_;
     ++parity_beacons_total_;
   }
 
+  // The continuation carries only {this, epoch, index}: the train stays
+  // in train_, and a stranded epoch never reads it again.
   const std::uint64_t epoch = cycle_epoch_;
   if (config_.use_csma) {
     trace_begin(telemetry::Phase::Csma);
     csma_->send(mpdu, config_.rate, /*expect_ack=*/false,
-                [this, epoch, mpdus = std::move(mpdus),
-                 index](const sim::Csma::Result&) mutable {
+                [this, epoch, index](const sim::Csma::Result&) {
                   if (epoch != cycle_epoch_) return;  // browned out mid-train
-                  inject_fragments(std::move(mpdus), index + 1);
+                  inject_fragments(index + 1);
                 });
   } else {
     // Raw injection: fire immediately, no carrier sense (E7 ablation).
     sim::TxRequest req;
-    req.mpdu = mpdu;
+    req.mpdu = FrameBuffer{mpdu};
     req.airtime = airtime;
     req.tx_power_dbm = config_.tx_power_dbm;
     req.rate = config_.rate;
-    req.on_complete = [this, epoch, mpdus = std::move(mpdus), index]() mutable {
+    req.on_complete = [this, epoch, index] {
       if (epoch != cycle_epoch_) return;  // browned out mid-train
-      inject_fragments(std::move(mpdus), index + 1);
+      inject_fragments(index + 1);
     };
     tracker_.on_tx_start(airtime);
     medium_.transmit(node_id_, std::move(req));

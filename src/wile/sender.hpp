@@ -11,7 +11,10 @@
 // The beacon's constant parts (MAC header template, SSID/rates/DS
 // elements) are precomputed once, mirroring §5.4's observation that "the
 // content of the packet including all of the headers can be pre-computed
-// and then only the IoT device's data needs to be inserted".
+// and then only the IoT device's data needs to be inserted". Each cycle
+// writes its whole beacon train into one buffer the sender reuses, so a
+// steady-state cycle allocates only its payload and, per transmission,
+// the FrameBuffer the medium carries (DESIGN.md §9).
 //
 // Optional extensions implemented from §6:
 //   * clock-jittered periods, so co-periodic devices drift apart;
@@ -25,6 +28,7 @@
 #include <optional>
 #include <string>
 
+#include "dot11/mac_header.hpp"
 #include "phy/airtime.hpp"
 #include "phy/wur_phy.hpp"
 #include "power/devices.hpp"
@@ -376,10 +380,12 @@ class Sender : public sim::MediumClient {
  private:
   enum class Phase { DeepSleep, Init, Tx, RxWindow, Shutdown };
 
-  /// One frame of this cycle's train; `fec` marks pure-redundancy
-  /// beacons (parity elements, recovery beacons) for energy accounting.
-  struct CycleMpdu {
-    Bytes mpdu;
+  /// One transmission of this cycle's train: a span of train_. Repeats
+  /// re-send a span. `fec` marks pure-redundancy beacons (parity
+  /// elements, recovery beacons) for energy accounting.
+  struct TrainEntry {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
     bool fec = false;
   };
 
@@ -400,7 +406,10 @@ class Sender : public sim::MediumClient {
   /// Shared back half of begin_cycle/resume_cycle: encode `message`
   /// into this cycle's beacon train and schedule the init->TX chain.
   void encode_and_transmit(const Message& message, bool include_recovery);
-  void inject_fragments(std::vector<CycleMpdu> mpdus, std::size_t index);
+  /// Write one beacon carrying element `element` of `message` into
+  /// train_ and list it for transmission. Advances seq_ctl_.
+  void append_beacon(const Message& message, std::size_t element, bool parity, bool fec);
+  void inject_fragments(std::size_t index);
   void after_last_beacon();
   [[nodiscard]] RedundancyTier active_tier() const;
   /// Build this cycle's Recovery beacon if one is due, else nullopt.
@@ -408,7 +417,8 @@ class Sender : public sim::MediumClient {
   void on_channel_report(const ChannelReport& report);
   void finish_cycle();
   void schedule_next_cycle();
-  [[nodiscard]] Bytes build_beacon_mpdu(const dot11::InfoElement& vendor_ie);
+  /// The MAC header of this device's next beacon. Advances seq_ctl_.
+  [[nodiscard]] dot11::MacHeader next_beacon_header();
   [[nodiscard]] Bytes build_ssid_stuffed_mpdu(const std::string& stuffed_ssid);
   [[nodiscard]] Duration jittered_period();
 
@@ -424,6 +434,14 @@ class Sender : public sim::MediumClient {
 
   /// Precomputed beacon-body prefix (everything before the vendor IEs).
   Bytes body_prefix_;
+
+  /// This cycle's beacons back to back, built at encode time and reused
+  /// across cycles (clear() keeps the storage). Csma::send copies a
+  /// beacon out, so a resume may rebuild this while an older frame is
+  /// still on the air.
+  ByteWriter train_;
+  /// Transmission order over train_.
+  std::vector<TrainEntry> train_entries_;
 
   // --- telemetry hooks (null/zero when no registry is attached) -------------
   telemetry::Tracer* tracer_ = nullptr;
@@ -470,13 +488,23 @@ class Sender : public sim::MediumClient {
   Duration cycle_parity_airtime_{};
 
   // FEC: payloads of the last kMaxRecoveryGroup fresh messages, for
-  // cross-cycle recovery beacons.
+  // cross-cycle recovery beacons. Kept only when the config or one of
+  // its adaptation tiers can send them (decided at construction, so a
+  // later tier raise finds a full history).
   struct RecentMessage {
     std::uint32_t sequence = 0;
     MessageType type = MessageType::Telemetry;
     Bytes data;
   };
+  bool keep_recovery_history_ = false;
+  /// A ring: grows to kMaxRecoveryGroup slots, then overwrites the oldest
+  /// (at recent_head_) in place, so each slot keeps its capacity.
   std::vector<RecentMessage> recent_sent_;
+  std::size_t recent_head_ = 0;
+  /// The i-th oldest retained message.
+  [[nodiscard]] const RecentMessage& recent(std::size_t i) const {
+    return recent_sent_[(recent_head_ + i) % recent_sent_.size()];
+  }
   int msgs_since_recovery_ = 0;
   std::uint32_t recovery_sequence_ = 0;  // own space; never perturbs loss gaps
   std::uint64_t recovery_beacons_sent_ = 0;

@@ -1,0 +1,131 @@
+// Allocation budget of a steady-state Wi-LE duty cycle.
+//
+// The paper's device inserts only its data into a beacon whose headers
+// are precomputed (§5.4); the simulated sender keeps that property on
+// the heap. After warm-up, a cycle may allocate its payload provider's
+// Bytes plus one FrameBuffer per transmission, and nothing else: the
+// beacon train, the CSMA queue slot and every continuation reuse
+// storage from earlier cycles.
+//
+// This binary replaces the global operator new/delete with counting
+// malloc wrappers, so it is its own test executable.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "wile/sender.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc{};
+}
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  const std::size_t rounded = (n + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
+  throw std::bad_alloc{};
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void* operator new(std::size_t n, std::align_val_t al) { return counted_aligned_alloc(n, al); }
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return counted_aligned_alloc(n, al);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace wile::core {
+namespace {
+
+struct Tally {
+  std::uint64_t allocations = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t transmissions = 0;
+};
+
+/// One sender alone on its channel (no listener in range), a 1 s
+/// period, a bounded power timeline and a provider that returns a fresh
+/// Bytes each cycle. Warm up for 60 s, then count over 200 cycles.
+Tally steady_state(void (*configure)(SenderConfig&), std::size_t payload_bytes) {
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
+  SenderConfig cfg;
+  cfg.period = seconds(1);
+  cfg.timeline_max_segments = 16;
+  configure(cfg);
+  Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
+  sender.start_duty_cycle([payload_bytes] { return Bytes(payload_bytes, 0x5a); });
+
+  scheduler.run_until(TimePoint{seconds(60) + msec(500)});
+  const std::uint64_t cycles0 = sender.cycles_run();
+  const std::uint64_t tx0 = medium.stats().transmissions;
+  const std::uint64_t alloc0 = g_allocations.load(std::memory_order_relaxed);
+  scheduler.run_until(TimePoint{seconds(260) + msec(500)});
+  Tally t;
+  t.allocations = g_allocations.load(std::memory_order_relaxed) - alloc0;
+  t.cycles = sender.cycles_run() - cycles0;
+  t.transmissions = medium.stats().transmissions - tx0;
+  sender.stop_duty_cycle();
+  return t;
+}
+
+TEST(AllocBudget, OneBeaconPerCycle) {
+  const Tally t = steady_state([](SenderConfig&) {}, 16);
+  EXPECT_EQ(t.cycles, 200u);
+  EXPECT_EQ(t.transmissions, 200u);
+  EXPECT_LE(t.allocations, t.cycles + t.transmissions);
+}
+
+TEST(AllocBudget, RepeatsReSendTheSameBeacon) {
+  const Tally t = steady_state([](SenderConfig& c) { c.repeats = 3; }, 16);
+  EXPECT_EQ(t.cycles, 200u);
+  EXPECT_EQ(t.transmissions, 600u);
+  EXPECT_LE(t.allocations, t.cycles + t.transmissions);
+}
+
+TEST(AllocBudget, FragmentedMessage) {
+  // 600 B needs three vendor elements, each in its own beacon.
+  const Tally t = steady_state([](SenderConfig&) {}, 600);
+  EXPECT_EQ(t.cycles, 200u);
+  EXPECT_EQ(t.transmissions, 600u);
+  EXPECT_LE(t.allocations, t.cycles + t.transmissions);
+}
+
+TEST(AllocBudget, RawInjectionWithoutCsma) {
+  const Tally t = steady_state([](SenderConfig& c) { c.use_csma = false; }, 16);
+  EXPECT_EQ(t.cycles, 200u);
+  EXPECT_EQ(t.transmissions, 200u);
+  EXPECT_LE(t.allocations, t.cycles + t.transmissions);
+}
+
+}  // namespace
+}  // namespace wile::core

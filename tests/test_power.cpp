@@ -94,6 +94,33 @@ TEST(Timeline, FindPhaseLocatesRange) {
   EXPECT_FALSE(tl.find_phase("DHCP/ARP", TimePoint{usec(0)}, nullptr, nullptr));
 }
 
+TEST(Timeline, BoundedHistoryFoldsExactlyWithinItsBound) {
+  // 10k transitions through a 64-segment bound: the history folds over
+  // and over, its storage never grows past bound + 1, and the lifetime
+  // integral equals an unbounded twin's.
+  PowerTimeline bounded{volts(3.3)};
+  bounded.set_max_segments(64);
+  PowerTimeline unbounded{volts(3.3)};
+  const char* phases[] = {"Sleep", "MC/WiFi init", "Tx"};
+  TimePoint t{};
+  for (int i = 0; i < 10'000; ++i) {
+    t = t + usec(100 + (i * 37) % 900);
+    const Amps current = milliamps(1.0 + (i * 13) % 120);
+    bounded.set_current(t, current, phases[i % 3]);
+    unbounded.set_current(t, current, phases[i % 3]);
+    ASSERT_LE(bounded.segments().capacity(), 65u);
+  }
+  EXPECT_LE(bounded.segments().size(), 64u);
+  EXPECT_GT(bounded.retained_since(), TimePoint{});
+  const TimePoint end = t + msec(5);
+  const double want = unbounded.energy_between(TimePoint{}, end).value;
+  EXPECT_NEAR(bounded.energy_between(TimePoint{}, end).value, want, 1e-12 * want);
+  // A window inside the retained history is answered segment-exactly too.
+  const TimePoint recent = bounded.retained_since() + usec(1);
+  EXPECT_NEAR(bounded.energy_between(recent, end).value,
+              unbounded.energy_between(recent, end).value, 1e-12 * want);
+}
+
 // ---------------------------------------------------------------------------
 // Equation (1) of the paper
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <array>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -882,6 +883,109 @@ TEST_F(CsmaTest, QueuedSendsGoOutInOrder) {
   EXPECT_EQ(rx_client.frames[0].mpdu[0], 1);
   EXPECT_EQ(rx_client.frames[1].mpdu[0], 2);
   EXPECT_EQ(rx_client.frames[2].mpdu[0], 3);
+}
+
+TEST_F(CsmaTest, CompletionsFollowSendOrderAcrossRingGrowthAndWrap) {
+  RecordingClient tx_client, rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  medium.attach(&rx_client, {2, 0});
+  Csma csma{scheduler, medium, tx, Rng{2}};
+
+  // Every completion queues the next tag, so the queue stays three deep
+  // and its slots wrap; the sixth queues five at once, so the ring grows
+  // while wrapped.
+  std::vector<int> sent;
+  std::vector<int> completed;
+  int next_tag = 0;
+  std::function<void()> send_next = [&] {
+    const int tag = next_tag++;
+    sent.push_back(tag);
+    csma.send(Bytes{static_cast<std::uint8_t>(tag)}, phy::WifiRate::G6, false,
+              [&, tag](const Csma::Result& r) {
+                EXPECT_TRUE(r.success);
+                completed.push_back(tag);
+                for (int i = 0; i < (completed.size() == 6 ? 5 : 1) && next_tag < 40; ++i) {
+                  send_next();
+                }
+              });
+  };
+  for (int i = 0; i < 3; ++i) send_next();
+  scheduler.run_until_idle();
+
+  EXPECT_TRUE(csma.idle());
+  ASSERT_EQ(sent.size(), 40u);
+  EXPECT_EQ(completed, sent);
+  ASSERT_EQ(rx_client.frames.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(rx_client.frames[i].mpdu[0], sent[i]);
+  }
+}
+
+TEST_F(CsmaTest, DropQueuedKeepsTheFrameInFlightAndSilencesTheRest) {
+  RecordingClient tx_client, rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  medium.attach(&rx_client, {2, 0});
+  Csma csma{scheduler, medium, tx, Rng{2}};
+
+  // Each callback holds a reference to `token`, so the count shows
+  // which callbacks are still alive.
+  const auto token = std::make_shared<int>(0);
+  std::vector<int> completed;
+  for (int tag = 1; tag <= 4; ++tag) {
+    csma.send(Bytes{static_cast<std::uint8_t>(tag)}, phy::WifiRate::G6, false,
+              [&completed, token, tag](const Csma::Result&) { completed.push_back(tag); });
+  }
+  EXPECT_EQ(token.use_count(), 5);
+  while (!medium.transmitting(tx)) ASSERT_TRUE(scheduler.run_one());
+
+  csma.drop_queued();
+  EXPECT_EQ(token.use_count(), 2);  // the test's and the in-flight send's
+  EXPECT_FALSE(csma.idle());
+  scheduler.run_until_idle();
+
+  EXPECT_EQ(completed, (std::vector<int>{1}));
+  ASSERT_EQ(rx_client.frames.size(), 1u);
+  EXPECT_EQ(rx_client.frames[0].mpdu[0], 1);
+  EXPECT_TRUE(csma.idle());
+  EXPECT_EQ(token.use_count(), 1);
+
+  // The freed slots take new sends.
+  csma.send(Bytes{5}, phy::WifiRate::G6, false,
+            [&completed](const Csma::Result&) { completed.push_back(5); });
+  scheduler.run_until_idle();
+  EXPECT_EQ(completed, (std::vector<int>{1, 5}));
+  ASSERT_EQ(rx_client.frames.size(), 2u);
+  EXPECT_EQ(rx_client.frames[1].mpdu[0], 5);
+}
+
+TEST_F(CsmaTest, CompletionQueuesSendsWhileTheRingIsFull) {
+  RecordingClient tx_client, rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  medium.attach(&rx_client, {2, 0});
+  Csma csma{scheduler, medium, tx, Rng{2}};
+
+  // Four sends fill a four-slot ring. The first completion queues two:
+  // one takes the slot it freed, the other finds the ring full.
+  std::vector<int> completed;
+  auto record = [&completed](int tag) {
+    return [&completed, tag](const Csma::Result&) { completed.push_back(tag); };
+  };
+  csma.send(Bytes{1}, phy::WifiRate::G6, false, [&](const Csma::Result&) {
+    completed.push_back(1);
+    csma.send(Bytes{5}, phy::WifiRate::G6, false, record(5));
+    csma.send(Bytes{6}, phy::WifiRate::G6, false, record(6));
+  });
+  for (int tag = 2; tag <= 4; ++tag) {
+    csma.send(Bytes{static_cast<std::uint8_t>(tag)}, phy::WifiRate::G6, false, record(tag));
+  }
+  scheduler.run_until_idle();
+
+  EXPECT_EQ(completed, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  ASSERT_EQ(rx_client.frames.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(rx_client.frames[i].mpdu[0], static_cast<int>(i + 1));
+  }
+  EXPECT_TRUE(csma.idle());
 }
 
 TEST_F(CsmaTest, DefersWhileNeighbourTransmits) {

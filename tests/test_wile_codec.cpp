@@ -80,6 +80,31 @@ TEST(Codec, FragmentsLargePayload) {
   EXPECT_EQ(ies.size(), 2u);
 }
 
+TEST(Codec, WriteElementIsEncodeOnTheWire) {
+  // write_element appends element i exactly as encode() returns it, id
+  // and length first; an index past the message is refused.
+  Rng rng{3};
+  for (const std::size_t size : {0, 16, 600}) {
+    for (const bool parity : {false, true}) {
+      SCOPED_TRACE(testing::Message() << size << " B, parity " << parity);
+      const Codec codec;
+      const Message msg = make_message(size, rng);
+      const auto ies = codec.encode(msg, parity);
+      ASSERT_EQ(codec.element_count(msg, parity), ies.size());
+      ByteWriter w;
+      for (std::size_t i = 0; i < ies.size(); ++i) {
+        w.clear();
+        codec.write_element(w, msg, i, parity);
+        Bytes want{static_cast<std::uint8_t>(dot11::IeId::VendorSpecific),
+                   static_cast<std::uint8_t>(ies[i].data.size())};
+        want.insert(want.end(), ies[i].data.begin(), ies[i].data.end());
+        EXPECT_EQ(Bytes(w.view().begin(), w.view().end()), want);
+      }
+      EXPECT_THROW(codec.write_element(w, msg, ies.size(), parity), std::out_of_range);
+    }
+  }
+}
+
 TEST(Codec, EncryptionShrinksCapacity) {
   Codec plain;
   Codec enc{Bytes(16, 1)};

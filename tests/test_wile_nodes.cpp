@@ -247,5 +247,105 @@ TEST_F(WileNodes, DownlinkForOtherDeviceIgnored) {
   EXPECT_EQ(controller.stats().downlinks_sent, 0u);  // no window from device 10
 }
 
+// ---------------------------------------------------------------------------
+// On-air bytes: every MPDU a sender puts on the air, pinned by hash. A
+// promiscuous monitor 1 m away decodes everything for 120 s; the hash
+// covers each frame's arrival time and bytes (timestamps and sequence
+// control included), so any change to how a beacon train is built,
+// repeated or paced shows.
+// ---------------------------------------------------------------------------
+
+struct MpduHasher : sim::MediumClient {
+  explicit MpduHasher(const sim::Scheduler& s) : clock(s) {}
+  const sim::Scheduler& clock;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  std::uint64_t frames = 0;
+  void mix(std::uint64_t v) {
+    hash ^= v;
+    hash *= 0x100000001b3ULL;
+  }
+  void on_frame(const sim::RxFrame& frame) override {
+    ++frames;
+    mix(static_cast<std::uint64_t>(clock.now().us()));
+    for (const std::uint8_t b : frame.mpdu.view()) mix(b);
+    mix(frame.mpdu.size());
+  }
+  [[nodiscard]] bool rx_enabled() const override { return true; }
+};
+
+struct OnAirPin {
+  const char* name;
+  std::size_t payload_bytes;
+  void (*configure)(SenderConfig&);
+  std::uint64_t hash;
+  std::uint64_t frames;
+  std::uint64_t beacons;
+};
+
+TEST(SenderOnAir, EveryMpduMatchesItsPin) {
+  const OnAirPin pins[] = {
+      {"plain 16 B", 16, [](SenderConfig&) {}, 0x2b64df329941529fULL, 119, 119},
+      {"600 B fragmented", 600, [](SenderConfig&) {}, 0x8ba8da94b936dc12ULL, 357, 357},
+      {"600 B parity", 600, [](SenderConfig& c) { c.fec_parity = true; },
+       0xbb6b219d472aa00fULL, 476, 476},
+      {"recovery_k 4", 16, [](SenderConfig& c) { c.recovery_k = 4; },
+       0x97351cd82d6e9855ULL, 177, 177},
+      {"rx_window", 16,
+       [](SenderConfig& c) { c.rx_window = RxWindow{msec(2), msec(10)}; },
+       0x15a12a105915c05cULL, 119, 119},
+      {"encrypted", 40, [](SenderConfig& c) { c.key = Bytes(16, 0x42); },
+       0xc0ab77edc62549e5ULL, 119, 119},
+      {"repeats 3", 16, [](SenderConfig& c) { c.repeats = 3; },
+       0x1e5c84b16b670e32ULL, 357, 357},
+      {"ssid_stuffing", 16, [](SenderConfig& c) { c.ssid_stuffing = true; },
+       0x2507555f67775274ULL, 119, 119},
+      {"raw injection, parity", 600,
+       [](SenderConfig& c) {
+         c.use_csma = false;
+         c.fec_parity = true;
+       },
+       0xcfd54ef06f29dd4cULL, 476, 476},
+      {"adaptive fallback", 600,
+       [](SenderConfig& c) {
+         // No controller answers, so the sender falls back after three
+         // cycles to a tier that sends parity and recovery beacons.
+         c.rx_window = RxWindow{msec(2), msec(10)};
+         AdaptationConfig a;
+         a.tiers = {RedundancyTier{}, RedundancyTier{1, true, 4, 0}};
+         a.fallback_after_cycles = 3;
+         a.fallback_tier = 1;
+         c.adaptation = a;
+       },
+       0x63cef8fd311c50eeULL, 647, 647},
+  };
+  for (const OnAirPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    sim::Scheduler scheduler;
+    sim::Medium medium{scheduler, phy::Channel{}, Rng{11}};
+    SenderConfig cfg;
+    cfg.device_id = 77;
+    cfg.period = seconds(1);
+    cfg.wake_jitter = msec(50);
+    pin.configure(cfg);
+    Sender sender{scheduler, medium, {0, 0}, cfg, Rng{12}};
+    MpduHasher monitor{scheduler};
+    medium.attach(&monitor, {1, 0});
+    std::uint32_t cycle = 0;
+    sender.start_duty_cycle([&] {
+      Bytes data(pin.payload_bytes);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<std::uint8_t>(cycle * 31 + i * 7);
+      }
+      ++cycle;
+      return data;
+    });
+    scheduler.run_until(TimePoint{seconds(120)});
+    sender.stop_duty_cycle();
+    EXPECT_EQ(monitor.hash, pin.hash);
+    EXPECT_EQ(monitor.frames, pin.frames);
+    EXPECT_EQ(sender.beacons_sent(), pin.beacons);
+  }
+}
+
 }  // namespace
 }  // namespace wile::core
