@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,8 @@
 #include "sim/medium.hpp"
 #include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 #include "wile/codec.hpp"
 #include "wile/ingest.hpp"
@@ -329,8 +332,9 @@ void BM_MediumSleepingNeighbours(benchmark::State& state) {
   // every radio in range cannot take the frame. The second input picks
   // the neighbours: 0 = deep-sleeping senders, which leave the listener
   // index; 1 = armed WUR companions (the hall_wur shape), which stay
-  // listed and listening but cannot demodulate 802.11. Either way no
-  // neighbour should cost an rx-power computation or a PER draw.
+  // listed and listening but cannot demodulate 802.11, and are filed as
+  // rate-less when they list themselves, as a WUR companion does. Either
+  // way no neighbour should cost an rx-power computation or a PER draw.
   const int n_neighbours = static_cast<int>(state.range(0));
   const bool companions = state.range(1) != 0;
   sim::Scheduler scheduler;
@@ -351,7 +355,7 @@ void BM_MediumSleepingNeighbours(benchmark::State& state) {
     const sim::NodeId id = medium.attach(
         neighbours.back().get(),
         {1.0 + static_cast<double>(i % side) * 0.5, static_cast<double>(i / side) * 0.5});
-    if (!companions) medium.set_listening(id, false);
+    medium.set_listening(id, companions);
   }
 
   const Bytes payload(200, 0xBE);
@@ -507,6 +511,37 @@ void BM_RulesEval(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RulesEval)->Arg(100)->Arg(10000);
+
+void BM_TelemetryExport(benchmark::State& state) {
+  // The wile-telemetry-v1 JSON export of one final snapshot: N nodes x 15
+  // per-node counters (the telemetry_rules shape: 3,000 senders) plus a
+  // few aggregates. The per-node section dominates.
+  constexpr int kMetricsPerNode = 15;
+  const auto n_nodes = static_cast<int>(state.range(0));
+  std::vector<std::uint64_t> slots(static_cast<std::size_t>(n_nodes) * kMetricsPerNode + 3);
+  for (std::size_t k = 0; k < slots.size(); ++k) slots[k] = k * 7919;
+  telemetry::MetricsRegistry registry;
+  registry.bind_counter("medium.transmissions", &slots[0]);
+  registry.bind_counter("medium.deliveries", &slots[1]);
+  registry.bind_counter("gateway.messages", &slots[2]);
+  std::size_t next = 3;
+  for (int node = 0; node < n_nodes; ++node) {
+    for (int m = 0; m < kMetricsPerNode; ++m) {
+      registry.bind_counter("node." + std::to_string(node) + ".sender.metric_" + std::to_string(m),
+                            &slots[next++]);
+    }
+  }
+  const telemetry::Snapshot snapshot = registry.snapshot(TimePoint{seconds(600)});
+  telemetry::ExportMeta meta;
+  meta.bench = "micro_perf";
+
+  for (auto _ : state) {
+    const std::string json = telemetry::to_json(snapshot, {}, meta);
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TelemetryExport)->Arg(300)->Arg(3000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

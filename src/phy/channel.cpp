@@ -13,6 +13,14 @@ namespace {
 double logistic_per(double snr_db, double threshold_db, std::size_t mpdu_bytes) {
   constexpr double kSlopePerDb = 2.0;
   const double x = (snr_db - threshold_db) * kSlopePerDb;
+  // Exact early-out, 19 dB above the threshold. exp(38) ~ 3.19e16 > 2^54,
+  // so per_ref < 2^-54, less than half an ulp below 1.0, and 1 - per_ref
+  // rounds to exactly 1.0. C fixes pow(+1, y) == 1 for every y, so the
+  // formula below returns exactly 0 for every frame size, 0 B included;
+  // this skips one exp and two pow. The proof needs no libm accuracy
+  // beyond exp(38) > 2^54, so do not lower the cut-off to where the
+  // result reads 0 only because of how pow rounds. NaN falls through.
+  if (x >= 38.0) return 0.0;
   const double per_ref = 1.0 / (1.0 + std::exp(x));
   // Convert the reference PER to a per-bit success probability and
   // re-scale to the actual frame length.

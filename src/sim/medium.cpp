@@ -76,7 +76,7 @@ NodeId Medium::attach(MediumClient* client, Position position) {
   clients_.push_back(client);
   pos_x_.push_back(position.x_m);
   pos_y_.push_back(position.y_m);
-  node_flags_.push_back(kFlagListening);
+  node_flags_.push_back(kFlagListening | kFlagHearsWifi | kFlagHearsRateless);
   const auto id = static_cast<NodeId>(clients_.size() - 1);
   grid_insert(id, position);
   return id;
@@ -93,11 +93,18 @@ void Medium::set_position(NodeId id, Position position) {
 }
 
 void Medium::set_listening(NodeId id, bool on) {
-  if (listening(id) == on) return;  // listening() validates the id
+  const bool listed = listening(id);  // validates the id
   if (on) {
-    node_flags_[id] |= kFlagListening;
-    grid_insert(id, node_position(id));
-  } else {
+    // Re-filed even when already listed: republishing is how a node
+    // tells the medium its demodulates() answers changed. One 802.11
+    // rate answers for all of them (the demodulates() contract).
+    std::uint8_t flags =
+        node_flags_[id] & static_cast<std::uint8_t>(~(kFlagHearsWifi | kFlagHearsRateless));
+    if (clients_[id]->demodulates(phy::WifiRate::G6)) flags |= kFlagHearsWifi;
+    if (clients_[id]->demodulates(std::nullopt)) flags |= kFlagHearsRateless;
+    node_flags_[id] = flags | kFlagListening;
+    if (!listed) grid_insert(id, node_position(id));
+  } else if (listed) {
     node_flags_[id] &= static_cast<std::uint8_t>(~kFlagListening);
     grid_remove(id, node_position(id));
   }
@@ -307,10 +314,18 @@ void Medium::deliver(const ActiveTx& tx) {
   frame.rate = tx.rate;
 
   const bool any_node_floor = !node_loss_floors_.empty();
+  // On the grid, a listener filed only under the other waveform class is
+  // skipped on its flag byte: demodulates() would refuse the frame (its
+  // contract), so skipping it changes no outcome. The dense scan ignores
+  // the filing.
+  const std::uint8_t waveform =
+      !grid_enabled_ ? 0 : (tx.rate ? kFlagHearsWifi : kFlagHearsRateless);
 
   for (const NodeId receiver : candidates) {
     if (!tx.remote && receiver == tx.transmitter) continue;
-    if (node_flags_[receiver] & kFlagRxBlocked) continue;  // injected deafness
+    const std::uint8_t flags = node_flags_[receiver];
+    if (flags & kFlagRxBlocked) continue;  // injected deafness
+    if ((flags & waveform) != waveform) continue;
     if (!clients_[receiver]->rx_enabled()) continue;
     // A waveform this radio cannot demodulate is only interference: no
     // callback, no counter, no RNG draw.

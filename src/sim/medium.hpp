@@ -20,9 +20,12 @@
 // frame's waveform (MediumClient::demodulates: a WUR envelope detector
 // under an OFDM beacon, a monitor radio under an OOK wake frame) is
 // skipped before any rx-power, collision or PER work and consumes no RNG
-// draw; the frame still interferes with everything it overlaps. Carrier
-// sense does not use the grid: it scans the in-flight transmissions,
-// pre-filtered by their audible radius.
+// draw; the frame still interferes with everything it overlaps. Each
+// listing also files the node under the waveform classes it demodulates
+// (802.11, rate-less), asked once per set_listening(id, true), so the
+// grid skips a listener of the other class on its flag byte, before any
+// virtual call. Carrier sense does not use the grid: it scans the
+// in-flight transmissions, pre-filtered by their audible radius.
 // Received power is computed from the two positions at every use, with
 // no per-pair table: in a dense hall every frame reaches every listener,
 // so an all-pairs table grows with the square of the node count, outgrows
@@ -33,8 +36,9 @@
 // receivers are visited in ascending NodeId order either way, so the RNG
 // draw sequence — and therefore every simulation outcome — is bit-for-bit
 // identical with the spatial grid on or off. The dense path polls every
-// attached node and ignores the listener index, so it is the equivalence
-// oracle for both the grid and the index (see tests/test_determinism).
+// attached node and ignores the listener index and the waveform filing,
+// so it is the equivalence oracle for the grid, the index and the filing
+// (see tests/test_determinism).
 //
 // Per-node hot state is structure-of-arrays: position coordinates and
 // radio flag bytes live in parallel contiguous vectors rather than one
@@ -134,6 +138,12 @@ class MediumClient {
   /// counter (neither a delivery nor a loss) and no RNG draw. It still
   /// interferes with the frames it overlaps and still busies carrier
   /// sense. The default accepts every frame.
+  ///
+  /// Contract, which lets the grid skip a listener of the other class
+  /// without asking (Medium::set_listening files the answers): the
+  /// answer depends only on the waveform class, so every 802.11 rate
+  /// gets the same answer, and it may change only where the node calls
+  /// Medium::set_listening(id, true) again.
   [[nodiscard]] virtual bool demodulates(const std::optional<phy::WifiRate>& rate) const {
     (void)rate;
     return true;
@@ -189,6 +199,12 @@ class Medium {
   /// senses carrier. Allowed only while the node's rx_enabled() is
   /// false (see MediumClient::rx_enabled). Idempotent. The dense scan
   /// (set_spatial_grid_enabled(false)) ignores the index.
+  ///
+  /// `on` also files the node under the waveform classes it
+  /// demodulates, asking MediumClient::demodulates once for an 802.11
+  /// rate and once for nullopt, even when the node is already listed:
+  /// a node whose answers change republishes with true. attach() files
+  /// every node under both classes; unlisting keeps the filing.
   void set_listening(NodeId id, bool on);
   [[nodiscard]] bool listening(NodeId id) const;
 
@@ -375,6 +391,10 @@ class Medium {
   static constexpr std::uint8_t kFlagTransmitting = 1u << 0;
   static constexpr std::uint8_t kFlagRxBlocked = 1u << 1;
   static constexpr std::uint8_t kFlagListening = 1u << 2;
+  // Waveform filing (set_listening): the node demodulates 802.11 PPDUs
+  // (HearsWifi) or rate-less frames (HearsRateless).
+  static constexpr std::uint8_t kFlagHearsWifi = 1u << 3;
+  static constexpr std::uint8_t kFlagHearsRateless = 1u << 4;
 
   void check_id(NodeId id) const {
     if (id >= clients_.size()) throw std::out_of_range("Medium: bad NodeId");

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_map>
 
 namespace wile::telemetry {
 
@@ -169,45 +170,42 @@ std::string to_json(const Snapshot& snapshot, const std::vector<Snapshot>& sampl
   }
   out += "},\n  \"nodes\": [";
 
-  // Group per-node metrics by id, preserving first-appearance order
-  // (registration attaches nodes in ascending NodeId order).
+  // Group per-node metrics by id in one pass, preserving first-appearance
+  // order (registration attaches nodes in ascending NodeId order) and,
+  // within a node, snapshot order.
   {
-    std::vector<std::uint64_t> order;
+    struct NodeMetrics {
+      std::uint64_t id = 0;
+      std::vector<std::pair<std::string_view, const MetricValue*>> metrics;
+    };
+    std::vector<NodeMetrics> nodes;
+    std::unordered_map<std::uint64_t, std::size_t> slot_of;  // id -> index in nodes
     std::uint64_t id = 0;
     std::string_view suffix;
     for (const MetricValue& v : snapshot.values) {
       if (v.kind == MetricKind::HistogramKind) continue;
       if (!split_node_metric(v.name, &id, &suffix)) continue;
-      if (order.empty() || order.back() != id) {
-        bool seen = false;
-        for (std::uint64_t o : order) {
-          if (o == id) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) order.push_back(id);
-      }
+      const auto [it, added] = slot_of.try_emplace(id, nodes.size());
+      if (added) nodes.push_back({id, {}});
+      nodes[it->second].metrics.emplace_back(suffix, &v);
     }
     bool first_node = true;
-    for (std::uint64_t node : order) {
+    for (const NodeMetrics& node : nodes) {
       if (!first_node) out += ",";
       first_node = false;
       out += "\n    {\"node\": ";
-      append_u64(out, node);
+      append_u64(out, node.id);
       out += ", \"metrics\": {";
       bool first_metric = true;
-      for (const MetricValue& v : snapshot.values) {
-        if (v.kind == MetricKind::HistogramKind) continue;
-        if (!split_node_metric(v.name, &id, &suffix) || id != node) continue;
+      for (const auto& [name, value] : node.metrics) {
         if (!first_metric) out += ", ";
         first_metric = false;
-        append_key(out, suffix);
-        append_metric_value(out, v);
+        append_key(out, name);
+        append_metric_value(out, *value);
       }
       out += "}}";
     }
-    if (!order.empty()) out += "\n  ";
+    if (!nodes.empty()) out += "\n  ";
   }
   out += "],\n  \"samples\": [";
   for (std::size_t i = 0; i < samples.size(); ++i) {

@@ -23,6 +23,7 @@ Receiver::Receiver(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position
       codec_(config_.key ? Codec{*config_.key} : Codec{}),
       reassembler_(config_.max_partials) {
   node_id_ = medium_.attach(this, position);
+  medium_.set_listening(node_id_, true);  // files it as 802.11-only, per demodulates()
 }
 
 bool Receiver::rx_enabled() const { return true; }  // mains-powered monitor

@@ -139,8 +139,12 @@ RunResult run_reference_scenario(bool grid_enabled,
 // board deep-sleeps, so the listener index changes at every wake. With
 // `harvesting`, the whole fleet browns out at 7 s and recharges a few
 // seconds later; a companion that is not re-listed on recharge misses
-// every later wake on the grid but not on the dense scan.
-RunResult run_wur_fleet_scenario(bool grid_enabled, bool harvesting) {
+// every later wake on the grid but not on the dense scan. With
+// `rx_window`, every sender also opens a main-radio RX window per cycle,
+// so the medium files it as 802.11 there and as rate-less while its
+// companion listens.
+RunResult run_wur_fleet_scenario(bool grid_enabled, bool harvesting,
+                                 std::optional<RxWindow> rx_window = std::nullopt) {
   Digest digest;
   auto builder = sim::ScenarioBuilder{}
                      .devices(36)
@@ -158,6 +162,9 @@ RunResult run_wur_fleet_scenario(bool grid_enabled, bool harvesting) {
                        digest.add_bytes(m.data);
                        digest.add(static_cast<std::uint64_t>(meta.received_at.us()));
                      });
+  if (rx_window) {
+    builder.configure_sender([rx_window](SenderConfig& cfg, int) { cfg.rx_window = rx_window; });
+  }
   if (harvesting) {
     HarvestingConfig h;
     h.harvester.capacitance_f = 20e-3;  // ~109 mJ: about two cycles stored
@@ -241,6 +248,14 @@ TEST(Determinism, SpatialGridMatchesDenseScanExactly) {
     SCOPED_TRACE("WUR harvesting fleet across a brown-out and recharge");
     const RunResult grid = run_wur_fleet_scenario(/*grid_enabled=*/true, true);
     expect_grid_matches_dense(grid, run_wur_fleet_scenario(/*grid_enabled=*/false, true));
+    EXPECT_GT(grid.fleet_frames_heard, 100u);
+  }
+  {
+    SCOPED_TRACE("WUR fleet with RX windows: filed under both waveform classes in turn");
+    const RxWindow window{msec(2), msec(300)};
+    const RunResult grid = run_wur_fleet_scenario(/*grid_enabled=*/true, false, window);
+    expect_grid_matches_dense(grid,
+                              run_wur_fleet_scenario(/*grid_enabled=*/false, false, window));
     EXPECT_GT(grid.fleet_frames_heard, 100u);
   }
 }

@@ -2,8 +2,14 @@
 // the channel/PER model, and the energy-per-bit accounting behind E6.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "phy/airtime.hpp"
 #include "phy/ble_phy.hpp"
@@ -200,6 +206,79 @@ TEST(Channel, PaperRangeClaim72MbpsAt0dBm) {
   EXPECT_LT(wifi_range, 20.0);
   EXPECT_GT(ble_range / wifi_range, 0.5);
   EXPECT_LT(ble_range / wifi_range, 2.0);
+}
+
+/// The PER curve exactly as it was before its early-out, kept verbatim as
+/// the bit-exactness reference.
+double reference_logistic_per(double snr_db, double threshold_db, std::size_t mpdu_bytes) {
+  constexpr double kSlopePerDb = 2.0;
+  const double x = (snr_db - threshold_db) * kSlopePerDb;
+  const double per_ref = 1.0 / (1.0 + std::exp(x));
+  constexpr double kRefBits = 1000.0 * 8.0;
+  const double bit_success = std::pow(1.0 - per_ref, 1.0 / kRefBits);
+  const double bits = static_cast<double>(mpdu_bytes) * 8.0;
+  return 1.0 - std::pow(bit_success, bits);
+}
+
+// The early-out 19 dB above the threshold returns exactly what the full
+// formula returns: the same bits, +0.0 included, at every rate, on the
+// BLE curve, and at every frame size, across the cut-off ulp by ulp.
+TEST(Channel, PerEarlyOutIsBitExact) {
+  constexpr double kBleThresholdDb = 25.0;  // Channel::ble_packet_error_rate's
+  const Channel ch;
+  struct Curve {
+    std::string_view name;
+    double threshold_db;
+    std::optional<WifiRate> rate;  // nullopt: the BLE curve
+  };
+  std::vector<Curve> curves;
+  for (const RateInfo& info : all_rates()) {
+    curves.push_back({info.name, info.min_snr_db, info.rate});
+  }
+  curves.push_back({"ble", kBleThresholdDb, std::nullopt});
+
+  std::uint64_t points = 0;
+  std::uint64_t mismatches = 0;
+  const auto check = [&](const Curve& curve, double snr, std::size_t bytes) {
+    const double got = curve.rate ? ch.packet_error_rate(snr, *curve.rate, bytes)
+                                  : ch.ble_packet_error_rate(snr, bytes);
+    const double want = reference_logistic_per(snr, curve.threshold_db, bytes);
+    ++points;
+    const bool same = std::isnan(want)
+                          ? std::isnan(got)
+                          : std::bit_cast<std::uint64_t>(got) ==
+                                std::bit_cast<std::uint64_t>(want);
+    if (!same && ++mismatches <= 5) {
+      ADD_FAILURE() << curve.name << " snr " << snr << " dB, " << bytes << " B: got " << got
+                    << ", want " << want;
+    }
+  };
+
+  for (const Curve& curve : curves) {
+    for (const std::size_t bytes : {0, 1, 6, 16, 235, 1000, 2304}) {
+      // Coarse sweep from deep loss, through the cut-off, to far above it.
+      for (int step = -40 * 64; step <= 80 * 64; ++step) {
+        check(curve, curve.threshold_db + step / 64.0, bytes);
+      }
+      // Every double within 2,000 ulps of the cut-off, on both sides.
+      const double cut = curve.threshold_db + 19.0;
+      double up = cut;
+      double down = cut;
+      check(curve, cut, bytes);
+      for (int i = 0; i < 2000; ++i) {
+        up = std::nextafter(up, std::numeric_limits<double>::infinity());
+        down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+        check(curve, up, bytes);
+        check(curve, down, bytes);
+      }
+      for (const double odd : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+        check(curve, odd, bytes);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << points << " points";
 }
 
 TEST(Channel, FrameLostIsDeterministicGivenSeed) {

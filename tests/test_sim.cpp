@@ -749,6 +749,123 @@ TEST(MediumModulationFilter, RatelessFrameSkipsAWifiOnlyListener) {
   expect_filtered_stub_is_invisible(/*wifi_frames=*/false);
 }
 
+/// A one-class listener. It boots unlisted and then lists itself, which
+/// files it under its class; when its class changes it republishes with
+/// set_listening(id, true) while still listed. Counts rx_enabled() polls.
+class FilingClient : public OutcomeClient {
+ public:
+  FilingClient(Medium& medium, Position position, bool wifi)
+      : medium_(medium), wifi_(wifi) {
+    id_ = medium.attach(this, position);
+    medium.set_listening(id_, false);  // no frame is in flight yet
+    medium.set_listening(id_, true);
+  }
+  void switch_class() {
+    wifi_ = !wifi_;
+    medium_.set_listening(id_, true);
+  }
+  [[nodiscard]] NodeId id() const { return id_; }
+  [[nodiscard]] bool rx_enabled() const override {
+    ++polls;
+    return true;
+  }
+  [[nodiscard]] bool demodulates(const std::optional<phy::WifiRate>& rate) const override {
+    return rate.has_value() == wifi_;
+  }
+
+  mutable int polls = 0;
+
+ private:
+  Medium& medium_;
+  NodeId id_{};
+  bool wifi_;
+};
+
+struct FilingRun {
+  std::string wifi_log, rateless_log, both_log, switcher_log;
+  int wifi_polls = 0;
+  int rateless_polls = 0;
+  bool switcher_stayed_listed = true;
+  Medium::Stats stats;
+};
+
+constexpr int kFilingFrames = 200;  // alternating 802.11 and rate-less
+
+/// An 802.11-only, a rate-less-only and an ordinary listener 11-11.5 m
+/// from the transmitter (0 < PER < 1, so each delivery draws), plus a
+/// switcher that starts 802.11-only and turns rate-less-only halfway.
+FilingRun run_filing_case(bool grid) {
+  Scheduler scheduler;
+  Medium medium{scheduler, phy::Channel{}, Rng{0xF117}};
+  medium.set_spatial_grid_enabled(grid);
+  OutcomeClient tx_client, both;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  FilingClient wifi{medium, {11, 0}, /*wifi=*/true};
+  FilingClient rateless{medium, {11.2, 0}, /*wifi=*/false};
+  FilingClient switcher{medium, {11.3, 0}, /*wifi=*/true};
+  medium.attach(&both, {11.5, 0});
+
+  FilingRun run;
+  for (int i = 0; i < kFilingFrames; ++i) {
+    scheduler.schedule_at(TimePoint{msec(i)}, [&, i] {
+      if (i == kFilingFrames / 2) switcher.switch_class();
+      run.switcher_stayed_listed &= medium.listening(switcher.id());
+      TxRequest req;
+      req.mpdu = Bytes(100, 0x5A);
+      req.airtime = usec(100);
+      if (i % 2 == 0) req.rate = phy::WifiRate::Mcs7;
+      medium.transmit(tx, std::move(req));
+    });
+  }
+  scheduler.run_until_idle();
+  run.wifi_log = wifi.log;
+  run.rateless_log = rateless.log;
+  run.both_log = both.log;
+  run.switcher_log = switcher.log;
+  run.wifi_polls = wifi.polls;
+  run.rateless_polls = rateless.polls;
+  run.stats = medium.stats();
+  return run;
+}
+
+TEST(MediumModulationFilter, GridSkipsAListenerFiledUnderTheOtherClass) {
+  const FilingRun grid = run_filing_case(/*grid=*/true);
+  const FilingRun dense = run_filing_case(/*grid=*/false);
+
+  // The grid polls each one-class listener only for frames of its class;
+  // the dense scan, the oracle, polls both for every frame.
+  EXPECT_EQ(grid.wifi_polls, kFilingFrames / 2);
+  EXPECT_EQ(grid.rateless_polls, kFilingFrames / 2);
+  EXPECT_EQ(dense.wifi_polls, kFilingFrames);
+  EXPECT_EQ(dense.rateless_polls, kFilingFrames);
+
+  // Skipping them changed no outcome anywhere.
+  EXPECT_EQ(grid.stats, dense.stats);
+  EXPECT_EQ(grid.wifi_log, dense.wifi_log);
+  EXPECT_EQ(grid.rateless_log, dense.rateless_log);
+  EXPECT_EQ(grid.both_log, dense.both_log);
+  EXPECT_EQ(grid.wifi_log.size(), static_cast<std::size_t>(kFilingFrames / 2));
+  EXPECT_EQ(grid.rateless_log.size(), static_cast<std::size_t>(kFilingFrames / 2));
+  EXPECT_EQ(grid.both_log.size(), static_cast<std::size_t>(kFilingFrames));
+  EXPECT_NE(grid.both_log.find('D'), std::string::npos);
+  EXPECT_NE(grid.both_log.find('L'), std::string::npos);
+}
+
+// A listed node that changes class re-files by republishing, without
+// being unlisted in between, and the grid hands it its next frame of the
+// new class exactly as the dense scan does.
+TEST(MediumModulationFilter, RepublishingRefilesAListedNode) {
+  const FilingRun grid = run_filing_case(/*grid=*/true);
+  const FilingRun dense = run_filing_case(/*grid=*/false);
+
+  EXPECT_TRUE(grid.switcher_stayed_listed);
+  // 50 802.11 frames before the switch, 50 rate-less frames after it.
+  EXPECT_EQ(grid.switcher_log.size(), static_cast<std::size_t>(kFilingFrames / 2));
+  EXPECT_EQ(grid.switcher_log, dense.switcher_log);
+  EXPECT_EQ(grid.stats, dense.stats);
+  EXPECT_EQ(grid.both_log, dense.both_log);
+}
+
 // A frame a listener cannot demodulate is still energy at its antenna:
 // it busies carrier sense and collides with the frame the listener can
 // demodulate.

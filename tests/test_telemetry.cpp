@@ -105,6 +105,45 @@ TEST(Histogram, BucketsAndMoments) {
   EXPECT_EQ(h.buckets[4], 1u);
 }
 
+// --- export -----------------------------------------------------------------
+
+// Per-node metrics are grouped by node id in first-appearance order, each
+// node's metrics in registration order, however the ids interleave. The
+// literal was produced by the exporter that rescanned the snapshot once
+// per node.
+TEST(Export, NodeSectionGroupsInterleavedIdsInFirstAppearanceOrder) {
+  MetricsRegistry reg;
+  std::uint64_t cycles10 = 3, cycles2 = 5, tx = 7, beacons2 = 11, beacons10 = 13;
+  double energy10 = 0.25;
+  reg.bind_counter("node.10.sender.cycles", &cycles10);
+  reg.bind_counter("node.2.sender.cycles", &cycles2);
+  reg.bind_counter("medium.transmissions", &tx);
+  reg.bind_gauge("node.10.energy_j", &energy10);
+  reg.bind_counter("node.2.sender.beacons", &beacons2);
+  reg.bind_counter("node.10.sender.beacons", &beacons10);
+  reg.histogram("gateway.latency_us")->record(6);
+
+  ExportMeta meta;
+  meta.bench = "export_grouping";
+  EXPECT_EQ(to_json(reg.snapshot(TimePoint{seconds(3)}), {}, meta),
+            "{\n"
+            "  \"schema\": \"wile-telemetry-v1\",\n"
+            "  \"bench\": \"export_grouping\",\n"
+            "  \"sim_time_us\": 3000000,\n"
+            "  \"meta\": {},\n"
+            "  \"aggregates\": {\"medium.transmissions\": 7},\n"
+            "  \"histograms\": {\"gateway.latency_us\": {\"count\": 1, \"sum\": 6, "
+            "\"min\": 6, \"max\": 6, \"mean\": 6, \"buckets\": {\"3\": 1}}},\n"
+            "  \"nodes\": [\n"
+            "    {\"node\": 10, \"metrics\": {\"sender.cycles\": 3, \"energy_j\": 0.25, "
+            "\"sender.beacons\": 13}},\n"
+            "    {\"node\": 2, \"metrics\": {\"sender.cycles\": 5, \"sender.beacons\": 11}}\n"
+            "  ],\n"
+            "  \"samples\": [],\n"
+            "  \"trace\": {\"recorded\": 0, \"dropped\": 0}\n"
+            "}\n");
+}
+
 // --- tracer -----------------------------------------------------------------
 
 TEST(Tracer, DisabledRecordsNothing) {
