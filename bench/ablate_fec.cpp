@@ -61,8 +61,8 @@ Result run_arm(const Arm& arm, double loss_floor) {
           .stagger_starts(false)
           .device_rng([](int) { return Rng{62}; })
           .configure_sender([&arm](core::SenderConfig& cfg, int) {
-            cfg.repeats = arm.repeats;
-            cfg.recovery_k = arm.recovery_k;
+            cfg.redundancy.repeats = arm.repeats;
+            cfg.redundancy.recovery_k = arm.recovery_k;
           })
           .place_gateway([](int) { return sim::Position{2, 0}; })
           .payload_provider([&cycles](int) -> core::Sender::PayloadProvider {

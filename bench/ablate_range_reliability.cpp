@@ -38,7 +38,7 @@ double wile_delivery_pct(double distance_m, int repeats, phy::Band band) {
   sim::Medium medium{scheduler, phy::Channel{cfg_band}, Rng{31}};
   core::SenderConfig cfg;
   cfg.period = kPeriod;
-  cfg.repeats = repeats;
+  cfg.redundancy.repeats = repeats;
   cfg.band = band;
   core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{32}};
   core::Receiver monitor{scheduler, medium, {distance_m, 0}};

@@ -43,7 +43,7 @@ Strategy run_repeats(int repeats) {
   sim::Medium medium{scheduler, phy::Channel{}, Rng{41}};
   core::SenderConfig cfg;
   cfg.period = kPeriod;
-  cfg.repeats = repeats;
+  cfg.redundancy.repeats = repeats;
   core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{42}};
   core::Receiver monitor{scheduler, medium, {kEdgeDistanceM, 0}};
 

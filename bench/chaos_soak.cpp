@@ -94,8 +94,8 @@ std::unique_ptr<sim::Scenario> build_fleet(const FleetSpec& spec,
         cfg.power = harvesting_class_profile();
         // Cross-cycle FEC: recovery beacons are exactly the machinery a
         // brown-out resume can race, which is what we're hunting.
-        cfg.recovery_k = 4;
-        cfg.recovery_stride = 2;
+        cfg.redundancy.recovery_k = 4;
+        cfg.redundancy.recovery_stride = 2;
       })
       .payload(Bytes(16, 0x42))
       .build();

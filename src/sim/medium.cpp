@@ -391,18 +391,4 @@ void Medium::deliver(const ActiveTx& tx) {
   }
 }
 
-void Medium::publish_metrics(telemetry::MetricsRegistry& registry,
-                             const std::string& prefix) const {
-  registry.bind_counter(prefix + ".transmissions", &stats_.transmissions);
-  registry.bind_counter(prefix + ".deliveries", &stats_.deliveries);
-  registry.bind_counter(prefix + ".collision_losses", &stats_.collision_losses);
-  registry.bind_counter(prefix + ".channel_losses", &stats_.channel_losses);
-  registry.bind_counter_fn(prefix + ".nodes", [this] {
-    return static_cast<std::uint64_t>(clients_.size());
-  });
-  registry.bind_gauge(prefix + ".noise_offset_db", &noise_offset_db_);
-  registry.bind_gauge(prefix + ".per_multiplier", &per_multiplier_);
-  registry.bind_gauge(prefix + ".loss_floor", &loss_floor_);
-}
-
 }  // namespace wile::sim

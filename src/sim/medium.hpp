@@ -339,13 +339,6 @@ class Medium {
   /// Attached node count (SoA columns all share this length).
   [[nodiscard]] std::size_t node_count() const { return clients_.size(); }
 
-  /// Register this medium's counters with a telemetry registry under
-  /// `prefix` ("medium.transmissions", ...). The registry binds pointers
-  /// to the same slots stats() exposes, so the legacy accessor and the
-  /// registry can never disagree, and the TX/RX hot path is untouched.
-  void publish_metrics(telemetry::MetricsRegistry& registry,
-                       const std::string& prefix = "medium") const;
-
  private:
   struct Interferer {
     NodeId transmitter{};

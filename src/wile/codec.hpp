@@ -160,6 +160,51 @@ struct RecoveryPayload {
 /// Most messages a single Recovery beacon may cover.
 constexpr std::size_t kMaxRecoveryGroup = 32;
 
+/// The last N uplink payloads of one device, oldest first: the XOR inputs
+/// of cross-cycle recovery, kept by the sender that builds Recovery
+/// beacons and by the receiver that decodes them. A ring: it grows to N
+/// slots, then overwrites the oldest in place, so each slot keeps its
+/// capacity.
+template <std::size_t N>
+class PayloadHistory {
+ public:
+  struct Entry {
+    std::uint32_t sequence = 0;
+    MessageType type = MessageType::Telemetry;
+    Bytes data;
+  };
+
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  /// The i-th oldest retained payload.
+  [[nodiscard]] const Entry& operator[](std::size_t i) const {
+    return slots_[(head_ + i) % slots_.size()];
+  }
+  /// Retain `message`'s payload, dropping the oldest once N are held.
+  void push(const Message& message) {
+    Entry* slot = nullptr;
+    if (slots_.size() < N) {
+      slot = &slots_.emplace_back();
+    } else {
+      slot = &slots_[head_];
+      head_ = (head_ + 1) % N;
+    }
+    slot->sequence = message.sequence;
+    slot->type = message.type;
+    slot->data.assign(message.data.begin(), message.data.end());
+  }
+  /// The oldest retained payload carrying `sequence`, or nullptr.
+  [[nodiscard]] const Entry* find(std::uint32_t sequence) const {
+    for (std::size_t i = 0; i < size(); ++i) {
+      if ((*this)[i].sequence == sequence) return &(*this)[i];
+    }
+    return nullptr;
+  }
+
+ private:
+  std::vector<Entry> slots_;
+  std::size_t head_ = 0;
+};
+
 /// Encode/decode a Recovery message payload. Encoding throws
 /// std::invalid_argument on inconsistent sizes (0 or > kMaxRecoveryGroup
 /// entries, xor_block shorter than the longest entry).

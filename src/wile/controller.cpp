@@ -43,9 +43,7 @@ void Controller::on_frame(const sim::RxFrame& frame) {
     // Loss bookkeeping runs at fragment granularity over the uplink data
     // types only: Recovery beacons and downlink traffic (possibly from
     // other controllers) ride different sequence spaces.
-    const bool uplink_data = fragment.type == MessageType::Telemetry ||
-                             fragment.type == MessageType::Event ||
-                             fragment.type == MessageType::Probe;
+    const bool uplink_data = is_uplink_data(fragment.type);
     // One probe resolves everything this fragment needs: the loss track,
     // the downlink queue and the downlink sequence counter all live in
     // the same DeviceState record. Only uplink data may create a record;
@@ -74,10 +72,7 @@ void Controller::on_frame(const sim::RxFrame& frame) {
       // Reliable mode: acknowledge completed uplinks into the window the
       // device just announced. Only data uplinks are acked — FEC and
       // control traffic is not part of the reliable stream.
-      const bool ackable = message->type == MessageType::Telemetry ||
-                           message->type == MessageType::Event ||
-                           message->type == MessageType::Probe;
-      if (config_.auto_ack && fragment.rx_window && ackable) {
+      if (config_.auto_ack && fragment.rx_window && is_uplink_data(message->type)) {
         Message ack;
         ack.device_id = message->device_id;
         // A completed message normally belongs to the fragment's device,
@@ -119,14 +114,9 @@ Bytes Controller::build_downlink_beacon(const Message& message) {
   beacon.ies.add(dot11::make_ssid_ie(""));  // hidden, like the devices
   beacon.ies.add(dot11::make_supported_rates_ie(dot11::default_bg_rates()));
   for (const auto& ie : codec_.encode(message)) beacon.ies.add(ie);
-
-  dot11::MacHeader h;
-  h.fc = dot11::FrameControl::mgmt(dot11::MgmtSubtype::Beacon);
-  h.addr1 = MacAddress::broadcast();
-  h.addr2 = config_.mac;
-  h.addr3 = config_.mac;
-  h.set_sequence(seq_ctl_++ & 0x0fff);
-  return dot11::assemble_mpdu(h, beacon.encode());
+  return dot11::build_mgmt_mpdu(dot11::MgmtSubtype::Beacon, MacAddress::broadcast(),
+                                config_.mac, config_.mac, seq_ctl_++ & 0x0fff,
+                                beacon.encode());
 }
 
 void Controller::inject_downlink(std::uint32_t device_id, DeviceState& dev,

@@ -36,6 +36,14 @@ enum class MessageType : std::uint8_t {
   ChannelReport = 7,
 };
 
+/// The device-originated data types: the uplink stream that carries
+/// sequence-gap loss accounting, XOR recovery and reliable-mode Acks.
+/// Recovery beacons and controller traffic ride other sequence spaces.
+constexpr bool is_uplink_data(MessageType type) {
+  return type == MessageType::Telemetry || type == MessageType::Event ||
+         type == MessageType::Probe;
+}
+
 /// Two-way extension (§6): the device announces that it will listen for
 /// `duration` starting `offset` after the end of this beacon.
 struct RxWindow {

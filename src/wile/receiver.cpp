@@ -171,12 +171,7 @@ void Receiver::deliver(const Message& message, const RxMeta& meta, bool recovere
   }
   // Only uplink payloads feed the XOR cache: recovery groups cover the
   // device's own sequence space, not controller Acks/Downlinks.
-  if (message.type == MessageType::Telemetry || message.type == MessageType::Event ||
-      message.type == MessageType::Probe) {
-    FecState& fec = fec_[message.device_id];
-    fec.cache.push_back({message.sequence, message.type, message.data});
-    if (fec.cache.size() > kPayloadCacheSize) fec.cache.erase(fec.cache.begin());
-  }
+  if (is_uplink_data(message.type)) fec_[message.device_id].cache.push(message);
   if (callback_) callback_(message, meta);
 }
 
@@ -234,14 +229,8 @@ bool Receiver::attempt_recovery(std::uint32_t device_id, const RecoveryPayload& 
   Bytes data = payload.xor_block;
   const FecState& fec = fec_[device_id];
   for (const std::size_t i : present) {
-    const std::uint32_t seq = payload.base_sequence + static_cast<std::uint32_t>(i);
-    const CachedPayload* cached = nullptr;
-    for (const CachedPayload& c : fec.cache) {
-      if (c.sequence == seq) {
-        cached = &c;
-        break;
-      }
-    }
+    const auto* cached =
+        fec.cache.find(payload.base_sequence + static_cast<std::uint32_t>(i));
     // Received but no longer cached (or delivered before this receiver's
     // cache horizon): the XOR input is gone for good.
     if (cached == nullptr) return true;

@@ -120,16 +120,11 @@ class Receiver : public sim::MediumClient {
   static constexpr std::size_t kPayloadCacheSize = 64;
   static constexpr std::size_t kMaxPendingRecoveries = 8;
 
-  struct CachedPayload {
-    std::uint32_t sequence = 0;
-    MessageType type = MessageType::Telemetry;
-    Bytes data;
-  };
   /// Per-device erasure-decoding state: recently delivered payloads (the
   /// XOR inputs) and recovery beacons still waiting for a second loss in
   /// their group to be filled by a later beacon or delivery.
   struct FecState {
-    std::vector<CachedPayload> cache;
+    PayloadHistory<kPayloadCacheSize> cache;
     std::vector<RecoveryPayload> pending;
     std::optional<std::uint32_t> last_recovery_seq;
   };

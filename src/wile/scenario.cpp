@@ -270,9 +270,12 @@ Scenario::Scenario(const ScenarioBuilder& b)
     receivers_.push_back(
         std::make_unique<core::Receiver>(*core.scheduler, *core.medium, pos, cfg));
     receivers_.back()->set_message_callback(
-        [this, counter = &core.messages](const core::Message& msg,
-                                         const core::RxMeta& meta) {
+        [this, counter = &core.messages,
+         key = static_cast<std::uint32_t>(receivers_.back()->node_id())](
+            const core::Message& msg, const core::RxMeta& meta) {
           ++*counter;
+          // A delivery is reported as it happens: received_at is now.
+          if (monitor_) monitor_->on_delivery(key, msg.device_id, msg.sequence, meta.received_at);
           if (rules_engine_) rules_engine_->on_message(msg, meta.rssi_dbm, meta.received_at);
           if (user_on_message_) user_on_message_(msg, meta);
         });
@@ -332,23 +335,30 @@ Scenario::Scenario(const ScenarioBuilder& b)
   registry_.bind_gauge_fn("sim.time_us", [this] {
     return static_cast<double>(now().since_epoch().count());
   });
-  if (engine_) {
-    registry_.bind_counter_fn("medium.transmissions",
-                              [this] { return medium_stats().transmissions; });
-    registry_.bind_counter_fn("medium.deliveries",
-                              [this] { return medium_stats().deliveries; });
-    registry_.bind_counter_fn("medium.collision_losses",
-                              [this] { return medium_stats().collision_losses; });
-    registry_.bind_counter_fn("medium.channel_losses",
-                              [this] { return medium_stats().channel_losses; });
-    registry_.bind_counter_fn("medium.nodes", [this] {
-      std::uint64_t nodes = 0;
-      for (const auto& core : cores_) nodes += core.medium->node_count();
-      return nodes;
+  registry_.bind_counter_fn("medium.transmissions",
+                            [this] { return medium_stats().transmissions; });
+  registry_.bind_counter_fn("medium.deliveries", [this] { return medium_stats().deliveries; });
+  registry_.bind_counter_fn("medium.collision_losses",
+                            [this] { return medium_stats().collision_losses; });
+  registry_.bind_counter_fn("medium.channel_losses",
+                            [this] { return medium_stats().channel_losses; });
+  registry_.bind_counter_fn("medium.nodes", [this] {
+    std::uint64_t nodes = 0;
+    for (const auto& core : cores_) nodes += core.medium->node_count();
+    return nodes;
+  });
+  // Impairment gauges: the largest setting on any core. Faults set them
+  // on the serial engine only, so the sharded cores all read the default.
+  const auto bind_impairment = [this](const char* name, double (Medium::*knob)() const) {
+    registry_.bind_gauge_fn(name, [this, knob] {
+      double worst = (cores_.front().medium.get()->*knob)();
+      for (const auto& core : cores_) worst = std::max(worst, (core.medium.get()->*knob)());
+      return worst;
     });
-  } else {
-    cores_.front().medium->publish_metrics(registry_);
-  }
+  };
+  bind_impairment("medium.noise_offset_db", &Medium::noise_offset_db);
+  bind_impairment("medium.per_multiplier", &Medium::per_multiplier);
+  bind_impairment("medium.loss_floor", &Medium::loss_floor);
   registry_.bind_counter_fn("fleet.messages", [this] { return messages(); });
   // One of each pair is empty: the mode picks the node types.
   registry_.bind_gauge_fn("fleet.devices", [this] {
@@ -507,24 +517,15 @@ void Scenario::attach_invariants(InvariantMonitor& monitor) {
   });
 
   // Gateways: reassembler partial tables stay bounded, and no (device,
-  // sequence) pair is ever delivered twice by the same gateway. The
-  // message callback is re-wired through the monitor; the scenario's
-  // aggregate counter and any user callback keep working.
+  // sequence) pair is ever delivered twice by the same gateway. Every
+  // gateway's message callback reports its deliveries to monitor_.
+  monitor_ = &monitor;
   for (auto& r : receivers_) {
     core::Receiver* gw = r.get();
     monitor.add_bounded_gauge(
         "receiver.partial_table_bound",
         [gw] { return static_cast<double>(gw->reassembler_partials()); }, 0.0,
         static_cast<double>(gw->config().max_partials), gw->node_id());
-    gw->set_message_callback(
-        [this, sched, &monitor, counter = &cores_.front().messages,
-         key = static_cast<std::uint32_t>(gw->node_id())](const core::Message& msg,
-                                                          const core::RxMeta& meta) {
-          ++*counter;
-          monitor.on_delivery(key, msg.device_id, msg.sequence, sched->now());
-          if (rules_engine_) rules_engine_->on_message(msg, meta.rssi_dbm, meta.received_at);
-          if (user_on_message_) user_on_message_(msg, meta);
-        });
   }
 
   for (auto& s : senders_) {

@@ -123,8 +123,8 @@ class Scenario {
   /// Wire the standard invariant catalog over this fleet: scheduler
   /// monotonicity, FrameBuffer leak accounting against the medium's
   /// in-flight transmissions, per-gateway reassembler bounds and
-  /// per-device sequence uniqueness (the gateway callbacks are re-wired
-  /// through the monitor), per-device monotone sequence counters, and —
+  /// per-device sequence uniqueness (the gateway callbacks report every
+  /// delivery to the monitor), per-device monotone sequence counters, and —
   /// for harvesting fleets — energy conservation via the governor's
   /// non-perturbing projected charge. The monitor must outlive every
   /// event this scenario runs. Call monitor.start() separately to sweep.
@@ -220,6 +220,8 @@ class Scenario {
   std::vector<std::unique_ptr<ble::BleScanner>> ble_scanners_;
   std::unique_ptr<ap::WurScheduler> wur_ap_;
   std::unique_ptr<rules::Engine> rules_engine_;
+  /// Set by attach_invariants(): every gateway delivery is reported to it.
+  InvariantMonitor* monitor_ = nullptr;
   core::Receiver::MessageCallback user_on_message_;
   std::function<void(int, const ble::AdvertisingPdu&, double)> user_on_adv_;
 

@@ -67,7 +67,7 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
   body_prefix_ = prototype.encode();
 
   keep_recovery_history_ =
-      config_.recovery_k > 0 ||
+      config_.redundancy.recovery_k > 0 ||
       (config_.adaptation &&
        std::any_of(config_.adaptation->tiers.begin(), config_.adaptation->tiers.end(),
                    [](const RedundancyTier& t) { return t.recovery_k > 0; }));
@@ -106,8 +106,8 @@ bool Sender::demodulates(const std::optional<phy::WifiRate>& rate) const {
 }
 
 void Sender::send_now(Bytes data, SendCallback done) {
-  if (phase_ != Phase::DeepSleep) {
-    throw std::logic_error("wile::Sender: send_now requires deep sleep");
+  if (!may_start_cycle()) {
+    throw std::logic_error("wile::Sender: send_now requires a powered board in deep sleep");
   }
   begin_cycle(std::move(data), std::move(done));
 }
@@ -154,26 +154,14 @@ void Sender::on_wakeup_frame(const phy::WakeUpFrame& wake) {
     return;
   }
   last_seq = wake.seq;
-  if (governor_) {
-    // Same wake gate as the periodic duty cycle: a cycle the capacitor
-    // cannot fund would brown out mid-flight.
-    const Joules need{config_.harvesting->wake_margin * estimated_cycle_cost().value};
-    if (!governor_->can_afford(need)) {
-      ++cycles_skipped_energy_;
-      return;
-    }
-  }
+  if (!wake_gate()) return;
   ++wur_wakes_total_;
-  // Companion decode + wake-interrupt latency, then the normal cycle.
+  // Companion decode + wake-interrupt latency, then the start rule: the
+  // board may have browned out, or a cycle started, in the meantime.
+  // The epoch strands a wake whose gap saw a cycle brown out.
   const std::uint64_t epoch = cycle_epoch_;
   scheduler_.schedule_in(wur.receiver.wake_latency, [this, epoch] {
-    if (epoch != cycle_epoch_) return;        // browned out in the gap
-    if (phase_ != Phase::DeepSleep) return;   // already mid-cycle
-    if (!will_retransmit()) trace_instant(telemetry::Phase::Sample);
-    Bytes data = will_retransmit() ? Bytes{} : provider_();
-    begin_cycle(std::move(data), [this](const SendReport& report) {
-      if (per_cycle_) per_cycle_(report);
-    });
+    if (epoch == cycle_epoch_ && may_start_cycle()) sample_and_begin();
   });
 }
 
@@ -194,25 +182,32 @@ void Sender::schedule_next_cycle() {
     // not from cycle completion (the deep-sleep timer on the ESP32 is
     // armed before sleeping, so the period is wake-to-wake).
     schedule_next_cycle();
-    if (phase_ != Phase::DeepSleep) return;  // previous cycle still busy
-    if (recovering_) return;  // browned out: the resume path owns the restart
-    if (governor_) {
-      // Wake gate: a cycle the capacitor cannot fund would brown out
-      // mid-flight; cheaper to stay asleep and let the charge build.
-      const Joules need{config_.harvesting->wake_margin *
-                        estimated_cycle_cost().value};
-      if (!governor_->can_afford(need)) {
-        ++cycles_skipped_energy_;
-        return;
-      }
-    }
-    // Reliable mode: don't consume fresh sensor data while a
-    // retransmission is pending.
-    if (!will_retransmit()) trace_instant(telemetry::Phase::Sample);
-    Bytes data = will_retransmit() ? Bytes{} : provider_();
-    begin_cycle(std::move(data), [this](const SendReport& report) {
-      if (per_cycle_) per_cycle_(report);
-    });
+    // A previous cycle still busy, or a browned-out board whose resume
+    // path owns the restart, skips this tick.
+    if (may_start_cycle() && wake_gate()) sample_and_begin();
+  });
+}
+
+bool Sender::wake_gate() {
+  if (!governor_) return true;
+  // A cycle the capacitor cannot fund would brown out mid-flight;
+  // cheaper to stay asleep and let the charge build.
+  const Joules need{config_.harvesting->wake_margin * estimated_cycle_cost().value};
+  if (governor_->can_afford(need)) return true;
+  ++cycles_skipped_energy_;
+  return false;
+}
+
+void Sender::sample_and_begin() {
+  // Reliable mode: don't consume fresh sensor data while a
+  // retransmission is pending.
+  Bytes data;
+  if (!will_retransmit()) {
+    trace_instant(telemetry::Phase::Sample);
+    data = provider_();
+  }
+  begin_cycle(std::move(data), [this](const SendReport& report) {
+    if (per_cycle_) per_cycle_(report);
   });
 }
 
@@ -227,42 +222,37 @@ dot11::MacHeader Sender::next_beacon_header() {
 }
 
 void Sender::append_beacon(const Message& message, std::size_t element, bool parity,
-                           bool fec) {
+                           bool fec, std::string_view stuffed_ssid) {
   const std::size_t offset = train_.size();
   next_beacon_header().write_to(train_);
   // The precomputed body prefix, its timestamp (the first 8 bytes)
   // patched to the encode instant.
   train_.u64le(static_cast<std::uint64_t>(scheduler_.now().us()));
-  train_.bytes(BytesView{body_prefix_}.subspan(8));
-  // The data-bearing vendor element, then the FCS over the whole MPDU.
-  codec_.write_element(train_, message, element, parity);
-  train_.u32le(crypto::crc32(train_.view().subspan(offset)));
+  const BytesView prefix = BytesView{body_prefix_}.subspan(8);
+  if (config_.ssid_stuffing) {
+    // Beacon stuffing (§2): the data-bearing SSID element replaces the
+    // prefix's own, which follows the interval and capability fields.
+    // The prefix's other elements follow it, and no vendor element.
+    constexpr std::size_t kSsidAt = 4;
+    train_.bytes(prefix.first(kSsidAt));
+    train_.u8(static_cast<std::uint8_t>(dot11::IeId::Ssid));
+    train_.u8(static_cast<std::uint8_t>(stuffed_ssid.size()));
+    train_.str(stuffed_ssid);
+    train_.bytes(prefix.subspan(kSsidAt + 2 + prefix[kSsidAt + 1]));
+  } else {
+    train_.bytes(prefix);
+    codec_.write_element(train_, message, element, parity);  // the data-bearing element
+  }
+  train_.u32le(crypto::crc32(train_.view().subspan(offset)));  // FCS over the MPDU
   train_entries_.push_back({static_cast<std::uint32_t>(offset),
                             static_cast<std::uint32_t>(train_.size() - offset), fec});
 }
 
-Bytes Sender::build_ssid_stuffed_mpdu(const std::string& stuffed_ssid) {
-  dot11::Beacon beacon;
-  beacon.timestamp_us = static_cast<std::uint64_t>(scheduler_.now().us());
-  beacon.beacon_interval_tu = config_.beacon_interval_tu;
-  beacon.capability = dot11::Capability::kEss | dot11::Capability::kShortSlot;
-  beacon.ies.add(dot11::make_ssid_ie(stuffed_ssid));  // data in the SSID itself
-  beacon.ies.add(dot11::make_supported_rates_ie(dot11::default_bg_rates()));
-  beacon.ies.add(dot11::make_ds_param_ie(6));
-
-  return dot11::assemble_mpdu(next_beacon_header(), beacon.encode());
-}
-
-RedundancyTier Sender::active_tier() const {
+const RedundancyTier& Sender::active_tier() const {
   if (config_.adaptation && !config_.adaptation->tiers.empty()) {
     return config_.adaptation->tiers[std::min(tier_, config_.adaptation->tiers.size() - 1)];
   }
-  RedundancyTier tier;
-  tier.repeats = config_.repeats;
-  tier.fec_parity = config_.fec_parity;
-  tier.recovery_k = config_.recovery_k;
-  tier.recovery_stride = config_.recovery_stride;
-  return tier;
+  return config_.redundancy;
 }
 
 std::optional<Message> Sender::maybe_recovery_message(const RedundancyTier& tier) {
@@ -276,15 +266,15 @@ std::optional<Message> Sender::maybe_recovery_message(const RedundancyTier& tier
 
   const std::size_t n = recent_sent_.size();
   RecoveryPayload payload;
-  payload.base_sequence = recent(n - k).sequence;
+  payload.base_sequence = recent_sent_[n - k].sequence;
   for (std::size_t i = n - k; i < n; ++i) {
-    const RecentMessage& r = recent(i);
+    const auto& r = recent_sent_[i];
     payload.entries.push_back(
         {r.type, static_cast<std::uint16_t>(std::min<std::size_t>(r.data.size(), 0xffff))});
     if (r.data.size() > payload.xor_block.size()) payload.xor_block.resize(r.data.size());
   }
   for (std::size_t i = n - k; i < n; ++i) {
-    const Bytes& d = recent(i).data;
+    const Bytes& d = recent_sent_[i].data;
     for (std::size_t b = 0; b < d.size(); ++b) payload.xor_block[b] ^= d[b];
   }
 
@@ -296,21 +286,18 @@ std::optional<Message> Sender::maybe_recovery_message(const RedundancyTier& tier
   return m;
 }
 
+void Sender::open_cycle(bool resumed) {
+  cycle_ = Cycle{};
+  cycle_.wake_time = scheduler_.now();
+  cycle_.resumed = resumed;
+  trace_begin(telemetry::Phase::Cycle);
+  trace_begin(telemetry::Phase::Wake);
+}
+
 void Sender::begin_cycle(Bytes data, SendCallback done) {
   ++cycles_;
   cycle_done_ = std::move(done);
-  wake_time_ = scheduler_.now();
-  trace_begin(telemetry::Phase::Cycle);
-  trace_begin(telemetry::Phase::Wake);
-  cycle_airtime_ = Duration{0};
-  cycle_beacons_ = 0;
-  cycle_downlinks_ = 0;
-  cycle_failed_ = false;
-  cycle_acked_ = false;
-  cycle_retransmission_ = false;
-  cycle_resumed_ = false;
-  cycle_parity_beacons_ = 0;
-  cycle_parity_airtime_ = Duration{0};
+  open_cycle(/*resumed=*/false);
 
   // No-controller fallback: with ChannelReports silent for long enough,
   // stop waiting for closed-loop guidance and run the configured
@@ -349,7 +336,7 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
   if (will_retransmit()) {
     // Reliable mode: repeat the unacknowledged message, same sequence.
     message = *unacked_;
-    cycle_retransmission_ = true;
+    cycle_.retransmission = true;
   } else {
     if (config_.reliable && unacked_) {
       // Retry budget exhausted: abandon and move on.
@@ -371,21 +358,10 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
 
   const bool fec_usable = !config_.ssid_stuffing;
   if (fresh && fec_usable) {
-    if (keep_recovery_history_) {
-      RecentMessage* slot = nullptr;
-      if (recent_sent_.size() < kMaxRecoveryGroup) {
-        slot = &recent_sent_.emplace_back();
-      } else {
-        slot = &recent_sent_[recent_head_];  // overwrite the oldest in place
-        recent_head_ = (recent_head_ + 1) % recent_sent_.size();
-      }
-      slot->sequence = message.sequence;
-      slot->type = message.type;
-      slot->data.assign(message.data.begin(), message.data.end());
-    }
+    if (keep_recovery_history_) recent_sent_.push(message);
     ++msgs_since_recovery_;
   }
-  cycle_sequence_ = message.sequence;
+  cycle_.sequence = message.sequence;
 
   // Intermittent power: checkpoint the cycle into the persistent region
   // before any risky phase. The sequence is already assigned and the FEC
@@ -397,7 +373,7 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
 }
 
 void Sender::encode_and_transmit(const Message& message, bool include_recovery) {
-  const RedundancyTier tier = active_tier();
+  const RedundancyTier& tier = active_tier();
   // The whole train is built now, at the encode instant, into storage
   // kept from earlier cycles.
   train_.clear();
@@ -405,12 +381,10 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
   trace_instant(telemetry::Phase::Encode);
   try {
     if (config_.ssid_stuffing) {
-      if (auto stuffed = encode_ssid_stuffed(message)) {
-        const Bytes mpdu = build_ssid_stuffed_mpdu(*stuffed);
-        train_.bytes(mpdu);
-        train_entries_.push_back({0, static_cast<std::uint32_t>(mpdu.size()), false});
+      if (const auto stuffed = encode_ssid_stuffed(message)) {
+        append_beacon(message, 0, /*parity=*/false, /*fec=*/false, *stuffed);
       } else {
-        cycle_failed_ = true;  // message does not fit the SSID field
+        cycle_.failed = true;  // message does not fit the SSID field
       }
     } else {
       const std::size_t elements = codec_.element_count(message, tier.fec_parity);
@@ -440,7 +414,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
       }
     }
   } catch (const std::invalid_argument&) {
-    cycle_failed_ = true;
+    cycle_.failed = true;
   }
 
   enter_phase(Phase::Init);
@@ -452,7 +426,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
     if (epoch != cycle_epoch_) return;  // browned out during init
     trace_end(telemetry::Phase::Wake);
     if (maybe_brown_out()) return;  // the init phase outran the charge
-    if (cycle_failed_ || train_entries_.empty()) {
+    if (cycle_.failed || train_entries_.empty()) {
       finish_cycle();
       return;
     }
@@ -475,13 +449,13 @@ void Sender::inject_fragments(std::size_t index) {
   const TrainEntry& beacon = train_entries_[index];
   const BytesView mpdu = train_.view().subspan(beacon.offset, beacon.size);
   const Duration airtime = phy::frame_airtime(mpdu.size(), config_.rate, config_.band);
-  cycle_airtime_ += airtime;
-  ++cycle_beacons_;
+  cycle_.airtime += airtime;
+  ++cycle_.beacons;
   ++beacons_sent_total_;
   tx_airtime_total_ += airtime;
   if (beacon.fec) {
-    cycle_parity_airtime_ += airtime;
-    ++cycle_parity_beacons_;
+    cycle_.parity_airtime += airtime;
+    ++cycle_.parity_beacons;
     ++parity_beacons_total_;
   }
 
@@ -554,26 +528,25 @@ void Sender::finish_cycle() {
     // cycle's work is done, so only the recharge wait is at stake.
     maybe_brown_out();
 
+    const Cycle& c = cycle_;
+    const Duration ramp = config_.power.tx_ramp;
     SendReport report;
-    report.success = !cycle_failed_ && cycle_beacons_ > 0;
-    report.sequence = cycle_sequence_;
-    report.resumed = cycle_resumed_;
-    report.beacons_sent = cycle_beacons_;
-    report.tx_airtime = cycle_airtime_;
-    const Duration tx_time =
-        cycle_airtime_ + Duration{config_.power.tx_ramp.count() * cycle_beacons_};
-    report.tx_only_energy = tx_power_draw() * tx_time;
-    report.parity_beacons = cycle_parity_beacons_;
-    report.parity_airtime = cycle_parity_airtime_;
+    report.success = !c.failed && c.beacons > 0;
+    report.sequence = c.sequence;
+    report.resumed = c.resumed;
+    report.beacons_sent = c.beacons;
+    report.tx_airtime = c.airtime;
+    report.tx_only_energy = tx_power_draw() * (c.airtime + Duration{ramp.count() * c.beacons});
+    report.parity_beacons = c.parity_beacons;
+    report.parity_airtime = c.parity_airtime;
     report.parity_tx_energy =
-        tx_power_draw() * (cycle_parity_airtime_ +
-                           Duration{config_.power.tx_ramp.count() * cycle_parity_beacons_});
+        tx_power_draw() * (c.parity_airtime + Duration{ramp.count() * c.parity_beacons});
     report.tier = tier_;
-    report.active_time = scheduler_.now() - wake_time_;
-    report.cycle_energy = timeline_.energy_between(wake_time_, scheduler_.now());
-    report.downlinks_received = cycle_downlinks_;
-    report.acked = cycle_acked_;
-    report.retransmission = cycle_retransmission_;
+    report.active_time = scheduler_.now() - c.wake_time;
+    report.cycle_energy = timeline_.energy_between(c.wake_time, scheduler_.now());
+    report.downlinks_received = c.downlinks;
+    report.acked = c.acked;
+    report.retransmission = c.retransmission;
     if (!report.success) ++cycles_failed_total_;
     if (cycle_active_hist_ != nullptr) {
       cycle_active_hist_->record(static_cast<std::uint64_t>(report.active_time.count()));
@@ -594,7 +567,7 @@ void Sender::finish_cycle() {
 
 Joules Sender::estimated_cycle_cost() const {
   const auto& p = config_.power;
-  const RedundancyTier tier = active_tier();
+  const RedundancyTier& tier = active_tier();
   // Nominal cost of one cycle at the active tier: init + a
   // single-fragment train (typical beacon size) + RX window + shutdown.
   // The HarvestingConfig margins absorb what this cannot see (CSMA
@@ -702,19 +675,8 @@ void Sender::resume_cycle() {
   // fragments that made it out before the lights went off. The FEC
   // accumulator already booked this sample, so no new recovery beacon.
   ++cycles_resumed_;
-  wake_time_ = scheduler_.now();
-  trace_begin(telemetry::Phase::Cycle);
-  trace_begin(telemetry::Phase::Wake);
-  cycle_airtime_ = Duration{0};
-  cycle_beacons_ = 0;
-  cycle_downlinks_ = 0;
-  cycle_failed_ = false;
-  cycle_acked_ = false;
-  cycle_retransmission_ = false;
-  cycle_resumed_ = true;
-  cycle_parity_beacons_ = 0;
-  cycle_parity_airtime_ = Duration{0};
-  cycle_sequence_ = cp.message.sequence;
+  open_cycle(/*resumed=*/true);
+  cycle_.sequence = cp.message.sequence;
   checkpoint_ = Checkpoint{cp.message, cp.sampled_at};  // survive repeated brown-outs
   encode_and_transmit(cp.message, /*include_recovery=*/false);
 }
@@ -746,7 +708,7 @@ void Sender::on_frame(const sim::RxFrame& frame) {
       if (config_.reliable && unacked_ && f.data.size() == 4) {
         ByteReader r{f.data};
         if (r.u32le() == unacked_->sequence) {
-          cycle_acked_ = true;
+          cycle_.acked = true;
           unacked_.reset();
           unacked_attempts_ = 0;
         }
@@ -759,7 +721,7 @@ void Sender::on_frame(const sim::RxFrame& frame) {
     m.sequence = f.sequence;
     m.type = f.type;
     m.data = f.data;
-    ++cycle_downlinks_;
+    ++cycle_.downlinks;
     ++downlinks_total_;
     if (downlink_cb_) downlink_cb_(m);
   }

@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "dot11/mac_header.hpp"
 #include "phy/airtime.hpp"
@@ -51,9 +52,13 @@ namespace wile::core {
 /// messages carry an XOR parity element, and how often a cross-cycle
 /// Recovery beacon (XOR of the last `recovery_k` message payloads) is
 /// transmitted. The adaptation state machine moves between tiers based
-/// on controller ChannelReports; without adaptation the SenderConfig
-/// fields below define a single fixed tier.
+/// on controller ChannelReports; without adaptation
+/// SenderConfig::redundancy is the single fixed tier.
 struct RedundancyTier {
+  /// Inject each beacon this many times per cycle (1 = paper behaviour).
+  /// Broadcast frames carry no ACK, so repetition is the standard
+  /// open-loop reliability lever; receivers de-duplicate by sequence
+  /// number. Energy per message scales linearly.
   int repeats = 1;
   bool fec_parity = false;
   /// Cross-cycle recovery group size; 0 disables recovery beacons.
@@ -154,12 +159,6 @@ struct SenderConfig {
   /// collision ablation (E7) exercises.
   bool use_csma = true;
 
-  /// Inject each beacon this many times per cycle (1 = paper behaviour).
-  /// Broadcast frames carry no ACK, so repetition is the standard
-  /// open-loop reliability lever; receivers de-duplicate by sequence
-  /// number. Energy per message scales linearly.
-  int repeats = 1;
-
   /// Advertised beacon interval field in the fake beacon (TUs).
   std::uint16_t beacon_interval_tu = 100;
   /// Non-empty = advertise this SSID openly instead of the hidden-SSID
@@ -187,15 +186,14 @@ struct SenderConfig {
   /// across reboots resume mid-space; also pins wraparound tests).
   std::uint32_t initial_sequence = 0;
 
-  /// Fixed FEC tier (see RedundancyTier): parity elements on fragmented
-  /// messages and periodic cross-cycle Recovery beacons. Ignored for the
-  /// ssid_stuffing arm (no vendor elements to protect).
-  bool fec_parity = false;
-  int recovery_k = 0;
-  int recovery_stride = 0;
+  /// Fixed redundancy tier: beacon repeats, parity elements on
+  /// fragmented messages and periodic cross-cycle Recovery beacons. The
+  /// parity and recovery parts are ignored for the ssid_stuffing arm (no
+  /// vendor elements to protect).
+  RedundancyTier redundancy;
 
-  /// Loss-adaptive redundancy: overrides repeats/fec_parity/recovery_*
-  /// with the active tier. Requires rx_window (reports arrive like Acks)
+  /// Loss-adaptive redundancy: overrides `redundancy` with the active
+  /// tier. Requires rx_window (reports arrive like Acks)
   /// and a controller with channel_reports enabled to leave the base
   /// tier — except via the no-controller fallback.
   std::optional<AdaptationConfig> adaptation;
@@ -256,7 +254,8 @@ class Sender : public sim::MediumClient {
   using PayloadProvider = std::function<Bytes()>;
   using DownlinkCallback = std::function<void(const Message&)>;
 
-  /// One-shot: wake from deep sleep, inject, sleep, report.
+  /// One-shot: wake from deep sleep, inject, sleep, report. Throws
+  /// std::logic_error mid-cycle or on a browned-out board.
   void send_now(Bytes data, SendCallback done);
 
   /// Periodic operation: every (jittered) period, wake and transmit
@@ -402,16 +401,37 @@ class Sender : public sim::MediumClient {
     publish_listening();
   }
 
+  // --- the wake path ----------------------------------------------------------
+  // Every wake (duty-cycle tick, decoded WUR frame, send_now) starts a
+  // cycle only if may_start_cycle(). The timer runs it, wake_gate() and
+  // sample_and_begin() at its tick; the WUR path gates at frame arrival
+  // and runs the other two after the wake latency.
+
+  /// The start rule: no cycle in flight and the board not browned out.
+  [[nodiscard]] bool may_start_cycle() const { return phase_ == Phase::DeepSleep && !recovering_; }
+  /// Harvesting wake gate: false (counted in cycles_skipped) when the
+  /// capacitor cannot fund a full cycle. Always true on a mains supply.
+  bool wake_gate();
+  /// Sample the provider (unless a reliable-mode retransmission is
+  /// pending) and begin a cycle that reports to per_cycle_.
+  void sample_and_begin();
+
   void begin_cycle(Bytes data, SendCallback done);
+  /// Reset the cycle record for a fresh or resumed cycle starting now,
+  /// and open its Cycle and Wake trace spans.
+  void open_cycle(bool resumed);
   /// Shared back half of begin_cycle/resume_cycle: encode `message`
   /// into this cycle's beacon train and schedule the init->TX chain.
   void encode_and_transmit(const Message& message, bool include_recovery);
-  /// Write one beacon carrying element `element` of `message` into
-  /// train_ and list it for transmission. Advances seq_ctl_.
-  void append_beacon(const Message& message, std::size_t element, bool parity, bool fec);
+  /// Write one beacon into train_ and list it for transmission: the MAC
+  /// header, the body prefix (timestamp patched), then element `element`
+  /// of `message` as a vendor element, or, for ssid_stuffing,
+  /// `stuffed_ssid` in place of the prefix's SSID element. Advances seq_ctl_.
+  void append_beacon(const Message& message, std::size_t element, bool parity, bool fec,
+                     std::string_view stuffed_ssid = {});
   void inject_fragments(std::size_t index);
   void after_last_beacon();
-  [[nodiscard]] RedundancyTier active_tier() const;
+  [[nodiscard]] const RedundancyTier& active_tier() const;
   /// Build this cycle's Recovery beacon if one is due, else nullopt.
   [[nodiscard]] std::optional<Message> maybe_recovery_message(const RedundancyTier& tier);
   void on_channel_report(const ChannelReport& report);
@@ -419,7 +439,6 @@ class Sender : public sim::MediumClient {
   void schedule_next_cycle();
   /// The MAC header of this device's next beacon. Advances seq_ctl_.
   [[nodiscard]] dot11::MacHeader next_beacon_header();
-  [[nodiscard]] Bytes build_ssid_stuffed_mpdu(const std::string& stuffed_ssid);
   [[nodiscard]] Duration jittered_period();
 
   sim::Scheduler& scheduler_;
@@ -473,38 +492,30 @@ class Sender : public sim::MediumClient {
   std::uint64_t cycles_failed_total_ = 0;
   Duration tx_airtime_total_{};
 
-  // current cycle bookkeeping
+  /// The cycle in flight, reset by open_cycle(); finish_cycle() reports
+  /// it. The callback lives outside: it survives a brown-out resume.
+  struct Cycle {
+    TimePoint wake_time{};
+    Duration airtime{};
+    Duration parity_airtime{};
+    std::size_t downlinks = 0;
+    std::uint32_t sequence = 0;  // the sequence this cycle carries
+    int beacons = 0;
+    int parity_beacons = 0;
+    bool failed = false;
+    bool acked = false;
+    bool retransmission = false;
+    bool resumed = false;
+  };
   SendCallback cycle_done_;
-  TimePoint wake_time_{};
-  Duration cycle_airtime_{};
-  int cycle_beacons_ = 0;
-  std::size_t cycle_downlinks_ = 0;
-  bool cycle_failed_ = false;
-  bool cycle_acked_ = false;
-  bool cycle_retransmission_ = false;
-  bool cycle_resumed_ = false;
-  std::uint32_t cycle_sequence_ = 0;  // the sequence this cycle carries
-  int cycle_parity_beacons_ = 0;
-  Duration cycle_parity_airtime_{};
+  Cycle cycle_;
 
   // FEC: payloads of the last kMaxRecoveryGroup fresh messages, for
   // cross-cycle recovery beacons. Kept only when the config or one of
   // its adaptation tiers can send them (decided at construction, so a
   // later tier raise finds a full history).
-  struct RecentMessage {
-    std::uint32_t sequence = 0;
-    MessageType type = MessageType::Telemetry;
-    Bytes data;
-  };
   bool keep_recovery_history_ = false;
-  /// A ring: grows to kMaxRecoveryGroup slots, then overwrites the oldest
-  /// (at recent_head_) in place, so each slot keeps its capacity.
-  std::vector<RecentMessage> recent_sent_;
-  std::size_t recent_head_ = 0;
-  /// The i-th oldest retained message.
-  [[nodiscard]] const RecentMessage& recent(std::size_t i) const {
-    return recent_sent_[(recent_head_ + i) % recent_sent_.size()];
-  }
+  PayloadHistory<kMaxRecoveryGroup> recent_sent_;
   int msgs_since_recovery_ = 0;
   std::uint32_t recovery_sequence_ = 0;  // own space; never perturbs loss gaps
   std::uint64_t recovery_beacons_sent_ = 0;
@@ -550,8 +561,10 @@ class Sender : public sim::MediumClient {
 
   std::unique_ptr<power::EnergyGovernor> governor_;
   std::optional<Checkpoint> checkpoint_;
-  /// Bumped on every brown-out; scheduled cycle lambdas capture the
-  /// epoch they belong to and bail when stranded.
+  /// Bumped on every brown-out that kills a cycle in flight; scheduled
+  /// cycle lambdas capture the epoch they belong to and bail when
+  /// stranded. A brown-out in deep sleep leaves it alone: the start rule
+  /// (may_start_cycle) keeps a dark board from waking.
   std::uint64_t cycle_epoch_ = 0;
   bool recovering_ = false;
   std::optional<sim::EventId> resume_event_;

@@ -106,7 +106,7 @@ TEST(AllocBudget, OneBeaconPerCycle) {
 }
 
 TEST(AllocBudget, RepeatsReSendTheSameBeacon) {
-  const Tally t = steady_state([](SenderConfig& c) { c.repeats = 3; }, 16);
+  const Tally t = steady_state([](SenderConfig& c) { c.redundancy.repeats = 3; }, 16);
   EXPECT_EQ(t.cycles, 200u);
   EXPECT_EQ(t.transmissions, 600u);
   EXPECT_LE(t.allocations, t.cycles + t.transmissions);

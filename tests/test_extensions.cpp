@@ -68,7 +68,7 @@ TEST(Repeats, DuplicatesAreDeduplicated) {
   sim::Scheduler scheduler;
   sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
   core::SenderConfig cfg;
-  cfg.repeats = 3;
+  cfg.redundancy.repeats = 3;
   core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
   core::Receiver monitor{scheduler, medium, {2, 0}};
 
@@ -89,7 +89,7 @@ TEST(Repeats, ImproveDeliveryOnLossyLink) {
     sim::Scheduler scheduler;
     sim::Medium medium{scheduler, phy::Channel{}, Rng{5}};
     core::SenderConfig cfg;
-    cfg.repeats = repeats;
+    cfg.redundancy.repeats = repeats;
     cfg.period = seconds(1);
     core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{6}};
     core::Receiver monitor{scheduler, medium, {10.8, 0}};  // lossy edge
@@ -107,7 +107,7 @@ TEST(Repeats, FragmentedMessagesRepeatTheWholeTrain) {
   sim::Scheduler scheduler;
   sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
   core::SenderConfig cfg;
-  cfg.repeats = 2;
+  cfg.redundancy.repeats = 2;
   core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
   core::Receiver monitor{scheduler, medium, {2, 0}};
 

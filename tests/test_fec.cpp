@@ -296,7 +296,7 @@ TEST(FecEndToEnd, RecoveryBeaconRestoresMessageLostInDeafCycle) {
   sim::Scheduler scheduler;
   sim::Medium medium{scheduler, phy::Channel{}, Rng{3}};
   auto cfg = fec_sender_config(1);
-  cfg.recovery_k = 4;  // default stride 2: overlapping groups
+  cfg.redundancy.recovery_k = 4;  // default stride 2: overlapping groups
   Sender sender{scheduler, medium, {0, 0}, cfg, Rng{4}};
   Receiver monitor{scheduler, medium, {2, 0}};
 
@@ -331,7 +331,7 @@ TEST(FecEndToEnd, RecoveryWorksAcrossSequenceWrap) {
   sim::Medium medium{scheduler, phy::Channel{}, Rng{5}};
   auto cfg = fec_sender_config(1);
   cfg.initial_sequence = 0xfffffffd;  // the lost message is sequence 0
-  cfg.recovery_k = 4;
+  cfg.redundancy.recovery_k = 4;
   Sender sender{scheduler, medium, {0, 0}, cfg, Rng{6}};
   Receiver monitor{scheduler, medium, {2, 0}};
 

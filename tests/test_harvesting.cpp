@@ -12,6 +12,7 @@
 //    see an honest gap, not a stale reading);
 //  * the wake gate skips cycles the capacitor cannot fund, so devices
 //    degrade to a lower report rate instead of browning out mid-flight;
+//  * a browned-out board refuses send_now until it has recharged;
 //  * fleet-wide RF droughts (FaultInjector) degrade gracefully and
 //    recover once the fade lifts;
 //  * same-seed harvesting runs are bit-exact, and telemetry (whose
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "ap/access_point.hpp"
@@ -237,6 +239,29 @@ TEST(BrownOut, WakeGateSkipsUnfundableCyclesInsteadOfBrowningOut) {
   EXPECT_GE(rig.sender->cycles_skipped_energy(), 5u);
   EXPECT_EQ(rig.sender->brown_outs(), 0u);
   EXPECT_EQ(rig.deliveries.size(), rig.sender->cycles_run());
+}
+
+TEST(BrownOut, SendNowOnABrownedOutBoardThrows) {
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{0xD37E12}};
+  SenderConfig cfg;
+  cfg.device_id = 0x77;
+  HarvestingConfig h;
+  h.harvester.harvest_power = Watts{10e-3};
+  cfg.harvesting = h;
+  Sender sender{scheduler, medium, sim::Position{0, 0}, cfg, Rng{0xBEEF}};
+
+  // Dark in deep sleep: the one-shot wake obeys the same start rule as
+  // the timer and the WUR companion, and the resume path owns the board.
+  sender.energy_governor()->fault_brown_out();
+  ASSERT_TRUE(sender.recovering());
+  EXPECT_THROW(sender.send_now(Bytes{1}, {}), std::logic_error);
+  EXPECT_EQ(sender.cycles_run(), 0u);
+
+  scheduler.run_until(TimePoint{seconds(30)});
+  ASSERT_FALSE(sender.recovering());
+  EXPECT_NO_THROW(sender.send_now(Bytes{2}, {}));
+  EXPECT_EQ(sender.cycles_run(), 1u);
 }
 
 // --- fleet-wide faults through ScenarioBuilder ------------------------------

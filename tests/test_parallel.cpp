@@ -6,8 +6,9 @@
 // stands on — stripe assignment at exact boundaries, audible circles
 // spanning 3+ stripes, degenerate shard layouts with empty stripes,
 // phantom (remote) transmissions delivering without perturbing local
-// bookkeeping, the outbox handoff between windows, and the atomic
-// FrameBuffer refcount under real concurrent copies.
+// bookkeeping, the outbox handoff between windows, the same per-node and
+// medium metric names on both engines, and the atomic FrameBuffer
+// refcount under real concurrent copies.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/medium.hpp"
@@ -350,6 +352,25 @@ TEST(ParallelScenario, PerNodeMetricsNameTheSameNodesAsSerial) {
   const std::vector<std::string> serial = node_metrics(0);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, node_metrics(1));
+}
+
+TEST(ParallelScenario, MediumMetricsAreTheSameOnBothEngines) {
+  // The medium's aggregates are bound once, over the event cores, so the
+  // sharded export carries every name (and impairment value) the serial
+  // one does.
+  const auto medium_metrics = [](unsigned threads) {
+    auto builder = ScenarioBuilder{}.devices(16).gateways(2);
+    if (threads > 0) builder.threads(threads).shards(4);
+    auto scenario = builder.build();
+    std::vector<std::pair<std::string, double>> gauges;
+    for (const auto& v : scenario->snapshot().values) {
+      if (v.name.rfind("medium.", 0) == 0) gauges.emplace_back(v.name, v.value);
+    }
+    return gauges;
+  };
+  const auto serial = medium_metrics(0);
+  EXPECT_EQ(serial.size(), 8u);
+  EXPECT_EQ(serial, medium_metrics(1));
 }
 
 TEST(ParallelScenario, SerialOnlySubsystemsAreRejected) {

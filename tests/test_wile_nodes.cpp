@@ -286,23 +286,23 @@ TEST(SenderOnAir, EveryMpduMatchesItsPin) {
   const OnAirPin pins[] = {
       {"plain 16 B", 16, [](SenderConfig&) {}, 0x2b64df329941529fULL, 119, 119},
       {"600 B fragmented", 600, [](SenderConfig&) {}, 0x8ba8da94b936dc12ULL, 357, 357},
-      {"600 B parity", 600, [](SenderConfig& c) { c.fec_parity = true; },
+      {"600 B parity", 600, [](SenderConfig& c) { c.redundancy.fec_parity = true; },
        0xbb6b219d472aa00fULL, 476, 476},
-      {"recovery_k 4", 16, [](SenderConfig& c) { c.recovery_k = 4; },
+      {"recovery_k 4", 16, [](SenderConfig& c) { c.redundancy.recovery_k = 4; },
        0x97351cd82d6e9855ULL, 177, 177},
       {"rx_window", 16,
        [](SenderConfig& c) { c.rx_window = RxWindow{msec(2), msec(10)}; },
        0x15a12a105915c05cULL, 119, 119},
       {"encrypted", 40, [](SenderConfig& c) { c.key = Bytes(16, 0x42); },
        0xc0ab77edc62549e5ULL, 119, 119},
-      {"repeats 3", 16, [](SenderConfig& c) { c.repeats = 3; },
+      {"repeats 3", 16, [](SenderConfig& c) { c.redundancy.repeats = 3; },
        0x1e5c84b16b670e32ULL, 357, 357},
       {"ssid_stuffing", 16, [](SenderConfig& c) { c.ssid_stuffing = true; },
        0x2507555f67775274ULL, 119, 119},
       {"raw injection, parity", 600,
        [](SenderConfig& c) {
          c.use_csma = false;
-         c.fec_parity = true;
+         c.redundancy.fec_parity = true;
        },
        0xcfd54ef06f29dd4cULL, 476, 476},
       {"adaptive fallback", 600,

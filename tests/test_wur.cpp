@@ -17,6 +17,8 @@
 //    during the dark window (it must not keep integrating), and is
 //    restored on recharge; energy integration stays exact across the
 //    brown-out boundary and the companion wakes again after recovery;
+//  * the start rule: a wake decoded just before a brown-out, whose
+//    latency ends on the dark board, runs no cycle;
 //  * ScenarioBuilder mode presets (the unified transmission-mode API):
 //    an explicit .mode(TxMode::WiLeBeacon) is bit-identical to the
 //    historical default path, .mode(TxMode::Ble) is bit-identical to
@@ -313,6 +315,44 @@ TEST(WurPower, ListenOverlayDiesInBrownOutAndReturnsOnRecharge) {
   scheduler.run_until(TimePoint{seconds(35)});
   EXPECT_EQ(sender.wur_wakes(), 1u);
   EXPECT_EQ(sender.cycles_run(), 1u);
+}
+
+TEST(WurPower, WakeThatReachesADarkBoardRunsNoCycle) {
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{0xD37E12}};
+
+  SenderConfig cfg;
+  cfg.device_id = 0x77;
+  cfg.wur = WurCompanionConfig{};
+  HarvestingConfig h;
+  h.harvester.harvest_power = Watts{10e-3};
+  cfg.harvesting = h;
+  Sender sender{scheduler, medium, sim::Position{0, 0}, cfg, Rng{0xBEEF}};
+  sender.arm_wur([] { return Bytes{0x17}; });
+  Receiver monitor{scheduler, medium, {2, 0}};
+  std::uint64_t deliveries = 0;
+  monitor.set_message_callback([&](const Message&, const RxMeta&) { ++deliveries; });
+  ap::WurScheduler ap{scheduler, medium, sim::Position{0, 1}, Rng{0x11BA}};
+
+  // The companion decodes the wake, and the board browns out at that
+  // instant: the wake latency (200 us) that follows ends on a dark board.
+  scheduler.run_until(TimePoint{seconds(1)});
+  ap.wake(sender.wur_id());
+  while (sender.wur_wakes() == 0 && scheduler.now() < TimePoint{seconds(2)}) {
+    scheduler.run_until(scheduler.now() + usec(1));
+  }
+  ASSERT_EQ(sender.wur_wakes(), 1u);
+  const TimePoint dark = scheduler.now();
+  sender.energy_governor()->fault_brown_out();
+  scheduler.run_until(dark + seconds(60));
+
+  // No 300 ms init on an empty capacitor, so no second brown-out and no
+  // checkpoint to resume: the wake is dropped, the board only recharges.
+  EXPECT_EQ(sender.cycles_run(), 0u);
+  EXPECT_EQ(sender.brown_outs(), 1u);
+  EXPECT_EQ(sender.cycles_resumed(), 0u);
+  EXPECT_EQ(current_at(sender.timeline(), dark + usec(250)).value, 0.0);
+  EXPECT_EQ(deliveries, 0u);
 }
 
 // --- ScenarioBuilder mode presets -------------------------------------------
