@@ -44,10 +44,9 @@ Bytes sample_soil(Rng& rng, int sensor_index) {
 int main() {
   const Bytes farm_key(16, 0xF0);
 
-  // Open farmland: free-space-like propagation, mild shadowing from crops.
+  // Open farmland: free-space-like propagation.
   phy::ChannelConfig channel_cfg;
   channel_cfg.path_loss_exponent = 2.4;
-  channel_cfg.shadowing_sigma_db = 2.0;
 
   std::uint64_t readings = 0;
   // One seeder drives the per-sensor clock skew, radio RNG and sensor

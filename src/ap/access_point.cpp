@@ -176,10 +176,6 @@ void AccessPoint::on_frame(const sim::RxFrame& frame) {
         case MgmtSubtype::AssocRequest:
           handle_assoc_request(*parsed);
           break;
-        case MgmtSubtype::Deauthentication:
-        case MgmtSubtype::Disassoc:
-          clients_.erase(h.addr2);
-          break;
         default:
           break;
       }
@@ -295,7 +291,7 @@ void AccessPoint::handle_data(const dot11::ParsedMpdu& mpdu) {
     if (!cl.ccmp) return;
     auto opened = cl.ccmp->open(sta, body);
     if (!opened) {
-      WILE_LOG(Warn) << "AP: CCMP open failed for " << sta.to_string();
+      warn() << "AP: CCMP open failed for " << sta.to_string();
       return;
     }
     plain_body = std::move(*opened);
@@ -332,7 +328,7 @@ void AccessPoint::handle_eapol(const MacAddress& sta, BytesView eapol_bytes) {
     // Derive the PTK from the supplicant nonce and verify the MIC.
     cl.ptk = crypto::derive_ptk(pmk_, config_.bssid, sta, cl.anonce, frame->nonce);
     if (!frame->verify_mic(cl.ptk.kck)) {
-      WILE_LOG(Warn) << "AP: M2 MIC mismatch from " << sta.to_string();
+      warn() << "AP: M2 MIC mismatch from " << sta.to_string();
       return;
     }
     cl.state = ClientState::HandshakeM3;

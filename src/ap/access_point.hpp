@@ -31,6 +31,7 @@
 #include "sim/csma.hpp"
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace wile::ap {

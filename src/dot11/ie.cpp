@@ -1,6 +1,7 @@
 #include "dot11/ie.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,10 +12,6 @@ void IeList::add(InfoElement ie) {
     throw std::invalid_argument("InfoElement data exceeds 255 bytes");
   }
   elements_.push_back(std::move(ie));
-}
-
-void IeList::add(IeId id, BytesView data) {
-  add(InfoElement{id, Bytes(data.begin(), data.end())});
 }
 
 const InfoElement* IeList::find(IeId id) const {
@@ -124,12 +121,6 @@ InfoElement make_ds_param_ie(std::uint8_t channel) {
   return InfoElement{IeId::DsParam, {channel}};
 }
 
-std::optional<std::uint8_t> parse_ds_param_ie(const IeList& ies) {
-  const InfoElement* ie = ies.find(IeId::DsParam);
-  if (ie == nullptr || ie->data.size() != 1) return std::nullopt;
-  return ie->data[0];
-}
-
 bool Tim::traffic_for(std::uint16_t aid) const {
   return std::find(aids.begin(), aids.end(), aid) != aids.end();
 }
@@ -217,32 +208,6 @@ bool has_rsn_psk(const IeList& ies) {
     return false;
   }
   return false;
-}
-
-std::optional<InfoElement> make_vendor_ie(const std::array<std::uint8_t, 3>& oui,
-                                          std::uint8_t subtype, BytesView payload) {
-  if (payload.size() > vendor_payload_capacity()) return std::nullopt;
-  InfoElement ie{IeId::VendorSpecific, {}};
-  ie.data.reserve(4 + payload.size());
-  ie.data.insert(ie.data.end(), oui.begin(), oui.end());
-  ie.data.push_back(subtype);
-  ie.data.insert(ie.data.end(), payload.begin(), payload.end());
-  return ie;
-}
-
-std::vector<VendorIe> parse_vendor_ies(const IeList& ies,
-                                       const std::array<std::uint8_t, 3>& oui) {
-  std::vector<VendorIe> out;
-  for (const InfoElement* ie : ies.find_all(IeId::VendorSpecific)) {
-    if (ie->data.size() < 4) continue;
-    if (!std::equal(oui.begin(), oui.end(), ie->data.begin())) continue;
-    VendorIe v;
-    v.oui = oui;
-    v.subtype = ie->data[3];
-    v.payload.assign(ie->data.begin() + 4, ie->data.end());
-    out.push_back(std::move(v));
-  }
-  return out;
 }
 
 InfoElement make_erp_ie() { return InfoElement{IeId::ErpInfo, {0x00}}; }

@@ -7,7 +7,6 @@
 // zero-length SSID IE (§4.1 again).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -45,15 +44,10 @@ class IeList {
  public:
   /// Maximum payload of a single element.
   static constexpr std::size_t kMaxIeData = 255;
-  /// Maximum usable payload of a vendor-specific element once the 3-byte
-  /// OUI is spent — the 253-byte budget the paper quotes minus OUI... see
-  /// vendor_payload_capacity() for the exact arithmetic Wi-LE uses.
-  static constexpr std::size_t kMaxVendorData = kMaxIeData - 3;
 
   IeList() = default;
 
   void add(InfoElement ie);
-  void add(IeId id, BytesView data);
 
   [[nodiscard]] const std::vector<InfoElement>& elements() const { return elements_; }
   [[nodiscard]] bool empty() const { return elements_.empty(); }
@@ -101,7 +95,6 @@ SupportedRates default_bg_rates();
 
 /// DS Parameter Set: the 2.4 GHz channel number.
 InfoElement make_ds_param_ie(std::uint8_t channel);
-std::optional<std::uint8_t> parse_ds_param_ie(const IeList& ies);
 
 /// Traffic Indication Map (§8.4.2.7). The AP sets one bit per
 /// association ID with buffered downlink traffic; PS clients read their
@@ -124,19 +117,8 @@ InfoElement make_rsn_psk_ccmp_ie();
 /// True if the list has an RSN element selecting PSK AKM.
 bool has_rsn_psk(const IeList& ies);
 
-/// Vendor-specific element: 3-byte OUI + one vendor subtype byte +
-/// payload. Returns nullopt if payload exceeds capacity.
-std::optional<InfoElement> make_vendor_ie(const std::array<std::uint8_t, 3>& oui,
-                                          std::uint8_t subtype, BytesView payload);
-struct VendorIe {
-  std::array<std::uint8_t, 3> oui{};
-  std::uint8_t subtype = 0;
-  Bytes payload;
-};
-/// All vendor elements matching the OUI (any subtype).
-std::vector<VendorIe> parse_vendor_ies(const IeList& ies,
-                                       const std::array<std::uint8_t, 3>& oui);
-/// Bytes available for payload in one vendor IE after OUI + subtype.
+/// Bytes available for payload in one vendor-specific element after its
+/// 3-byte OUI and one vendor subtype byte.
 constexpr std::size_t vendor_payload_capacity() { return IeList::kMaxIeData - 4; }
 
 /// ERP Information (802.11g protection bits); we advertise none set.

@@ -125,32 +125,4 @@ std::optional<AssocResponse> AssocResponse::decode(BytesView body) {
   });
 }
 
-Bytes Deauthentication::encode() const {
-  ByteWriter w(2);
-  w.u16le(static_cast<std::uint16_t>(reason));
-  return w.take();
-}
-
-std::optional<Deauthentication> Deauthentication::decode(BytesView body) {
-  return guarded_decode<Deauthentication>(body, [](ByteReader& r) {
-    Deauthentication d;
-    d.reason = static_cast<ReasonCode>(r.u16le());
-    return d;
-  });
-}
-
-Bytes Disassociation::encode() const {
-  ByteWriter w(2);
-  w.u16le(static_cast<std::uint16_t>(reason));
-  return w.take();
-}
-
-std::optional<Disassociation> Disassociation::decode(BytesView body) {
-  return guarded_decode<Disassociation>(body, [](ByteReader& r) {
-    Disassociation d;
-    d.reason = static_cast<ReasonCode>(r.u16le());
-    return d;
-  });
-}
-
 }  // namespace wile::dot11

@@ -31,14 +31,6 @@ enum class StatusCode : std::uint16_t {
   AssocDenied = 17,
 };
 
-/// Reason codes (§8.4.1.7).
-enum class ReasonCode : std::uint16_t {
-  Unspecified = 1,
-  PrevAuthExpired = 2,
-  DeauthLeaving = 3,
-  DisassocInactivity = 4,
-};
-
 struct Beacon {
   std::uint64_t timestamp_us = 0;       // TSF at transmission
   std::uint16_t beacon_interval_tu = 100;  // 1 TU = 1024 us
@@ -94,20 +86,6 @@ struct AssocResponse {
 
   [[nodiscard]] Bytes encode() const;
   static std::optional<AssocResponse> decode(BytesView body);
-};
-
-struct Deauthentication {
-  ReasonCode reason = ReasonCode::DeauthLeaving;
-
-  [[nodiscard]] Bytes encode() const;
-  static std::optional<Deauthentication> decode(BytesView body);
-};
-
-struct Disassociation {
-  ReasonCode reason = ReasonCode::DisassocInactivity;
-
-  [[nodiscard]] Bytes encode() const;
-  static std::optional<Disassociation> decode(BytesView body);
 };
 
 }  // namespace wile::dot11

@@ -2,8 +2,6 @@
 
 namespace wile::net {
 
-Bytes LlcSnap::encode() const { return llc_wrap(ethertype, payload); }
-
 std::optional<LlcSnap> LlcSnap::decode(BytesView body) {
   if (body.size() < kHeaderSize) return std::nullopt;
   if (body[0] != 0xaa || body[1] != 0xaa || body[2] != 0x03) return std::nullopt;

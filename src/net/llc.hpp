@@ -26,7 +26,6 @@ struct LlcSnap {
   EtherType ethertype = EtherType::Ipv4;
   Bytes payload;
 
-  [[nodiscard]] Bytes encode() const;
   static std::optional<LlcSnap> decode(BytesView body);
 };
 

@@ -53,9 +53,6 @@ Channel::Channel(ChannelConfig config) : config_(config) {
   if (!std::isfinite(config.reference_loss_db) || !std::isfinite(config.noise_floor_dbm)) {
     throw std::invalid_argument("Channel: reference_loss_db and noise_floor_dbm must be finite");
   }
-  if (!std::isfinite(config.shadowing_sigma_db) || config.shadowing_sigma_db < 0.0) {
-    throw std::invalid_argument("Channel: shadowing_sigma_db must be finite and >= 0");
-  }
 }
 
 double Channel::rx_power_dbm(double tx_power_dbm, double distance_m) const {
@@ -81,15 +78,6 @@ double Channel::max_range_m(double tx_power_dbm, WifiRate rate, std::size_t mpdu
     return packet_error_rate(snr_db(tx_power_dbm, d), rate, mpdu_bytes);
   };
   return bisect_range(0.1, 10'000.0, per_at, target_per);
-}
-
-bool Channel::frame_lost(Rng& rng, double tx_power_dbm, double distance_m, WifiRate rate,
-                         std::size_t mpdu_bytes) const {
-  double snr = snr_db(tx_power_dbm, distance_m);
-  if (config_.shadowing_sigma_db > 0.0) {
-    snr += rng.gaussian() * config_.shadowing_sigma_db;
-  }
-  return rng.chance(packet_error_rate(snr, rate, mpdu_bytes));
 }
 
 double Channel::ble_packet_error_rate(double snr, std::size_t pdu_bytes) const {

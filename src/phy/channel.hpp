@@ -1,16 +1,15 @@
 // Radio propagation and link-quality model.
 //
-// A log-distance path-loss channel with optional shadowing, mapping
-// transmit power and distance to received power, SNR, and packet error
-// rate per 802.11 rate. The paper notes Wi-LE at 0 dBm / 72 Mbps has
-// "a similar range as BLE at the same transmission power (i.e., a few
-// meters)"; this model is what lets tests and benches check that claim.
+// A log-distance path-loss channel mapping transmit power and distance
+// to received power, SNR, and packet error rate per 802.11 rate. The
+// paper notes Wi-LE at 0 dBm / 72 Mbps has "a similar range as BLE at the
+// same transmission power (i.e., a few meters)"; this model is what lets
+// tests and benches check that claim.
 #pragma once
 
 #include <cstddef>
 
 #include "phy/rates.hpp"
-#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace wile::phy {
@@ -25,7 +24,6 @@ struct ChannelConfig {
   double path_loss_exponent = 3.0;   // indoor
   double reference_loss_db = 40.0;   // at 1 m, 2.4 GHz
   double noise_floor_dbm = -95.0;
-  double shadowing_sigma_db = 0.0;   // log-normal shadowing; 0 = off
 
   /// Defaults for each band; 5 GHz pays ~6.4 dB more reference loss
   /// (free-space scales with f^2: 20*log10(5.5/2.4) ≈ 7.2 dB, a little
@@ -40,16 +38,15 @@ struct ChannelConfig {
 class Channel {
  public:
   /// Throws std::invalid_argument unless the path-loss exponent is finite
-  /// and positive, the reference loss and noise floor are finite, and
-  /// the shadowing sigma is finite and non-negative. Any other config has
-  /// no audible range (an exponent of 0 hears forever, a negative one
-  /// nowhere) and would feed NaN or infinity into the medium's grid.
+  /// and positive and the reference loss and noise floor are finite. Any
+  /// other config has no audible range (an exponent of 0 hears forever, a
+  /// negative one nowhere) and would feed NaN or infinity into the
+  /// medium's grid.
   explicit Channel(ChannelConfig config = {});
 
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
 
-  /// Received power for a transmission at `tx_power_dbm` over `distance_m`
-  /// (deterministic part only; shadowing is sampled separately).
+  /// Received power for a transmission at `tx_power_dbm` over `distance_m`.
   [[nodiscard]] double rx_power_dbm(double tx_power_dbm, double distance_m) const;
 
   /// Largest distance at which rx_power_dbm(tx_power_dbm, d) still
@@ -74,10 +71,6 @@ class Channel {
   /// `target_per`. Bisection over the monotone PER-vs-distance curve.
   [[nodiscard]] double max_range_m(double tx_power_dbm, WifiRate rate,
                                    std::size_t mpdu_bytes, double target_per = 0.1) const;
-
-  /// Sample whether a frame is lost, applying shadowing if configured.
-  bool frame_lost(Rng& rng, double tx_power_dbm, double distance_m, WifiRate rate,
-                  std::size_t mpdu_bytes) const;
 
   /// BLE link: same propagation, GFSK sensitivity ladder baked into a
   /// single threshold (-70 dBm-class receivers need about 10 dB SNR over

@@ -73,7 +73,7 @@ const RateInfo& rate_info(WifiRate rate);
 /// All rates, for table-driven tests and sweeps.
 std::span<const RateInfo> all_rates();
 
-/// Parse "72M", "6M", "5.5M", "mcs7"... used by example CLI flags.
+/// Parse a rate name: "72M", "6M", "5.5M", "mcs7"...
 std::optional<WifiRate> parse_rate(std::string_view name);
 
 /// The mandatory basic rate used for ACK/control responses in our 2.4 GHz

@@ -61,7 +61,8 @@ class PowerTimeline {
   [[nodiscard]] const std::vector<Segment>& segments() const { return segments_; }
 
   /// First time at or after `from` where the phase label equals `phase`;
-  /// returns false if never. Used by benches to locate e.g. the TX spike.
+  /// returns false if never. Tests use it to locate a cycle's phases,
+  /// e.g. the TX spike.
   bool find_phase(std::string_view phase, TimePoint from, TimePoint* start,
                   TimePoint* end) const;
 

@@ -1,7 +1,6 @@
 #include "power/trace_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace wile::power {
 
@@ -44,27 +43,10 @@ std::vector<TraceSample> TraceRecorder::decimate(const std::vector<TraceSample>&
   return out;
 }
 
-std::string TraceRecorder::to_csv(const std::vector<TraceSample>& trace) {
-  std::string out = "time_s,current_mA\n";
-  char line[64];
-  for (const auto& s : trace) {
-    std::snprintf(line, sizeof(line), "%.6f,%.4f\n", s.time_s, s.current_ma);
-    out += line;
-  }
-  return out;
-}
-
 double TraceRecorder::peak_ma(const std::vector<TraceSample>& trace) {
   double peak = 0.0;
   for (const auto& s : trace) peak = std::max(peak, s.current_ma);
   return peak;
-}
-
-double TraceRecorder::mean_ma(const std::vector<TraceSample>& trace) {
-  if (trace.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& s : trace) sum += s.current_ma;
-  return sum / static_cast<double>(trace.size());
 }
 
 }  // namespace wile::power

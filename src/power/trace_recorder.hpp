@@ -3,12 +3,11 @@
 // The paper measures current with a Keysight 34465A "capable of taking
 // 50,000 samples per second" in series with the 3.3 V supply (§5.1,
 // Figure 2). TraceRecorder samples a PowerTimeline the same way and
-// produces the time/current series plotted in Figure 3, plus simple
-// trace analytics (peaks, per-phase averages) used by the benches.
+// produces the time/current series plotted in Figure 3, plus its
+// decimated form and peak current.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "power/timeline.hpp"
@@ -39,12 +38,7 @@ class TraceRecorder {
   static std::vector<TraceSample> decimate(const std::vector<TraceSample>& trace,
                                            std::size_t max_points);
 
-  /// Serialise as CSV ("time_s,current_mA\n...") for EXPERIMENTS.md or
-  /// external plotting.
-  static std::string to_csv(const std::vector<TraceSample>& trace);
-
   static double peak_ma(const std::vector<TraceSample>& trace);
-  static double mean_ma(const std::vector<TraceSample>& trace);
 
  private:
   double sample_rate_hz_;

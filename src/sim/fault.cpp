@@ -246,29 +246,6 @@ void FaultInjector::harvest_fade(TimePoint start, Duration duration, double scal
       });
 }
 
-void FaultInjector::harvest_fade(TimePoint start, Duration duration, double scale,
-                                 EnergyFaultTarget& target) {
-  if (!(scale >= 0.0) || !std::isfinite(scale)) {
-    throw std::invalid_argument("FaultInjector: fade scale not in [0, inf)");
-  }
-  // Track by registration index when the target is attached, so two
-  // fades on the same device warn but fades on different devices don't.
-  // Pointer identity would work within a run but keys must be stable.
-  const auto it = std::find(energy_targets_.begin(), energy_targets_.end(), &target);
-  if (it != energy_targets_.end()) {
-    track_window(WindowKind::kHarvestFade,
-                 static_cast<std::uint32_t>(it - energy_targets_.begin()), start,
-                 duration);
-  }
-  window(
-      start, duration,
-      [this, scale, &target] {
-        ++stats_.harvest_fades;
-        target.fault_harvest_push(scale);
-      },
-      [scale, &target] { target.fault_harvest_pop(scale); });
-}
-
 void FaultInjector::rf_drought(TimePoint start, Duration duration) {
   harvest_fade(start, duration, 0.0);
 }

@@ -157,9 +157,6 @@ class FaultInjector {
   /// (a person standing in the RF path, a seasonal duty-cycle change).
   /// Overlapping fades stack multiplicatively and unwind exactly.
   void harvest_fade(TimePoint start, Duration duration, double scale);
-  /// Same, one device only.
-  void harvest_fade(TimePoint start, Duration duration, double scale,
-                    EnergyFaultTarget& target);
 
   /// Fleet-wide RF drought: the harvest source goes dark for the window
   /// (an AP reboot kills every rectenna feeding off it). Equivalent to

@@ -119,13 +119,4 @@ void InvariantMonitor::sweep() {
   sweep_event_ = scheduler_->schedule_in(period_, [this] { sweep(); });
 }
 
-void InvariantMonitor::publish_metrics(telemetry::MetricsRegistry& registry,
-                                       const std::string& prefix) const {
-  registry.bind_counter(prefix + ".sweeps", &stats_.sweeps);
-  registry.bind_counter(prefix + ".checks_run", &stats_.checks_run);
-  registry.bind_counter(prefix + ".violations", &stats_.violations);
-  registry.bind_counter(prefix + ".deliveries_checked",
-                        &stats_.deliveries_checked);
-}
-
 }  // namespace wile::sim

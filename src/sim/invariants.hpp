@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "sim/scheduler.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/units.hpp"
 
 namespace wile::sim {
@@ -128,11 +127,6 @@ class InvariantMonitor {
   }
   [[nodiscard]] bool ok() const { return stats_.violations == 0; }
   [[nodiscard]] const InvariantStats& stats() const { return stats_; }
-
-  /// Bind sweep/violation counters into a telemetry registry under
-  /// `prefix` ("invariants.violations", ...).
-  void publish_metrics(telemetry::MetricsRegistry& registry,
-                       const std::string& prefix = "invariants") const;
 
  private:
   struct Entry {

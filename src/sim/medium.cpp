@@ -156,11 +156,6 @@ void Medium::set_rx_blocked(NodeId id, bool blocked) {
   }
 }
 
-bool Medium::rx_blocked(NodeId id) const {
-  check_id(id);
-  return (node_flags_[id] & kFlagRxBlocked) != 0;
-}
-
 void Medium::set_node_loss_floor(NodeId id, double p) {
   check_id(id);
   assert(std::isfinite(p) && "Medium::set_node_loss_floor: non-finite floor");

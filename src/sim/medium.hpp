@@ -70,7 +70,6 @@
 
 #include "phy/channel.hpp"
 #include "sim/scheduler.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/frame_buffer.hpp"
 #include "util/inline_function.hpp"
@@ -306,7 +305,6 @@ class Medium {
   /// works — a deaf radio can shout, and its antenna still senses
   /// carrier; see carrier_busy).
   void set_rx_blocked(NodeId id, bool blocked);
-  [[nodiscard]] bool rx_blocked(NodeId id) const;
 
   /// Toggle the spatial index. Disabled = the exhaustive scan that polls
   /// every attached node, listening or not; kept as the equivalence

@@ -127,31 +127,6 @@ void Station::power_save_send(Bytes payload, CycleCallback done) {
   });
 }
 
-void Station::disconnect(std::function<void()> done) {
-  if (phase_ != Phase::PsIdle && phase_ != Phase::PsBeaconRx) {
-    throw std::logic_error("Station: disconnect requires PS mode");
-  }
-  if (ps_wake_timer_) {
-    scheduler_.cancel(*ps_wake_timer_);
-    ps_wake_timer_.reset();
-  }
-  phase_ = Phase::PsSend;  // radio up for the farewell frame
-  tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
-  dot11::Deauthentication deauth;
-  deauth.reason = dot11::ReasonCode::DeauthLeaving;
-  const Bytes mpdu = dot11::build_mgmt_mpdu(MgmtSubtype::Deauthentication, bssid_,
-                                            config_.mac, bssid_, next_seq(),
-                                            deauth.encode());
-  last_tx_was_connect_frame_ = false;
-  csma_->send(mpdu, config_.mgmt_rate, /*expect_ack=*/true,
-              [this, done = std::move(done)](const sim::Csma::Result&) {
-                scheduler_.schedule_in(config_.power.shutdown_time, [this, done] {
-                  enter_deep_sleep();
-                  if (done) done();
-                });
-              });
-}
-
 // ---------------------------------------------------------------------------
 // Connect flow.
 // ---------------------------------------------------------------------------
@@ -229,7 +204,7 @@ void Station::on_m1(const dot11::EapolKeyFrame& m1) {
 
 void Station::on_m3(const dot11::EapolKeyFrame& m3) {
   if (!m3.verify_mic(ptk_.kck)) {
-    WILE_LOG(Warn) << "STA: M3 MIC mismatch";
+    warn() << "STA: M3 MIC mismatch";
     return;
   }
   disarm_step_timeout();
@@ -386,7 +361,7 @@ void Station::fail_ps_send() {
 }
 
 void Station::declare_link_lost(const char* why) {
-  WILE_LOG(Warn) << "STA: link lost: " << why;
+  warn() << "STA: link lost: " << why;
   ++stats_.link_losses;
   if (ps_wake_timer_) {
     scheduler_.cancel(*ps_wake_timer_);
@@ -409,7 +384,7 @@ void Station::force_link_down() {
 }
 
 void Station::fail_step(const char* what) {
-  WILE_LOG(Warn) << "STA: connect step failed: " << what;
+  warn() << "STA: connect step failed: " << what;
   counting_connect_frames_ = false;
   if (connect_then_ps_) {
     enter_deep_sleep();

@@ -35,6 +35,7 @@
 #include "sim/csma.hpp"
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace wile::sta {
@@ -143,11 +144,6 @@ class Station : public sim::MediumClient {
   /// caller can reclaim it and re-fill in place instead of allocating a
   /// fresh one per send.
   [[nodiscard]] Bytes reclaim_payload() { return std::move(pending_payload_); }
-
-  /// Gracefully leave the network from power-save mode: transmit a
-  /// Deauthentication frame, then drop to deep sleep. After this the
-  /// station can run duty-cycle transmissions again.
-  void disconnect(std::function<void()> done = {});
 
   /// Downlink UDP sink (two-way traffic reaching this station).
   using DownlinkHandler =

@@ -244,66 +244,6 @@ std::string to_json(const Snapshot& snapshot, const std::vector<Snapshot>& sampl
   return out;
 }
 
-std::string to_csv(const Snapshot& snapshot) {
-  std::string out = "name,kind,value\n";
-  for (const MetricValue& v : snapshot.values) {
-    switch (v.kind) {
-      case MetricKind::Counter:
-        out += v.name;
-        out += ",counter,";
-        append_u64(out, v.count);
-        out.push_back('\n');
-        break;
-      case MetricKind::Gauge:
-        out += v.name;
-        out += ",gauge,";
-        append_f64(out, v.value);
-        out.push_back('\n');
-        break;
-      case MetricKind::HistogramKind:
-        out += v.name;
-        out += ".count,histogram,";
-        append_u64(out, v.histogram.count);
-        out.push_back('\n');
-        out += v.name;
-        out += ".sum,histogram,";
-        append_u64(out, v.histogram.sum);
-        out.push_back('\n');
-        out += v.name;
-        out += ".mean,histogram,";
-        append_f64(out, v.histogram.mean());
-        out.push_back('\n');
-        break;
-    }
-  }
-  return out;
-}
-
-std::string samples_csv(const std::vector<Snapshot>& samples) {
-  std::string out = "t_us";
-  if (samples.empty()) return out + "\n";
-  for (const MetricValue& v : samples.front().values) {
-    if (v.kind == MetricKind::HistogramKind) continue;
-    out.push_back(',');
-    out += v.name;
-  }
-  out.push_back('\n');
-  for (const Snapshot& s : samples) {
-    append_i64(out, s.at.us());
-    for (const MetricValue& v : s.values) {
-      if (v.kind == MetricKind::HistogramKind) continue;
-      out.push_back(',');
-      if (v.kind == MetricKind::Counter) {
-        append_u64(out, v.count);
-      } else {
-        append_f64(out, v.value);
-      }
-    }
-    out.push_back('\n');
-  }
-  return out;
-}
-
 bool write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;

@@ -1,5 +1,4 @@
-// Snapshot serialization: the BENCH_*.json telemetry schema and a flat
-// CSV form.
+// Snapshot serialization: the BENCH_*.json telemetry schema.
 //
 // The JSON schema ("wile-telemetry-v1", checked in CI by
 // tools/check_bench_schema.py) serializes one whole-sim snapshot:
@@ -47,15 +46,6 @@ struct ExportMeta {
                                   const ExportMeta& meta,
                                   const Tracer* tracer = nullptr,
                                   bool include_trace_events = false);
-
-/// Flat CSV: "name,kind,value" per metric; histograms expand to
-/// .count/.sum/.mean rows.
-[[nodiscard]] std::string to_csv(const Snapshot& snapshot);
-
-/// Time-series CSV: one row per sample, one column per metric of the
-/// first sample (later samples must share its shape, which
-/// PeriodicSampler guarantees).
-[[nodiscard]] std::string samples_csv(const std::vector<Snapshot>& samples);
 
 /// Write `content` to `path`; false (with errno intact) on failure.
 bool write_file(const std::string& path, const std::string& content);

@@ -37,14 +37,6 @@ void MetricsRegistry::bind_counter_fn(std::string name,
   add(std::move(m));
 }
 
-void MetricsRegistry::bind_gauge(std::string name, const double* slot) {
-  Metric m;
-  m.name = std::move(name);
-  m.kind = MetricKind::Gauge;
-  m.f64_slot = slot;
-  add(std::move(m));
-}
-
 void MetricsRegistry::bind_gauge_fn(std::string name, std::function<double()> fn) {
   Metric m;
   m.name = std::move(name);
@@ -71,21 +63,6 @@ Histogram* MetricsRegistry::histogram(std::string name) {
   return slot;
 }
 
-void MetricsRegistry::unbind_prefix(std::string_view prefix) {
-  std::vector<Metric> kept;
-  kept.reserve(metrics_.size());
-  for (Metric& m : metrics_) {
-    if (m.name.size() >= prefix.size() &&
-        std::string_view{m.name}.substr(0, prefix.size()) == prefix) {
-      continue;  // histograms stay alive in histograms_; only the name goes
-    }
-    kept.push_back(std::move(m));
-  }
-  metrics_ = std::move(kept);
-  index_.clear();
-  for (std::size_t i = 0; i < metrics_.size(); ++i) index_.emplace(metrics_[i].name, i);
-}
-
 bool MetricsRegistry::contains(std::string_view name) const {
   return find_metric(name) != nullptr;
 }
@@ -105,7 +82,7 @@ MetricValue MetricsRegistry::read(const Metric& m) const {
       v.count = m.u64_slot != nullptr ? *m.u64_slot : (m.u64_fn ? m.u64_fn() : 0);
       break;
     case MetricKind::Gauge:
-      v.value = m.f64_slot != nullptr ? *m.f64_slot : (m.f64_fn ? m.f64_fn() : 0.0);
+      v.value = m.f64_fn ? m.f64_fn() : 0.0;
       break;
     case MetricKind::HistogramKind:
       v.histogram = *m.hist;

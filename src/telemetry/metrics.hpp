@@ -15,8 +15,8 @@
 //   * counter — monotonically increasing u64, bound to a slot or to a
 //     closure (for accessors that return by value, e.g.
 //     Scheduler::events_run());
-//   * gauge   — instantaneous double, bound to a slot or a closure
-//     (e.g. integrated energy from a PowerTimeline);
+//   * gauge   — instantaneous double, bound to a closure (e.g.
+//     integrated energy from a PowerTimeline);
 //   * histogram — registry-owned log2-bucketed distribution; components
 //     that want one ask the registry for a slot pointer at registration
 //     time and record through it, again without name lookups.
@@ -97,21 +97,16 @@ class MetricsRegistry {
   // --- registration ----------------------------------------------------------
   // Binding never copies the value; the registry reads through the
   // pointer (or calls the closure) at snapshot time. The bound slot must
-  // outlive the registry or be unbound first.
+  // outlive the registry.
 
   void bind_counter(std::string name, const std::uint64_t* slot);
   void bind_counter_fn(std::string name, std::function<std::uint64_t()> fn);
-  void bind_gauge(std::string name, const double* slot);
   void bind_gauge_fn(std::string name, std::function<double()> fn);
 
   /// Create (or return the existing) registry-owned histogram. The
   /// returned pointer is stable for the registry's lifetime; record
   /// through it without any further registry involvement.
   Histogram* histogram(std::string name);
-
-  /// Drop every metric whose name starts with `prefix` (a component
-  /// being destroyed before the registry unbinds its slots this way).
-  void unbind_prefix(std::string_view prefix);
 
   // --- collection ------------------------------------------------------------
 
@@ -136,7 +131,6 @@ class MetricsRegistry {
     std::string name;
     MetricKind kind = MetricKind::Counter;
     const std::uint64_t* u64_slot = nullptr;
-    const double* f64_slot = nullptr;
     std::function<std::uint64_t()> u64_fn;
     std::function<double()> f64_fn;
     Histogram* hist = nullptr;  // into histograms_

@@ -1,7 +1,6 @@
 #include "util/hex.hpp"
 
 #include <cctype>
-#include <cstdio>
 
 namespace wile {
 
@@ -43,33 +42,6 @@ std::optional<Bytes> from_hex(std::string_view text) {
     }
   }
   if (hi >= 0) return std::nullopt;  // odd digit count
-  return out;
-}
-
-std::string hexdump(BytesView data) {
-  std::string out;
-  // Widest line piece: a full-width offset (16 hex digits on a 64-bit
-  // size_t), two spaces and the terminator.
-  char line[2 * sizeof(std::size_t) + 3];
-  for (std::size_t row = 0; row < data.size(); row += 16) {
-    std::snprintf(line, sizeof(line), "%08zx  ", row);
-    out += line;
-    for (std::size_t i = 0; i < 16; ++i) {
-      if (row + i < data.size()) {
-        std::snprintf(line, sizeof(line), "%02x ", data[row + i]);
-        out += line;
-      } else {
-        out += "   ";
-      }
-      if (i == 7) out += ' ';
-    }
-    out += " |";
-    for (std::size_t i = 0; i < 16 && row + i < data.size(); ++i) {
-      const char c = static_cast<char>(data[row + i]);
-      out += std::isprint(static_cast<unsigned char>(c)) ? c : '.';
-    }
-    out += "|\n";
-  }
   return out;
 }
 

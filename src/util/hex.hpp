@@ -1,5 +1,5 @@
 // Hex encoding/decoding helpers, used by tests (known-answer vectors) and
-// by example programs when printing captured frames.
+// by tools/wile_inspect when printing captured frames and reading keys.
 #pragma once
 
 #include <optional>
@@ -16,9 +16,5 @@ std::string to_hex(BytesView data);
 /// Parse a hex string (whitespace tolerated between bytes). Returns
 /// nullopt if the input contains non-hex characters or an odd digit count.
 std::optional<Bytes> from_hex(std::string_view text);
-
-/// Classic 16-bytes-per-row hexdump with an ASCII gutter, for debugging
-/// captured frames.
-std::string hexdump(BytesView data);
 
 }  // namespace wile

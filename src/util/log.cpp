@@ -1,33 +1,14 @@
 #include "util/log.hpp"
 
 #include <cstdio>
+#include <string_view>
 
 namespace wile {
 
-namespace {
-LogLevel g_level = LogLevel::Warn;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::Trace: return "TRACE";
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
+WarnLine::~WarnLine() {
+  // view() copies nothing, so the destructor cannot throw.
+  const std::string_view message = stream_.view();
+  std::fprintf(stderr, "[WARN] %.*s\n", static_cast<int>(message.size()), message.data());
 }
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
-
-namespace detail {
-void emit(LogLevel level, const std::string& message) {
-  if (level < g_level) return;
-  std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
-}
-}  // namespace detail
 
 }  // namespace wile

@@ -1,48 +1,34 @@
-// Minimal levelled logger.
+// Warning log.
 //
-// The simulator is deterministic and single-threaded; logging exists for
-// example programs and debugging, defaults to Warn, and writes to stderr
-// so bench CSV output on stdout stays clean.
+// The simulator is deterministic and single-threaded; it logs only the
+// degraded paths a run takes (a lost link, a failed connect step, a MIC
+// mismatch), and writes them to stderr so bench output on stdout stays
+// clean.
 #pragma once
 
 #include <sstream>
-#include <string>
 
 namespace wile {
 
-enum class LogLevel { Trace, Debug, Info, Warn, Error, Off };
-
-/// Global log threshold; messages below it are discarded.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-namespace detail {
-void emit(LogLevel level, const std::string& message);
-}
-
-/// Stream-style log statement: LOG(Info) << "assoc done for " << mac;
-/// The expression is only evaluated when the level is enabled.
-class LogLine {
+/// Stream-style warning, written to stderr as one "[WARN] ..." line when
+/// the statement ends: warn() << "STA: link lost: " << why;
+class WarnLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() { detail::emit(level_, stream_.str()); }
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
+  WarnLine() = default;
+  ~WarnLine();
+  WarnLine(const WarnLine&) = delete;
+  WarnLine& operator=(const WarnLine&) = delete;
 
   template <typename T>
-  LogLine& operator<<(const T& value) {
+  WarnLine& operator<<(const T& value) {
     stream_ << value;
     return *this;
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
-}  // namespace wile
+inline WarnLine warn() { return {}; }
 
-#define WILE_LOG(level)                                  \
-  if (::wile::LogLevel::level < ::wile::log_level()) {   \
-  } else                                                 \
-    ::wile::LogLine(::wile::LogLevel::level)
+}  // namespace wile

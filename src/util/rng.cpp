@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 namespace wile {
 
 namespace {
@@ -61,23 +59,6 @@ bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
-}
-
-double Rng::gaussian() {
-  if (have_spare_gaussian_) {
-    have_spare_gaussian_ = false;
-    return spare_gaussian_;
-  }
-  double u, v, s;
-  do {
-    u = 2.0 * uniform() - 1.0;
-    v = 2.0 * uniform() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double m = std::sqrt(-2.0 * std::log(s) / s);
-  spare_gaussian_ = v * m;
-  have_spare_gaussian_ = true;
-  return u * m;
 }
 
 Rng Rng::fork() { return Rng{next()}; }

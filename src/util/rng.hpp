@@ -1,11 +1,10 @@
 // Deterministic pseudo-random number generation for the simulator.
 //
 // Every stochastic element of the simulation (CSMA backoff draws, clock
-// jitter, channel fading, packet-loss coin flips) draws from an Rng seeded
-// explicitly, so a run is reproducible bit-for-bit from its seed. We use
-// xoshiro256** — small, fast, and good enough statistical quality for
-// simulation (this is not a cryptographic generator; crypto lives in
-// src/crypto).
+// jitter, packet-loss coin flips) draws from an Rng seeded explicitly, so
+// a run is reproducible bit-for-bit from its seed. We use xoshiro256** —
+// small, fast, and good enough statistical quality for simulation (this
+// is not a cryptographic generator; crypto lives in src/crypto).
 #pragma once
 
 #include <cstdint>
@@ -32,17 +31,12 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p);
 
-  /// Standard normal via Marsaglia polar method.
-  double gaussian();
-
   /// Fork an independent stream (e.g. one per simulated node) so adding a
   /// node does not perturb the draws other nodes see.
   Rng fork();
 
  private:
   std::uint64_t s_[4];
-  bool have_spare_gaussian_ = false;
-  double spare_gaussian_ = 0.0;
 };
 
 }  // namespace wile

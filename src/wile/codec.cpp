@@ -40,12 +40,6 @@ std::size_t Codec::max_fragment_data(bool fragmented, bool has_window) const {
   return capacity;
 }
 
-std::size_t Codec::capacity(std::size_t max_elements, bool has_window) const {
-  if (max_elements == 0) return 0;
-  if (max_elements == 1) return max_fragment_data(false, has_window);
-  return max_elements * max_fragment_data(true, has_window);
-}
-
 void Codec::write_one(ByteWriter& w, const Message& message, std::uint8_t frag_index,
                       std::uint8_t frag_count, BytesView data, bool parity) const {
   const bool fragmented = frag_count > 1 || parity;

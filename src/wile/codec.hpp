@@ -85,9 +85,6 @@ class Codec {
   /// Usable data bytes in a single element for the given feature set.
   [[nodiscard]] std::size_t max_fragment_data(bool fragmented, bool has_window) const;
 
-  /// Largest message data size encodable into `max_elements` elements.
-  [[nodiscard]] std::size_t capacity(std::size_t max_elements, bool has_window) const;
-
   /// Encode a message into one or more vendor IEs. Throws
   /// std::invalid_argument if the message needs more than 255 fragments.
   /// With `parity` set, a fragmented message additionally gets one XOR

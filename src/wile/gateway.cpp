@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace wile::core {
 
 void ForwardedReading::encode_into(Bytes& out) const {
@@ -22,12 +20,6 @@ void ForwardedReading::encode_into(Bytes& out) const {
   out.push_back(static_cast<std::uint8_t>(rssi_dbm));
   u16(static_cast<std::uint16_t>(data.size()));
   out.insert(out.end(), data.begin(), data.end());
-}
-
-Bytes ForwardedReading::encode() const {
-  Bytes out;
-  encode_into(out);
-  return out;
 }
 
 std::optional<ForwardedReading> ForwardedReading::decode(BytesView payload) {

@@ -45,7 +45,6 @@ struct ForwardedReading {
   std::int8_t rssi_dbm = 0;
   Bytes data;
 
-  [[nodiscard]] Bytes encode() const;
   /// Append the record encoding to `out` (the allocation-free path the
   /// batch encoder uses).
   void encode_into(Bytes& out) const;

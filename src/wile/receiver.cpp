@@ -1,7 +1,5 @@
 #include "wile/receiver.hpp"
 
-#include <cstdio>
-
 #include "dot11/mgmt.hpp"
 
 namespace wile::core {
@@ -80,24 +78,6 @@ void Receiver::on_frame(const sim::RxFrame& frame) {
     accept_fragment(*fragment, meta);
   }
   if (any) ++stats_.wile_beacons;
-}
-
-std::string Receiver::devices_csv() const {
-  std::string out =
-      "device_id,messages,losses,loss_pct,last_seq,first_seen_s,last_seen_s,rssi_dbm\n";
-  char line[160];
-  for (const auto& [id, dev] : devices_) {
-    const double total = static_cast<double>(dev.messages + dev.estimated_losses);
-    const double loss_pct =
-        total > 0 ? 100.0 * static_cast<double>(dev.estimated_losses) / total : 0.0;
-    std::snprintf(line, sizeof(line), "%u,%llu,%llu,%.2f,%u,%.3f,%.3f,%.1f\n", id,
-                  static_cast<unsigned long long>(dev.messages),
-                  static_cast<unsigned long long>(dev.estimated_losses), loss_pct,
-                  dev.last_sequence, to_seconds(dev.first_seen.since_epoch()),
-                  to_seconds(dev.last_seen.since_epoch()), dev.last_rssi_dbm);
-    out += line;
-  }
-  return out;
 }
 
 void Receiver::accept_fragment(const Fragment& fragment, const RxMeta& meta) {

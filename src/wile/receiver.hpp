@@ -95,9 +95,6 @@ class Receiver : public sim::MediumClient {
     return devices_;
   }
 
-  /// Device registry as CSV ("device_id,messages,losses,loss_pct,
-  /// last_seq,first_seen_s,last_seen_s,rssi_dbm") for ops dashboards.
-  [[nodiscard]] std::string devices_csv() const;
   [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
   [[nodiscard]] const ReceiverConfig& config() const { return config_; }
   /// In-progress fragmented messages currently held. The chaos

@@ -289,9 +289,7 @@ Scenario::Scenario(const ScenarioBuilder& b)
   // frames to devices on other shards ride the boundary-transmission
   // phantoms like any other cross-shard traffic.
   if (mode_ == TxMode::Wur && n > 0) {
-    const Position ap_pos = b.wur_opts_.ap_position
-                                ? *b.wur_opts_.ap_position
-                                : Position{extent / 2.0, extent / 2.0};
+    const Position ap_pos{extent / 2.0, extent / 2.0};
     EventCore& core = core_at(ap_pos);
     // Derived seed: the AP's CSMA backoff stream must alias neither the
     // device forks nor the medium stream.

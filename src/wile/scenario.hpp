@@ -57,9 +57,9 @@ class ScenarioBuilder;
 
 /// Mode-preset options for TxMode::Wur fleets. The preset gives every
 /// device a WUR companion receiver, arms it instead of starting a duty
-/// cycle, and stands up one AP-side WurScheduler that owns the wake
-/// cadence (round-robin unicast by default, one group wake per cadence
-/// when group_id is set).
+/// cycle, and stands up one AP-side WurScheduler at the centre of the
+/// device grid that owns the wake cadence (round-robin unicast by
+/// default, one group wake per cadence when group_id is set).
 struct WurFleetOptions {
   ap::WurSchedulerConfig scheduler{};
   /// Wake cadence: one full unicast sweep of the fleet (or one group
@@ -70,8 +70,6 @@ struct WurFleetOptions {
   std::uint16_t group_id = 0;
   /// Companion-receiver model applied to every device.
   power::WurReceiverModel receiver{};
-  /// AP position; unset = center of the device grid.
-  std::optional<Position> ap_position;
 };
 
 /// Mode-preset options for TxMode::Ble fleets: every device becomes a

@@ -201,25 +201,6 @@ TEST_F(ApTest, AssociationAfterAuthGetsAidAndM1) {
   EXPECT_TRUE(got_m1);
 }
 
-TEST_F(ApTest, DeauthDropsClientState) {
-  dot11::Authentication auth;
-  sta_->transmit(dot11::build_mgmt_mpdu(dot11::MgmtSubtype::Authentication, cfg_.bssid,
-                                        sta_->mac_, cfg_.bssid, 1, auth.encode()));
-  run_for(msec(50));
-
-  dot11::Deauthentication deauth;
-  sta_->transmit(dot11::build_mgmt_mpdu(dot11::MgmtSubtype::Deauthentication, cfg_.bssid,
-                                        sta_->mac_, cfg_.bssid, 2, deauth.encode()));
-  run_for(msec(50));
-
-  // Association must now be refused again (client was erased).
-  dot11::AssocRequest req;
-  sta_->transmit(dot11::build_mgmt_mpdu(dot11::MgmtSubtype::AssocRequest, cfg_.bssid,
-                                        sta_->mac_, cfg_.bssid, 3, req.encode()));
-  run_for(msec(100));
-  EXPECT_TRUE(sta_->mgmt(dot11::MgmtSubtype::AssocResponse).empty());
-}
-
 TEST_F(ApTest, UnicastFramesGetAcked) {
   dot11::Authentication auth;
   sta_->transmit(dot11::build_mgmt_mpdu(dot11::MgmtSubtype::Authentication, cfg_.bssid,

@@ -208,34 +208,6 @@ TEST(Ie, RsnPskDetected) {
   EXPECT_FALSE(has_rsn_psk(empty));
 }
 
-TEST(Ie, VendorIeRoundTrip) {
-  const std::array<std::uint8_t, 3> oui = {0x57, 0x69, 0x4c};
-  const Bytes payload = {1, 2, 3, 4, 5};
-  const auto ie = make_vendor_ie(oui, 0x45, payload);
-  ASSERT_TRUE(ie.has_value());
-
-  IeList list;
-  list.add(*ie);
-  const auto found = parse_vendor_ies(list, oui);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0].subtype, 0x45);
-  EXPECT_EQ(found[0].payload, payload);
-}
-
-TEST(Ie, VendorIeRejectsOversizedPayload) {
-  const std::array<std::uint8_t, 3> oui = {1, 2, 3};
-  EXPECT_FALSE(make_vendor_ie(oui, 0, Bytes(vendor_payload_capacity() + 1, 0)).has_value());
-  EXPECT_TRUE(make_vendor_ie(oui, 0, Bytes(vendor_payload_capacity(), 0)).has_value());
-}
-
-TEST(Ie, VendorIeFiltersByOui) {
-  const std::array<std::uint8_t, 3> ours = {1, 2, 3};
-  const std::array<std::uint8_t, 3> theirs = {4, 5, 6};
-  IeList list;
-  list.add(*make_vendor_ie(theirs, 9, Bytes{0xff}));
-  EXPECT_TRUE(parse_vendor_ies(list, ours).empty());
-}
-
 TEST(Ie, HtCapsDetected) {
   IeList list;
   list.add(make_ht_caps_ie());
@@ -299,16 +271,6 @@ TEST(Mgmt, AssocRequestResponseRoundTrip) {
   const auto resp_back = AssocResponse::decode(resp.encode());
   ASSERT_TRUE(resp_back.has_value());
   EXPECT_EQ(resp_back->aid, 5);  // the 0xc000 on-air bits must be stripped
-}
-
-TEST(Mgmt, DeauthDisassocRoundTrip) {
-  Deauthentication d;
-  d.reason = ReasonCode::DeauthLeaving;
-  EXPECT_EQ(Deauthentication::decode(d.encode())->reason, ReasonCode::DeauthLeaving);
-
-  Disassociation dis;
-  dis.reason = ReasonCode::DisassocInactivity;
-  EXPECT_EQ(Disassociation::decode(dis.encode())->reason, ReasonCode::DisassocInactivity);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
 // Tests for the library extensions beyond the paper's prototype:
-// 5 GHz band support, beacon repetition, graceful disconnect, and the
-// battery-lifetime model.
+// 5 GHz band support, beacon repetition and the battery-lifetime model.
 #include <gtest/gtest.h>
 
-#include "ap/access_point.hpp"
 #include "phy/airtime.hpp"
 #include "phy/channel.hpp"
 #include "power/battery.hpp"
-#include "sta/station.hpp"
 #include "wile/receiver.hpp"
 #include "wile/sender.hpp"
 
@@ -118,49 +115,6 @@ TEST(Repeats, FragmentedMessagesRepeatTheWholeTrain) {
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->beacons_sent, 6);  // 3 fragments x 2
   EXPECT_EQ(monitor.stats().messages, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Disconnect
-// ---------------------------------------------------------------------------
-
-TEST(Disconnect, DeauthDropsApStateAndStationSleeps) {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{2}};
-  ap.start();
-  sta::StationConfig sta_cfg;
-  sta::Station sta{scheduler, medium, {2, 0}, sta_cfg, Rng{3}};
-
-  bool ready = false;
-  sta.connect_and_enter_power_save([&](bool ok) { ready = ok; });
-  scheduler.run_until(TimePoint{seconds(10)});
-  ASSERT_TRUE(ready);
-  ASSERT_TRUE(ap.client_ready(sta_cfg.mac));
-
-  bool disconnected = false;
-  sta.disconnect([&] { disconnected = true; });
-  scheduler.run_until(scheduler.now() + seconds(2));
-
-  EXPECT_TRUE(disconnected);
-  EXPECT_FALSE(ap.client_ready(sta_cfg.mac));
-  EXPECT_NEAR(in_microamps(sta.timeline().current_at(scheduler.now())), 2.5, 1e-6);
-
-  // And the station is reusable: a fresh duty cycle succeeds.
-  std::optional<sta::CycleReport> report;
-  sta.run_duty_cycle_transmission(Bytes{1}, [&](const sta::CycleReport& r) { report = r; });
-  scheduler.run_until(scheduler.now() + seconds(10));
-  ASSERT_TRUE(report.has_value());
-  EXPECT_TRUE(report->success);
-}
-
-TEST(Disconnect, RequiresPsMode) {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  sta::StationConfig cfg;
-  sta::Station sta{scheduler, medium, {0, 0}, cfg, Rng{2}};
-  EXPECT_THROW(sta.disconnect(), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

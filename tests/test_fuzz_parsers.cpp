@@ -93,7 +93,6 @@ TEST(FuzzParsers, MgmtBodyDecodersNeverCrash) {
     (void)dot11::Authentication::decode(in);
     (void)dot11::AssocRequest::decode(in);
     (void)dot11::AssocResponse::decode(in);
-    (void)dot11::Deauthentication::decode(in);
   };
   fuzz_random(8, 2000, 200, parse);
 }
@@ -220,7 +219,9 @@ TEST(FuzzParsers, ForwardedReadingNeverCrashes) {
   fuzz_random(18, 2000, 300, parse);
   core::ForwardedReading reading;
   reading.data = Bytes(40, 0x22);
-  fuzz_mutations(reading.encode(), 19, parse);
+  Bytes wire;
+  reading.encode_into(wire);
+  fuzz_mutations(wire, 19, parse);
 }
 
 TEST(FuzzParsers, ForwardedBatchNeverCrashes) {

@@ -16,7 +16,9 @@ TEST(ForwardedReading, RoundTrip) {
   r.type = MessageType::Telemetry;
   r.rssi_dbm = -55;
   r.data = {1, 2, 3};
-  const auto back = ForwardedReading::decode(r.encode());
+  Bytes wire;
+  r.encode_into(wire);
+  const auto back = ForwardedReading::decode(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, r);
 }
@@ -24,7 +26,8 @@ TEST(ForwardedReading, RoundTrip) {
 TEST(ForwardedReading, RejectsLengthMismatch) {
   ForwardedReading r;
   r.data = {1, 2, 3};
-  Bytes raw = r.encode();
+  Bytes raw;
+  r.encode_into(raw);
   raw.pop_back();
   EXPECT_FALSE(ForwardedReading::decode(raw).has_value());
   EXPECT_FALSE(ForwardedReading::decode(Bytes{1, 2}).has_value());

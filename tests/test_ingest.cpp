@@ -178,7 +178,9 @@ TEST(ForwardedBatch, BatchAndLegacyEncodingsRejectEachOther) {
   core::ForwardedBatch batch;
   batch.readings.push_back(make_reading(0x300, 9, 12));
   EXPECT_FALSE(core::ForwardedReading::decode(batch.encode()));
-  EXPECT_FALSE(core::ForwardedBatch::decode(batch.readings[0].encode()));
+  Bytes bare;
+  batch.readings[0].encode_into(bare);
+  EXPECT_FALSE(core::ForwardedBatch::decode(bare));
 }
 
 TEST(ForwardedBatch, RejectsMalformedPayloads) {

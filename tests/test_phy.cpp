@@ -150,11 +150,6 @@ TEST(Channel, RejectsDegenerateConfig) {
                  std::invalid_argument)
         << bad;
   }
-  for (const double bad : {-0.5, nan, inf, -inf}) {
-    EXPECT_THROW(Channel{with(&ChannelConfig::shadowing_sigma_db, bad)},
-                 std::invalid_argument)
-        << bad;
-  }
 
   // The defaults, both bands and the non-default configs used in the
   // repository stay valid, as do the boundary values.
@@ -162,10 +157,8 @@ TEST(Channel, RejectsDegenerateConfig) {
   EXPECT_NO_THROW(Channel{ChannelConfig::for_band(Band::G5)});
   ChannelConfig farm;
   farm.path_loss_exponent = 2.4;
-  farm.shadowing_sigma_db = 2.0;
   EXPECT_NO_THROW(Channel{farm});
   EXPECT_NO_THROW(Channel{with(&ChannelConfig::path_loss_exponent, 1e-3)});
-  EXPECT_NO_THROW(Channel{with(&ChannelConfig::shadowing_sigma_db, 0.0)});
   EXPECT_NO_THROW(Channel{with(&ChannelConfig::reference_loss_db, -10.0)});
 }
 
@@ -281,23 +274,9 @@ TEST(Channel, PerEarlyOutIsBitExact) {
   EXPECT_EQ(mismatches, 0u) << "of " << points << " points";
 }
 
-TEST(Channel, FrameLostIsDeterministicGivenSeed) {
-  Channel ch;
-  Rng a{1}, b{1};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(ch.frame_lost(a, 0.0, 8.0, WifiRate::Mcs7Sgi, 200),
-              ch.frame_lost(b, 0.0, 8.0, WifiRate::Mcs7Sgi, 200));
-  }
-}
-
 TEST(Channel, CloseRangeIsReliable) {
   Channel ch;
-  Rng rng{2};
-  int losses = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (ch.frame_lost(rng, 0.0, 1.0, WifiRate::Mcs7Sgi, 200)) ++losses;
-  }
-  EXPECT_LT(losses, 5);
+  EXPECT_LT(ch.packet_error_rate(ch.snr_db(0.0, 1.0), WifiRate::Mcs7Sgi, 200), 0.005);
 }
 
 // ---------------------------------------------------------------------------

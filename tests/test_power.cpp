@@ -191,21 +191,6 @@ TEST(TraceRecorder, DecimationPreservesPeaks) {
   EXPECT_NEAR(TraceRecorder::peak_ma(sparse), 250.0, 1e-9);
 }
 
-TEST(TraceRecorder, CsvHasHeaderAndRows) {
-  const std::vector<TraceSample> trace = {{0.0, 1.5}, {0.001, 2.5}};
-  const std::string csv = TraceRecorder::to_csv(trace);
-  EXPECT_NE(csv.find("time_s,current_mA"), std::string::npos);
-  EXPECT_NE(csv.find("0.001000,2.5000"), std::string::npos);
-}
-
-TEST(TraceRecorder, MeanOfConstantTrace) {
-  PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(0)}, milliamps(42), "x");
-  TraceRecorder rec;
-  const auto trace = rec.record(tl, TimePoint{usec(0)}, TimePoint{msec(10)});
-  EXPECT_NEAR(TraceRecorder::mean_ma(trace), 42.0, 1e-9);
-}
-
 // ---------------------------------------------------------------------------
 // Device profiles (paper constants)
 // ---------------------------------------------------------------------------

@@ -102,21 +102,5 @@ TEST(SsidStuffing, SpamsTheScanListUnlikeHiddenMode) {
   EXPECT_EQ(phone.hidden_networks(), 1u);
 }
 
-TEST(Receiver, DevicesCsvExport) {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  SenderConfig cfg;
-  cfg.device_id = 42;
-  Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
-  Receiver monitor{scheduler, medium, {2, 0}};
-
-  sender.send_now(Bytes{1}, {});
-  scheduler.run_until_idle();
-
-  const std::string csv = monitor.devices_csv();
-  EXPECT_NE(csv.find("device_id,messages"), std::string::npos);
-  EXPECT_NE(csv.find("\n42,1,0,0.00,0,"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace wile::core

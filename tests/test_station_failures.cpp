@@ -4,6 +4,8 @@
 // (and go back to sleep!) on all of these.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ap/access_point.hpp"
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
@@ -74,29 +76,34 @@ TEST(StationFailure, WrongPassphraseFailsHandshake) {
 }
 
 TEST(StationFailure, LossyChannelRetriesAndStillSucceeds) {
-  // Put the STA near the PER cliff for the 6 Mbps management frames'
-  // data-rate frames: retransmissions must kick in yet the cycle completes.
-  sim::Scheduler scheduler;
-  phy::ChannelConfig ch;
-  ch.shadowing_sigma_db = 3.0;  // fading: occasional frame losses
-  sim::Medium medium{scheduler, phy::Channel{ch}, Rng{17}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{8}};
-  ap.set_uplink_handler([](const MacAddress&, const net::Ipv4Header&,
-                           const net::UdpDatagram&) {});
-  ap.start();
+  // At 12 m the STA's MCS7-SGI data frames sit near their PER cliff:
+  // retransmissions must kick in, yet the cycle completes.
+  const auto run_cycle = [](double distance_m) {
+    sim::Scheduler scheduler;
+    sim::Medium medium{scheduler, phy::Channel{}, Rng{17}};
+    ap::AccessPointConfig ap_cfg;
+    ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{8}};
+    ap.set_uplink_handler([](const MacAddress&, const net::Ipv4Header&,
+                             const net::UdpDatagram&) {});
+    ap.start();
 
-  StationConfig cfg;
-  cfg.data_rate = phy::WifiRate::Mcs7Sgi;
-  Station sta{scheduler, medium, {12.0, 0}, cfg, Rng{9}};
-  std::optional<CycleReport> report;
-  sta.run_duty_cycle_transmission(Bytes{1}, [&](const CycleReport& r) { report = r; });
-  scheduler.run_until(TimePoint{seconds(30)});
+    StationConfig cfg;
+    cfg.data_rate = phy::WifiRate::Mcs7Sgi;
+    Station sta{scheduler, medium, {distance_m, 0}, cfg, Rng{9}};
+    std::optional<CycleReport> report;
+    sta.run_duty_cycle_transmission(Bytes{1}, [&](const CycleReport& r) { report = r; });
+    scheduler.run_until(TimePoint{seconds(30)});
+    return std::pair{report, sta.stats().mac_frames_sent};
+  };
+  const auto [clean, clean_frames] = run_cycle(3.0);
+  const auto [lossy, lossy_frames] = run_cycle(12.0);
 
-  ASSERT_TRUE(report.has_value());
-  EXPECT_TRUE(report->success);
-  // Shadowed fades at 9 m force some retries over a clean run's count.
-  EXPECT_GT(sta.stats().mac_frames_sent, 16u);
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_TRUE(clean->success);
+  ASSERT_TRUE(lossy.has_value());
+  EXPECT_TRUE(lossy->success);
+  // Losses at 12 m force retries over the clean 3 m run's count.
+  EXPECT_GT(lossy_frames, clean_frames);
 }
 
 TEST(StationFailure, ApiMisuseThrows) {

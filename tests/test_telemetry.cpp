@@ -32,7 +32,7 @@ TEST(MetricsRegistry, BindLookupSnapshot) {
   std::uint64_t tx = 0;
   double temp = 21.5;
   reg.bind_counter("medium.transmissions", &tx);
-  reg.bind_gauge("env.temperature_c", &temp);
+  reg.bind_gauge_fn("env.temperature_c", [&temp] { return temp; });
   reg.bind_counter_fn("derived.twice_tx", [&tx] { return 2 * tx; });
 
   EXPECT_EQ(reg.size(), 3u);
@@ -73,21 +73,6 @@ TEST(MetricsRegistry, DuplicateNameThrows) {
   EXPECT_EQ(h1, h2);
 }
 
-TEST(MetricsRegistry, UnbindPrefix) {
-  MetricsRegistry reg;
-  std::uint64_t a = 0, b = 0, c = 0;
-  reg.bind_counter("node.7.sender.cycles", &a);
-  reg.bind_counter("node.7.sender.tx.beacons", &b);
-  reg.bind_counter("node.8.sender.cycles", &c);
-  reg.unbind_prefix("node.7.");
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_FALSE(reg.contains("node.7.sender.cycles"));
-  EXPECT_TRUE(reg.contains("node.8.sender.cycles"));
-  // The index is rebuilt, so survivors stay readable.
-  c = 5;
-  EXPECT_EQ(reg.counter_value("node.8.sender.cycles"), 5u);
-}
-
 TEST(Histogram, BucketsAndMoments) {
   Histogram h;
   h.record(0);    // bucket 0
@@ -118,7 +103,7 @@ TEST(Export, NodeSectionGroupsInterleavedIdsInFirstAppearanceOrder) {
   reg.bind_counter("node.10.sender.cycles", &cycles10);
   reg.bind_counter("node.2.sender.cycles", &cycles2);
   reg.bind_counter("medium.transmissions", &tx);
-  reg.bind_gauge("node.10.energy_j", &energy10);
+  reg.bind_gauge_fn("node.10.energy_j", [&energy10] { return energy10; });
   reg.bind_counter("node.2.sender.beacons", &beacons2);
   reg.bind_counter("node.10.sender.beacons", &beacons10);
   reg.histogram("gateway.latency_us")->record(6);
@@ -360,7 +345,7 @@ TEST(Scenario, ExportedJsonIsDeterministicAcrossRuns) {
   EXPECT_NE(json_a.find("\"aggregates\""), std::string::npos);
 }
 
-TEST(Scenario, PeriodicSamplesAndCsv) {
+TEST(Scenario, PeriodicSamples) {
   auto scenario = sim::ScenarioBuilder{}
                       .devices(20)
                       .duty_cycle(seconds(10))
@@ -377,12 +362,6 @@ TEST(Scenario, PeriodicSamplesAndCsv) {
   // Counters are non-decreasing across samples.
   EXPECT_LE(scenario->samples()[0].find("medium.transmissions")->count,
             scenario->samples()[2].find("medium.transmissions")->count);
-
-  const std::string csv = to_csv(scenario->snapshot());
-  EXPECT_EQ(csv.substr(0, 16), "name,kind,value\n");
-  EXPECT_NE(csv.find("medium.transmissions,counter,"), std::string::npos);
-  const std::string series = samples_csv(scenario->samples());
-  EXPECT_NE(series.find("t_us"), std::string::npos);
 }
 
 TEST(Scenario, TraceIsDeterministicAndPhased) {

@@ -165,7 +165,8 @@ TEST_F(WileNodes, ForeignVendorBeaconCountsAsBeaconOnly) {
 
   dot11::Beacon beacon;
   beacon.ies.add(dot11::make_ssid_ie("SomeNet"));
-  beacon.ies.add(*dot11::make_vendor_ie({0x00, 0x50, 0xf2}, 1, Bytes{1, 2, 3}));
+  // OUI 00:50:f2 (not Wi-LE's), vendor subtype 1, payload 1 2 3.
+  beacon.ies.add({dot11::IeId::VendorSpecific, {0x00, 0x50, 0xf2, 1, 1, 2, 3}});
   sim::TxRequest req;
   req.mpdu = dot11::build_mgmt_mpdu(dot11::MgmtSubtype::Beacon, MacAddress::broadcast(),
                                     MacAddress::from_seed(9), MacAddress::from_seed(9), 1,
