@@ -17,18 +17,18 @@
 //    sustained_fps(batch=1), gated >= 3x.
 //
 // 2. DISPATCH (CPU): a pre-generated 10k-device uplink fragment stream
-//    pushed through the shipped IngestTable (one flat-table probe,
-//    wile/ingest.hpp) + ForwardedBatch arena encode (wile/gateway.hpp).
-//    Reported as an absolute dispatch_pipeline_fps row, not gated: the
-//    BENCH history carries the trend. Report decisions are pinned by
-//    tests/test_ingest (NoteUplink*, ShouldReportFiresOncePerAnnouncedSequence).
+//    pushed through what the controller does per fragment (a flat-table
+//    lookup of the DeviceState record when the fragment announces an RX
+//    window, then the downlink-queue check; wile/controller.hpp) +
+//    ForwardedBatch arena encode (wile/gateway.hpp). Reported as an
+//    absolute dispatch_pipeline_fps row, not gated: the BENCH history
+//    carries the trend. dispatch_sends counts the batches it flushed.
 //
 // 3. RULES (CPU): the same stream through a 3-rule engine chain.
 //
 // Determinism oracle: every configuration runs twice with the same
 // seeds; simulation counters and the FNV-1a digest of every uplink byte
-// + report decision must match run-to-run. Any mismatch fails the JSON
-// gate.
+// must match run-to-run. Any mismatch fails the JSON gate.
 //
 // Writes BENCH_ingest_throughput.json.
 //
@@ -46,9 +46,10 @@
 #include <vector>
 
 #include "ap/access_point.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
+#include "wile/controller.hpp"
 #include "wile/gateway.hpp"
-#include "wile/ingest.hpp"
 #include "wile/rules/engine.hpp"
 #include "wile/sender.hpp"
 
@@ -188,25 +189,23 @@ struct PathResult {
   double fps = 0.0;  // frames ingested per wall second (best run)
   std::uint64_t digest = 0;
   bool deterministic = true;
-  std::uint64_t sends = 0;    // uplink send cycles
-  std::uint64_t reports = 0;  // channel-report decisions that fired
+  std::uint64_t sends = 0;  // uplink send cycles (dispatch)
+  std::uint64_t fired = 0;  // rule firings (rules)
 };
 
-// Dispatch starts from the device history of a long-running controller
-// in the sustained-ingest regime: every device has announced an RX
-// window before, and every 5th device was commanded once and drained.
-// The flat table keeps that history in the one record the first probe
-// already fetched.
+// Dispatch starts from the device records of a long-running controller:
+// every 5th device was commanded once and drained, and only those have
+// a record (the controller creates one per queued downlink).
 constexpr std::uint32_t kCommandedEvery = 5;
 
 std::pair<std::uint64_t, PathResult> run_pipeline_once(const std::vector<Frame>& frames,
                                                        std::uint32_t n_devices,
                                                        std::size_t batch_max) {
-  core::IngestTable table;
-  for (std::uint32_t id = 0; id < n_devices; ++id) {
-    core::DeviceState& dev = table.state(id);
+  util::FlatTable<core::DeviceState> table;
+  for (std::uint32_t id = 0; id < n_devices; id += kCommandedEvery) {
+    core::DeviceState& dev = table.find_or_insert(id);
     dev.downlink_seq = 1;
-    if (id % kCommandedEvery == 0) (void)dev.queue();
+    (void)dev.queue();
   }
   std::uint64_t digest = 0xcbf29ce484222325ull;
   PathResult r;
@@ -217,18 +216,12 @@ std::pair<std::uint64_t, PathResult> run_pipeline_once(const std::vector<Frame>&
   const auto t0 = std::chrono::steady_clock::now();
   core::ForwardedBatch::begin(arena);
   for (const Frame& f : frames) {
-    // The single probe: every per-device decision below reads this record.
-    core::DeviceState& dev = table.state(f.device_id);
-    core::IngestTable::note_uplink(dev, f.sequence);
+    // The controller's one lookup, for fragments that announce a window.
     if (f.rx_window) {
-      if (dev.has_queued()) {
-        digest = fnv1a(digest, dev.queued_downlinks->front().data(),
-                       dev.queued_downlinks->front().size());
-      }
-      if (core::IngestTable::should_report(dev, f.sequence)) {
-        const std::uint32_t seq = dev.downlink_seq++;
-        ++r.reports;
-        digest = fnv1a(digest, reinterpret_cast<const std::uint8_t*>(&seq), 4);
+      const core::DeviceState* dev = table.find(f.device_id);
+      if (dev != nullptr && dev->has_queued()) {
+        digest = fnv1a(digest, dev->queued_downlinks->front().data(),
+                       dev->queued_downlinks->front().size());
       }
     }
     // Forward: append into the arena batch; flush every batch_max.
@@ -291,7 +284,7 @@ std::pair<std::uint64_t, PathResult> run_rules_once(const std::vector<Frame>& fr
   digest = fnv1a_u64(digest, engine.fired_total());
   r.fps = static_cast<double>(frames.size()) / wall;
   r.digest = digest;
-  r.reports = engine.fired_total();
+  r.fired = engine.fired_total();
   return {digest, r};
 }
 
@@ -391,12 +384,12 @@ int main(int argc, char** argv) {
   const std::vector<Frame> frames = make_stream(n_devices, n_frames, 0x1276E57);
   const PathResult pipeline =
       best_of_runs(best_of, [&] { return run_pipeline_once(frames, n_devices, batch_max); });
-  std::printf("  flat table + arena:  %.2fM frames/s (reports=%llu)\n", pipeline.fps / 1e6,
-              static_cast<unsigned long long>(pipeline.reports));
+  std::printf("  flat table + arena:  %.2fM frames/s (sends=%llu)\n", pipeline.fps / 1e6,
+              static_cast<unsigned long long>(pipeline.sends));
 
   const PathResult rules = best_of_runs(best_of, [&] { return run_rules_once(frames); });
   std::printf("rules: %.2fM readings/s through a 3-rule chain (fired=%llu)\n",
-              rules.fps / 1e6, static_cast<unsigned long long>(rules.reports));
+              rules.fps / 1e6, static_cast<unsigned long long>(rules.fired));
 
   const bool determinism_ok =
       drain_deterministic && pipeline.deterministic && rules.deterministic;
@@ -428,7 +421,7 @@ int main(int argc, char** argv) {
       "  \"frames\": %zu,\n"
       "  \"best_of\": %d,\n"
       "  \"dispatch_pipeline_fps\": %.0f,\n"
-      "  \"dispatch_reports\": %llu,\n"
+      "  \"dispatch_sends\": %llu,\n"
       "  \"dispatch_pipeline_digest\": \"%016llx\",\n"
       "  \"rules_eval_fps\": %.0f,\n"
       "  \"rules_fired\": %llu,\n"
@@ -441,9 +434,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(drain_pipe_a.batches),
       static_cast<unsigned long long>(drain_base_a.digest),
       static_cast<unsigned long long>(drain_pipe_a.digest), n_devices, n_frames,
-      best_of, pipeline.fps, static_cast<unsigned long long>(pipeline.reports),
+      best_of, pipeline.fps, static_cast<unsigned long long>(pipeline.sends),
       static_cast<unsigned long long>(pipeline.digest), rules.fps,
-      static_cast<unsigned long long>(rules.reports),
+      static_cast<unsigned long long>(rules.fired),
       determinism_ok ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());

@@ -19,19 +19,7 @@ void WurScheduler::wake(std::uint16_t wur_id) {
   phy::WakeUpFrame frame;
   frame.group_addressed = false;
   frame.address = wur_id & phy::WurPhy::kMaxId;
-  frame.seq = seq_++;
-  send_wake(frame);
-}
-
-void WurScheduler::wake_group(std::uint16_t group_id) {
-  phy::WakeUpFrame frame;
-  frame.group_addressed = true;
-  frame.address = group_id & phy::WurPhy::kMaxId;
-  frame.seq = seq_++;
-  send_wake(frame);
-}
-
-void WurScheduler::send_wake(phy::WakeUpFrame frame) {
+  frame.seq = seq_[frame.address]++;
   const Bytes body = phy::encode_wakeup_frame(frame);
   const Duration airtime = phy::WurPhy::frame_airtime(config_.rate);
   const int repeats = std::max(config_.repeats, 1);
@@ -51,19 +39,8 @@ void WurScheduler::start_round_robin(std::vector<std::uint16_t> ids,
   ++campaign_epoch_;
   rr_ids_ = std::move(ids);
   rr_index_ = 0;
-  cadence_group_ = 0;
   tick_gap_ = Duration{std::max<std::int64_t>(
       sweep_period.count() / static_cast<std::int64_t>(rr_ids_.size()), 1)};
-  next_tick_at_ = scheduler_.now() + tick_gap_;
-  schedule_next_tick();
-}
-
-void WurScheduler::start_group_cadence(std::uint16_t group_id, Duration period) {
-  if (period.count() <= 0) throw std::invalid_argument("WurScheduler: period must be > 0");
-  ++campaign_epoch_;
-  rr_ids_.clear();
-  cadence_group_ = group_id & phy::WurPhy::kMaxId;
-  tick_gap_ = period;
   next_tick_at_ = scheduler_.now() + tick_gap_;
   schedule_next_tick();
 }
@@ -75,13 +52,9 @@ void WurScheduler::schedule_next_tick() {
   scheduler_.schedule_at(next_tick_at_, [this, epoch] {
     if (epoch != campaign_epoch_) return;  // campaign replaced or stopped
     next_tick_at_ += tick_gap_;
-    if (!rr_ids_.empty()) {
-      const std::uint16_t id = rr_ids_[rr_index_];
-      rr_index_ = (rr_index_ + 1) % rr_ids_.size();
-      wake(id);
-    } else {
-      wake_group(cadence_group_);
-    }
+    const std::uint16_t id = rr_ids_[rr_index_];
+    rr_index_ = (rr_index_ + 1) % rr_ids_.size();
+    wake(id);
     schedule_next_tick();
   });
 }

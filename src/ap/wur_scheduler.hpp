@@ -2,14 +2,14 @@
 //
 // The access point (mains-powered, so no power timeline here) owns the
 // wake cadence for a fleet of WUR companions: unicast wakes round-robin
-// over the fleet's 12-bit WUR IDs, or a periodic group wake that fires
-// every member at once. Wake-up frames are ordinary medium traffic —
-// they contend through the shared CSMA/DCF path like any broadcast
-// (their 20 us legacy preamble is exactly what makes normal stations
-// defer to them), collide with Wi-LE beacons, and cross shard
+// over the fleet's 12-bit WUR IDs. Wake-up frames are ordinary medium
+// traffic — they contend through the shared CSMA/DCF path like any
+// broadcast (their 20 us legacy preamble is exactly what makes normal
+// stations defer to them), collide with Wi-LE beacons, and cross shard
 // boundaries as RemoteTx phantoms with no special handling.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -41,8 +41,6 @@ class WurScheduler : public sim::MediumClient {
 
   /// One-shot unicast wake of a single companion receiver.
   void wake(std::uint16_t wur_id);
-  /// One-shot multicast wake of every member of `group_id`.
-  void wake_group(std::uint16_t group_id);
 
   /// Fixed-cadence round robin over a fleet: one unicast wake every
   /// `sweep_period / ids.size()`, first one gap in. The cadence is
@@ -51,10 +49,6 @@ class WurScheduler : public sim::MediumClient {
   /// device experiences is sweep_period exactly. Throws
   /// std::invalid_argument on an empty list or a non-positive period.
   void start_round_robin(std::vector<std::uint16_t> ids, Duration sweep_period);
-
-  /// Periodic group wake every `period`, first one period in. Throws
-  /// std::invalid_argument on a non-positive period.
-  void start_group_cadence(std::uint16_t group_id, Duration period);
 
   /// Cancel any running cadence (in-flight frames still leave the antenna).
   void stop();
@@ -70,7 +64,6 @@ class WurScheduler : public sim::MediumClient {
   [[nodiscard]] bool rx_enabled() const override { return false; }
 
  private:
-  void send_wake(phy::WakeUpFrame frame);
   void schedule_next_tick();
 
   sim::Scheduler& scheduler_;
@@ -79,17 +72,19 @@ class WurScheduler : public sim::MediumClient {
   sim::NodeId node_id_;
   std::unique_ptr<sim::Csma> csma_;
 
-  // Cadence state: a round robin and a group cadence are mutually
-  // exclusive; starting either (or stop()) strands the previous
-  // campaign's scheduled ticks via the epoch.
+  // Cadence state: starting a round robin (or stop()) strands the
+  // previous campaign's scheduled ticks via the epoch.
   std::uint64_t campaign_epoch_ = 0;
   std::vector<std::uint16_t> rr_ids_;
   std::size_t rr_index_ = 0;
-  std::uint16_t cadence_group_ = 0;
   Duration tick_gap_{};
   TimePoint next_tick_at_{};
 
-  std::uint8_t seq_ = 0;
+  /// Wake-frame sequence counter per WUR ID. A companion drops a frame
+  /// repeating the last sequence it acted on, so each ID needs its own
+  /// count: one shared counter gives device j the same number on every
+  /// sweep of a fleet whose size is a multiple of 256.
+  std::array<std::uint8_t, phy::WurPhy::kMaxId + 1> seq_{};
   std::uint64_t wakes_sent_ = 0;
   Duration tx_airtime_total_{};
 };

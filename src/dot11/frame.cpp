@@ -77,51 +77,6 @@ std::optional<AckFrame> parse_ack(BytesView mpdu) {
   return out;
 }
 
-Bytes build_rts(const MacAddress& receiver, const MacAddress& transmitter,
-                std::uint16_t duration_us) {
-  ByteWriter w(20);
-  w.u16le(FrameControl::ctrl(CtrlSubtype::Rts).encode());
-  w.u16le(duration_us);
-  receiver.write_to(w);
-  transmitter.write_to(w);
-  append_fcs(w);
-  return w.take();
-}
-
-std::optional<RtsFrame> parse_rts(BytesView mpdu) {
-  if (mpdu.size() != 20) return std::nullopt;
-  ByteReader r{mpdu};
-  const auto fc = FrameControl::decode(r.u16le());
-  if (!fc.is_ctrl(CtrlSubtype::Rts)) return std::nullopt;
-  RtsFrame out;
-  out.duration_us = r.u16le();
-  out.receiver = MacAddress::read_from(r);
-  out.transmitter = MacAddress::read_from(r);
-  out.fcs_ok = check_fcs(mpdu);
-  return out;
-}
-
-Bytes build_cts(const MacAddress& receiver, std::uint16_t duration_us) {
-  ByteWriter w(14);
-  w.u16le(FrameControl::ctrl(CtrlSubtype::Cts).encode());
-  w.u16le(duration_us);
-  receiver.write_to(w);
-  append_fcs(w);
-  return w.take();
-}
-
-std::optional<CtsFrame> parse_cts(BytesView mpdu) {
-  if (mpdu.size() != 14) return std::nullopt;
-  ByteReader r{mpdu};
-  const auto fc = FrameControl::decode(r.u16le());
-  if (!fc.is_ctrl(CtrlSubtype::Cts)) return std::nullopt;
-  CtsFrame out;
-  out.duration_us = r.u16le();
-  out.receiver = MacAddress::read_from(r);
-  out.fcs_ok = check_fcs(mpdu);
-  return out;
-}
-
 Bytes build_ps_poll(std::uint16_t aid, const MacAddress& bssid, const MacAddress& ta) {
   ByteWriter w(20);
   w.u16le(FrameControl::ctrl(CtrlSubtype::PsPoll).encode());

@@ -50,30 +50,6 @@ std::optional<AckFrame> parse_ack(BytesView mpdu);
 /// True if the raw MPDU is any control frame (short header formats).
 bool is_control_frame(BytesView mpdu);
 
-// --- RTS (16-byte header + FCS = 20 bytes) ----------------------------------
-
-Bytes build_rts(const MacAddress& receiver, const MacAddress& transmitter,
-                std::uint16_t duration_us);
-
-struct RtsFrame {
-  std::uint16_t duration_us = 0;
-  MacAddress receiver;
-  MacAddress transmitter;
-  bool fcs_ok = false;
-};
-std::optional<RtsFrame> parse_rts(BytesView mpdu);
-
-// --- CTS (10-byte header + FCS = 14 bytes) ----------------------------------
-
-Bytes build_cts(const MacAddress& receiver, std::uint16_t duration_us);
-
-struct CtsFrame {
-  std::uint16_t duration_us = 0;
-  MacAddress receiver;
-  bool fcs_ok = false;
-};
-std::optional<CtsFrame> parse_cts(BytesView mpdu);
-
 // --- PS-Poll (16-byte header + FCS = 20 bytes) ------------------------------
 
 Bytes build_ps_poll(std::uint16_t aid, const MacAddress& bssid, const MacAddress& ta);

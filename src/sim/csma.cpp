@@ -12,12 +12,10 @@ using phy::MacTiming;
 Csma::Csma(Scheduler& scheduler, Medium& medium, NodeId self, Rng rng, Config config)
     : scheduler_(scheduler), medium_(medium), self_(self), rng_(rng), config_(config) {}
 
-void Csma::send(BytesView mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done,
-                std::optional<RtsAddresses> rts) {
+void Csma::send(BytesView mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done) {
   Slot& s = enqueue(mpdu, std::move(done));
   s.rate = rate;
   s.expect_ack = expect_ack;
-  s.rts = rts;
   s.raw_airtime.reset();
   if (!busy_) start_next();
 }
@@ -26,7 +24,6 @@ void Csma::send_raw(BytesView mpdu, Duration airtime, DoneCallback done) {
   Slot& s = enqueue(mpdu, std::move(done));
   s.rate = {};
   s.expect_ack = false;
-  s.rts.reset();
   s.raw_airtime = airtime;
   if (!busy_) start_next();
 }
@@ -130,58 +127,6 @@ void Csma::resume_after_busy(int remaining_slots) {
 }
 
 void Csma::transmit_now() {
-  if (current().rts && current().mpdu.size() >= config_.rts_threshold) {
-    transmit_rts();
-  } else {
-    transmit_data();
-  }
-}
-
-void Csma::transmit_rts() {
-  const Slot& cur = current();
-  const Duration cts_time = phy::ack_airtime(config_.band);  // same 14-byte format
-  const Duration data_time = phy::frame_airtime(cur.mpdu.size(), cur.rate, config_.band);
-  Duration reserved = MacTiming::kSifs + cts_time + MacTiming::kSifs + data_time;
-  if (cur.expect_ack) {
-    reserved = reserved + MacTiming::kSifs + phy::ack_airtime(config_.band);
-  }
-  TxRequest req;
-  req.mpdu = dot11::build_rts(cur.rts->receiver, cur.rts->transmitter,
-                              static_cast<std::uint16_t>(reserved.count()));
-  req.airtime = phy::frame_airtime(req.mpdu.size(), phy::kControlResponseRate, config_.band);
-  req.tx_power_dbm = config_.tx_power_dbm;
-  req.rate = phy::kControlResponseRate;
-  req.on_complete = [this] {
-    awaiting_cts_ = true;
-    const Duration timeout =
-        MacTiming::kSifs + phy::ack_airtime(config_.band) + MacTiming::kSlot;
-    cts_timer_ = scheduler_.schedule_in(timeout, [this] { on_cts_timeout(); });
-  };
-  if (tx_listener_) tx_listener_(req.airtime, phy::kControlResponseRate);
-  medium_.transmit(self_, std::move(req));
-}
-
-void Csma::notify_cts() {
-  if (!awaiting_cts_) return;
-  awaiting_cts_ = false;
-  if (cts_timer_) {
-    scheduler_.cancel(*cts_timer_);
-    cts_timer_.reset();
-  }
-  // Data follows the CTS after SIFS, no re-contention.
-  scheduler_.schedule_in(MacTiming::kSifs, [this] {
-    if (busy_) transmit_data();
-  });
-}
-
-void Csma::on_cts_timeout() {
-  if (!awaiting_cts_) return;
-  awaiting_cts_ = false;
-  cts_timer_.reset();
-  retry_or_fail();
-}
-
-void Csma::transmit_data() {
   const Slot& cur = current();
   TxRequest req;
   // The frame's one FrameBuffer, made as it goes on the air. Fill the
@@ -247,11 +192,6 @@ void Csma::retry_or_fail() {
 }
 
 void Csma::finish(bool success) {
-  awaiting_cts_ = false;
-  if (cts_timer_) {
-    scheduler_.cancel(*cts_timer_);
-    cts_timer_.reset();
-  }
   Result result;
   result.success = success;
   result.transmissions = current().transmissions;

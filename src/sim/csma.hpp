@@ -17,7 +17,6 @@
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
 #include "util/inline_function.hpp"
-#include "util/mac_address.hpp"
 #include "util/rng.hpp"
 
 namespace wile::sim {
@@ -28,15 +27,6 @@ struct CsmaConfig {
   int cw_max = phy::MacTiming::kCwMax;
   double tx_power_dbm = 0.0;
   phy::Band band = phy::Band::G2_4;
-  /// MPDUs at least this long use RTS/CTS when the send() call provides
-  /// the handshake addresses (hidden-terminal protection).
-  std::size_t rts_threshold = SIZE_MAX;
-};
-
-/// Addresses for the RTS/CTS exchange preceding a protected send.
-struct RtsAddresses {
-  MacAddress receiver;     // the peer that will answer with CTS
-  MacAddress transmitter;  // our own address (RTS TA)
 };
 
 class Csma {
@@ -58,11 +48,8 @@ class Csma {
   /// at once; the slot keeps its capacity, and the frame's one
   /// FrameBuffer is made when it goes on the air. `expect_ack` enables
   /// the ACK-timeout retry loop (unicast); broadcast frames complete when
-  /// they leave the antenna. Sends are serviced FIFO. When `rts` is
-  /// provided and the MPDU reaches the configured rts_threshold, the
-  /// transmission is protected by an RTS/CTS handshake.
-  void send(BytesView mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done,
-            std::optional<RtsAddresses> rts = std::nullopt);
+  /// they leave the antenna. Sends are serviced FIFO.
+  void send(BytesView mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done);
 
   /// Queue a frame whose airtime does not follow the 802.11 rate table —
   /// the 802.11ba WUR PPDU's OOK body, whose duration the caller computes
@@ -74,9 +61,6 @@ class Csma {
 
   /// The owner observed an ACK addressed to this station.
   void notify_ack();
-
-  /// The owner observed a CTS addressed to this station.
-  void notify_cts();
 
   /// Virtual carrier sense: the owner overheard a frame reserving the
   /// channel for `duration_us` (the 802.11 Duration/ID field). Values
@@ -110,7 +94,6 @@ class Csma {
     phy::WifiRate rate{};
     bool expect_ack = false;
     DoneCallback done;
-    std::optional<RtsAddresses> rts;
     /// Explicit airtime for non-802.11-rate waveforms (WUR OOK); when
     /// set the frame goes out with no WiFi rate attached.
     std::optional<Duration> raw_airtime;
@@ -131,11 +114,8 @@ class Csma {
   void backoff_slot(int remaining_slots);
   void resume_after_busy(int remaining_slots);
   void transmit_now();
-  void transmit_rts();
-  void transmit_data();
   void on_tx_complete();
   void on_ack_timeout();
-  void on_cts_timeout();
   void retry_or_fail();
   void finish(bool success);
 
@@ -153,8 +133,6 @@ class Csma {
   bool busy_ = false;
   std::optional<EventId> ack_timer_;
   bool awaiting_ack_ = false;
-  std::optional<EventId> cts_timer_;
-  bool awaiting_cts_ = false;
   std::function<void(Duration, phy::WifiRate)> tx_listener_;
   TimePoint nav_until_{};
 };

@@ -11,30 +11,7 @@ TrafficSink::TrafficSink(Scheduler& scheduler, Medium& medium, Position position
 bool TrafficSink::rx_enabled() const { return !medium_.transmitting(node_id_); }
 
 void TrafficSink::on_frame(const RxFrame& frame) {
-  if (dot11::is_control_frame(frame.mpdu)) {
-    // Answer RTS aimed at us with a CTS after SIFS, passing the NAV on
-    // (minus the SIFS and CTS airtime already elapsed by then).
-    if (auto rts = dot11::parse_rts(frame.mpdu); rts && rts->fcs_ok &&
-                                                 rts->receiver == mac_) {
-      const Duration spent = phy::MacTiming::kSifs + phy::ack_airtime();
-      const std::uint16_t remaining =
-          rts->duration_us > spent.count()
-              ? static_cast<std::uint16_t>(rts->duration_us - spent.count())
-              : 0;
-      const MacAddress ta = rts->transmitter;
-      scheduler_.schedule_in(phy::MacTiming::kSifs, [this, ta, remaining] {
-        if (medium_.transmitting(node_id_)) return;
-        TxRequest req;
-        req.mpdu = dot11::build_cts(ta, remaining);
-        req.airtime = phy::ack_airtime();
-        req.rate = phy::kControlResponseRate;
-        req.tx_power_dbm = 20.0;
-        medium_.transmit(node_id_, std::move(req));
-      });
-    }
-    return;
-  }
-  auto parsed = dot11::parse_mpdu(frame.mpdu);
+  auto parsed = dot11::parse_mpdu(frame.mpdu);  // nullopt for control frames
   if (!parsed || !parsed->fcs_ok) return;
   if (parsed->header.addr1 != mac_) return;
   ++received_;
@@ -57,7 +34,6 @@ TrafficSource::TrafficSource(Scheduler& scheduler, Medium& medium, Position posi
   node_id_ = medium_.attach(this, position);
   CsmaConfig csma_cfg;
   csma_cfg.tx_power_dbm = config_.tx_power_dbm;
-  if (config_.use_rts) csma_cfg.rts_threshold = 0;  // protect every frame
   csma_ = std::make_unique<Csma>(scheduler_, medium_, node_id_, rng_.fork(), csma_cfg);
 }
 
@@ -66,18 +42,6 @@ bool TrafficSource::rx_enabled() const { return !medium_.transmitting(node_id_);
 void TrafficSource::on_frame(const RxFrame& frame) {
   if (auto ack = dot11::parse_ack(frame.mpdu); ack && ack->fcs_ok) {
     if (ack->receiver == config_.source_mac) csma_->notify_ack();
-    return;
-  }
-  if (auto cts = dot11::parse_cts(frame.mpdu); cts && cts->fcs_ok) {
-    if (cts->receiver == config_.source_mac) {
-      csma_->notify_cts();
-    } else {
-      csma_->observe_nav(cts->duration_us);  // someone else's reservation
-    }
-    return;
-  }
-  if (auto rts = dot11::parse_rts(frame.mpdu); rts && rts->fcs_ok) {
-    if (rts->receiver != config_.source_mac) csma_->observe_nav(rts->duration_us);
     return;
   }
   if (auto parsed = dot11::parse_mpdu(frame.mpdu);
@@ -112,18 +76,13 @@ void TrafficSource::offer_frame() {
   const Bytes mpdu =
       dot11::build_data_to_ds(config_.sink_mac, config_.source_mac, config_.sink_mac,
                               seq_++ & 0x0fff, payload, /*protected_frame=*/false);
-  std::optional<RtsAddresses> rts;
-  if (config_.use_rts) rts = RtsAddresses{config_.sink_mac, config_.source_mac};
-  csma_->send(
-      mpdu, config_.rate, /*expect_ack=*/true,
-      [this](const Csma::Result& r) {
-        if (r.success) {
-          ++delivered_;
-        } else {
-          ++failed_;
-        }
-      },
-      rts);
+  csma_->send(mpdu, config_.rate, /*expect_ack=*/true, [this](const Csma::Result& r) {
+    if (r.success) {
+      ++delivered_;
+    } else {
+      ++failed_;
+    }
+  });
 }
 
 }  // namespace wile::sim

@@ -27,8 +27,6 @@ struct TrafficConfig {
   double frames_per_second = 200.0;
   phy::WifiRate rate = phy::WifiRate::Mcs7;
   double tx_power_dbm = 20.0;
-  /// Protect data frames with an RTS/CTS handshake (hidden terminals).
-  bool use_rts = false;
 };
 
 /// Acknowledges every good unicast frame addressed to it and counts

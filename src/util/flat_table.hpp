@@ -9,7 +9,7 @@
 // tombstone-free.
 //
 // Used for every per-device registry on the ingest hot path: the
-// controller's DeviceState table (wile/ingest.hpp) and the rules
+// controller's DeviceState table (wile/controller.hpp) and the rules
 // engine's per-(rule, device) state (wile/rules/engine.hpp).
 #pragma once
 

@@ -12,7 +12,7 @@ constexpr std::uint8_t kVersion = 1;
 constexpr std::uint8_t kFlagEncrypted = 0x01;
 constexpr std::uint8_t kFlagFragmented = 0x02;
 constexpr std::uint8_t kFlagRxWindow = 0x04;
-constexpr std::uint8_t kFlagParity = 0x08;
+constexpr std::uint8_t kKnownFlags = kFlagEncrypted | kFlagFragmented | kFlagRxWindow;
 
 // ver flags device_id seq type data_len crc
 constexpr std::size_t kFixedOverhead = 1 + 1 + 4 + 4 + 1 + 1 + 4;
@@ -41,13 +41,12 @@ std::size_t Codec::max_fragment_data(bool fragmented, bool has_window) const {
 }
 
 void Codec::write_one(ByteWriter& w, const Message& message, std::uint8_t frag_index,
-                      std::uint8_t frag_count, BytesView data, bool parity) const {
-  const bool fragmented = frag_count > 1 || parity;
+                      std::uint8_t frag_count, BytesView data) const {
+  const bool fragmented = frag_count > 1;
   std::uint8_t flags = 0;
   if (aead_) flags |= kFlagEncrypted;
   if (fragmented) flags |= kFlagFragmented;
   if (message.rx_window) flags |= kFlagRxWindow;
-  if (parity) flags |= kFlagParity;
 
   BytesView body = data;  // data or sealed data
   Bytes sealed;
@@ -92,56 +91,38 @@ void Codec::write_one(ByteWriter& w, const Message& message, std::uint8_t frag_i
   w.u32le(crypto::crc32(w.view().subspan(covered_from)));
 }
 
-Codec::Split Codec::split(const Message& message, bool parity) const {
+Codec::Split Codec::split(const Message& message) const {
   const bool has_window = message.rx_window.has_value();
   if (message.data.size() <= max_fragment_data(false, has_window)) {
     return {message.data.size(), 1};
   }
-  // Parity mode gives up one data byte per fragment: the parity body is
-  // [last_len][per_frag-byte XOR block] and must fit the same element.
   Split s;
-  s.per_frag = max_fragment_data(true, has_window) - (parity ? 1 : 0);
+  s.per_frag = max_fragment_data(true, has_window);
   s.count = (message.data.size() + s.per_frag - 1) / s.per_frag;
   if (s.count > 255) throw std::invalid_argument("Wi-LE message needs more than 255 fragments");
   return s;
 }
 
-std::size_t Codec::element_count(const Message& message, bool parity) const {
-  const Split s = split(message, parity);
-  return parity && s.count > 1 ? s.count + 1 : s.count;
+std::size_t Codec::element_count(const Message& message) const {
+  return split(message).count;
 }
 
-void Codec::write_element(ByteWriter& w, const Message& message, std::size_t index,
-                          bool parity) const {
-  const Split s = split(message, parity);
-  const auto count = static_cast<std::uint8_t>(s.count);
-  if (index < s.count) {
-    const std::size_t off = index * s.per_frag;
-    const std::size_t len = std::min(s.per_frag, message.data.size() - off);
-    write_one(w, message, static_cast<std::uint8_t>(index), count,
-              BytesView{message.data.data() + off, len}, false);
-    return;
-  }
-  if (!parity || s.count == 1 || index != s.count) {
-    throw std::out_of_range("Codec::write_element: no such element");
-  }
-  // The parity element: [last_len][XOR of every data fragment, each
-  // zero-padded to per_frag bytes].
-  std::array<std::uint8_t, dot11::IeList::kMaxIeData> body{};
-  body[0] = static_cast<std::uint8_t>(message.data.size() - (s.count - 1) * s.per_frag);
-  for (std::size_t i = 0; i < message.data.size(); ++i) {
-    body[1 + i % s.per_frag] ^= message.data[i];
-  }
-  write_one(w, message, count, count, BytesView{body.data(), 1 + s.per_frag}, true);
+void Codec::write_element(ByteWriter& w, const Message& message, std::size_t index) const {
+  const Split s = split(message);
+  if (index >= s.count) throw std::out_of_range("Codec::write_element: no such element");
+  const std::size_t off = index * s.per_frag;
+  const std::size_t len = std::min(s.per_frag, message.data.size() - off);
+  write_one(w, message, static_cast<std::uint8_t>(index), static_cast<std::uint8_t>(s.count),
+            BytesView{message.data.data() + off, len});
 }
 
-std::vector<dot11::InfoElement> Codec::encode(const Message& message, bool parity) const {
-  const std::size_t n = element_count(message, parity);
+std::vector<dot11::InfoElement> Codec::encode(const Message& message) const {
+  const std::size_t n = element_count(message);
   std::vector<dot11::InfoElement> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ByteWriter w(2 + dot11::IeList::kMaxIeData);
-    write_element(w, message, i, parity);
+    write_element(w, message, i);
     Bytes data = w.take();
     data.erase(data.begin(), data.begin() + 2);  // the element's id and length
     out.push_back({dot11::IeId::VendorSpecific, std::move(data)});
@@ -174,19 +155,15 @@ std::optional<Fragment> Codec::decode(const dot11::InfoElement& element,
     ByteReader r{covered};
     if (r.u8() != kVersion) return fail(DecodeError::NotWile);
     const std::uint8_t flags = r.u8();
+    if ((flags & ~kKnownFlags) != 0) return fail(DecodeError::Malformed);
     Fragment f;
     f.device_id = r.u32le();
     f.sequence = r.u32le();
     f.type = static_cast<MessageType>(r.u8());
-    f.parity = (flags & kFlagParity) != 0;
-    if (f.parity && !(flags & kFlagFragmented)) return fail(DecodeError::Malformed);
     if (flags & kFlagFragmented) {
       f.frag_index = r.u8();
       f.frag_count = r.u8();
-      // A parity element sits one past the end of its group
-      // (frag_index == frag_count); data fragments must be inside it.
-      if (f.frag_count == 0 ||
-          (f.parity ? f.frag_index != f.frag_count : f.frag_index >= f.frag_count)) {
+      if (f.frag_count == 0 || f.frag_index >= f.frag_count) {
         return fail(DecodeError::Malformed);
       }
     }
@@ -296,31 +273,8 @@ std::optional<RecoveryPayload> decode_recovery_payload(BytesView data) {
   }
 }
 
-Bytes encode_channel_report(const ChannelReport& report) {
-  ByteWriter w(7);
-  w.u32le(report.as_of_sequence);
-  w.u16le(report.loss_permille);
-  w.u8(report.window);
-  return w.take();
-}
-
-std::optional<ChannelReport> decode_channel_report(BytesView data) {
-  try {
-    ByteReader r{data};
-    ChannelReport rep;
-    rep.as_of_sequence = r.u32le();
-    rep.loss_permille = r.u16le();
-    rep.window = r.u8();
-    if (r.remaining() != 0) return std::nullopt;
-    if (rep.loss_permille > 1000 || rep.window == 0) return std::nullopt;
-    return rep;
-  } catch (const BufferUnderflow&) {
-    return std::nullopt;
-  }
-}
-
 std::optional<Message> Reassembler::add(const Fragment& fragment) {
-  if (fragment.frag_count <= 1 && !fragment.parity) {
+  if (fragment.frag_count <= 1) {
     Message m;
     m.device_id = fragment.device_id;
     m.sequence = fragment.sequence;
@@ -330,10 +284,9 @@ std::optional<Message> Reassembler::add(const Fragment& fragment) {
     return m;
   }
 
-  // Codec::decode enforces these, but hand-built fragments must not be
+  // Codec::decode enforces this, but hand-built fragments must not be
   // able to index outside the group.
-  if (fragment.frag_count == 0) return std::nullopt;
-  if (!fragment.parity && fragment.frag_index >= fragment.frag_count) return std::nullopt;
+  if (fragment.frag_index >= fragment.frag_count) return std::nullopt;
 
   auto it = partial_.find(fragment.device_id);
   if (it == partial_.end()) {
@@ -361,57 +314,20 @@ std::optional<Message> Reassembler::add(const Fragment& fragment) {
   p.type = fragment.type;
   p.last_touch = ++tick_;
   if (fragment.rx_window) p.rx_window = fragment.rx_window;
-  if (fragment.parity) {
-    if (fragment.data.empty()) return std::nullopt;  // malformed parity body
-    p.parity = fragment.data;
-  } else {
-    p.parts[fragment.frag_index] = fragment.data;
+  p.parts[fragment.frag_index] = fragment.data;
+  for (const auto& part : p.parts) {
+    if (!part) return std::nullopt;
   }
-  return try_complete(fragment.device_id, p);
-}
-
-std::optional<Message> Reassembler::try_complete(std::uint32_t device_id, Partial& p) {
-  std::size_t missing = 0;
-  std::size_t missing_index = 0;
-  for (std::size_t i = 0; i < p.parts.size(); ++i) {
-    if (!p.parts[i]) {
-      ++missing;
-      missing_index = i;
-    }
-  }
-
-  if (missing == 1 && p.parity) {
-    // Erasure-correct the one missing fragment: XOR the parity block
-    // with every present fragment (zero-padded to the block length).
-    const std::size_t xor_len = p.parity->size() - 1;
-    const std::size_t last_len = (*p.parity)[0];
-    bool usable = last_len <= xor_len;
-    for (const auto& part : p.parts) {
-      if (part && part->size() > xor_len) usable = false;
-    }
-    if (usable) {
-      Bytes rec(p.parity->begin() + 1, p.parity->end());
-      for (const auto& part : p.parts) {
-        if (!part) continue;
-        for (std::size_t i = 0; i < part->size(); ++i) rec[i] ^= (*part)[i];
-      }
-      rec.resize(missing_index + 1 == p.parts.size() ? last_len : xor_len);
-      p.parts[missing_index] = std::move(rec);
-      ++parity_recoveries_;
-      missing = 0;
-    }
-  }
-  if (missing > 0) return std::nullopt;
 
   Message m;
-  m.device_id = device_id;
+  m.device_id = fragment.device_id;
   m.sequence = p.sequence;
   m.type = p.type;
   m.rx_window = p.rx_window;
-  for (auto& part : p.parts) {
+  for (const auto& part : p.parts) {
     m.data.insert(m.data.end(), part->begin(), part->end());
   }
-  partial_.erase(device_id);
+  partial_.erase(it);
   return m;
 }
 

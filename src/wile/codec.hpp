@@ -13,25 +13,19 @@
 //   data_len(1) data(..) crc32(4)
 //
 // flags: bit0 = data encrypted (AEAD; tag included in data), bit1 =
-// fragmented, bit2 = rx-window present, bit3 = parity element (forward
-// erasure correction; see below). The CRC covers everything from
-// `ver` through `data` (over the ciphertext when encrypted, so corrupt
-// elements are rejected before any key work). Messages larger than one
-// element are split across multiple vendor IEs in the same beacon or,
-// when even that is not enough, across consecutive beacons — the
-// receiver's reassembly does not care which.
+// fragmented, bit2 = rx-window present; bits 3-7 are undefined and an
+// element setting any of them is malformed. The CRC covers everything
+// from `ver` through `data` (over the ciphertext when encrypted, so
+// corrupt elements are rejected before any key work). Messages larger
+// than one element are split across multiple vendor IEs in the same
+// beacon or, when even that is not enough, across consecutive beacons —
+// the receiver's reassembly does not care which.
 //
 // FEC (the ack-less uplink has no retransmission path, so reliability is
-// open-loop redundancy):
-//   * Group parity: a fragmented message may carry one extra parity
-//     element (frag_index == frag_count, bit3 set) whose body is
-//     [last_frag_len(1)][XOR of all data fragments zero-padded to the
-//     full fragment size]. A receiver holding all-but-one fragment of
-//     the group XORs the missing one back.
-//   * Cross-cycle recovery: a MessageType::Recovery message carries the
-//     XOR of the last K *message* payloads (RecoveryPayload below), so
-//     even unfragmented single-beacon messages survive one loss per
-//     covered group.
+// open-loop redundancy): besides repeating the beacon train, a sender
+// may send cross-cycle recovery beacons. A MessageType::Recovery message
+// carries the XOR of the last K *message* payloads (RecoveryPayload
+// below), so a receiver that missed one covered message rebuilds it.
 #pragma once
 
 #include <array>
@@ -58,9 +52,6 @@ struct Fragment {
   MessageType type = MessageType::Telemetry;
   std::uint8_t frag_index = 0;
   std::uint8_t frag_count = 1;
-  /// Group-parity element: `data` is [last_frag_len][XOR of the group's
-  /// data fragments], and frag_index == frag_count.
-  bool parity = false;
   std::optional<RxWindow> rx_window;
   Bytes data;  // decrypted if the codec has the key
 };
@@ -87,25 +78,18 @@ class Codec {
 
   /// Encode a message into one or more vendor IEs. Throws
   /// std::invalid_argument if the message needs more than 255 fragments.
-  /// With `parity` set, a fragmented message additionally gets one XOR
-  /// parity element (the last element returned); unfragmented messages
-  /// are unchanged — cross-cycle Recovery beacons cover those. Parity
-  /// costs one data byte per fragment (the parity body carries a 1-byte
-  /// length header and must still fit the element).
-  [[nodiscard]] std::vector<dot11::InfoElement> encode(const Message& message,
-                                                       bool parity = false) const;
+  [[nodiscard]] std::vector<dot11::InfoElement> encode(const Message& message) const;
 
-  /// How many elements encode(message, parity) returns. Throws
+  /// How many elements encode(message) returns. Throws
   /// std::invalid_argument, as encode() does, past 255 fragments.
-  [[nodiscard]] std::size_t element_count(const Message& message, bool parity = false) const;
+  [[nodiscard]] std::size_t element_count(const Message& message) const;
 
-  /// Append element `index` of encode(message, parity) to `w` as it goes
-  /// on the air: id, length, then the payload. This is the one encoder;
-  /// encode() is built on it, and the sender writes each element straight
-  /// into its beacon. Allocates nothing but the writer's own growth,
-  /// unless the codec encrypts.
-  void write_element(ByteWriter& w, const Message& message, std::size_t index,
-                     bool parity = false) const;
+  /// Append element `index` of encode(message) to `w` as it goes on the
+  /// air: id, length, then the payload. This is the one encoder; encode()
+  /// is built on it, and the sender writes each element straight into
+  /// its beacon. Allocates nothing but the writer's own growth, unless
+  /// the codec encrypts.
+  void write_element(ByteWriter& w, const Message& message, std::size_t index) const;
 
   /// Decode one vendor IE payload (after OUI+subtype matching, which
   /// decode() performs itself from the raw element).
@@ -122,9 +106,9 @@ class Codec {
     std::size_t per_frag = 0;
     std::size_t count = 1;
   };
-  [[nodiscard]] Split split(const Message& message, bool parity) const;
+  [[nodiscard]] Split split(const Message& message) const;
   void write_one(ByteWriter& w, const Message& message, std::uint8_t frag_index,
-                 std::uint8_t frag_count, BytesView data, bool parity) const;
+                 std::uint8_t frag_count, BytesView data) const;
 
   std::optional<crypto::Aead> aead_;
 };
@@ -208,21 +192,6 @@ class PayloadHistory {
 [[nodiscard]] Bytes encode_recovery_payload(const RecoveryPayload& payload);
 [[nodiscard]] std::optional<RecoveryPayload> decode_recovery_payload(BytesView data);
 
-/// Payload of a MessageType::ChannelReport downlink: the controller's
-/// receiver-side loss estimate for one device, measured over the last
-/// `window` sequence numbers up to `as_of_sequence`. Layout:
-///   as_of_seq(4) loss_permille(2) window(1)
-struct ChannelReport {
-  std::uint32_t as_of_sequence = 0;
-  std::uint16_t loss_permille = 0;  // 0..1000
-  std::uint8_t window = 0;          // sequences the estimate covers
-
-  friend bool operator==(const ChannelReport&, const ChannelReport&) = default;
-};
-
-[[nodiscard]] Bytes encode_channel_report(const ChannelReport& report);
-[[nodiscard]] std::optional<ChannelReport> decode_channel_report(BytesView data);
-
 // ---------------------------------------------------------------------------
 // SSID stuffing — the related-work alternative (§2).
 //
@@ -253,9 +222,6 @@ std::optional<Fragment> decode_ssid_stuffed(std::string_view ssid);
 /// most `max_partials` in-progress messages — devices that go silent
 /// mid-message are evicted oldest-first, so a monitor parked on a busy
 /// channel is memory-bounded no matter how many devices it hears.
-/// Understands group-parity elements: a group missing exactly one data
-/// fragment is completed by XOR as soon as the parity arrives (or the
-/// parity is already held and the second-to-last fragment arrives).
 class Reassembler {
  public:
   static constexpr std::size_t kDefaultMaxPartials = 256;
@@ -264,11 +230,9 @@ class Reassembler {
       : max_partials_(max_partials > 0 ? max_partials : 1) {}
 
   /// Feed one fragment; returns the completed message when all parts of
-  /// its (device, sequence) group have arrived or become recoverable.
+  /// its (device, sequence) group have arrived.
   std::optional<Message> add(const Fragment& fragment);
 
-  /// Messages completed by XOR-ing a missing fragment back from parity.
-  [[nodiscard]] std::uint64_t parity_recoveries() const { return parity_recoveries_; }
   /// Incomplete messages dropped to keep the partial table bounded.
   [[nodiscard]] std::uint64_t partials_evicted() const { return partials_evicted_; }
   [[nodiscard]] std::size_t partials() const { return partial_.size(); }
@@ -278,18 +242,14 @@ class Reassembler {
     std::uint32_t sequence = 0;
     std::uint8_t frag_count = 0;
     std::vector<std::optional<Bytes>> parts;
-    std::optional<Bytes> parity;  // [last_len][xor block], if seen
     MessageType type = MessageType::Telemetry;
     std::optional<RxWindow> rx_window;
     std::uint64_t last_touch = 0;  // monotonic tick for eviction order
   };
 
-  [[nodiscard]] std::optional<Message> try_complete(std::uint32_t device_id, Partial& p);
-
   std::unordered_map<std::uint32_t, Partial> partial_;  // by device id
   std::size_t max_partials_ = kDefaultMaxPartials;
   std::uint64_t tick_ = 0;
-  std::uint64_t parity_recoveries_ = 0;
   std::uint64_t partials_evicted_ = 0;
 };
 

@@ -1,8 +1,5 @@
 #include "wile/controller.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "dot11/mgmt.hpp"
 
 namespace wile::core {
@@ -23,7 +20,7 @@ Controller::Controller(sim::Scheduler& scheduler, sim::Medium& medium,
 bool Controller::rx_enabled() const { return !medium_.transmitting(node_id_); }
 
 void Controller::queue_downlink(std::uint32_t device_id, Bytes data) {
-  devices_.state(device_id).queue().push_back(std::move(data));
+  devices_.find_or_insert(device_id).queue().push_back(std::move(data));
   ++stats_.downlinks_queued;
 }
 
@@ -40,32 +37,12 @@ void Controller::on_frame(const sim::RxFrame& frame) {
   meta.bssid = parsed->header.addr3;
 
   for (const Fragment& fragment : codec_.decode_all(beacon->ies)) {
-    // Loss bookkeeping runs at fragment granularity over the uplink data
-    // types only: Recovery beacons and downlink traffic (possibly from
-    // other controllers) ride different sequence spaces.
-    const bool uplink_data = is_uplink_data(fragment.type);
-    // One probe resolves everything this fragment needs: the loss track,
-    // the downlink queue and the downlink sequence counter all live in
-    // the same DeviceState record. Only uplink data may create a record;
-    // other types look up what queue_downlink already created, if any.
-    DeviceState* dev = uplink_data ? &devices_.state(fragment.device_id)
-                                   : devices_.find(fragment.device_id);
-    if (uplink_data) IngestTable::note_uplink(*dev, fragment.sequence);
     if (fragment.rx_window) {
       ++stats_.windows_seen;
-      if (dev && dev->has_queued()) {
+      // Only a device with a queued downlink has a record to find.
+      DeviceState* dev = devices_.find(fragment.device_id);
+      if (dev != nullptr && dev->has_queued()) {
         inject_downlink(fragment.device_id, *dev, *fragment.rx_window);
-      }
-      // Loss-adaptive redundancy: one ChannelReport per announced
-      // sequence (repeats of the same beacon don't re-trigger).
-      if (config_.channel_reports && uplink_data &&
-          IngestTable::should_report(*dev, fragment.sequence)) {
-        Message report;
-        report.device_id = fragment.device_id;
-        report.sequence = dev->downlink_seq++;
-        report.type = MessageType::ChannelReport;
-        report.data = encode_channel_report(make_report(*dev));
-        schedule_injection(*fragment.rx_window, std::move(report), TxKind::Report);
       }
     }
     if (auto message = reassembler_.add(fragment)) {
@@ -75,14 +52,7 @@ void Controller::on_frame(const sim::RxFrame& frame) {
       if (config_.auto_ack && fragment.rx_window && is_uplink_data(message->type)) {
         Message ack;
         ack.device_id = message->device_id;
-        // A completed message normally belongs to the fragment's device,
-        // so its sequence counter is already in hand; fall back to a
-        // fresh probe for cross-device completions. (state() may grow the
-        // table, so `dev` must not be used after this point.)
-        DeviceState& ack_dev = (dev && message->device_id == fragment.device_id)
-                                   ? *dev
-                                   : devices_.state(message->device_id);
-        ack.sequence = ack_dev.downlink_seq++;
+        ack.sequence = devices_.find_or_insert(message->device_id).downlink_seq++;
         ack.type = MessageType::Ack;
         ByteWriter w(4);
         w.u32le(message->sequence);
@@ -92,19 +62,6 @@ void Controller::on_frame(const sim::RxFrame& frame) {
       if (callback_) callback_(*message, meta);
     }
   }
-}
-
-ChannelReport Controller::make_report(const DeviceState& dev) const {
-  const auto window = static_cast<std::uint32_t>(std::clamp(config_.report_window, 1, 64));
-  const std::uint32_t w = std::min(window, dev.span);
-  const std::uint64_t mask = w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1);
-  const auto received =
-      static_cast<std::uint32_t>(std::popcount(dev.recent_seen & mask));
-  ChannelReport report;
-  report.as_of_sequence = dev.last_sequence;
-  report.loss_permille = static_cast<std::uint16_t>(1000 * (w - std::min(received, w)) / w);
-  report.window = static_cast<std::uint8_t>(w);
-  return report;
 }
 
 Bytes Controller::build_downlink_beacon(const Message& message) {
@@ -141,7 +98,6 @@ void Controller::schedule_injection(const RxWindow& window, Message message, TxK
                 [this, kind](const sim::Csma::Result&) {
                   switch (kind) {
                     case TxKind::Ack: ++stats_.acks_sent; break;
-                    case TxKind::Report: ++stats_.reports_sent; break;
                     case TxKind::Downlink: ++stats_.downlinks_sent; break;
                   }
                 });
@@ -154,7 +110,6 @@ void Controller::publish_metrics(telemetry::MetricsRegistry& registry,
   registry.bind_counter(prefix + ".downlinks_sent", &stats_.downlinks_sent);
   registry.bind_counter(prefix + ".windows_seen", &stats_.windows_seen);
   registry.bind_counter(prefix + ".acks_sent", &stats_.acks_sent);
-  registry.bind_counter(prefix + ".reports_sent", &stats_.reports_sent);
 }
 
 }  // namespace wile::core

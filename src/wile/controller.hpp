@@ -8,20 +8,40 @@
 // and, when it has a payload queued for a device that just announced an
 // RX window, injects a Downlink beacon inside that window.
 //
-// Per-device bookkeeping (loss track, downlink queue, downlink sequence)
-// lives in one DeviceState record per device inside a flat open-addressing
-// table (wile/ingest.hpp): each received fragment resolves its device with
-// a single hash probe instead of the former three unordered_map lookups.
+// Per-device bookkeeping (downlink queue, downlink sequence) lives in one
+// DeviceState record per device inside a flat open-addressing table
+// (util/flat_table.hpp). A record exists only for a device that has had
+// a downlink queued or an uplink acknowledged; a fragment announcing an
+// RX window costs one lookup.
 #pragma once
 
+#include <deque>
 #include <memory>
 
-#include "wile/ingest.hpp"
-#include "wile/receiver.hpp"
 #include "phy/airtime.hpp"
 #include "sim/csma.hpp"
+#include "util/flat_table.hpp"
+#include "wile/receiver.hpp"
 
 namespace wile::core {
+
+/// Everything the controller keeps about one device. The downlink queue
+/// — present for a tiny fraction of a massive-IoT fleet — lives behind a
+/// lazily allocated pointer, so a record that never queues a downlink
+/// stays flat and allocation-free.
+struct DeviceState {
+  std::uint32_t downlink_seq = 0;
+  std::unique_ptr<std::deque<Bytes>> queued_downlinks;
+
+  [[nodiscard]] bool has_queued() const {
+    return queued_downlinks != nullptr && !queued_downlinks->empty();
+  }
+  /// The downlink queue, allocated on first use.
+  [[nodiscard]] std::deque<Bytes>& queue() {
+    if (!queued_downlinks) queued_downlinks = std::make_unique<std::deque<Bytes>>();
+    return *queued_downlinks;
+  }
+};
 
 struct ControllerConfig {
   std::optional<Bytes> key;  // shared device key, as for Receiver
@@ -35,14 +55,6 @@ struct ControllerConfig {
   /// device with an Ack downlink — the controller half of the senders'
   /// reliable mode.
   bool auto_ack = false;
-  /// Send a ChannelReport downlink (receiver-side loss estimate) into
-  /// each announced RX window — the controller half of the senders'
-  /// loss-adaptive redundancy. One report per announced sequence number.
-  bool channel_reports = false;
-  /// Sequence positions the loss estimate covers (1..64). Small windows
-  /// react fast, large ones smooth; 16 converges within a handful of
-  /// cycles yet rides out single losses.
-  int report_window = 16;
 };
 
 struct ControllerStats {
@@ -50,7 +62,6 @@ struct ControllerStats {
   std::uint64_t downlinks_sent = 0;
   std::uint64_t windows_seen = 0;
   std::uint64_t acks_sent = 0;
-  std::uint64_t reports_sent = 0;
 };
 
 class Controller : public sim::MediumClient {
@@ -77,13 +88,12 @@ class Controller : public sim::MediumClient {
   [[nodiscard]] bool rx_enabled() const override;
 
  private:
-  enum class TxKind { Downlink, Ack, Report };
+  enum class TxKind { Downlink, Ack };
 
   void inject_downlink(std::uint32_t device_id, DeviceState& dev,
                        const RxWindow& window);
   void schedule_injection(const RxWindow& window, Message message, TxKind kind);
   [[nodiscard]] Bytes build_downlink_beacon(const Message& message);
-  [[nodiscard]] ChannelReport make_report(const DeviceState& dev) const;
 
   sim::Scheduler& scheduler_;
   sim::Medium& medium_;
@@ -95,7 +105,7 @@ class Controller : public sim::MediumClient {
   Reassembler reassembler_;
   MessageCallback callback_;
 
-  IngestTable devices_;
+  util::FlatTable<DeviceState> devices_;
   std::uint16_t seq_ctl_ = 0;
   ControllerStats stats_;
 };

@@ -30,10 +30,6 @@ enum class MessageType : std::uint8_t {
   /// without any retransmission. Uses its own sequence space so it never
   /// perturbs gap-based loss estimates.
   Recovery = 6,
-  /// Controller -> device receiver-side loss estimate (see
-  /// ChannelReport in codec.hpp). Rides RX windows like Acks and drives
-  /// the sender's loss-adaptive redundancy tiers.
-  ChannelReport = 7,
 };
 
 /// The device-originated data types: the uplink stream that carries

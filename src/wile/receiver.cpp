@@ -81,22 +81,18 @@ void Receiver::on_frame(const sim::RxFrame& frame) {
 }
 
 void Receiver::accept_fragment(const Fragment& fragment, const RxMeta& meta) {
-  if (fragment.parity) ++stats_.parity_beacons;
+  // Only the devices' own streams reach the registry: a controller's
+  // Acks and Downlinks reuse the device id in the controller's downlink
+  // sequence space, so they would read as uplink losses and duplicates.
+  if (!is_uplink_data(fragment.type) && fragment.type != MessageType::Recovery) return;
   auto message = reassembler_.add(fragment);
   stats_.partials_evicted = reassembler_.partials_evicted();
-  stats_.recovered = reassembler_.parity_recoveries() + cross_recovered_;
   if (!message) return;
 
   if (message->type == MessageType::Recovery) {
     if (auto payload = decode_recovery_payload(message->data)) {
       handle_recovery(message->device_id, message->sequence, *payload, meta);
     }
-    return;
-  }
-  if (message->type == MessageType::ChannelReport) {
-    // Controller-side downlink control traffic: surface it but keep it
-    // out of the uplink registry (it rides the downlink sequence space).
-    if (callback_) callback_(*message, meta);
     return;
   }
   deliver(*message, meta, /*recovered=*/false);
@@ -145,12 +141,9 @@ bool Receiver::register_message(const Message& message, const RxMeta& meta) {
 
 void Receiver::deliver(const Message& message, const RxMeta& meta, bool recovered) {
   if (!register_message(message, meta)) return;
-  if (recovered) {
-    ++cross_recovered_;
-    stats_.recovered = reassembler_.parity_recoveries() + cross_recovered_;
-  }
+  if (recovered) ++stats_.recovered;
   // Only uplink payloads feed the XOR cache: recovery groups cover the
-  // device's own sequence space, not controller Acks/Downlinks.
+  // device's own sequence space.
   if (is_uplink_data(message.type)) fec_[message.device_id].cache.push(message);
   if (callback_) callback_(message, meta);
 }
@@ -258,7 +251,6 @@ void Receiver::publish_metrics(telemetry::MetricsRegistry& registry,
   registry.bind_counter(prefix + ".decrypt_failures", &stats_.decrypt_failures);
   registry.bind_counter(prefix + ".fcs_failures", &stats_.fcs_failures);
   registry.bind_counter(prefix + ".collisions_observed", &stats_.collisions_observed);
-  registry.bind_counter(prefix + ".fec.parity_beacons", &stats_.parity_beacons);
   registry.bind_counter(prefix + ".fec.recovery_beacons", &stats_.recovery_beacons);
   registry.bind_counter(prefix + ".fec.recovered", &stats_.recovered);
   registry.bind_counter(prefix + ".partials_evicted", &stats_.partials_evicted);

@@ -46,10 +46,9 @@ struct ReceiverStats {
   std::uint64_t fcs_failures = 0;         // corrupt radio frames observed
   std::uint64_t collisions_observed = 0;
   // --- FEC ---
-  std::uint64_t parity_beacons = 0;   // parity elements seen
   std::uint64_t recovery_beacons = 0; // distinct Recovery messages seen
-  /// Messages reconstructed without retransmission: group-parity XOR
-  /// plus cross-cycle recovery-beacon decodes. Counted in `messages` too.
+  /// Messages rebuilt from recovery beacons without retransmission.
+  /// Counted in `messages` too.
   std::uint64_t recovered = 0;
   std::uint64_t partials_evicted = 0; // reassembler memory-bound drops
 };
@@ -153,7 +152,6 @@ class Receiver : public sim::MediumClient {
   ReceiverStats stats_;
   std::map<std::uint32_t, DeviceInfo> devices_;
   std::map<std::uint32_t, FecState> fec_;
-  std::uint64_t cross_recovered_ = 0;  // recovery-beacon decodes (not parity)
 };
 
 }  // namespace wile::core

@@ -35,12 +35,11 @@ ScenarioBuilder& ScenarioBuilder::payload(Bytes fixed) {
 
 std::unique_ptr<Scenario> ScenarioBuilder::build() const {
   if (n_devices_ < 0) throw std::invalid_argument("ScenarioBuilder: devices < 0");
-  if (mode_ == TxMode::Wur && wur_opts_.group_id == 0 &&
-      n_devices_ > static_cast<int>(phy::WurPhy::kMaxId)) {
+  if (mode_ == TxMode::Wur && n_devices_ > static_cast<int>(phy::WurPhy::kMaxId)) {
     // Unicast WUR IDs are 12-bit; a bigger fleet would alias wake frames.
     throw std::invalid_argument(
-        "ScenarioBuilder: unicast WUR round-robin supports at most 4095 "
-        "devices (12-bit ID space); use a group_id for larger fleets");
+        "ScenarioBuilder: a WUR fleet supports at most 4095 devices "
+        "(12-bit WUR ID space)");
   }
   if (mode_ != TxMode::Wur && period_.count() <= 0) {
     // A zero period re-arms every wake timer at the same instant forever
@@ -191,10 +190,7 @@ Scenario::Scenario(const ScenarioBuilder& b)
     if (mode_ == TxMode::Wur) {
       // Mode-preset default; configure_sender below can still override
       // any of it per device (e.g. a custom receiver model).
-      core::WurCompanionConfig wur;
-      wur.group_id = b.wur_opts_.group_id;
-      wur.receiver = b.wur_opts_.receiver;
-      cfg.wur = wur;
+      cfg.wur = core::WurCompanionConfig{b.wur_opts_.receiver};
     }
     if (b.configure_sender_) b.configure_sender_(cfg, i);
 
@@ -299,14 +295,10 @@ Scenario::Scenario(const ScenarioBuilder& b)
     if (b.auto_start_) {
       const Duration cadence =
           b.wur_opts_.cadence.count() > 0 ? b.wur_opts_.cadence : b.period_;
-      if (b.wur_opts_.group_id != 0) {
-        wur_ap_->start_group_cadence(b.wur_opts_.group_id, cadence);
-      } else {
-        std::vector<std::uint16_t> ids;
-        ids.reserve(senders_.size());
-        for (auto& s : senders_) ids.push_back(s->wur_id());
-        wur_ap_->start_round_robin(std::move(ids), cadence);
-      }
+      std::vector<std::uint16_t> ids;
+      ids.reserve(senders_.size());
+      for (auto& s : senders_) ids.push_back(s->wur_id());
+      wur_ap_->start_round_robin(std::move(ids), cadence);
     }
   }
 

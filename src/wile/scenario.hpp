@@ -58,16 +58,13 @@ class ScenarioBuilder;
 /// Mode-preset options for TxMode::Wur fleets. The preset gives every
 /// device a WUR companion receiver, arms it instead of starting a duty
 /// cycle, and stands up one AP-side WurScheduler at the centre of the
-/// device grid that owns the wake cadence (round-robin unicast by
-/// default, one group wake per cadence when group_id is set).
+/// device grid that owns the wake cadence: a unicast round robin over
+/// the fleet's WUR IDs.
 struct WurFleetOptions {
   ap::WurSchedulerConfig scheduler{};
-  /// Wake cadence: one full unicast sweep of the fleet (or one group
-  /// wake) per this period. Zero = the builder's duty_cycle() period.
+  /// Wake cadence: one full unicast sweep of the fleet per this period.
+  /// Zero = the builder's duty_cycle() period.
   Duration cadence{};
-  /// Non-zero: every device joins this group and the AP sends one
-  /// multicast wake per cadence instead of sweeping unicast WUR IDs.
-  std::uint16_t group_id = 0;
   /// Companion-receiver model applied to every device.
   power::WurReceiverModel receiver{};
 };

@@ -66,19 +66,9 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
   prototype.ies.add(dot11::make_ds_param_ie(6));
   body_prefix_ = prototype.encode();
 
-  keep_recovery_history_ =
-      config_.redundancy.recovery_k > 0 ||
-      (config_.adaptation &&
-       std::any_of(config_.adaptation->tiers.begin(), config_.adaptation->tiers.end(),
-                   [](const RedundancyTier& t) { return t.recovery_k > 0; }));
-
   if (config_.wur) {
-    // Companion receiver: derive the 12-bit WUR ID when unset and hang
-    // the always-on listen draw over every future timeline segment.
-    if (config_.wur->wur_id == 0) {
-      config_.wur->wur_id =
-          static_cast<std::uint16_t>(config_.device_id) & phy::WurPhy::kMaxId;
-    }
+    // Companion receiver: hang the always-on listen draw over every
+    // future timeline segment.
     tracker_.set_overlay(config_.wur->receiver.listen);
     tracker_.set_phase(config_.power.deep_sleep, kPhaseWurListen);
   } else {
@@ -141,26 +131,21 @@ void Sender::arm_wur(PayloadProvider provider, SendCallback per_cycle) {
 }
 
 void Sender::on_wakeup_frame(const phy::WakeUpFrame& wake) {
-  const WurCompanionConfig& wur = *config_.wur;
-  std::optional<std::uint8_t>& last_seq =
-      wake.group_addressed ? last_group_wake_seq_ : last_unicast_wake_seq_;
-  const bool addressed_here =
-      wake.group_addressed ? (wur.group_id != 0 && wake.address == wur.group_id)
-                           : wake.address == wur.wur_id;
-  if (!addressed_here || !wur_armed_ || (last_seq && *last_seq == wake.seq)) {
-    // Someone else's wake, a disarmed companion, or a reliability repeat
-    // of a frame this device already acted on.
+  if (wake.group_addressed || wake.address != wur_id() || !wur_armed_ ||
+      (last_wake_seq_ && *last_wake_seq_ == wake.seq)) {
+    // A group wake, someone else's wake, a disarmed companion, or a
+    // reliability repeat of a frame this device already acted on.
     ++wur_frames_ignored_;
     return;
   }
-  last_seq = wake.seq;
+  last_wake_seq_ = wake.seq;
   if (!wake_gate()) return;
   ++wur_wakes_total_;
   // Companion decode + wake-interrupt latency, then the start rule: the
   // board may have browned out, or a cycle started, in the meantime.
   // The epoch strands a wake whose gap saw a cycle brown out.
   const std::uint64_t epoch = cycle_epoch_;
-  scheduler_.schedule_in(wur.receiver.wake_latency, [this, epoch] {
+  scheduler_.schedule_in(config_.wur->receiver.wake_latency, [this, epoch] {
     if (epoch == cycle_epoch_ && may_start_cycle()) sample_and_begin();
   });
 }
@@ -221,8 +206,8 @@ dot11::MacHeader Sender::next_beacon_header() {
   return h;
 }
 
-void Sender::append_beacon(const Message& message, std::size_t element, bool parity,
-                           bool fec, std::string_view stuffed_ssid) {
+void Sender::append_beacon(const Message& message, std::size_t element,
+                           std::string_view stuffed_ssid) {
   const std::size_t offset = train_.size();
   next_beacon_header().write_to(train_);
   // The precomputed body prefix, its timestamp (the first 8 bytes)
@@ -241,21 +226,15 @@ void Sender::append_beacon(const Message& message, std::size_t element, bool par
     train_.bytes(prefix.subspan(kSsidAt + 2 + prefix[kSsidAt + 1]));
   } else {
     train_.bytes(prefix);
-    codec_.write_element(train_, message, element, parity);  // the data-bearing element
+    codec_.write_element(train_, message, element);  // the data-bearing element
   }
   train_.u32le(crypto::crc32(train_.view().subspan(offset)));  // FCS over the MPDU
   train_entries_.push_back({static_cast<std::uint32_t>(offset),
-                            static_cast<std::uint32_t>(train_.size() - offset), fec});
+                            static_cast<std::uint32_t>(train_.size() - offset)});
 }
 
-const RedundancyTier& Sender::active_tier() const {
-  if (config_.adaptation && !config_.adaptation->tiers.empty()) {
-    return config_.adaptation->tiers[std::min(tier_, config_.adaptation->tiers.size() - 1)];
-  }
-  return config_.redundancy;
-}
-
-std::optional<Message> Sender::maybe_recovery_message(const RedundancyTier& tier) {
+std::optional<Message> Sender::maybe_recovery_message() {
+  const RedundancyTier& tier = config_.redundancy;
   const auto k = static_cast<std::size_t>(
       std::clamp<int>(tier.recovery_k, 0, static_cast<int>(kMaxRecoveryGroup)));
   if (k == 0 || recent_sent_.size() < k) return std::nullopt;
@@ -299,38 +278,6 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
   cycle_done_ = std::move(done);
   open_cycle(/*resumed=*/false);
 
-  // No-controller fallback: with ChannelReports silent for long enough,
-  // stop waiting for closed-loop guidance and run the configured
-  // open-loop schedule.
-  if (config_.adaptation && config_.adaptation->fallback_after_cycles > 0 &&
-      !fallback_active_ &&
-      cycles_since_report_ >=
-          static_cast<std::uint64_t>(config_.adaptation->fallback_after_cycles) &&
-      !config_.adaptation->tiers.empty()) {
-    fallback_active_ = true;
-    tier_ = std::min(config_.adaptation->fallback_tier, config_.adaptation->tiers.size() - 1);
-  }
-  // Stale-report watchdog: a silent controller walks the tier back
-  // toward the open-loop fallback one step at a time instead of
-  // freezing the sender at the last commanded redundancy level.
-  if (config_.adaptation && config_.adaptation->decay_after_cycles > 0 &&
-      !config_.adaptation->tiers.empty()) {
-    const AdaptationConfig& a = *config_.adaptation;
-    const std::size_t target = std::min(a.fallback_tier, a.tiers.size() - 1);
-    const auto threshold = static_cast<std::uint64_t>(a.decay_after_cycles);
-    const auto every = static_cast<std::uint64_t>(std::max(a.decay_every, 1));
-    if (tier_ != target && cycles_since_report_ >= threshold &&
-        (cycles_since_report_ - threshold) % every == 0) {
-      if (tier_ < target) {
-        ++tier_;
-      } else {
-        --tier_;
-      }
-      ++tier_decays_;
-    }
-  }
-  ++cycles_since_report_;
-
   Message message;
   bool fresh = false;
   if (will_retransmit()) {
@@ -358,7 +305,7 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
 
   const bool fec_usable = !config_.ssid_stuffing;
   if (fresh && fec_usable) {
-    if (keep_recovery_history_) recent_sent_.push(message);
+    if (config_.redundancy.recovery_k > 0) recent_sent_.push(message);
     ++msgs_since_recovery_;
   }
   cycle_.sequence = message.sequence;
@@ -373,7 +320,6 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
 }
 
 void Sender::encode_and_transmit(const Message& message, bool include_recovery) {
-  const RedundancyTier& tier = active_tier();
   // The whole train is built now, at the encode instant, into storage
   // kept from earlier cycles.
   train_.clear();
@@ -382,34 +328,25 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
   try {
     if (config_.ssid_stuffing) {
       if (const auto stuffed = encode_ssid_stuffed(message)) {
-        append_beacon(message, 0, /*parity=*/false, /*fec=*/false, *stuffed);
+        append_beacon(message, 0, *stuffed);
       } else {
         cycle_.failed = true;  // message does not fit the SSID field
       }
     } else {
-      const std::size_t elements = codec_.element_count(message, tier.fec_parity);
-      // With parity on, a fragmented message's last element is the
-      // parity (the codec only adds one when there are >= 2 data
-      // fragments, so a parity train always has >= 3 elements).
-      const std::size_t parity_from =
-          tier.fec_parity && elements >= 3 ? elements - 1 : elements;
-      for (std::size_t i = 0; i < elements; ++i) {
-        append_beacon(message, i, tier.fec_parity, /*fec=*/i >= parity_from);
-      }
+      const std::size_t elements = codec_.element_count(message);
+      for (std::size_t i = 0; i < elements; ++i) append_beacon(message, i);
     }
     // Open-loop reliability: repeat the whole fragment train. Receivers
     // drop the duplicates by (device, sequence).
     const std::size_t once = train_entries_.size();
-    for (int r = 1; r < std::max(tier.repeats, 1); ++r) {
+    for (int r = 1; r < std::max(config_.redundancy.repeats, 1); ++r) {
       for (std::size_t i = 0; i < once; ++i) train_entries_.push_back(train_entries_[i]);
     }
     // Cross-cycle FEC: one (unrepeated) recovery beacon when due.
     if (include_recovery) {
-      if (auto recovery = maybe_recovery_message(tier)) {
+      if (auto recovery = maybe_recovery_message()) {
         const std::size_t elements = codec_.element_count(*recovery);
-        for (std::size_t i = 0; i < elements; ++i) {
-          append_beacon(*recovery, i, /*parity=*/false, /*fec=*/true);
-        }
+        for (std::size_t i = 0; i < elements; ++i) append_beacon(*recovery, i);
         ++recovery_beacons_sent_;
       }
     }
@@ -453,11 +390,6 @@ void Sender::inject_fragments(std::size_t index) {
   ++cycle_.beacons;
   ++beacons_sent_total_;
   tx_airtime_total_ += airtime;
-  if (beacon.fec) {
-    cycle_.parity_airtime += airtime;
-    ++cycle_.parity_beacons;
-    ++parity_beacons_total_;
-  }
 
   // The continuation carries only {this, epoch, index}: the train stays
   // in train_, and a stranded epoch never reads it again.
@@ -537,11 +469,6 @@ void Sender::finish_cycle() {
     report.beacons_sent = c.beacons;
     report.tx_airtime = c.airtime;
     report.tx_only_energy = tx_power_draw() * (c.airtime + Duration{ramp.count() * c.beacons});
-    report.parity_beacons = c.parity_beacons;
-    report.parity_airtime = c.parity_airtime;
-    report.parity_tx_energy =
-        tx_power_draw() * (c.parity_airtime + Duration{ramp.count() * c.parity_beacons});
-    report.tier = tier_;
     report.active_time = scheduler_.now() - c.wake_time;
     report.cycle_energy = timeline_.energy_between(c.wake_time, scheduler_.now());
     report.downlinks_received = c.downlinks;
@@ -567,16 +494,15 @@ void Sender::finish_cycle() {
 
 Joules Sender::estimated_cycle_cost() const {
   const auto& p = config_.power;
-  const RedundancyTier& tier = active_tier();
-  // Nominal cost of one cycle at the active tier: init + a
-  // single-fragment train (typical beacon size) + RX window + shutdown.
+  const RedundancyTier& tier = config_.redundancy;
+  // Nominal cost of one cycle: init + a single-fragment train (typical
+  // beacon size) + RX window + shutdown.
   // The HarvestingConfig margins absorb what this cannot see (CSMA
   // deferral, fragmentation, recovery beacons).
   constexpr std::size_t kNominalMpduBytes = 128;
   const Duration airtime =
       phy::frame_airtime(kNominalMpduBytes, config_.rate, config_.band);
-  const int beacons =
-      std::max(tier.repeats, 1) + ((tier.fec_parity || tier.recovery_k > 0) ? 1 : 0);
+  const int beacons = std::max(tier.repeats, 1) + (tier.recovery_k > 0 ? 1 : 0);
   const Watts cpu = p.supply * p.cpu_active;
   Joules cost = cpu * (p.boot_from_deep_sleep + p.wifi_inject_init + p.shutdown_time);
   cost += tx_power_draw() * Duration{(airtime.count() + p.tx_ramp.count()) * beacons};
@@ -699,10 +625,6 @@ void Sender::on_frame(const sim::RxFrame& frame) {
   if (!beacon) return;
   for (const Fragment& f : codec_.decode_all(beacon->ies)) {
     if (f.device_id != config_.device_id) continue;
-    if (f.type == MessageType::ChannelReport) {
-      if (auto report = decode_channel_report(f.data)) on_channel_report(*report);
-      continue;
-    }
     if (f.type == MessageType::Ack) {
       // Reliable mode: match the acknowledged sequence number.
       if (config_.reliable && unacked_ && f.data.size() == 4) {
@@ -727,61 +649,21 @@ void Sender::on_frame(const sim::RxFrame& frame) {
   }
 }
 
-void Sender::on_channel_report(const ChannelReport& report) {
-  ++reports_received_;
-  cycles_since_report_ = 0;
-  fallback_active_ = false;  // a controller is audible again
-  if (!config_.adaptation || config_.adaptation->tiers.empty()) return;
-  const AdaptationConfig& a = *config_.adaptation;
-
-  const double loss_pct = static_cast<double>(report.loss_permille) / 10.0;
-  if (loss_pct >= a.raise_loss_pct) {
-    clear_streak_ = 0;
-    if (++raise_streak_ >= std::max(a.raise_after, 1)) {
-      raise_streak_ = 0;
-      if (tier_ + 1 < a.tiers.size()) {
-        ++tier_;
-        ++tier_raises_;
-      }
-    }
-  } else if (loss_pct <= a.clear_loss_pct) {
-    raise_streak_ = 0;
-    if (++clear_streak_ >= std::max(a.clear_after, 1)) {
-      clear_streak_ = 0;
-      if (tier_ > 0) {
-        --tier_;
-        ++tier_clears_;
-      }
-    }
-  } else {
-    // Hysteresis dead zone: hold the tier, restart both streaks.
-    raise_streak_ = 0;
-    clear_streak_ = 0;
-  }
-}
-
 void Sender::publish_metrics(telemetry::MetricsRegistry& registry,
                              const std::string& prefix) {
   registry.bind_counter(prefix + ".cycles", &cycles_);
   registry.bind_counter(prefix + ".cycles_failed", &cycles_failed_total_);
   registry.bind_counter(prefix + ".tx.beacons", &beacons_sent_total_);
-  registry.bind_counter(prefix + ".tx.parity_beacons", &parity_beacons_total_);
   registry.bind_counter_fn(prefix + ".tx.airtime_us", [this] {
     return static_cast<std::uint64_t>(tx_airtime_total_.count());
   });
   registry.bind_counter(prefix + ".rx.downlinks", &downlinks_total_);
   registry.bind_counter(prefix + ".fec.recovery_beacons", &recovery_beacons_sent_);
-  registry.bind_counter(prefix + ".adapt.reports_received", &reports_received_);
-  registry.bind_counter(prefix + ".adapt.tier_raises", &tier_raises_);
-  registry.bind_counter(prefix + ".adapt.tier_clears", &tier_clears_);
-  registry.bind_counter(prefix + ".adapt.tier_decays", &tier_decays_);
   registry.bind_counter(prefix + ".reliable.dropped_unacked", &dropped_unacked_);
   if (config_.wur) {
     registry.bind_counter(prefix + ".wur.wakes", &wur_wakes_total_);
     registry.bind_counter(prefix + ".wur.frames_ignored", &wur_frames_ignored_);
   }
-  registry.bind_gauge_fn(prefix + ".adapt.tier",
-                         [this] { return static_cast<double>(tier_); });
   // Integrated energy since simulation start. PowerTimeline folds old
   // segment history on fleet runs but keeps the from-zero integral exact
   // (see PowerTimeline::set_max_segments), so this gauge is always the

@@ -47,20 +47,15 @@
 
 namespace wile::core {
 
-/// One open-loop redundancy operating point for the ack-less uplink:
-/// how many times each beacon train is repeated, whether fragmented
-/// messages carry an XOR parity element, and how often a cross-cycle
-/// Recovery beacon (XOR of the last `recovery_k` message payloads) is
-/// transmitted. The adaptation state machine moves between tiers based
-/// on controller ChannelReports; without adaptation
-/// SenderConfig::redundancy is the single fixed tier.
+/// The open-loop redundancy of the ack-less uplink: how many times each
+/// beacon train is repeated, and how often a cross-cycle Recovery beacon
+/// (XOR of the last `recovery_k` message payloads) is transmitted.
 struct RedundancyTier {
   /// Inject each beacon this many times per cycle (1 = paper behaviour).
   /// Broadcast frames carry no ACK, so repetition is the standard
   /// open-loop reliability lever; receivers de-duplicate by sequence
   /// number. Energy per message scales linearly.
   int repeats = 1;
-  bool fec_parity = false;
   /// Cross-cycle recovery group size; 0 disables recovery beacons.
   int recovery_k = 0;
   /// Send a recovery beacon every `stride` fresh messages, each covering
@@ -68,34 +63,6 @@ struct RedundancyTier {
   /// groups, so every message is covered twice and two-loss patterns
   /// that fall across group boundaries remain recoverable.
   int recovery_stride = 0;
-};
-
-/// Loss-adaptive redundancy (closed-loop tuning of open-loop FEC): the
-/// sender listens for controller ChannelReports in its RX windows and
-/// walks up `tiers` while the reported loss stays above
-/// `raise_loss_pct`, back down when it stays below `clear_loss_pct`.
-/// The band between the two thresholds is a hysteresis dead zone: both
-/// streaks reset, the tier holds, and the sender cannot oscillate while
-/// an estimate decays through the middle. With no controller audible for
-/// `fallback_after_cycles` duty cycles the sender switches to the
-/// configured open-loop `fallback_tier` (it cannot know the channel, so
-/// it pays for scheduled redundancy instead).
-struct AdaptationConfig {
-  std::vector<RedundancyTier> tiers;  // base tier first, max redundancy last
-  double raise_loss_pct = 10.0;       // report >= this: raise pressure
-  double clear_loss_pct = 2.0;        // report <= this: clear pressure
-  int raise_after = 1;                // consecutive high reports to raise
-  int clear_after = 2;                // consecutive low reports to clear
-  int fallback_after_cycles = 0;      // 0 = never fall back
-  std::size_t fallback_tier = 0;
-  /// Stale-report watchdog: with ChannelReports silent for this many
-  /// duty cycles, the tier starts decaying one step toward
-  /// `fallback_tier` every `decay_every` further cycles instead of
-  /// freezing at the last commanded tier (a dead controller must not
-  /// pin a sender at maximum redundancy forever). 0 = disabled. Decay
-  /// composes with fallback_after_cycles: decay walks, fallback jumps.
-  int decay_after_cycles = 0;
-  int decay_every = 1;
 };
 
 /// Intermittent-power operation (see power/harvester.hpp): the sender
@@ -120,15 +87,13 @@ struct HarvestingConfig {
 /// 802.11ba wake-up radio companion (the third transmission mode beside
 /// Wi-LE duty cycles and BLE advertising). The main 802.11 radio stays
 /// in deep sleep while a uW-class OOK companion receiver listens
-/// continuously; an AP wake-up frame addressed to this device's WUR ID
-/// (or one of its groups) triggers one full wake->inject->sleep cycle.
-/// The listen draw rides the power timeline as an always-on overlay, so
-/// the Harvester/EnergyGovernor see it and a brown-out darkens it.
+/// continuously; a unicast AP wake-up frame addressed to this device's
+/// WUR ID (the low 12 bits of device_id) triggers one full
+/// wake->inject->sleep cycle. The companion ignores group-addressed
+/// frames. The listen draw rides the power timeline as an always-on
+/// overlay, so the Harvester/EnergyGovernor see it and a brown-out
+/// darkens it.
 struct WurCompanionConfig {
-  /// 12-bit WUR ID this companion answers to. 0 = derive from device_id.
-  std::uint16_t wur_id = 0;
-  /// Group membership for multicast wakes; 0 = no group.
-  std::uint16_t group_id = 0;
   power::WurReceiverModel receiver{};
 };
 
@@ -186,17 +151,10 @@ struct SenderConfig {
   /// across reboots resume mid-space; also pins wraparound tests).
   std::uint32_t initial_sequence = 0;
 
-  /// Fixed redundancy tier: beacon repeats, parity elements on
-  /// fragmented messages and periodic cross-cycle Recovery beacons. The
-  /// parity and recovery parts are ignored for the ssid_stuffing arm (no
-  /// vendor elements to protect).
+  /// Beacon repeats and periodic cross-cycle Recovery beacons. The
+  /// recovery part is ignored for the ssid_stuffing arm (no vendor
+  /// elements to protect).
   RedundancyTier redundancy;
-
-  /// Loss-adaptive redundancy: overrides `redundancy` with the active
-  /// tier. Requires rx_window (reports arrive like Acks)
-  /// and a controller with channel_reports enabled to leave the base
-  /// tier — except via the no-controller fallback.
-  std::optional<AdaptationConfig> adaptation;
 
   /// Batteryless operation: run off a harvested capacitor (see
   /// HarvestingConfig). Absent = the legacy infinite supply.
@@ -235,14 +193,6 @@ struct SendReport {
   Joules cycle_energy{};
   Duration active_time{};
   std::size_t downlinks_received = 0;  // during this cycle's RX window
-  /// FEC accounting: beacons/airtime/energy spent on redundancy this
-  /// cycle (parity elements + recovery beacons). Included in the totals
-  /// above; broken out so benches can price the erasure code exactly.
-  int parity_beacons = 0;
-  Duration parity_airtime{};
-  Joules parity_tx_energy{};
-  /// Active redundancy tier index (0 unless adaptation raised it).
-  std::size_t tier = 0;
 };
 
 class Sender : public sim::MediumClient {
@@ -266,8 +216,8 @@ class Sender : public sim::MediumClient {
   void stop_duty_cycle();
 
   /// 802.11ba duty model: arm the wake-up companion receiver and stay in
-  /// deep sleep. Every AP wake-up frame matching this device's WUR ID or
-  /// group triggers one wake->inject->sleep cycle transmitting whatever
+  /// deep sleep. Every AP wake-up frame matching this device's WUR ID
+  /// triggers one wake->inject->sleep cycle transmitting whatever
   /// `provider` returns (uplink rides the normal Wi-LE beacon path).
   /// Requires config.wur. There is no periodic timer — the AP owns the
   /// cadence.
@@ -287,7 +237,7 @@ class Sender : public sim::MediumClient {
   [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
   [[nodiscard]] std::uint32_t next_sequence() const { return sequence_; }
   [[nodiscard]] std::uint64_t cycles_run() const { return cycles_; }
-  /// Beacons injected since construction (fragments, repeats, parity and
+  /// Beacons injected since construction (fragments, repeats and
   /// recovery beacons included).
   [[nodiscard]] std::uint64_t beacons_sent() const { return beacons_sent_total_; }
   /// Cumulative on-air time of everything this device transmitted.
@@ -296,7 +246,7 @@ class Sender : public sim::MediumClient {
   // --- telemetry -------------------------------------------------------------
   /// Bind this device's counters into a telemetry registry under
   /// `prefix` (canonically "node.<id>.sender"): TX counts/airtime,
-  /// cycle counters, FEC/adaptation state and an integrated-energy
+  /// cycle counters, recovery beacons and an integrated-energy
   /// gauge over the power timeline. Also claims a registry-owned
   /// histogram of per-cycle active time. Non-const only because the
   /// histogram slot is cached for lookup-free recording.
@@ -312,16 +262,6 @@ class Sender : public sim::MediumClient {
     return dropped_unacked_;
   }
 
-  // --- FEC / adaptation observability ---------------------------------------
-  /// Active redundancy tier index (always 0 without adaptation).
-  [[nodiscard]] std::size_t current_tier() const { return tier_; }
-  [[nodiscard]] std::uint64_t reports_received() const { return reports_received_; }
-  [[nodiscard]] std::uint64_t tier_raises() const { return tier_raises_; }
-  [[nodiscard]] std::uint64_t tier_clears() const { return tier_clears_; }
-  /// True while running the open-loop fallback tier (controller silent).
-  [[nodiscard]] bool fallback_active() const { return fallback_active_; }
-  /// Stale-report watchdog steps taken toward the fallback tier.
-  [[nodiscard]] std::uint64_t tier_decays() const { return tier_decays_; }
   [[nodiscard]] std::uint64_t recovery_beacons_sent() const {
     return recovery_beacons_sent_;
   }
@@ -344,8 +284,8 @@ class Sender : public sim::MediumClient {
   [[nodiscard]] std::uint64_t cycles_skipped_energy() const {
     return cycles_skipped_energy_;
   }
-  /// Charge budget the wake gate compares against (one nominal cycle at
-  /// the active tier, margins excluded). Exposed for benches/tests.
+  /// Charge budget the wake gate compares against (one nominal cycle,
+  /// margins excluded). Exposed for benches/tests.
   [[nodiscard]] Joules estimated_cycle_cost() const;
 
   // --- WUR observability ------------------------------------------------------
@@ -355,9 +295,11 @@ class Sender : public sim::MediumClient {
   [[nodiscard]] std::uint64_t wur_frames_ignored() const {
     return wur_frames_ignored_;
   }
-  /// Effective (derived) 12-bit WUR ID; 0 when config.wur is absent.
+  /// The 12-bit WUR ID the companion answers to: device_id masked to 12
+  /// bits. 0 when config.wur is absent.
   [[nodiscard]] std::uint16_t wur_id() const {
-    return config_.wur ? config_.wur->wur_id : 0;
+    return config_.wur ? static_cast<std::uint16_t>(config_.device_id & phy::WurPhy::kMaxId)
+                       : 0;
   }
 
   /// TX power draw (P_tx of Eq. 1) for this device profile.
@@ -380,12 +322,10 @@ class Sender : public sim::MediumClient {
   enum class Phase { DeepSleep, Init, Tx, RxWindow, Shutdown };
 
   /// One transmission of this cycle's train: a span of train_. Repeats
-  /// re-send a span. `fec` marks pure-redundancy beacons (parity
-  /// elements, recovery beacons) for energy accounting.
+  /// re-send a span.
   struct TrainEntry {
     std::uint32_t offset = 0;
     std::uint32_t size = 0;
-    bool fec = false;
   };
 
   /// Whether the radio can hear in its current state: the main radio in
@@ -427,14 +367,12 @@ class Sender : public sim::MediumClient {
   /// header, the body prefix (timestamp patched), then element `element`
   /// of `message` as a vendor element, or, for ssid_stuffing,
   /// `stuffed_ssid` in place of the prefix's SSID element. Advances seq_ctl_.
-  void append_beacon(const Message& message, std::size_t element, bool parity, bool fec,
+  void append_beacon(const Message& message, std::size_t element,
                      std::string_view stuffed_ssid = {});
   void inject_fragments(std::size_t index);
   void after_last_beacon();
-  [[nodiscard]] const RedundancyTier& active_tier() const;
   /// Build this cycle's Recovery beacon if one is due, else nullopt.
-  [[nodiscard]] std::optional<Message> maybe_recovery_message(const RedundancyTier& tier);
-  void on_channel_report(const ChannelReport& report);
+  [[nodiscard]] std::optional<Message> maybe_recovery_message();
   void finish_cycle();
   void schedule_next_cycle();
   /// The MAC header of this device's next beacon. Advances seq_ctl_.
@@ -487,7 +425,6 @@ class Sender : public sim::MediumClient {
   std::uint64_t cycles_ = 0;
   // Lifetime totals surfaced through the metrics registry.
   std::uint64_t beacons_sent_total_ = 0;
-  std::uint64_t parity_beacons_total_ = 0;
   std::uint64_t downlinks_total_ = 0;
   std::uint64_t cycles_failed_total_ = 0;
   Duration tx_airtime_total_{};
@@ -497,11 +434,9 @@ class Sender : public sim::MediumClient {
   struct Cycle {
     TimePoint wake_time{};
     Duration airtime{};
-    Duration parity_airtime{};
     std::size_t downlinks = 0;
     std::uint32_t sequence = 0;  // the sequence this cycle carries
     int beacons = 0;
-    int parity_beacons = 0;
     bool failed = false;
     bool acked = false;
     bool retransmission = false;
@@ -511,24 +446,11 @@ class Sender : public sim::MediumClient {
   Cycle cycle_;
 
   // FEC: payloads of the last kMaxRecoveryGroup fresh messages, for
-  // cross-cycle recovery beacons. Kept only when the config or one of
-  // its adaptation tiers can send them (decided at construction, so a
-  // later tier raise finds a full history).
-  bool keep_recovery_history_ = false;
+  // cross-cycle recovery beacons. Kept only when the config sends them.
   PayloadHistory<kMaxRecoveryGroup> recent_sent_;
   int msgs_since_recovery_ = 0;
   std::uint32_t recovery_sequence_ = 0;  // own space; never perturbs loss gaps
   std::uint64_t recovery_beacons_sent_ = 0;
-
-  // adaptation state machine
-  std::size_t tier_ = 0;
-  int raise_streak_ = 0;
-  int clear_streak_ = 0;
-  std::uint64_t cycles_since_report_ = 0;
-  bool fallback_active_ = false;
-  std::uint64_t reports_received_ = 0;
-  std::uint64_t tier_raises_ = 0;
-  std::uint64_t tier_clears_ = 0;
 
   // reliable mode
   std::optional<Message> unacked_;
@@ -538,9 +460,6 @@ class Sender : public sim::MediumClient {
     return config_.reliable && unacked_ &&
            unacked_attempts_ < config_.reliable_max_attempts;
   }
-
-  // adaptation: stale-report decay
-  std::uint64_t tier_decays_ = 0;
 
   // --- intermittent power (harvesting) --------------------------------------
   // The persistent region an intermittent device keeps across
@@ -585,9 +504,8 @@ class Sender : public sim::MediumClient {
   bool wur_armed_ = false;
   std::uint64_t wur_wakes_total_ = 0;
   std::uint64_t wur_frames_ignored_ = 0;
-  /// Sequence dedupe for repeated wake frames (per address kind).
-  std::optional<std::uint8_t> last_unicast_wake_seq_;
-  std::optional<std::uint8_t> last_group_wake_seq_;
+  /// Sequence dedupe for repeated wake frames.
+  std::optional<std::uint8_t> last_wake_seq_;
 
   DownlinkCallback downlink_cb_;
 };

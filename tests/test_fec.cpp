@@ -1,27 +1,19 @@
-// Forward erasure correction on the ack-less uplink: group parity
-// inside fragmented messages, cross-cycle XOR recovery beacons, the
-// ChannelReport downlink, and the loss-adaptive redundancy state
-// machine. Everything here is deterministic for the pinned seeds.
+// Forward erasure correction on the ack-less uplink: cross-cycle XOR
+// recovery beacons, their payload container, and the reassembler's
+// memory bound. Everything here is deterministic for the pinned seeds.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "sim/fault.hpp"
-#include "wile/controller.hpp"
 #include "wile/receiver.hpp"
 #include "wile/sender.hpp"
 
 namespace wile::core {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Codec level: parity element encode/decode and XOR reconstruction.
-// ---------------------------------------------------------------------------
-
 Message fragmented_message(const Codec& codec, std::size_t fragments) {
-  // Size the payload so it needs exactly `fragments` parity-mode
-  // fragments (parity costs one data byte per fragment).
-  const std::size_t per_frag = codec.max_fragment_data(true, false) - 1;
+  // Size the payload so it needs exactly `fragments` fragments.
+  const std::size_t per_frag = codec.max_fragment_data(true, false);
   Message msg;
   msg.device_id = 42;
   msg.sequence = 7;
@@ -32,118 +24,8 @@ Message fragmented_message(const Codec& codec, std::size_t fragments) {
   return msg;
 }
 
-std::vector<Fragment> decode_elements(const Codec& codec,
-                                      const std::vector<dot11::InfoElement>& ies) {
-  std::vector<Fragment> out;
-  for (const auto& ie : ies) {
-    auto f = codec.decode(ie);
-    EXPECT_TRUE(f.has_value());
-    if (f) out.push_back(*f);
-  }
-  return out;
-}
-
-TEST(FecCodec, ParityAppendsOneElementAndFlagsIt) {
-  Codec codec;
-  const Message msg = fragmented_message(codec, 3);
-  const auto plain = codec.encode(msg, /*parity=*/false);
-  const auto with_parity = codec.encode(msg, /*parity=*/true);
-  EXPECT_EQ(plain.size(), 3u);
-  EXPECT_EQ(with_parity.size(), 4u);
-
-  const auto frags = decode_elements(codec, with_parity);
-  ASSERT_EQ(frags.size(), 4u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_FALSE(frags[i].parity);
-    EXPECT_EQ(frags[i].frag_index, i);
-    EXPECT_EQ(frags[i].frag_count, 3);
-  }
-  EXPECT_TRUE(frags[3].parity);
-  EXPECT_EQ(frags[3].frag_index, 3);  // parity slot: index == count
-  EXPECT_EQ(frags[3].frag_count, 3);
-}
-
-TEST(FecCodec, UnfragmentedMessageGetsNoParity) {
-  Codec codec;
-  Message msg;
-  msg.device_id = 1;
-  msg.data = Bytes(10, 0xaa);
-  EXPECT_EQ(codec.encode(msg, /*parity=*/true).size(), 1u);
-}
-
-TEST(FecCodec, AnySingleLostFragmentIsRecoveredFromParity) {
-  Codec codec;
-  const Message msg = fragmented_message(codec, 3);
-  const auto frags = decode_elements(codec, codec.encode(msg, /*parity=*/true));
-  ASSERT_EQ(frags.size(), 4u);
-
-  for (std::size_t lost = 0; lost < 3; ++lost) {
-    Reassembler reassembler;
-    std::optional<Message> completed;
-    for (std::size_t i = 0; i < frags.size(); ++i) {
-      if (i == lost) continue;
-      auto m = reassembler.add(frags[i]);
-      if (m) completed = m;
-    }
-    ASSERT_TRUE(completed.has_value()) << "lost fragment " << lost;
-    EXPECT_EQ(completed->data, msg.data);
-    EXPECT_EQ(completed->sequence, msg.sequence);
-    EXPECT_EQ(reassembler.parity_recoveries(), 1u);
-  }
-}
-
-TEST(FecCodec, ParityFirstOrderingStillRecovers) {
-  // The parity element may arrive before the data fragments (reordered
-  // across repeats); reconstruction happens when the group becomes
-  // one-short-plus-parity, whichever element lands last.
-  Codec codec;
-  const Message msg = fragmented_message(codec, 3);
-  const auto frags = decode_elements(codec, codec.encode(msg, /*parity=*/true));
-
-  Reassembler reassembler;
-  EXPECT_FALSE(reassembler.add(frags[3]).has_value());  // parity first
-  EXPECT_FALSE(reassembler.add(frags[0]).has_value());
-  auto completed = reassembler.add(frags[2]);  // frag 1 never arrives
-  ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(completed->data, msg.data);
-  EXPECT_EQ(reassembler.parity_recoveries(), 1u);
-}
-
-TEST(FecCodec, LostParityElementCostsNothing) {
-  Codec codec;
-  const Message msg = fragmented_message(codec, 3);
-  const auto frags = decode_elements(codec, codec.encode(msg, /*parity=*/true));
-
-  Reassembler reassembler;
-  std::optional<Message> completed;
-  for (std::size_t i = 0; i < 3; ++i) completed = reassembler.add(frags[i]);
-  ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(completed->data, msg.data);
-  EXPECT_EQ(reassembler.parity_recoveries(), 0u);
-}
-
-TEST(FecCodec, EncryptedParityRecovers) {
-  // Parity is computed over plaintext and each element is sealed
-  // independently, so XOR reconstruction works on decrypted fragments.
-  Codec codec{Bytes(16, 0x5a)};
-  const Message msg = fragmented_message(codec, 3);
-  const auto frags = decode_elements(codec, codec.encode(msg, /*parity=*/true));
-  ASSERT_EQ(frags.size(), 4u);
-
-  Reassembler reassembler;
-  std::optional<Message> completed;
-  for (std::size_t i = 0; i < frags.size(); ++i) {
-    if (i == 1) continue;  // lose a middle fragment
-    auto m = reassembler.add(frags[i]);
-    if (m) completed = m;
-  }
-  ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(completed->data, msg.data);
-  EXPECT_EQ(reassembler.parity_recoveries(), 1u);
-}
-
 // ---------------------------------------------------------------------------
-// Recovery / ChannelReport payload containers.
+// Recovery payload container.
 // ---------------------------------------------------------------------------
 
 RecoveryPayload sample_recovery(std::size_t k, std::uint32_t base) {
@@ -203,19 +85,6 @@ TEST(FecPayloads, RecoveryDecodeRejectsMalformedInput) {
   EXPECT_FALSE(decode_recovery_payload(huge_k).has_value());
 }
 
-TEST(FecPayloads, ChannelReportRoundTripsAndValidates) {
-  const ChannelReport report{0xdeadbeef, 437, 16};
-  EXPECT_EQ(decode_channel_report(encode_channel_report(report)), report);
-
-  const Bytes valid = encode_channel_report(report);
-  for (std::size_t len = 0; len < valid.size(); ++len) {
-    EXPECT_FALSE(decode_channel_report(BytesView{valid.data(), len}).has_value());
-  }
-  EXPECT_FALSE(
-      decode_channel_report(encode_channel_report({1, 1001, 16})).has_value());
-  EXPECT_FALSE(decode_channel_report(encode_channel_report({1, 0, 0})).has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Reassembler memory bound.
 // ---------------------------------------------------------------------------
@@ -257,7 +126,7 @@ TEST(FecReassembler, PartialTableEvictsOldestFirst) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: sequence wraparound, cross-cycle recovery, adaptation.
+// End-to-end: sequence wraparound, cross-cycle recovery.
 // ---------------------------------------------------------------------------
 
 SenderConfig fec_sender_config(std::uint32_t device_id) {
@@ -355,99 +224,6 @@ TEST(FecEndToEnd, RecoveryWorksAcrossSequenceWrap) {
   EXPECT_TRUE(delivered.count(0u));
   EXPECT_EQ(monitor.stats().recovered, 1u);
   EXPECT_EQ(monitor.devices().begin()->second.estimated_losses, 0u);
-}
-
-AdaptationConfig two_tier_adaptation() {
-  AdaptationConfig a;
-  a.tiers.push_back({/*repeats=*/1, /*fec_parity=*/false, /*recovery_k=*/0, 0});
-  a.tiers.push_back({/*repeats=*/2, /*fec_parity=*/true, /*recovery_k=*/4, 0});
-  a.raise_loss_pct = 15.0;  // 2+ losses in an 8-report window
-  a.clear_loss_pct = 2.0;   // a fully clean window
-  a.raise_after = 1;
-  a.clear_after = 2;
-  return a;
-}
-
-TEST(FecAdaptation, RaisesUnderLossWindowAndClearsAfterWithoutOscillating) {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{7}};
-  sim::FaultInjector faults{scheduler, medium, Rng{8}};
-
-  auto cfg = fec_sender_config(1);
-  cfg.rx_window = RxWindow{msec(2), msec(20)};
-  cfg.adaptation = two_tier_adaptation();
-  Sender sender{scheduler, medium, {0, 0}, cfg, Rng{9}};
-
-  ControllerConfig ctrl_cfg;
-  ctrl_cfg.channel_reports = true;
-  ctrl_cfg.report_window = 8;
-  Controller controller{scheduler, medium, {2, 0}, ctrl_cfg, Rng{10}};
-
-  // 40% blanket loss for 6 of 30 cycles.
-  const TimePoint window_start{seconds(5) + msec(500)};
-  faults.per_floor(window_start, seconds(6), 0.40);
-
-  std::uint64_t first_lossy_report_cycle = 0, first_raised_cycle = 0, cycle = 0;
-  std::uint64_t prev_reports = 0;
-  sender.start_duty_cycle([] { return Bytes{0x77}; },
-                          [&](const SendReport& r) {
-                            ++cycle;
-                            const bool got_report = sender.reports_received() > prev_reports;
-                            prev_reports = sender.reports_received();
-                            if (first_lossy_report_cycle == 0 && got_report &&
-                                scheduler.now() >= window_start) {
-                              first_lossy_report_cycle = cycle;
-                            }
-                            if (first_raised_cycle == 0 && r.tier > 0) {
-                              first_raised_cycle = cycle;
-                            }
-                          });
-  scheduler.run_until(TimePoint{seconds(30) + msec(500)});
-  sender.stop_duty_cycle();
-
-  EXPECT_GT(sender.reports_received(), 0u);
-  EXPECT_GT(controller.stats().reports_sent, 0u);
-
-  // The bound from the acceptance criteria: the tier rises within five
-  // cycles of the first ChannelReport received under the loss window
-  // (reports themselves ride the lossy channel, so the clock starts at
-  // the first one that gets through).
-  ASSERT_GT(first_lossy_report_cycle, 0u);
-  ASSERT_GT(first_raised_cycle, 0u);
-  EXPECT_LE(first_raised_cycle, first_lossy_report_cycle + 5);
-
-  // Exactly one raise and one clear: the hysteresis dead zone between
-  // 2% and 15% absorbs the estimate's decay without flapping.
-  EXPECT_EQ(sender.tier_raises(), 1u);
-  EXPECT_EQ(sender.tier_clears(), 1u);
-  EXPECT_EQ(sender.current_tier(), 0u);
-  EXPECT_FALSE(sender.fallback_active());
-}
-
-TEST(FecAdaptation, FallsBackToOpenLoopScheduleWithoutController) {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{11}};
-  auto cfg = fec_sender_config(1);
-  cfg.rx_window = RxWindow{msec(2), msec(20)};
-  auto adaptation = two_tier_adaptation();
-  adaptation.fallback_after_cycles = 3;
-  adaptation.fallback_tier = 1;
-  cfg.adaptation = adaptation;
-  Sender sender{scheduler, medium, {0, 0}, cfg, Rng{12}};
-  Receiver monitor{scheduler, medium, {2, 0}};  // passive: never reports
-
-  sender.start_duty_cycle([] { return Bytes{0x88}; });
-  scheduler.run_until(TimePoint{seconds(10) + msec(500)});
-  sender.stop_duty_cycle();
-
-  // No ChannelReport ever arrived: after three silent cycles the sender
-  // runs the scheduled open-loop redundancy (tier 1: repeats + recovery).
-  EXPECT_TRUE(sender.fallback_active());
-  EXPECT_EQ(sender.current_tier(), 1u);
-  EXPECT_EQ(sender.reports_received(), 0u);
-  EXPECT_GE(sender.recovery_beacons_sent(), 1u);
-  EXPECT_EQ(sender.tier_raises(), 0u);  // fallback is not a raise
-  EXPECT_GT(monitor.stats().duplicates, 0u);  // tier-1 repeats are visible
 }
 
 }  // namespace

@@ -19,9 +19,8 @@
 //    charge gauge reads projected_charge) never perturbs them;
 //  * ScenarioBuilder fault wiring — configure_faults + automatic
 //    energy-target registration — is bit-identical to hand wiring;
-//  * satellites: the stale-report watchdog decays the redundancy tier
-//    toward the open-loop fallback, and the gateway's reconnect backoff
-//    adds a seeded one-shot desync spread after an uplink loss.
+//  * satellite: the gateway's reconnect backoff adds a seeded one-shot
+//    desync spread after an uplink loss.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -525,38 +524,6 @@ TEST(Scenario, FaultWiringBitIdenticalToHandWiring) {
   // Guard against the scenario degenerating into silence.
   EXPECT_GT(scenario->messages(), 0u);
   EXPECT_GT(legacy.brown_outs[0], 0u);
-}
-
-// --- satellite: stale-report watchdog decays the tier -----------------------
-
-TEST(Adaptation, StaleReportsDecayTierTowardFallback) {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{0xD37E12}};
-  Receiver monitor{scheduler, medium, {2, 0}};
-
-  SenderConfig cfg;
-  cfg.device_id = 0x90;
-  cfg.period = seconds(2);
-  cfg.rx_window = RxWindow{};
-  AdaptationConfig adapt;
-  adapt.tiers = {RedundancyTier{1, false, 0, 0}, RedundancyTier{2, false, 0, 0},
-                 RedundancyTier{2, true, 4, 2}};
-  adapt.fallback_tier = 2;
-  adapt.decay_after_cycles = 2;
-  adapt.decay_every = 2;
-  cfg.adaptation = adapt;
-
-  Sender sender{scheduler, medium, {0, 0}, cfg, Rng{0xBEEF}};
-  sender.start_duty_cycle([] { return Bytes{0x01}; });
-  scheduler.run_until(TimePoint{seconds(30)});
-
-  // No controller ever speaks: the watchdog walks the tier up to the
-  // open-loop fallback one step per decay_every cycles, rather than
-  // leaving the sender at tier 0 forever (or jumping — fallback_after
-  // is disabled here).
-  EXPECT_EQ(sender.current_tier(), 2u);
-  EXPECT_EQ(sender.tier_decays(), 2u);
-  EXPECT_FALSE(sender.fallback_active());
 }
 
 // --- satellite: gateway reconnect desync ------------------------------------

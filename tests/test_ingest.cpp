@@ -1,14 +1,14 @@
 // Ingest pipeline units: the flat open-addressing table, the
-// controller's consolidated DeviceState bookkeeping, the wile-batch-v1
-// uplink codec, and the gateway rules engine — plus the scenario wiring
-// that feeds the engine from gateway deliveries.
+// controller's DeviceState record, the wile-batch-v1 uplink codec, and
+// the gateway rules engine — plus the scenario wiring that feeds the
+// engine from gateway deliveries.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "util/flat_table.hpp"
+#include "wile/controller.hpp"
 #include "wile/gateway.hpp"
-#include "wile/ingest.hpp"
 #include "wile/rules/engine.hpp"
 #include "wile/scenario.hpp"
 
@@ -67,66 +67,20 @@ TEST(FlatTable, IterationOrderIsAPureFunctionOfInsertions) {
   EXPECT_EQ(ka.size(), 300u);
 }
 
-// --- core::IngestTable -------------------------------------------------------
+// --- core::DeviceState -------------------------------------------------------
 
-TEST(IngestTable, NoteUplinkTracksGapsAndReorderedArrivals) {
-  core::DeviceState dev;
-  core::IngestTable::note_uplink(dev, 10);  // first fragment: starts the track
-  EXPECT_TRUE(dev.track_started);
-  EXPECT_EQ(dev.last_sequence, 10u);
-  EXPECT_EQ(dev.recent_seen, 1u);
-
-  core::IngestTable::note_uplink(dev, 11);  // in order
-  EXPECT_EQ(dev.last_sequence, 11u);
-  EXPECT_EQ(dev.recent_seen, 0b11u);
-  EXPECT_EQ(dev.span, 2u);
-
-  core::IngestTable::note_uplink(dev, 14);  // gap of 3: 12, 13 missing
-  EXPECT_EQ(dev.last_sequence, 14u);
-  EXPECT_EQ(dev.recent_seen, 0b011001u);
-  EXPECT_EQ(dev.span, 5u);
-
-  core::IngestTable::note_uplink(dev, 12);  // late arrival fills its bit
-  EXPECT_EQ(dev.last_sequence, 14u);
-  EXPECT_EQ(dev.recent_seen, 0b011101u);
-}
-
-TEST(IngestTable, NoteUplinkSurvivesSequenceWrap) {
-  core::DeviceState dev;
-  core::IngestTable::note_uplink(dev, 0xFFFFFFFEu);
-  core::IngestTable::note_uplink(dev, 0xFFFFFFFFu);
-  core::IngestTable::note_uplink(dev, 0u);  // serial arithmetic: still "ahead"
-  core::IngestTable::note_uplink(dev, 1u);
-  EXPECT_EQ(dev.last_sequence, 1u);
-  EXPECT_EQ(dev.recent_seen, 0b1111u);
-  EXPECT_EQ(dev.span, 4u);
-}
-
-TEST(IngestTable, ShouldReportFiresOncePerAnnouncedSequence) {
-  core::DeviceState dev;
-  EXPECT_TRUE(core::IngestTable::should_report(dev, 5));
-  EXPECT_FALSE(core::IngestTable::should_report(dev, 5));  // repeat beacon
-  EXPECT_TRUE(core::IngestTable::should_report(dev, 6));   // new announce
-  EXPECT_FALSE(core::IngestTable::should_report(dev, 6));
-}
-
-TEST(IngestTable, RecordCreatedByDownlinkStartsTrackOnFirstUplink) {
-  // queue_downlink creates the record before any uplink is heard; the
-  // first uplink must initialize the track instead of counting a
-  // phantom gap from sequence 0.
-  core::IngestTable table;
-  core::DeviceState& dev = table.state(0xA00);
-  EXPECT_FALSE(dev.has_queued());  // queue pointer starts unallocated
+TEST(DeviceState, DownlinkQueueIsAllocatedOnFirstUse) {
+  // A record that never queues a downlink stays flat: queue_downlink is
+  // the first caller of queue().
+  util::FlatTable<core::DeviceState> table;
+  core::DeviceState& dev = table.find_or_insert(0xA00);
+  EXPECT_EQ(dev.queued_downlinks, nullptr);
+  EXPECT_FALSE(dev.has_queued());
   dev.queue().push_back(Bytes{'g', 'o'});
   EXPECT_TRUE(dev.has_queued());
-  EXPECT_FALSE(dev.track_started);
-
-  core::IngestTable::note_uplink(dev, 500);
-  EXPECT_TRUE(dev.track_started);
-  EXPECT_EQ(dev.last_sequence, 500u);
-  EXPECT_EQ(dev.recent_seen, 1u);
-  EXPECT_EQ(dev.span, 1u);
-  EXPECT_EQ(table.devices(), 1u);
+  dev.queue().pop_front();
+  EXPECT_FALSE(dev.has_queued());  // allocated but drained
+  EXPECT_EQ(table.size(), 1u);
 }
 
 // --- core::ForwardedBatch ----------------------------------------------------

@@ -168,5 +168,40 @@ TEST(ReliableMode, AckForWrongSequenceIgnored) {
   EXPECT_FALSE(report->acked);  // the bogus ack must not count
 }
 
+TEST(ReliableMode, MonitorNearControllerRegistersOnlyUplinks) {
+  // A monitor in range of an auto-acking controller hears its Acks and
+  // Downlinks too. Those reuse the device id in the controller's own
+  // sequence space, so they must stay out of the uplink registry: read
+  // as uplinks, they would count as messages and duplicates and hide
+  // the device's own readings.
+  for (const int queued : {0, 5}) {
+    SCOPED_TRACE(testing::Message() << queued << " downlinks queued");
+    sim::Scheduler scheduler;
+    sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
+    auto cfg = reliable_sender_config(5);
+    cfg.period = msec(400);
+    cfg.rx_window = RxWindow{msec(2), msec(15)};
+    Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
+    Controller controller{scheduler, medium, {3, 0}, acking_controller_config(), Rng{3}};
+    for (int i = 0; i < queued; ++i) controller.queue_downlink(5, Bytes{'d'});
+    Receiver monitor{scheduler, medium, {4, 0}};
+
+    std::uint64_t telemetry = 0;
+    monitor.set_message_callback([&](const Message& m, const RxMeta&) {
+      if (m.type == MessageType::Telemetry) ++telemetry;
+    });
+    sender.start_duty_cycle([] { return Bytes{0x44}; });
+    scheduler.run_until(TimePoint{seconds(40)});
+    sender.stop_duty_cycle();
+
+    EXPECT_EQ(sender.cycles_run(), 100u);
+    EXPECT_EQ(controller.stats().acks_sent, 99u);
+    EXPECT_EQ(controller.stats().downlinks_sent, static_cast<std::uint64_t>(queued));
+    EXPECT_EQ(monitor.stats().messages, 99u);
+    EXPECT_EQ(telemetry, 99u);
+    EXPECT_EQ(monitor.stats().duplicates, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace wile::core

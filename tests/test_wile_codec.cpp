@@ -2,6 +2,7 @@
 // and fragment reassembly.
 #include <gtest/gtest.h>
 
+#include "crypto/crc.hpp"
 #include "util/rng.hpp"
 #include "wile/codec.hpp"
 
@@ -85,23 +86,46 @@ TEST(Codec, WriteElementIsEncodeOnTheWire) {
   // and length first; an index past the message is refused.
   Rng rng{3};
   for (const std::size_t size : {0, 16, 600}) {
-    for (const bool parity : {false, true}) {
-      SCOPED_TRACE(testing::Message() << size << " B, parity " << parity);
-      const Codec codec;
-      const Message msg = make_message(size, rng);
-      const auto ies = codec.encode(msg, parity);
-      ASSERT_EQ(codec.element_count(msg, parity), ies.size());
-      ByteWriter w;
-      for (std::size_t i = 0; i < ies.size(); ++i) {
-        w.clear();
-        codec.write_element(w, msg, i, parity);
-        Bytes want{static_cast<std::uint8_t>(dot11::IeId::VendorSpecific),
-                   static_cast<std::uint8_t>(ies[i].data.size())};
-        want.insert(want.end(), ies[i].data.begin(), ies[i].data.end());
-        EXPECT_EQ(Bytes(w.view().begin(), w.view().end()), want);
-      }
-      EXPECT_THROW(codec.write_element(w, msg, ies.size(), parity), std::out_of_range);
+    SCOPED_TRACE(testing::Message() << size << " B");
+    const Codec codec;
+    const Message msg = make_message(size, rng);
+    const auto ies = codec.encode(msg);
+    ASSERT_EQ(codec.element_count(msg), ies.size());
+    ByteWriter w;
+    for (std::size_t i = 0; i < ies.size(); ++i) {
+      w.clear();
+      codec.write_element(w, msg, i);
+      Bytes want{static_cast<std::uint8_t>(dot11::IeId::VendorSpecific),
+                 static_cast<std::uint8_t>(ies[i].data.size())};
+      want.insert(want.end(), ies[i].data.begin(), ies[i].data.end());
+      EXPECT_EQ(Bytes(w.view().begin(), w.view().end()), want);
     }
+    EXPECT_THROW(codec.write_element(w, msg, ies.size()), std::out_of_range);
+  }
+}
+
+TEST(Codec, UndefinedFlagBitsAreMalformed) {
+  // Only bits 0-2 of the flags byte are defined. An element setting any
+  // other bit is malformed even when its CRC is valid, so no receiver
+  // reads a meaning into it.
+  Codec codec;
+  Rng rng{5};
+  const Message msg = make_message(16, rng);
+  const dot11::InfoElement plain = codec.encode(msg).front();
+  ASSERT_TRUE(codec.decode(plain).has_value());
+  for (const std::uint8_t bit : {0x08, 0x80}) {
+    SCOPED_TRACE(testing::Message() << "flag bit 0x" << std::hex << int{bit});
+    dot11::InfoElement ie = plain;
+    constexpr std::size_t kFlagsAt = 5;  // OUI(3) subtype(1) ver(1) flags
+    ie.data[kFlagsAt] |= bit;
+    // Re-seal the container CRC (ver through data) so only the flag is wrong.
+    const std::size_t crc_at = ie.data.size() - 4;
+    const std::uint32_t crc =
+        crypto::crc32(BytesView{ie.data.data() + 4, crc_at - 4});
+    for (int k = 0; k < 4; ++k) ie.data[crc_at + k] = static_cast<std::uint8_t>(crc >> (8 * k));
+    DecodeError error{};
+    EXPECT_FALSE(codec.decode(ie, &error).has_value());
+    EXPECT_EQ(error, DecodeError::Malformed);
   }
 }
 

@@ -287,8 +287,6 @@ TEST(SenderOnAir, EveryMpduMatchesItsPin) {
   const OnAirPin pins[] = {
       {"plain 16 B", 16, [](SenderConfig&) {}, 0x2b64df329941529fULL, 119, 119},
       {"600 B fragmented", 600, [](SenderConfig&) {}, 0x8ba8da94b936dc12ULL, 357, 357},
-      {"600 B parity", 600, [](SenderConfig& c) { c.redundancy.fec_parity = true; },
-       0xbb6b219d472aa00fULL, 476, 476},
       {"recovery_k 4", 16, [](SenderConfig& c) { c.redundancy.recovery_k = 4; },
        0x97351cd82d6e9855ULL, 177, 177},
       {"rx_window", 16,
@@ -300,24 +298,6 @@ TEST(SenderOnAir, EveryMpduMatchesItsPin) {
        0x1e5c84b16b670e32ULL, 357, 357},
       {"ssid_stuffing", 16, [](SenderConfig& c) { c.ssid_stuffing = true; },
        0x2507555f67775274ULL, 119, 119},
-      {"raw injection, parity", 600,
-       [](SenderConfig& c) {
-         c.use_csma = false;
-         c.redundancy.fec_parity = true;
-       },
-       0xcfd54ef06f29dd4cULL, 476, 476},
-      {"adaptive fallback", 600,
-       [](SenderConfig& c) {
-         // No controller answers, so the sender falls back after three
-         // cycles to a tier that sends parity and recovery beacons.
-         c.rx_window = RxWindow{msec(2), msec(10)};
-         AdaptationConfig a;
-         a.tiers = {RedundancyTier{}, RedundancyTier{1, true, 4, 0}};
-         a.fallback_after_cycles = 3;
-         a.fallback_tier = 1;
-         c.adaptation = a;
-       },
-       0x63cef8fd311c50eeULL, 647, 647},
   };
   for (const OnAirPin& pin : pins) {
     SCOPED_TRACE(pin.name);

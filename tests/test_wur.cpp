@@ -9,9 +9,9 @@
 //    12-bit address overflow, FCS);
 //  * wake behaviour end-to-end through a real Scheduler + Medium: a
 //    unicast wake runs exactly one cycle, reliability repeats dedupe on
-//    the sequence counter, wrong-ID and wrong-group frames are ignored,
-//    group wakes fire members, a disarmed companion stays asleep, and
-//    each radio is handed only the frames it can demodulate;
+//    the sequence counter, wrong-ID and group-addressed frames are
+//    ignored, a disarmed companion stays asleep, and each radio is
+//    handed only the frames it can demodulate;
 //  * companion-receiver energy settlement across brown-outs — the uW
 //    listen overlay rides every parked segment, dies with the board
 //    during the dark window (it must not keep integrating), and is
@@ -22,11 +22,11 @@
 //  * ScenarioBuilder mode presets (the unified transmission-mode API):
 //    an explicit .mode(TxMode::WiLeBeacon) is bit-identical to the
 //    historical default path, .mode(TxMode::Ble) is bit-identical to
-//    hand-wiring the BLE fleet, a .wur() fleet delivers samples via AP
-//    group wakes with the wake ledger consistent end to end, a zero
-//    wake cadence is rejected in both WUR variants, and a duty cycle
-//    that cannot advance time (zero period, or jitter >= period) is
-//    rejected by build() and Sender::start_duty_cycle.
+//    hand-wiring the BLE fleet, a .wur() fleet wakes every device on
+//    every unicast sweep (also when the fleet size is a multiple of
+//    256), a zero wake cadence is rejected, and a duty cycle that cannot
+//    advance time (zero period, or jitter >= period) is rejected by
+//    build() and Sender::start_duty_cycle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -205,33 +205,25 @@ TEST(WurWake, ReliabilityRepeatsDedupeOnSequence) {
   EXPECT_EQ(rig.deliveries, 1u);
 }
 
-TEST(WurWake, WrongIdAndWrongGroupAreIgnored) {
-  WurCompanionConfig wur;
-  wur.group_id = 7;
-  WurRig rig{wur};
+TEST(WurWake, WrongIdAndGroupFramesAreIgnored) {
+  WurRig rig{WurCompanionConfig{}};
 
   rig.ap->wake(rig.sender->wur_id() + 1);  // someone else's companion
   rig.scheduler.run_until_idle();
-  rig.ap->wake_group(8);  // a group this device is not a member of
+  // A group-addressed frame carrying this device's own ID: the companion
+  // answers unicast wakes only.
+  const phy::WakeUpFrame group{/*group_addressed=*/true, rig.sender->wur_id(), /*seq=*/0};
+  sim::TxRequest req;
+  req.mpdu = FrameBuffer{phy::encode_wakeup_frame(group)};
+  req.airtime = phy::WurPhy::frame_airtime(phy::WurRate::kHigh);
+  req.tx_power_dbm = 20.0;
+  rig.medium.transmit(rig.ap->node_id(), std::move(req));
   rig.scheduler.run_until_idle();
 
   EXPECT_EQ(rig.sender->wur_wakes(), 0u);
   EXPECT_EQ(rig.sender->cycles_run(), 0u);
   EXPECT_EQ(rig.sender->wur_frames_ignored(), 2u);
   EXPECT_EQ(rig.deliveries, 0u);
-}
-
-TEST(WurWake, GroupWakeFiresMembers) {
-  WurCompanionConfig wur;
-  wur.group_id = 7;
-  WurRig rig{wur};
-
-  rig.ap->wake_group(7);
-  rig.scheduler.run_until_idle();
-
-  EXPECT_EQ(rig.sender->wur_wakes(), 1u);
-  EXPECT_EQ(rig.sender->cycles_run(), 1u);
-  EXPECT_EQ(rig.deliveries, 1u);
 }
 
 TEST(WurWake, DisarmedCompanionStaysAsleep) {
@@ -471,23 +463,13 @@ TEST(TxModePreset, BleFleetRunsTheFaultHook) {
 }
 
 TEST(TxModePreset, WurFleetRejectsAZeroCadence) {
-  // A zero duty cycle leaves the wake cadence at zero: both the unicast
-  // round robin and the group cadence refuse it rather than waking
-  // every microsecond.
+  // A zero duty cycle leaves the wake cadence at zero: the round robin
+  // refuses it rather than waking every microsecond.
   EXPECT_THROW(sim::ScenarioBuilder()
                    .devices(4)
                    .gateways(1)
                    .duty_cycle(Duration{0})
                    .wur(sim::WurFleetOptions{})
-                   .build(),
-               std::invalid_argument);
-  sim::WurFleetOptions group;
-  group.group_id = 7;
-  EXPECT_THROW(sim::ScenarioBuilder()
-                   .devices(4)
-                   .gateways(1)
-                   .duty_cycle(Duration{0})
-                   .wur(group)
                    .build(),
                std::invalid_argument);
 }
@@ -548,30 +530,31 @@ TEST(SenderDutyCycle, RejectsAPeriodThatCannotAdvance) {
   EXPECT_NO_THROW(fine.start_duty_cycle(provider));
 }
 
-TEST(TxModePreset, WurFleetDeliversViaGroupWakes) {
+TEST(TxModePreset, WurFleetWakesEveryDeviceEverySweep) {
+  // 256 devices on a 0.5 m grid, one sweep per 10 s: the AP wakes every
+  // device twelve times in 120 s, and every wake runs a cycle. A fleet
+  // whose size is a multiple of 256 is the hard case: each WUR ID needs
+  // its own 8-bit wake counter, or device j draws the same sequence
+  // number on every sweep and its companion drops the wake as a repeat.
+  constexpr int kDevices = 256;
   sim::WurFleetOptions wur;
-  wur.group_id = 9;
-  wur.cadence = seconds(2);
+  wur.cadence = seconds(10);
   auto scenario = sim::ScenarioBuilder{}
-                      .devices(8)
-                      .duty_cycle(seconds(2))
+                      .devices(kDevices)
+                      .grid_spacing_m(0.5)
+                      .duty_cycle(seconds(10))
                       .wur(wur)
                       .telemetry(false)
                       .gateways(1)
                       .build();
   EXPECT_EQ(scenario->tx_mode(), TxMode::Wur);
   ASSERT_NE(scenario->wur_ap(), nullptr);
+  scenario->run_until(TimePoint{seconds(120)});
 
-  scenario->run_until(TimePoint{seconds(11)});
-
-  // Group wakes at 2,4,6,8,10 s; every member woke on every sweep.
-  EXPECT_EQ(scenario->wur_ap()->wakes_sent(), 5u);
-  std::uint64_t total_wakes = 0;
-  for (const auto& s : scenario->devices()) {
-    EXPECT_GT(s->wur_wakes(), 0u);
-    total_wakes += s->wur_wakes();
-  }
-  EXPECT_EQ(total_wakes, 8u * 5u);
+  EXPECT_EQ(scenario->wur_ap()->wakes_sent(), 12u * kDevices);
+  std::vector<std::uint64_t> cycles;
+  for (const auto& s : scenario->devices()) cycles.push_back(s->cycles_run());
+  EXPECT_EQ(cycles, std::vector<std::uint64_t>(kDevices, 12));
   EXPECT_GT(scenario->messages(), 0u);
 }
 

@@ -78,7 +78,7 @@ INGEST_TOP_REQUIRED = ["bench", "quick", "batch_max", "drain_senders",
                        "drain_sim_seconds", "baseline_fps", "pipeline_fps",
                        "speedup", "baseline_forwarded", "pipeline_forwarded",
                        "pipeline_batches", "n_devices", "frames",
-                       "dispatch_pipeline_fps", "dispatch_reports",
+                       "dispatch_pipeline_fps", "dispatch_sends",
                        "rules_eval_fps", "rules_fired", "determinism_ok"]
 
 WUR_TOP_REQUIRED = ["bench", "quick", "sim_seconds", "period_seconds",
@@ -291,10 +291,10 @@ def check_ingest(doc, errors):
         fail(errors, "batched path sent no batches")
     # Dispatch is an absolute row (dispatch_pipeline_fps), not gated: its
     # trend lives in the BENCH history.
-    if doc["dispatch_reports"] <= 0 or doc["rules_fired"] <= 0:
+    if doc["dispatch_sends"] <= 0 or doc["rules_fired"] <= 0:
         fail(errors, "dispatch/rules sections saw no work — broken stream?")
     # Dual-run oracle: same seeds, same counters, same FNV-1a payload
-    # digests and report decisions.
+    # digests.
     if doc["determinism_ok"] is not True:
         fail(errors, "determinism oracle failed: same-seed runs diverged")
 
