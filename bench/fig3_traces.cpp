@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <string_view>
 
 #include "ap/access_point.hpp"
 #include "power/trace_recorder.hpp"
@@ -22,9 +23,9 @@ using namespace wile;
 namespace {
 
 void print_phases(const power::PowerTimeline& tl, TimePoint from, TimePoint to) {
-  // Merge consecutive segments by phase label.
+  // Merge consecutive segments by phase.
   struct Band {
-    std::string phase;
+    power::PhaseId phase;
     TimePoint start;
     TimePoint end;
     Joules energy;
@@ -49,9 +50,10 @@ void print_phases(const power::PowerTimeline& tl, TimePoint from, TimePoint to) 
     const double dur = to_seconds(band.end - band.start);
     const double mean_ma =
         dur > 0 ? in_milliamps((band.energy / (band.end - band.start)) / volts(3.3)) : 0.0;
-    std::printf("  %-22s %10.4f %10.4f %12.2f %10.3f\n", band.phase.c_str(),
-                to_seconds(band.start - from), to_seconds(band.end - from), mean_ma,
-                in_millijoules(band.energy));
+    const std::string_view name = power::phase_name(band.phase);
+    std::printf("  %-22.*s %10.4f %10.4f %12.2f %10.3f\n", static_cast<int>(name.size()),
+                name.data(), to_seconds(band.start - from), to_seconds(band.end - from),
+                mean_ma, in_millijoules(band.energy));
   }
 }
 

@@ -4,6 +4,8 @@
 
 namespace wile::ble {
 
+using power::PhaseId;
+
 BleAdvertiser::BleAdvertiser(sim::Scheduler& scheduler, sim::Medium& medium,
                              sim::Position position, BleAdvertiserConfig config, Rng rng)
     : scheduler_(scheduler),
@@ -16,7 +18,7 @@ BleAdvertiser::BleAdvertiser(sim::Scheduler& scheduler, sim::Medium& medium,
   }
   node_id_ = medium_.attach(this, position);
   medium_.set_listening(node_id_, false);  // transmit-only: never polled
-  timeline_.set_current(scheduler_.now(), config_.power.sleep, "Sleep");
+  timeline_.set_current(scheduler_.now(), config_.power.sleep, PhaseId::Sleep);
 }
 
 void BleAdvertiser::start(PayloadProvider provider, EventCallback per_event) {
@@ -58,10 +60,10 @@ void BleAdvertiser::run_event(Bytes adv_data, EventCallback done) {
   }
   ++events_;
   wake_time_ = scheduler_.now();
-  timeline_.set_current(wake_time_, config_.power.wake_up, "Wake-up");
+  timeline_.set_current(wake_time_, config_.power.wake_up, PhaseId::WakeUp);
   scheduler_.schedule_in(config_.power.wake_up_time, [this, adv_data = std::move(adv_data),
                                                       done = std::move(done)]() mutable {
-    timeline_.set_current(scheduler_.now(), config_.power.pre_processing, "Pre-processing");
+    timeline_.set_current(scheduler_.now(), config_.power.pre_processing, PhaseId::PreProcessing);
     scheduler_.schedule_in(config_.power.pre_processing_time,
                            [this, adv_data = std::move(adv_data),
                             done = std::move(done)]() mutable {
@@ -79,7 +81,7 @@ void BleAdvertiser::transmit_channel(int index, Bytes adv_data, EventCallback do
   const std::uint8_t channel = kAdvChannels[static_cast<std::size_t>(index)];
   const Bytes packet = assemble_air_packet(kAdvAccessAddress, encoded, channel);
 
-  timeline_.set_current(scheduler_.now(), config_.power.radio_tx, "Tx");
+  timeline_.set_current(scheduler_.now(), config_.power.radio_tx, PhaseId::Tx);
   sim::TxRequest req;
   req.mpdu = packet;
   req.airtime = phy::BlePhy::pdu_airtime(encoded.size() - 2);
@@ -88,7 +90,7 @@ void BleAdvertiser::transmit_channel(int index, Bytes adv_data, EventCallback do
                      done = std::move(done)]() mutable {
     if (index + 1 < config_.channels) {
       // Retune to the next advertising channel.
-      timeline_.set_current(scheduler_.now(), config_.power.pre_processing, "Hop");
+      timeline_.set_current(scheduler_.now(), config_.power.pre_processing, PhaseId::Hop);
       scheduler_.schedule_in(config_.channel_hop_time,
                              [this, index, adv_data = std::move(adv_data),
                               done = std::move(done)]() mutable {
@@ -97,7 +99,7 @@ void BleAdvertiser::transmit_channel(int index, Bytes adv_data, EventCallback do
                              });
     } else {
       timeline_.set_current(scheduler_.now(), config_.power.post_processing,
-                            "Post-processing");
+                            PhaseId::PostProcessing);
       scheduler_.schedule_in(config_.power.post_processing_time,
                              [this, done = std::move(done), pdus = index + 1]() mutable {
                                finish_event(std::move(done), pdus);
@@ -109,7 +111,7 @@ void BleAdvertiser::transmit_channel(int index, Bytes adv_data, EventCallback do
 
 void BleAdvertiser::finish_event(EventCallback done, int pdus) {
   const TimePoint sleep_at = scheduler_.now();
-  timeline_.set_current(sleep_at, config_.power.sleep, "Sleep");
+  timeline_.set_current(sleep_at, config_.power.sleep, PhaseId::Sleep);
   AdvEventReport report;
   report.wake_time = wake_time_;
   report.sleep_time = sleep_at;

@@ -2,6 +2,8 @@
 
 namespace wile::ble {
 
+using power::PhaseId;
+
 // ---------------------------------------------------------------------------
 // Master.
 // ---------------------------------------------------------------------------
@@ -58,7 +60,7 @@ BleSlave::BleSlave(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position
       config_(config),
       timeline_(config.power.supply) {
   node_id_ = medium_.attach(this, position);
-  timeline_.set_current(scheduler_.now(), config_.power.sleep, "Sleep");
+  timeline_.set_current(scheduler_.now(), config_.power.sleep, PhaseId::Sleep);
 }
 
 void BleSlave::start() {
@@ -98,13 +100,13 @@ void BleSlave::begin_event(TimePoint anchor) {
   ++events_;
   wake_time_ = scheduler_.now();
   state_ = State::WakeUp;
-  timeline_.set_current(wake_time_, config_.power.wake_up, "Wake-up");
+  timeline_.set_current(wake_time_, config_.power.wake_up, PhaseId::WakeUp);
   scheduler_.schedule_in(config_.power.wake_up_time, [this, anchor] {
     state_ = State::PreProcessing;
-    timeline_.set_current(scheduler_.now(), config_.power.pre_processing, "Pre-processing");
+    timeline_.set_current(scheduler_.now(), config_.power.pre_processing, PhaseId::PreProcessing);
     scheduler_.schedule_in(config_.power.pre_processing_time, [this, anchor] {
       state_ = State::RxWait;
-      timeline_.set_current(scheduler_.now(), config_.power.radio_rx, "Rx");
+      timeline_.set_current(scheduler_.now(), config_.power.radio_rx, PhaseId::Rx);
       // Give up if the master's poll never arrives.
       const TimePoint deadline = anchor + config_.poll_timeout;
       poll_timer_ = scheduler_.schedule_at(deadline, [this] {
@@ -128,7 +130,7 @@ void BleSlave::on_frame(const sim::RxFrame& frame) {
     poll_timer_.reset();
   }
   state_ = State::Ifs;
-  timeline_.set_current(scheduler_.now(), config_.power.ifs_idle, "T_IFS");
+  timeline_.set_current(scheduler_.now(), config_.power.ifs_idle, PhaseId::Ifs);
   scheduler_.schedule_in(phy::BlePhy::kTifs, [this] { respond_with_data(); });
 }
 
@@ -151,7 +153,7 @@ void BleSlave::respond_with_data() {
       assemble_air_packet(config_.access_address, encoded, config_.data_channel,
                           config_.crc_init);
   state_ = State::Tx;
-  timeline_.set_current(scheduler_.now(), config_.power.radio_tx, "Tx");
+  timeline_.set_current(scheduler_.now(), config_.power.radio_tx, PhaseId::Tx);
 
   sim::TxRequest req;
   req.mpdu = packet;
@@ -160,7 +162,7 @@ void BleSlave::respond_with_data() {
   req.on_complete = [this, has_data] {
     state_ = State::PostProcessing;
     timeline_.set_current(scheduler_.now(), config_.power.post_processing,
-                          "Post-processing");
+                          PhaseId::PostProcessing);
     scheduler_.schedule_in(config_.power.post_processing_time,
                            [this, has_data] { end_event(has_data); });
   };
@@ -170,7 +172,7 @@ void BleSlave::respond_with_data() {
 void BleSlave::end_event(bool data_sent) {
   state_ = State::Sleep;
   const TimePoint sleep_at = scheduler_.now();
-  timeline_.set_current(sleep_at, config_.power.sleep, "Sleep");
+  timeline_.set_current(sleep_at, config_.power.sleep, PhaseId::Sleep);
 
   BleEventReport report;
   report.data_sent = data_sent;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "power/timeline.hpp"
 #include "sim/scheduler.hpp"
@@ -25,23 +24,20 @@ class RadioPowerTracker {
         tx_ramp_(tx_ramp) {}
 
   /// Enter a firmware phase drawing `baseline` until further notice.
-  void set_phase(Amps baseline, std::string label) {
+  void set_phase(Amps baseline, PhaseId phase) {
     baseline_ = baseline;
-    label_ = std::move(label);
-    if (tx_nesting_ == 0) timeline_.set_current(scheduler_.now(), baseline_ + overlay_, label_);
+    phase_ = phase;
+    if (tx_nesting_ == 0) timeline_.set_current(scheduler_.now(), baseline_ + overlay_, phase_);
   }
-
-  [[nodiscard]] const std::string& phase_label() const { return label_; }
 
   /// Always-on companion-circuit draw (the 802.11ba wake-up receiver)
   /// added on top of every phase baseline and TX burst. Defaults to an
   /// exact zero so devices without a companion radio emit bit-identical
   /// timelines. A brown-out clears it (the whole board is dark) and
   /// recovery restores it.
-  void set_overlay(Amps overlay, std::string label = {}) {
+  void set_overlay(Amps overlay) {
     overlay_ = overlay;
-    if (!label.empty()) label_ = std::move(label);
-    if (tx_nesting_ == 0) timeline_.set_current(scheduler_.now(), baseline_ + overlay_, label_);
+    if (tx_nesting_ == 0) timeline_.set_current(scheduler_.now(), baseline_ + overlay_, phase_);
   }
 
   [[nodiscard]] Amps overlay() const { return overlay_; }
@@ -51,10 +47,10 @@ class RadioPowerTracker {
   /// default TX draw (legacy-rate frames burn more on the real chip).
   void on_tx_start(Duration airtime, std::optional<Amps> current = std::nullopt) {
     ++tx_nesting_;
-    timeline_.set_current(scheduler_.now(), current.value_or(tx_current_) + overlay_, label_);
+    timeline_.set_current(scheduler_.now(), current.value_or(tx_current_) + overlay_, phase_);
     scheduler_.schedule_in(airtime + tx_ramp_, [this] {
       if (--tx_nesting_ == 0) {
-        timeline_.set_current(scheduler_.now(), baseline_ + overlay_, label_);
+        timeline_.set_current(scheduler_.now(), baseline_ + overlay_, phase_);
       }
     });
   }
@@ -66,7 +62,7 @@ class RadioPowerTracker {
   Duration tx_ramp_;
   Amps baseline_{};
   Amps overlay_{};
-  std::string label_ = "Sleep";
+  PhaseId phase_ = PhaseId::Sleep;
   int tx_nesting_ = 0;
 };
 

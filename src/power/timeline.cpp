@@ -2,49 +2,63 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace wile::power {
 
-void PowerTimeline::set_current(TimePoint t, Amps current, std::string_view phase) {
+PhaseId phase_id(std::string_view name) {
+  const auto it = std::find(kPhaseNames.begin(), kPhaseNames.end(), name);
+  if (it == kPhaseNames.end()) {
+    throw std::invalid_argument("PowerTimeline: unknown phase \"" + std::string(name) + "\"");
+  }
+  return static_cast<PhaseId>(it - kPhaseNames.begin());
+}
+
+void PowerTimeline::set_current(TimePoint t, Amps current, PhaseId phase) {
   if (!segments_.empty()) {
-    const Segment& last = segments_.back();
+    Segment& last = segments_.back();
     if (t < last.start) {
       throw std::logic_error("PowerTimeline: non-monotonic set_current");
     }
     if (last.current == current && last.phase == phase) return;  // no change
     if (t == last.start) {
       // Replacing a zero-length segment.
-      segments_.back().current = current;
-      segments_.back().phase = std::string(phase);
+      last.current = current;
+      last.phase = phase;
       return;
     }
   }
-  if (max_segments_ > 0 && segments_.size() == segments_.capacity()) {
-    // Bounded: the history never holds more than max_segments_ + 1
-    // segments (the fold below runs at that size), so grow no further.
-    segments_.reserve(std::min(2 * segments_.capacity(), max_segments_ + 1));
+  if (max_segments_ > 0) {
+    // Bounded: fold before the push, so the history never holds, nor
+    // reserves room for, more than max_segments_ segments.
+    if (segments_.size() >= max_segments_) fold_history(t);
+    if (segments_.size() == segments_.capacity()) {
+      segments_.reserve(std::min(2 * segments_.capacity(), max_segments_));
+    }
   }
-  segments_.push_back(Segment{t, current, std::string(phase)});
-  if (max_segments_ > 0 && segments_.size() > max_segments_) fold_history();
+  segments_.push_back(Segment{t, current, phase});
 }
 
-void PowerTimeline::fold_history() {
-  // Fold the oldest half into the baseline integral; keep the newest
-  // half so recent-window queries (per-cycle energy) stay exact.
+void PowerTimeline::fold_history(TimePoint next_start) {
+  // Fold the oldest segments into the baseline integral; keep the newest
+  // half, counting the one about to start at `next_start`, so
+  // recent-window queries (per-cycle energy) stay exact.
   const std::size_t keep = std::max<std::size_t>(max_segments_ / 2, 1);
-  const std::size_t drop = segments_.size() - keep;
-  const TimePoint horizon = segments_[drop].start;
+  const std::size_t drop = segments_.size() + 1 - keep;
   for (std::size_t i = 0; i < drop; ++i) {
-    const TimePoint seg_end = segments_[i + 1].start;
+    const TimePoint seg_end = i + 1 < segments_.size() ? segments_[i + 1].start : next_start;
     const TimePoint lo = std::max(segments_[i].start, retained_since_);
     if (seg_end > lo) baseline_energy_ += (supply_ * segments_[i].current) * (seg_end - lo);
   }
+  retained_since_ = drop < segments_.size() ? segments_[drop].start : next_start;
   segments_.erase(segments_.begin(),
                   segments_.begin() + static_cast<std::ptrdiff_t>(drop));
-  retained_since_ = horizon;
 }
 
 Amps PowerTimeline::current_at(TimePoint t) const {
+  if (t < retained_since_) {
+    throw std::out_of_range("PowerTimeline: current_at inside folded history");
+  }
   if (segments_.empty() || t < segments_.front().start) return Amps{0.0};
   // Last segment with start <= t.
   auto it = std::upper_bound(
@@ -57,9 +71,14 @@ Amps PowerTimeline::current_at(TimePoint t) const {
 Joules PowerTimeline::energy_between(TimePoint from, TimePoint to) const {
   if (to <= from || segments_.empty()) return Joules{0.0};
   Joules total{0.0};
-  // Queries reaching to (or past) the folded horizon get the exact
-  // integral from simulation start; see set_max_segments.
-  if (from < retained_since_) total += baseline_energy_;
+  if (from < retained_since_) {
+    // Of the folded span only the integral from simulation start to its
+    // end is known; see set_max_segments.
+    if (from != TimePoint{} || to < retained_since_) {
+      throw std::out_of_range("PowerTimeline: energy query inside folded history");
+    }
+    total += baseline_energy_;
+  }
   // Skip straight to the segment containing `from`: per-cycle queries on
   // a long-lived timeline touch only its last few segments.
   auto it = std::upper_bound(
@@ -86,13 +105,13 @@ Watts PowerTimeline::average_power(TimePoint from, TimePoint to) const {
   return energy_between(from, to) / (to - from);
 }
 
-bool PowerTimeline::find_phase(std::string_view phase, TimePoint from, TimePoint* start,
+bool PowerTimeline::find_phase(PhaseId phase, TimePoint from, TimePoint* start,
                                TimePoint* end) const {
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     if (segments_[i].phase == phase && segments_[i].start >= from) {
       if (start != nullptr) *start = segments_[i].start;
       if (end != nullptr) {
-        // Phase extends over consecutive segments with the same label.
+        // Phase extends over consecutive segments with the same id.
         std::size_t j = i;
         while (j + 1 < segments_.size() && segments_[j + 1].phase == phase) ++j;
         *end = (j + 1 < segments_.size()) ? segments_[j + 1].start : segments_[j].start;

@@ -8,15 +8,7 @@ namespace wile::sta {
 
 using dot11::FrameControl;
 using dot11::MgmtSubtype;
-
-namespace {
-// Phase labels exactly as in the legend of Figure 3a.
-constexpr const char* kPhaseSleep = "Sleep";
-constexpr const char* kPhaseInit = "MC/WiFi init";
-constexpr const char* kPhaseAssoc = "Probe/Auth./Associate";
-constexpr const char* kPhaseDhcp = "DHCP/ARP";
-constexpr const char* kPhaseTx = "Tx";
-}  // namespace
+using power::PhaseId;
 
 Station::Station(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,
                  StationConfig config, Rng rng)
@@ -41,7 +33,7 @@ Station::Station(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position p
     // The ESP32 caches the PMK in NVS; derive once, not per connection.
     pmk_ = crypto::wpa2_psk(config_.passphrase, config_.ssid);
   }
-  timeline_.set_current(scheduler_.now(), config_.power.deep_sleep, kPhaseSleep);
+  timeline_.set_current(scheduler_.now(), config_.power.deep_sleep, PhaseId::Sleep);
 }
 
 bool Station::radio_on() const {
@@ -98,7 +90,7 @@ void Station::power_save_send(Bytes payload, CycleCallback done) {
   cycle_done_ = std::move(done);
   wake_time_ = scheduler_.now();
   phase_ = Phase::PsSend;
-  tracker_.set_phase(config_.power.cpu_active, kPhaseTx);
+  tracker_.set_phase(config_.power.cpu_active, PhaseId::Tx);
   // MCU wake from automatic light sleep, then hand the frame to the MAC.
   // Epoch guards: if the link is torn down (fault injection, beacon
   // loss) while these continuations are pending, they must not run
@@ -136,13 +128,13 @@ void Station::begin_wake(bool full_connect) {
   phase_ = Phase::Boot;
   step_attempts_ = 0;
   counting_connect_frames_ = true;
-  tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
+  tracker_.set_phase(config_.power.cpu_active, PhaseId::Init);
   const Duration init_time =
       config_.power.boot_from_deep_sleep +
       (full_connect ? config_.power.wifi_client_init : config_.power.wifi_inject_init);
   scheduler_.schedule_in(init_time, [this] {
     phase_ = Phase::Probe;
-    tracker_.set_phase(config_.power.radio_rx, kPhaseAssoc);
+    tracker_.set_phase(config_.power.radio_rx, PhaseId::Associate);
     step_probe();
   });
 }
@@ -228,7 +220,7 @@ void Station::step_dhcp_discover() {
     phase_ = Phase::Dhcp;
     dhcp_xid_ = static_cast<std::uint32_t>(rng_.next());
   }
-  tracker_.set_phase(config_.power.dfs_idle_wait, kPhaseDhcp);
+  tracker_.set_phase(config_.power.dfs_idle_wait, PhaseId::Dhcp);
   const auto discover = net::DhcpMessage::discover(dhcp_xid_, config_.mac);
   const Bytes packet =
       net::udp_packet(net::Ipv4Address::any(), net::DhcpMessage::kClientPort,
@@ -284,7 +276,7 @@ void Station::step_announce_and_send() {
   }
 
   phase_ = Phase::SendData;
-  tracker_.set_phase(config_.power.radio_rx, kPhaseTx);
+  tracker_.set_phase(config_.power.radio_rx, PhaseId::Tx);
   send_payload_and_finish([this] { finish_cycle(true); });
 }
 
@@ -316,7 +308,7 @@ void Station::send_payload_and_finish(std::function<void()> after_tx) {
 void Station::finish_cycle(bool success) {
   disarm_step_timeout();
   phase_ = Phase::Shutdown;
-  tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
+  tracker_.set_phase(config_.power.cpu_active, PhaseId::Init);
   scheduler_.schedule_in(config_.power.shutdown_time, [this, success] {
     CycleReport report;
     report.success = success;
@@ -341,7 +333,7 @@ void Station::enter_deep_sleep() {
   dhcp_offer_.reset();
   last_beacon_time_.reset();
   consecutive_beacon_misses_ = 0;
-  tracker_.set_phase(config_.power.deep_sleep, kPhaseSleep);
+  tracker_.set_phase(config_.power.deep_sleep, PhaseId::Sleep);
 }
 
 void Station::fail_ps_send() {
@@ -404,7 +396,7 @@ void Station::fail_step(const char* what) {
 
 void Station::enter_ps_idle() {
   phase_ = Phase::PsIdle;
-  tracker_.set_phase(config_.power.light_sleep, kPhaseSleep);
+  tracker_.set_phase(config_.power.light_sleep, PhaseId::Sleep);
   // A wake timer may survive from before a PS send; never run two chains.
   if (ps_wake_timer_) {
     scheduler_.cancel(*ps_wake_timer_);
@@ -429,7 +421,7 @@ void Station::schedule_ps_beacon_wake() {
     if (phase_ != Phase::PsIdle) return;  // a send is in progress
     phase_ = Phase::PsBeaconRx;
     beacon_seen_in_window_ = false;
-    tracker_.set_phase(config_.power.radio_rx, kPhaseSleep);
+    tracker_.set_phase(config_.power.radio_rx, PhaseId::Sleep);
     // The close event is tracked in ps_wake_timer_ too, so a teardown
     // mid-window cancels the whole chain.
     ps_wake_timer_ = scheduler_.schedule_in(config_.ps_beacon_rx_window, [this] {
@@ -442,7 +434,7 @@ void Station::schedule_ps_beacon_wake() {
 void Station::close_ps_beacon_window() {
   if (phase_ == Phase::PsBeaconRx) {
     phase_ = Phase::PsIdle;
-    tracker_.set_phase(config_.power.light_sleep, kPhaseSleep);
+    tracker_.set_phase(config_.power.light_sleep, PhaseId::Sleep);
     if (!beacon_seen_in_window_) {
       ++stats_.beacons_missed;
       ++consecutive_beacon_misses_;

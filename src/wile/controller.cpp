@@ -37,6 +37,10 @@ void Controller::on_frame(const sim::RxFrame& frame) {
   meta.bssid = parsed->header.addr3;
 
   for (const Fragment& fragment : codec_.decode_all(beacon->ies)) {
+    // Only the devices' own streams: another controller's Acks and
+    // Downlinks reuse the device id in that controller's downlink
+    // sequence space and are not uplink messages.
+    if (!is_uplink_data(fragment.type) && fragment.type != MessageType::Recovery) continue;
     if (fragment.rx_window) {
       ++stats_.windows_seen;
       // Only a device with a queued downlink has a record to find.

@@ -8,17 +8,7 @@
 
 namespace wile::core {
 
-namespace {
-// Phase labels matching the legend of Figure 3b.
-constexpr const char* kPhaseSleep = "Sleep";
-constexpr const char* kPhaseInit = "MC/WiFi init";
-constexpr const char* kPhaseTx = "Tx";
-constexpr const char* kPhaseRxWindow = "RxWindow";
-constexpr const char* kPhaseBrownOut = "BrownOut";
-/// Deep sleep with the 802.11ba companion receiver listening: the main
-/// radio is off, the uW overlay is the only draw above deep-sleep.
-constexpr const char* kPhaseWurListen = "WurListen";
-}  // namespace
+using power::PhaseId;
 
 Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,
                SenderConfig config, Rng rng)
@@ -70,9 +60,9 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
     // Companion receiver: hang the always-on listen draw over every
     // future timeline segment.
     tracker_.set_overlay(config_.wur->receiver.listen);
-    tracker_.set_phase(config_.power.deep_sleep, kPhaseWurListen);
+    tracker_.set_phase(config_.power.deep_sleep, PhaseId::WurListen);
   } else {
-    timeline_.set_current(scheduler_.now(), config_.power.deep_sleep, kPhaseSleep);
+    timeline_.set_current(scheduler_.now(), config_.power.deep_sleep, PhaseId::Sleep);
   }
   // A sleeping Wi-LE sender is deaf: keep it out of the medium's
   // listener index until its RX window opens.
@@ -191,9 +181,9 @@ void Sender::sample_and_begin() {
     trace_instant(telemetry::Phase::Sample);
     data = provider_();
   }
-  begin_cycle(std::move(data), [this](const SendReport& report) {
-    if (per_cycle_) per_cycle_(report);
-  });
+  SendCallback done;
+  if (per_cycle_) done = [this](const SendReport& report) { per_cycle_(report); };
+  begin_cycle(std::move(data), std::move(done));
 }
 
 dot11::MacHeader Sender::next_beacon_header() {
@@ -355,7 +345,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
   }
 
   enter_phase(Phase::Init);
-  tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
+  tracker_.set_phase(config_.power.cpu_active, PhaseId::Init);
   const Duration init =
       config_.power.boot_from_deep_sleep + config_.power.wifi_inject_init;
   const std::uint64_t epoch = cycle_epoch_;
@@ -368,7 +358,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
       return;
     }
     enter_phase(Phase::Tx);
-    tracker_.set_phase(config_.power.cpu_active, kPhaseTx);
+    tracker_.set_phase(config_.power.cpu_active, PhaseId::Tx);
     trace_begin(telemetry::Phase::Tx);
     inject_fragments(0);
   });
@@ -430,13 +420,13 @@ void Sender::after_last_beacon() {
   // window. The radio draws RX current for the whole window — this is
   // the energy cost E8 measures against always-on listening.
   enter_phase(Phase::Tx);  // offset gap: radio on but not yet listening
-  tracker_.set_phase(config_.power.cpu_active, kPhaseRxWindow);
+  tracker_.set_phase(config_.power.cpu_active, PhaseId::RxWindow);
   const std::uint64_t epoch = cycle_epoch_;
   scheduler_.schedule_in(config_.rx_window->offset, [this, epoch] {
     if (epoch != cycle_epoch_) return;
     if (maybe_brown_out()) return;
     enter_phase(Phase::RxWindow);
-    tracker_.set_phase(config_.power.radio_rx, kPhaseRxWindow);
+    tracker_.set_phase(config_.power.radio_rx, PhaseId::RxWindow);
     trace_begin(telemetry::Phase::RxWindow);
     scheduler_.schedule_in(config_.rx_window->duration, [this, epoch] {
       if (epoch != cycle_epoch_) return;
@@ -449,13 +439,13 @@ void Sender::after_last_beacon() {
 void Sender::finish_cycle() {
   checkpoint_.reset();  // cycle completed (or failed terminally)
   enter_phase(Phase::Shutdown);
-  tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
+  tracker_.set_phase(config_.power.cpu_active, PhaseId::Init);
   const std::uint64_t epoch = cycle_epoch_;
   scheduler_.schedule_in(config_.power.shutdown_time, [this, epoch] {
     if (epoch != cycle_epoch_) return;  // browned out during shutdown
     enter_phase(Phase::DeepSleep);
     tracker_.set_phase(config_.power.deep_sleep,
-                       config_.wur ? kPhaseWurListen : kPhaseSleep);
+                       config_.wur ? PhaseId::WurListen : PhaseId::Sleep);
     // A capacitor that ran dry during shutdown browns out here; the
     // cycle's work is done, so only the recharge wait is at stake.
     maybe_brown_out();
@@ -470,7 +460,10 @@ void Sender::finish_cycle() {
     report.tx_airtime = c.airtime;
     report.tx_only_energy = tx_power_draw() * (c.airtime + Duration{ramp.count() * c.beacons});
     report.active_time = scheduler_.now() - c.wake_time;
-    report.cycle_energy = timeline_.energy_between(c.wake_time, scheduler_.now());
+    // Only a report someone reads pays for the cycle's integral, which
+    // needs the cycle's history back to its wake (the timeline throws if
+    // its bound has folded that away).
+    if (cycle_done_) report.cycle_energy = timeline_.energy_between(c.wake_time, scheduler_.now());
     report.downlinks_received = c.downlinks;
     report.acked = c.acked;
     report.retransmission = c.retransmission;
@@ -532,7 +525,7 @@ void Sender::on_brown_out() {
   // Dark: not even sleep current, and the WUR companion receiver dies
   // with the rest of the board (its overlay must not keep integrating).
   if (config_.wur) tracker_.set_overlay(Amps{0.0});
-  tracker_.set_phase(Amps{0.0}, kPhaseBrownOut);
+  tracker_.set_phase(Amps{0.0}, PhaseId::BrownOut);
   schedule_resume();
 }
 
@@ -569,7 +562,7 @@ void Sender::resume_cycle() {
   publish_listening();
   if (config_.wur) tracker_.set_overlay(config_.wur->receiver.listen);
   tracker_.set_phase(config_.power.deep_sleep,
-                     config_.wur ? kPhaseWurListen : kPhaseSleep);
+                     config_.wur ? PhaseId::WurListen : PhaseId::Sleep);
   trace_instant(telemetry::Phase::Recharge);
   if (recharge_hist_ != nullptr) {
     recharge_hist_->record(

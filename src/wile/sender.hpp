@@ -169,8 +169,10 @@ struct SenderConfig {
 
   /// Bound on the power timeline's retained segment history (0 =
   /// unbounded). Fleet-scale simulations set a small bound so 100k
-  /// devices don't each keep an hour of phase annotations; energy
-  /// totals stay exact (power::PowerTimeline::set_max_segments).
+  /// devices don't each keep an hour of phase annotations; lifetime
+  /// energy stays exact (power::PowerTimeline::set_max_segments). A
+  /// report's cycle_energy needs the whole cycle retained: a cycle of
+  /// more than half the bound in segments makes it throw.
   std::size_t timeline_max_segments = 0;
 };
 

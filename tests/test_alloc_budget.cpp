@@ -94,6 +94,8 @@ Tally steady_state(void (*configure)(SenderConfig&), std::size_t payload_bytes) 
   t.allocations = g_allocations.load(std::memory_order_relaxed) - alloc0;
   t.cycles = sender.cycles_run() - cycles0;
   t.transmissions = medium.stats().transmissions - tx0;
+  // The bounded history never reserves room beyond its bound.
+  EXPECT_LE(sender.timeline().segments().capacity(), 16u);
   sender.stop_duty_cycle();
   return t;
 }

@@ -107,10 +107,10 @@ TEST_F(WifiIntegration, TraceShowsPaperPhasesInOrder) {
 
   const auto& tl = sta_->timeline();
   TimePoint init_s, assoc_s, dhcp_s, tx_s, dummy;
-  ASSERT_TRUE(tl.find_phase("MC/WiFi init", report->wake_time, &init_s, &dummy));
-  ASSERT_TRUE(tl.find_phase("Probe/Auth./Associate", report->wake_time, &assoc_s, &dummy));
-  ASSERT_TRUE(tl.find_phase("DHCP/ARP", report->wake_time, &dhcp_s, &dummy));
-  ASSERT_TRUE(tl.find_phase("Tx", report->wake_time, &tx_s, &dummy));
+  ASSERT_TRUE(tl.find_phase(power::PhaseId::Init, report->wake_time, &init_s, &dummy));
+  ASSERT_TRUE(tl.find_phase(power::PhaseId::Associate, report->wake_time, &assoc_s, &dummy));
+  ASSERT_TRUE(tl.find_phase(power::PhaseId::Dhcp, report->wake_time, &dhcp_s, &dummy));
+  ASSERT_TRUE(tl.find_phase(power::PhaseId::Tx, report->wake_time, &tx_s, &dummy));
   EXPECT_LT(init_s, assoc_s);
   EXPECT_LT(assoc_s, dhcp_s);
   EXPECT_LT(dhcp_s, tx_s);

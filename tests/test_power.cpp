@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "power/battery.hpp"
 #include "power/devices.hpp"
@@ -14,8 +15,8 @@ namespace {
 
 TEST(Timeline, CurrentAtFollowsSegments) {
   PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(0)}, milliamps(10), "a");
-  tl.set_current(TimePoint{usec(100)}, milliamps(20), "b");
+  tl.set_current(TimePoint{usec(0)}, milliamps(10), "Sleep");
+  tl.set_current(TimePoint{usec(100)}, milliamps(20), "Tx");
   EXPECT_NEAR(in_milliamps(tl.current_at(TimePoint{usec(0)})), 10.0, 1e-12);
   EXPECT_NEAR(in_milliamps(tl.current_at(TimePoint{usec(99)})), 10.0, 1e-12);
   EXPECT_NEAR(in_milliamps(tl.current_at(TimePoint{usec(100)})), 20.0, 1e-12);
@@ -24,14 +25,14 @@ TEST(Timeline, CurrentAtFollowsSegments) {
 
 TEST(Timeline, BeforeFirstSegmentIsZero) {
   PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(50)}, milliamps(10), "a");
+  tl.set_current(TimePoint{usec(50)}, milliamps(10), "Sleep");
   EXPECT_EQ(tl.current_at(TimePoint{usec(10)}).value, 0.0);
 }
 
 TEST(Timeline, EnergyIntegratesPiecewise) {
   PowerTimeline tl{volts(2.0)};
-  tl.set_current(TimePoint{usec(0)}, amps(1.0), "a");     // 2 W
-  tl.set_current(TimePoint{usec(100)}, amps(0.5), "b");   // 1 W
+  tl.set_current(TimePoint{usec(0)}, amps(1.0), "Sleep");     // 2 W
+  tl.set_current(TimePoint{usec(100)}, amps(0.5), "Tx");   // 1 W
   // 100 us at 2 W + 100 us at 1 W = 200 uJ + 100 uJ.
   const Joules e = tl.energy_between(TimePoint{usec(0)}, TimePoint{usec(200)});
   EXPECT_NEAR(in_microjoules(e), 300.0, 1e-9);
@@ -39,43 +40,43 @@ TEST(Timeline, EnergyIntegratesPiecewise) {
 
 TEST(Timeline, EnergySubrange) {
   PowerTimeline tl{volts(1.0)};
-  tl.set_current(TimePoint{usec(0)}, amps(1.0), "a");
+  tl.set_current(TimePoint{usec(0)}, amps(1.0), "Sleep");
   const Joules e = tl.energy_between(TimePoint{usec(40)}, TimePoint{usec(60)});
   EXPECT_NEAR(in_microjoules(e), 20.0, 1e-9);
 }
 
 TEST(Timeline, LastSegmentExtendsForever) {
   PowerTimeline tl{volts(1.0)};
-  tl.set_current(TimePoint{usec(0)}, amps(2.0), "a");
+  tl.set_current(TimePoint{usec(0)}, amps(2.0), "Sleep");
   const Joules e = tl.energy_between(TimePoint{seconds(10)}, TimePoint{seconds(11)});
   EXPECT_NEAR(e.value, 2.0, 1e-9);
 }
 
 TEST(Timeline, MergesIdenticalConsecutiveStates) {
   PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(0)}, milliamps(10), "a");
-  tl.set_current(TimePoint{usec(50)}, milliamps(10), "a");
+  tl.set_current(TimePoint{usec(0)}, milliamps(10), "Sleep");
+  tl.set_current(TimePoint{usec(50)}, milliamps(10), "Sleep");
   EXPECT_EQ(tl.segments().size(), 1u);
 }
 
 TEST(Timeline, ZeroLengthSegmentReplaced) {
   PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(10)}, milliamps(10), "a");
-  tl.set_current(TimePoint{usec(10)}, milliamps(20), "b");
+  tl.set_current(TimePoint{usec(10)}, milliamps(10), "Sleep");
+  tl.set_current(TimePoint{usec(10)}, milliamps(20), "Tx");
   ASSERT_EQ(tl.segments().size(), 1u);
   EXPECT_NEAR(in_milliamps(tl.segments()[0].current), 20.0, 1e-12);
 }
 
 TEST(Timeline, RejectsNonMonotonicUpdates) {
   PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(100)}, milliamps(10), "a");
-  EXPECT_THROW(tl.set_current(TimePoint{usec(50)}, milliamps(5), "b"), std::logic_error);
+  tl.set_current(TimePoint{usec(100)}, milliamps(10), "Sleep");
+  EXPECT_THROW(tl.set_current(TimePoint{usec(50)}, milliamps(5), "Tx"), std::logic_error);
 }
 
 TEST(Timeline, AveragePower) {
   PowerTimeline tl{volts(1.0)};
-  tl.set_current(TimePoint{usec(0)}, amps(1.0), "a");
-  tl.set_current(TimePoint{usec(100)}, amps(3.0), "b");
+  tl.set_current(TimePoint{usec(0)}, amps(1.0), "Sleep");
+  tl.set_current(TimePoint{usec(100)}, amps(3.0), "Tx");
   const Watts avg = tl.average_power(TimePoint{usec(0)}, TimePoint{usec(200)});
   EXPECT_NEAR(avg.value, 2.0, 1e-9);
 }
@@ -88,15 +89,15 @@ TEST(Timeline, FindPhaseLocatesRange) {
   tl.set_current(TimePoint{usec(400)}, milliamps(1), "Sleep");
 
   TimePoint start, end;
-  ASSERT_TRUE(tl.find_phase("Tx", TimePoint{usec(0)}, &start, &end));
+  ASSERT_TRUE(tl.find_phase(PhaseId::Tx, TimePoint{usec(0)}, &start, &end));
   EXPECT_EQ(start.us(), 300);
   EXPECT_EQ(end.us(), 400);
-  EXPECT_FALSE(tl.find_phase("DHCP/ARP", TimePoint{usec(0)}, nullptr, nullptr));
+  EXPECT_FALSE(tl.find_phase(PhaseId::Dhcp, TimePoint{usec(0)}, nullptr, nullptr));
 }
 
 TEST(Timeline, BoundedHistoryFoldsExactlyWithinItsBound) {
   // 10k transitions through a 64-segment bound: the history folds over
-  // and over, its storage never grows past bound + 1, and the lifetime
+  // and over, its storage never grows past the bound, and the lifetime
   // integral equals an unbounded twin's.
   PowerTimeline bounded{volts(3.3)};
   bounded.set_max_segments(64);
@@ -108,7 +109,7 @@ TEST(Timeline, BoundedHistoryFoldsExactlyWithinItsBound) {
     const Amps current = milliamps(1.0 + (i * 13) % 120);
     bounded.set_current(t, current, phases[i % 3]);
     unbounded.set_current(t, current, phases[i % 3]);
-    ASSERT_LE(bounded.segments().capacity(), 65u);
+    ASSERT_LE(bounded.segments().capacity(), 64u);
   }
   EXPECT_LE(bounded.segments().size(), 64u);
   EXPECT_GT(bounded.retained_since(), TimePoint{});
@@ -119,6 +120,51 @@ TEST(Timeline, BoundedHistoryFoldsExactlyWithinItsBound) {
   const TimePoint recent = bounded.retained_since() + usec(1);
   EXPECT_NEAR(bounded.energy_between(recent, end).value,
               unbounded.energy_between(recent, end).value, 1e-12 * want);
+}
+
+TEST(Timeline, QueriesIntoFoldedHistoryThrow) {
+  // A bound of 4 folds all but the newest segments of 20 alternating
+  // 1 mA / 40 mA steps, 10 ms apart. Only lifetime totals and windows
+  // inside the retained history can still be answered.
+  PowerTimeline bounded{volts(3.3)};
+  bounded.set_max_segments(4);
+  PowerTimeline unbounded{volts(3.3)};
+  for (int i = 0; i < 20; ++i) {
+    const TimePoint t{msec(10 * i)};
+    const Amps current = milliamps(i % 2 == 0 ? 1.0 : 40.0);
+    bounded.set_current(t, current, PhaseId::Sleep);
+    unbounded.set_current(t, current, PhaseId::Sleep);
+  }
+  const TimePoint end{msec(200)};
+  ASSERT_GT(bounded.retained_since(), TimePoint{msec(55)});
+  EXPECT_NEAR(unbounded.energy_between(TimePoint{msec(55)}, end).value, 0.010131, 1e-9);
+  EXPECT_THROW((void)bounded.energy_between(TimePoint{msec(55)}, end), std::out_of_range);
+  EXPECT_THROW((void)bounded.energy_between(TimePoint{}, TimePoint{msec(55)}),
+               std::out_of_range);
+  EXPECT_THROW((void)bounded.current_at(TimePoint{msec(55)}), std::out_of_range);
+
+  EXPECT_EQ(bounded.energy_between(TimePoint{}, end).value,
+            unbounded.energy_between(TimePoint{}, end).value);
+  const TimePoint kept = bounded.retained_since();
+  EXPECT_EQ(bounded.energy_between(kept, end).value, unbounded.energy_between(kept, end).value);
+  EXPECT_EQ(bounded.current_at(kept).value, unbounded.current_at(kept).value);
+}
+
+static_assert(sizeof(Segment) == 24, "a segment is its start, its current and a one-byte phase");
+
+TEST(Timeline, PhaseNamesRoundTrip) {
+  for (std::size_t i = 0; i < kPhaseNames.size(); ++i) {
+    const auto id = static_cast<PhaseId>(i);
+    EXPECT_EQ(phase_id(kPhaseNames[i]), id);
+    EXPECT_EQ(phase_name(id), kPhaseNames[i]);
+  }
+  EXPECT_THROW((void)phase_id("a"), std::invalid_argument);
+  PowerTimeline tl{volts(3.3)};
+  EXPECT_THROW(tl.set_current(TimePoint{}, milliamps(1), "tx"), std::invalid_argument);
+  EXPECT_TRUE(tl.segments().empty());
+  // The by-name form records the same segment as the id form.
+  tl.set_current(TimePoint{}, milliamps(1), "Probe/Auth./Associate");
+  EXPECT_EQ(tl.segments().back().phase, PhaseId::Associate);
 }
 
 // ---------------------------------------------------------------------------
@@ -161,7 +207,7 @@ TEST(Eq1, MonotoneDecreasingInInterval) {
 
 TEST(TraceRecorder, SamplesAtConfiguredRate) {
   PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(0)}, milliamps(10), "a");
+  tl.set_current(TimePoint{usec(0)}, milliamps(10), "Sleep");
   TraceRecorder rec;  // 50 kS/s => 20 us period
   const auto trace = rec.record(tl, TimePoint{usec(0)}, TimePoint{msec(1)});
   EXPECT_EQ(trace.size(), 50u);
@@ -171,9 +217,9 @@ TEST(TraceRecorder, SamplesAtConfiguredRate) {
 
 TEST(TraceRecorder, CapturesSpikes) {
   PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(0)}, milliamps(1), "idle");
-  tl.set_current(TimePoint{usec(500)}, milliamps(200), "tx");
-  tl.set_current(TimePoint{usec(640)}, milliamps(1), "idle");
+  tl.set_current(TimePoint{usec(0)}, milliamps(1), "Sleep");
+  tl.set_current(TimePoint{usec(500)}, milliamps(200), "Tx");
+  tl.set_current(TimePoint{usec(640)}, milliamps(1), "Sleep");
   TraceRecorder rec;
   const auto trace = rec.record(tl, TimePoint{usec(0)}, TimePoint{msec(2)});
   EXPECT_NEAR(TraceRecorder::peak_ma(trace), 200.0, 1e-9);
@@ -181,9 +227,9 @@ TEST(TraceRecorder, CapturesSpikes) {
 
 TEST(TraceRecorder, DecimationPreservesPeaks) {
   PowerTimeline tl{volts(3.3)};
-  tl.set_current(TimePoint{usec(0)}, milliamps(1), "idle");
-  tl.set_current(TimePoint{msec(500)}, milliamps(250), "tx");
-  tl.set_current(TimePoint{msec(500) + usec(100)}, milliamps(1), "idle");
+  tl.set_current(TimePoint{usec(0)}, milliamps(1), "Sleep");
+  tl.set_current(TimePoint{msec(500)}, milliamps(250), "Tx");
+  tl.set_current(TimePoint{msec(500) + usec(100)}, milliamps(1), "Sleep");
   TraceRecorder rec;
   const auto dense = rec.record(tl, TimePoint{usec(0)}, TimePoint{seconds(1)});
   const auto sparse = TraceRecorder::decimate(dense, 200);

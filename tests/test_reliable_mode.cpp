@@ -203,5 +203,32 @@ TEST(ReliableMode, MonitorNearControllerRegistersOnlyUplinks) {
   }
 }
 
+TEST(ReliableMode, ControllerNearControllerDeliversOnlyUplinks) {
+  // A passive controller in range of an acking one hears its Acks. They
+  // carry the device's id but are no uplink, so they must not reach the
+  // passive controller's reassembler or message callback.
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
+  auto cfg = reliable_sender_config(5);
+  cfg.period = msec(400);
+  cfg.rx_window = RxWindow{msec(2), msec(15)};
+  Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
+  Controller acking{scheduler, medium, {3, 0}, acking_controller_config(), Rng{3}};
+  Controller passive{scheduler, medium, {4, 0}, ControllerConfig{}, Rng{4}};
+
+  std::uint64_t telemetry = 0, acks = 0;
+  passive.set_message_callback([&](const Message& m, const RxMeta&) {
+    if (m.type == MessageType::Telemetry) ++telemetry;
+    if (m.type == MessageType::Ack) ++acks;
+  });
+  sender.start_duty_cycle([] { return Bytes{0x44}; });
+  scheduler.run_until(TimePoint{seconds(40)});
+  sender.stop_duty_cycle();
+
+  EXPECT_EQ(acking.stats().acks_sent, 99u);
+  EXPECT_EQ(telemetry, 99u);
+  EXPECT_EQ(acks, 0u);
+}
+
 }  // namespace
 }  // namespace wile::core

@@ -23,7 +23,7 @@ class TrackerTest : public ::testing::Test {
 };
 
 TEST_F(TrackerTest, TxOverlaysThenRestoresBaseline) {
-  tracker_.set_phase(milliamps(40), "phase");
+  tracker_.set_phase(milliamps(40), power::PhaseId::Tx);
   scheduler_.run_until(TimePoint{usec(100)});
   tracker_.on_tx_start(usec(200));
   EXPECT_NEAR(in_milliamps(timeline_.current_at(TimePoint{usec(150)})), 180.0, 1e-9);
@@ -34,7 +34,7 @@ TEST_F(TrackerTest, TxOverlaysThenRestoresBaseline) {
 }
 
 TEST_F(TrackerTest, NestedTxRestoresOnlyAfterLast) {
-  tracker_.set_phase(milliamps(40), "phase");
+  tracker_.set_phase(milliamps(40), power::PhaseId::Tx);
   tracker_.on_tx_start(usec(100));
   scheduler_.run_until(TimePoint{usec(120)});
   tracker_.on_tx_start(usec(100));  // second TX while first ramp pending
@@ -46,10 +46,10 @@ TEST_F(TrackerTest, NestedTxRestoresOnlyAfterLast) {
 }
 
 TEST_F(TrackerTest, PhaseChangeDuringTxDefersToRestore) {
-  tracker_.set_phase(milliamps(40), "a");
+  tracker_.set_phase(milliamps(40), power::PhaseId::Tx);
   tracker_.on_tx_start(usec(100));
   scheduler_.run_until(TimePoint{usec(50)});
-  tracker_.set_phase(milliamps(25), "b");
+  tracker_.set_phase(milliamps(25), power::PhaseId::RxWindow);
   // Still at TX current while the radio is hot.
   EXPECT_NEAR(in_milliamps(timeline_.current_at(scheduler_.now())), 180.0, 1e-9);
   scheduler_.run_until_idle();
@@ -58,7 +58,7 @@ TEST_F(TrackerTest, PhaseChangeDuringTxDefersToRestore) {
 }
 
 TEST_F(TrackerTest, CustomCurrentOverridesDefault) {
-  tracker_.set_phase(milliamps(40), "phase");
+  tracker_.set_phase(milliamps(40), power::PhaseId::Tx);
   tracker_.on_tx_start(usec(100), milliamps(240));
   EXPECT_NEAR(in_milliamps(timeline_.current_at(scheduler_.now())), 240.0, 1e-9);
   scheduler_.run_until_idle();

@@ -269,7 +269,7 @@ TEST(WurPower, ListenOverlayDiesInBrownOutAndReturnsOnRecharge) {
   scheduler.run_until(TimePoint{seconds(2)});
   EXPECT_EQ(current_at(sender.timeline(), TimePoint{seconds(1)}).value, parked.value);
   ASSERT_FALSE(sender.timeline().segments().empty());
-  EXPECT_EQ(sender.timeline().segments().back().phase, "WurListen");
+  EXPECT_EQ(sender.timeline().segments().back().phase, power::PhaseId::WurListen);
 
   // Brown out the idle board at t = 2 s: dark means *zero* draw — the
   // companion receiver must not keep integrating its overlay.
@@ -284,7 +284,7 @@ TEST(WurPower, ListenOverlayDiesInBrownOutAndReturnsOnRecharge) {
   // Recharge restores the overlay and the WurListen phase.
   scheduler.run_until(TimePoint{seconds(30)});
   EXPECT_FALSE(sender.recovering());
-  EXPECT_EQ(sender.timeline().segments().back().phase, "WurListen");
+  EXPECT_EQ(sender.timeline().segments().back().phase, power::PhaseId::WurListen);
   EXPECT_EQ(sender.timeline().segments().back().current.value, parked.value);
 
   // Energy settlement is exact across the brown-out boundary: splitting
