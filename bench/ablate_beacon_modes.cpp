@@ -14,12 +14,13 @@
 // the preset assembles the same two-node wiring the bench used to hand
 // build (same seeds, same positions, same construction order), and the
 // bench drives one send_now / advertise_once by hand. Cell values are
-// output-identical to the pre-port bench. The BLE *connection* arm stays
-// hand-wired: a connection is not one of the three transmission modes.
+// output-identical to the pre-port bench. The BLE *connection* arm is
+// Table 1's BLE measurement (wile/paper_rig.hpp) at each payload size: a
+// connection is not one of the three transmission modes.
 #include <cstdio>
 #include <optional>
 
-#include "ble/link.hpp"
+#include "wile/paper_rig.hpp"
 #include "wile/scenario.hpp"
 
 using namespace wile;
@@ -70,21 +71,8 @@ double ble_adv_energy_uj(std::size_t payload, int channels) {
 
 double ble_conn_energy_uj(std::size_t payload) {
   if (payload > 27) return -1.0;
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ble::BleLinkConfig cfg;
-  ble::BleMaster master{scheduler, medium, {0, 0}, cfg};
-  ble::BleSlave slave{scheduler, medium, {2, 0}, cfg};
-  std::optional<ble::BleEventReport> report;
-  slave.set_event_callback([&](const ble::BleEventReport& r) {
-    if (r.data_sent && !report) report = r;
-  });
-  slave.queue_payload(Bytes(payload, 0x42));
-  master.start();
-  slave.start();
-  scheduler.run_until(TimePoint{seconds(3)});
-  if (!report || master.received_payloads().empty()) return -1.0;
-  return in_microjoules(report->energy);
+  const rig::BleMeasurement m = rig::measure_ble(payload);
+  return m.delivered ? in_microjoules(m.event.energy) : -1.0;
 }
 
 void print_cell(double uj) {

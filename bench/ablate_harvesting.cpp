@@ -31,7 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "power/devices.hpp"
 #include "power/harvester.hpp"
+#include "util/fnv1a.hpp"
 #include "wile/scenario.hpp"
 
 using namespace wile;
@@ -39,21 +41,6 @@ using namespace wile;
 namespace {
 
 const Duration kPeriod = seconds(5);
-
-/// Microwatt-budget injector platform: FRAM-class retention in deep
-/// sleep, a small MCU, and the short bring-up of a TX-only radio path.
-/// The ESP32 profile's 300 ms init at 40 mA would dwarf any realistic
-/// harvest; this is the class of device BEH actually builds.
-power::Esp32PowerProfile harvesting_class_profile() {
-  power::Esp32PowerProfile p;
-  p.deep_sleep = microamps(0.5);
-  p.cpu_active = milliamps(8.0);
-  p.radio_tx = milliamps(90.0);
-  p.boot_from_deep_sleep = msec(3);
-  p.wifi_inject_init = msec(5);
-  p.shutdown_time = msec(1);
-  return p;
-}
 
 struct RunResult {
   double distance_m = 0.0;
@@ -65,17 +52,6 @@ struct RunResult {
   std::uint64_t messages = 0;
   double reports_per_hour = 0.0;
   std::uint64_t digest = 0;
-};
-
-/// FNV-1a over the counters that must be seed-determined.
-struct Digest {
-  std::uint64_t h = 1469598103934665603ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
 };
 
 RunResult run_once(double distance_m, int sim_seconds) {
@@ -99,7 +75,7 @@ RunResult run_once(double distance_m, int sim_seconds) {
                       .stagger_starts(false)
                       .harvesting(harvesting)
                       .configure_sender([](core::SenderConfig& cfg, int) {
-                        cfg.power = harvesting_class_profile();
+                        cfg.power = power::harvesting_class_profile();
                       })
                       .place_gateway([](int) { return sim::Position{2, 0}; })
                       .payload([] { return Bytes(16, 0x42); }())
@@ -121,7 +97,8 @@ RunResult run_once(double distance_m, int sim_seconds) {
   r.reports_per_hour =
       3600.0 * static_cast<double>(r.messages) / static_cast<double>(sim_seconds);
 
-  Digest d;
+  // FNV-1a over the counters that must be seed-determined.
+  util::Fnv1a d{util::Fnv1a::kTruncatedBasis};
   d.add(r.cycles_run);
   d.add(r.cycles_skipped);
   d.add(r.brown_outs);
@@ -131,7 +108,7 @@ RunResult run_once(double distance_m, int sim_seconds) {
   d.add(scenario->medium().stats().transmissions);
   d.add(scenario->medium().stats().deliveries);
   d.add(scenario->scheduler().events_run());
-  r.digest = d.h;
+  r.digest = d.value();
   return r;
 }
 

@@ -8,12 +8,9 @@
 // shows why even the most aggressive setting stays ~3 orders of
 // magnitude above Wi-LE's deep-sleep idle.
 #include <cstdio>
-#include <optional>
 
-#include "ap/access_point.hpp"
-#include "sim/medium.hpp"
-#include "sim/scheduler.hpp"
-#include "sta/station.hpp"
+#include "power/timeline.hpp"
+#include "wile/paper_rig.hpp"
 
 using namespace wile;
 
@@ -26,30 +23,25 @@ struct SkipResult {
 };
 
 SkipResult run(int listen_skip) {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-  ap.start();
   sta::StationConfig sta_cfg;
   sta_cfg.listen_skip = listen_skip;
-  sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
+  rig::WifiCell cell{sta_cfg};
 
   bool ready = false;
-  sta.connect_and_enter_power_save([&](bool ok) { ready = ok; });
-  scheduler.run_until(TimePoint{seconds(10)});
+  cell.station.connect_and_enter_power_save([&](bool ok) { ready = ok; });
+  cell.scheduler.run_until(TimePoint{seconds(10)});
   if (!ready) return {};
 
-  const TimePoint from = scheduler.now();
-  const auto beacons_before = sta.stats().beacons_heard;
-  scheduler.run_until(from + minutes(2));
-  const Watts avg = sta.timeline().average_power(from, scheduler.now());
+  const TimePoint from = cell.scheduler.now();
+  const auto beacons_before = cell.station.stats().beacons_heard;
+  cell.scheduler.run_until(from + minutes(2));
+  const Watts avg = cell.station.timeline().average_power(from, cell.scheduler.now());
 
   SkipResult r;
   r.ok = true;
   r.idle_ua = in_microamps(avg / sta_cfg.power.supply);
   r.beacons_per_min =
-      static_cast<double>(sta.stats().beacons_heard - beacons_before) / 2.0;
+      static_cast<double>(cell.station.stats().beacons_heard - beacons_before) / 2.0;
   return r;
 }
 
@@ -61,8 +53,8 @@ int main() {
               "beacons/min", "Pavg @ 1 min (mW)");
   std::printf("  -------------+--------------+----------------+---------------------\n");
 
-  const Joules e_tx = millijoules(19.9);  // PS transmission cost (Table 1 bench)
-  const Duration t_tx = msec(150);
+  // The PS transmission's cost and duration: Table 1's WiFi-PS measurement.
+  const rig::Measurement ps = rig::measure_wifi_ps().value();
 
   double idle_skip1 = 0.0, idle_skip10 = 0.0;
   bool skip3_near_paper = false;
@@ -73,7 +65,8 @@ int main() {
       continue;
     }
     const Watts p_idle = microwatts(r.idle_ua * 3.3);
-    const Watts p_avg = power::duty_cycle_average_power(e_tx / t_tx, t_tx, p_idle, minutes(1));
+    const Watts p_avg =
+        power::duty_cycle_average_power(ps.energy, ps.active, p_idle, minutes(1));
     std::printf("  %-12d | %12.1f | %14.1f | %20.3f\n", skip, r.idle_ua,
                 r.beacons_per_min, in_milliwatts(p_avg));
     if (skip == 1) idle_skip1 = r.idle_ua;

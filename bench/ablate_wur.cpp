@@ -36,6 +36,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "util/fnv1a.hpp"
 #include "wile/scenario.hpp"
 
 using namespace wile;
@@ -55,17 +56,6 @@ struct RunResult {
   double avg_device_uw = 0.0;      // fleet energy / sim time / station
   double mean_latency_ms = 0.0;    // sample timestamp -> listener delivery
   std::uint64_t digest = 0;
-};
-
-/// FNV-1a over the counters that must be seed-determined.
-struct Digest {
-  std::uint64_t h = 1469598103934665603ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
 };
 
 /// 12-byte sample: device_id u16le | seq u16le | send-time us i64le.
@@ -192,7 +182,8 @@ RunResult run_once(TxMode mode, int stations, int sim_seconds) {
                           : 0.0;
 
   const sim::Medium::Stats ms = scenario->medium_stats();
-  Digest d;
+  // FNV-1a over the counters that must be seed-determined.
+  util::Fnv1a d{util::Fnv1a::kTruncatedBasis};
   d.add(r.expected);
   d.add(r.delivered);
   d.add(static_cast<std::uint64_t>(tally->latency_sum_us));
@@ -202,7 +193,7 @@ RunResult run_once(TxMode mode, int stations, int sim_seconds) {
   d.add(ms.channel_losses);
   d.add(scenario->events_run());
   d.add(static_cast<std::uint64_t>(fleet_uj * 1000.0));
-  r.digest = d.h;
+  r.digest = d.value();
   return r;
 }
 

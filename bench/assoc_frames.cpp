@@ -10,36 +10,25 @@
 #include <cstdio>
 #include <optional>
 
-#include "ap/access_point.hpp"
-#include "sim/medium.hpp"
-#include "sim/scheduler.hpp"
-#include "sta/station.hpp"
-#include "wile/sender.hpp"
+#include "wile/paper_rig.hpp"
 
 using namespace wile;
 
 int main() {
   std::printf("=== E5: frames required before the first data byte ===\n\n");
 
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-  ap.start();
-  sta::StationConfig sta_cfg;
-  sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
-
+  rig::WifiCell cell;
   std::optional<sta::CycleReport> report;
-  sta.run_duty_cycle_transmission(Bytes(16, 0x42),
-                                  [&](const sta::CycleReport& r) { report = r; });
-  scheduler.run_until(TimePoint{seconds(10)});
+  cell.station.run_duty_cycle_transmission(Bytes(16, 0x42),
+                                           [&](const sta::CycleReport& r) { report = r; });
+  cell.scheduler.run_until(TimePoint{seconds(10)});
 
   if (!report || !report->success) {
     std::fprintf(stderr, "association failed\n");
     return 1;
   }
 
-  const auto& s = sta.stats();
+  const auto& s = cell.station.stats();
   std::printf("  WiFi (WPA2-PSK infrastructure network):\n");
   std::printf("    MAC-layer connection frames (mgmt + EAPOL + their ACKs): %llu   "
               "(paper: \"at least 20\", incl. >= 8 for the 4-way handshake)\n",
@@ -52,13 +41,11 @@ int main() {
                                               s.connect_higher_layer_frames));
 
   // Wi-LE: one injected beacon, no ACK, nothing else.
-  sim::Scheduler scheduler2;
-  sim::Medium medium2{scheduler2, phy::Channel{}, Rng{2}};
-  core::SenderConfig wile_cfg;
-  core::Sender sender{scheduler2, medium2, {0, 0}, wile_cfg, Rng{3}};
+  rig::WileDevice device;
   std::optional<core::SendReport> wile_report;
-  sender.send_now(Bytes(16, 0x42), [&](const core::SendReport& r) { wile_report = r; });
-  scheduler2.run_until_idle();
+  device.sender.send_now(Bytes(16, 0x42),
+                         [&](const core::SendReport& r) { wile_report = r; });
+  device.scheduler.run_until_idle();
 
   std::printf("\n  Wi-LE (connection-less):\n");
   std::printf("    frames transmitted: %d (the injected beacon itself; broadcast, no "

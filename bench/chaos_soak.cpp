@@ -28,9 +28,11 @@
 #include <string>
 #include <vector>
 
+#include "power/devices.hpp"
 #include "power/harvester.hpp"
 #include "sim/chaos.hpp"
 #include "sim/invariants.hpp"
+#include "util/fnv1a.hpp"
 #include "wile/scenario.hpp"
 
 using namespace wile;
@@ -44,20 +46,6 @@ struct SoakOptions {
   std::size_t shrink_budget = 64;
   std::string out_path = "BENCH_chaos_soak.json";
 };
-
-/// Microwatt-budget injector platform (same class bench/ablate_harvesting
-/// measures): the fleet actually browns out under droughts instead of
-/// coasting on an ESP32-sized battery.
-power::Esp32PowerProfile harvesting_class_profile() {
-  power::Esp32PowerProfile p;
-  p.deep_sleep = microamps(0.5);
-  p.cpu_active = milliamps(8.0);
-  p.radio_tx = milliamps(90.0);
-  p.boot_from_deep_sleep = msec(3);
-  p.wifi_inject_init = msec(5);
-  p.shutdown_time = msec(1);
-  return p;
-}
 
 struct FleetSpec {
   const char* label;
@@ -91,7 +79,10 @@ std::unique_ptr<sim::Scenario> build_fleet(const FleetSpec& spec,
       .seed(seed)
       .harvesting(harvesting)
       .configure_sender([](core::SenderConfig& cfg, int) {
-        cfg.power = harvesting_class_profile();
+        // The microwatt-budget platform ablate_harvesting measures: the
+        // fleet browns out under droughts instead of coasting on an
+        // ESP32-sized battery.
+        cfg.power = power::harvesting_class_profile();
         // Cross-cycle FEC: recovery beacons are exactly the machinery a
         // brown-out resume can race, which is what we're hunting.
         cfg.redundancy.recovery_k = 4;
@@ -110,17 +101,6 @@ struct CampaignResult {
   sim::Violation first;  // valid when violations > 0
   std::uint64_t messages = 0;
   std::uint64_t digest = 0;
-};
-
-/// FNV-1a over the counters that must be seed-determined.
-struct Digest {
-  std::uint64_t h = 1469598103934665603ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
 };
 
 /// Run one campaign against a fresh fleet; `only` replaces the
@@ -155,7 +135,8 @@ CampaignResult run_campaign(std::uint64_t seed, const SoakOptions& opt,
   if (!monitor.violations().empty()) result.first = monitor.violations().front();
   result.messages = scenario->messages();
 
-  Digest d;
+  // FNV-1a over the counters that must be seed-determined.
+  util::Fnv1a d{util::Fnv1a::kTruncatedBasis};
   d.add(result.messages);
   d.add(scenario->medium().stats().transmissions);
   d.add(scenario->medium().stats().deliveries);
@@ -164,7 +145,7 @@ CampaignResult run_campaign(std::uint64_t seed, const SoakOptions& opt,
   d.add(scenario->scheduler().events_run());
   d.add(monitor.stats().checks_run);
   d.add(monitor.stats().violations);
-  result.digest = d.h;
+  result.digest = d.value();
   return result;
 }
 

@@ -11,12 +11,8 @@
 #include <optional>
 #include <string_view>
 
-#include "ap/access_point.hpp"
 #include "power/trace_recorder.hpp"
-#include "sim/medium.hpp"
-#include "sim/scheduler.hpp"
-#include "sta/station.hpp"
-#include "wile/sender.hpp"
+#include "wile/paper_rig.hpp"
 
 using namespace wile;
 
@@ -68,25 +64,19 @@ void print_series(const std::vector<power::TraceSample>& trace) {
 
 /// WiFi-DC (Figure 3a): sleep 0.2 s, full connect + transmit, sleep again.
 void run_fig3a() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-  ap.start();
-  sta::StationConfig sta_cfg;
-  sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
+  rig::WifiCell cell;
 
   std::optional<sta::CycleReport> report;
-  scheduler.schedule_at(TimePoint{msec(200)}, [&] {
-    sta.run_duty_cycle_transmission(Bytes(16, 0x42),
-                                    [&](const sta::CycleReport& r) { report = r; });
+  cell.scheduler.schedule_at(TimePoint{msec(200)}, [&] {
+    cell.station.run_duty_cycle_transmission(Bytes(16, 0x42),
+                                             [&](const sta::CycleReport& r) { report = r; });
   });
-  scheduler.run_until(TimePoint{seconds(10)});
+  cell.scheduler.run_until(TimePoint{seconds(10)});
 
   const TimePoint from{};
   const TimePoint to = report->sleep_time + msec(300);
   power::TraceRecorder recorder;
-  const auto trace = recorder.record(sta.timeline(), from, to);
+  const auto trace = recorder.record(cell.station.timeline(), from, to);
 
   std::printf("--- Figure 3a: WiFi (duty cycle, full association) ---\n");
   std::printf("  success=%d, awake %.3f s, cycle energy %.1f mJ, trace peak %.1f mA\n",
@@ -94,7 +84,7 @@ void run_fig3a() {
               in_millijoules(report->energy), power::TraceRecorder::peak_ma(trace));
   std::printf("  paper: awake ~1.4 s (0.2-1.6 s), peaks ~250 mA, phases: MC/WiFi init -> "
               "Probe/Auth./Associate -> DHCP/ARP -> Tx\n\n");
-  print_phases(sta.timeline(), from, to);
+  print_phases(cell.station.timeline(), from, to);
   std::printf("\n");
   print_series(trace);
   std::printf("\n");
@@ -102,21 +92,18 @@ void run_fig3a() {
 
 /// Wi-LE (Figure 3b): sleep 0.2 s, short init + single injection, sleep.
 void run_fig3b() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  core::SenderConfig cfg;
-  core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
+  rig::WileDevice device;
 
   std::optional<core::SendReport> report;
-  scheduler.schedule_at(TimePoint{msec(200)}, [&] {
-    sender.send_now(Bytes(16, 0x42), [&](const core::SendReport& r) { report = r; });
+  device.scheduler.schedule_at(TimePoint{msec(200)}, [&] {
+    device.sender.send_now(Bytes(16, 0x42), [&](const core::SendReport& r) { report = r; });
   });
-  scheduler.run_until(TimePoint{seconds(5)});
+  device.scheduler.run_until(TimePoint{seconds(5)});
 
   const TimePoint from{};
   const TimePoint to = TimePoint{msec(200)} + report->active_time + msec(300);
   power::TraceRecorder recorder;
-  const auto trace = recorder.record(sender.timeline(), from, to);
+  const auto trace = recorder.record(device.sender.timeline(), from, to);
 
   std::printf("--- Figure 3b: Wi-LE (connection-less beacon injection) ---\n");
   std::printf("  success=%d, awake %.3f s, tx-only energy %.1f uJ, cycle energy %.2f mJ, "
@@ -126,7 +113,7 @@ void run_fig3b() {
               power::TraceRecorder::peak_ma(trace));
   std::printf("  paper: much shorter init than WiFi (no client prep), single Tx spike, "
               "then straight back to sleep\n\n");
-  print_phases(sender.timeline(), from, to);
+  print_phases(device.sender.timeline(), from, to);
   std::printf("\n");
   print_series(trace);
   std::printf("\n");

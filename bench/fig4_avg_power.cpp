@@ -3,20 +3,17 @@
 // Wi-LE and BLE.
 //
 // As in the paper, each scenario's (Ptx·Ttx, Pidle) pair is measured
-// once from the simulated device and then Eq. (1) produces the curve:
+// once from the simulated device (the paper rig, wile/paper_rig.hpp)
+// and then Eq. (1) produces the curve:
 //   Pavg = (Ptx·Ttx + Pidle·(INT - Ttx)) / INT
 // For Wi-LE the paper's Table-1 accounting (TX time only) is used; the
 // full-cycle alternative is printed alongside as a dashed series so the
 // ASIC argument of §5.4 is visible in the data.
+#include <array>
 #include <cstdio>
-#include <optional>
 
-#include "ap/access_point.hpp"
-#include "ble/link.hpp"
-#include "sim/medium.hpp"
-#include "sim/scheduler.hpp"
-#include "sta/station.hpp"
-#include "wile/sender.hpp"
+#include "power/timeline.hpp"
+#include "wile/paper_rig.hpp"
 
 using namespace wile;
 
@@ -24,127 +21,43 @@ namespace {
 
 struct Scenario {
   const char* name;
-  Joules active_energy{};  // Ptx * Ttx
-  Duration t_tx{};
-  Watts p_idle{};
+  rig::Measurement m;
 };
-
-Scenario measure_wile(bool full_cycle) {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  core::SenderConfig cfg;
-  core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
-  std::optional<core::SendReport> report;
-  sender.send_now(Bytes(16, 0x42), [&](const core::SendReport& r) { report = r; });
-  scheduler.run_until_idle();
-
-  Scenario s;
-  s.name = full_cycle ? "Wi-LE (full cycle)" : "Wi-LE";
-  s.active_energy = full_cycle ? report->cycle_energy : report->tx_only_energy;
-  s.t_tx = full_cycle ? report->active_time : report->tx_airtime;
-  s.p_idle = cfg.power.supply * cfg.power.deep_sleep;
-  return s;
-}
-
-Scenario measure_ble() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ble::BleLinkConfig cfg;
-  ble::BleMaster master{scheduler, medium, {0, 0}, cfg};
-  ble::BleSlave slave{scheduler, medium, {2, 0}, cfg};
-  std::optional<ble::BleEventReport> report;
-  slave.set_event_callback([&](const ble::BleEventReport& r) {
-    if (r.data_sent && !report) report = r;
-  });
-  slave.queue_payload(Bytes(20, 0x42));
-  master.start();
-  slave.start();
-  scheduler.run_until(TimePoint{seconds(3)});
-
-  Scenario s;
-  s.name = "BLE";
-  s.active_energy = report->energy;
-  s.t_tx = report->active_time;
-  s.p_idle = cfg.power.supply * cfg.power.sleep;
-  return s;
-}
-
-Scenario measure_wifi_dc() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-  ap.start();
-  sta::StationConfig sta_cfg;
-  sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
-  std::optional<sta::CycleReport> report;
-  sta.run_duty_cycle_transmission(Bytes(16, 0x42),
-                                  [&](const sta::CycleReport& r) { report = r; });
-  scheduler.run_until(TimePoint{seconds(10)});
-
-  Scenario s;
-  s.name = "WiFi-DC";
-  s.active_energy = report->energy;
-  s.t_tx = report->active_time;
-  s.p_idle = sta_cfg.power.supply * sta_cfg.power.deep_sleep;
-  return s;
-}
-
-Scenario measure_wifi_ps() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-  ap.start();
-  sta::StationConfig sta_cfg;
-  sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
-  bool ready = false;
-  sta.connect_and_enter_power_save([&](bool ok) { ready = ok; });
-  scheduler.run_until(TimePoint{seconds(10)});
-
-  const TimePoint idle_from = scheduler.now();
-  scheduler.run_until(idle_from + minutes(1));
-  const Watts idle = sta.timeline().average_power(idle_from, scheduler.now());
-
-  std::optional<sta::CycleReport> report;
-  sta.power_save_send(Bytes(16, 0x42), [&](const sta::CycleReport& r) { report = r; });
-  scheduler.run_until(scheduler.now() + seconds(5));
-
-  Scenario s;
-  s.name = "WiFi-PS";
-  s.active_energy = report->energy;
-  s.t_tx = report->active_time;
-  s.p_idle = idle;
-  return s;
-}
-
-double eq1_mw(const Scenario& s, Duration interval) {
-  if (interval <= s.t_tx) return in_milliwatts(s.active_energy / s.t_tx);
-  const Joules idle_energy = s.p_idle * (interval - s.t_tx);
-  return in_milliwatts((s.active_energy + idle_energy) / interval);
-}
 
 }  // namespace
 
 int main() {
   std::printf("=== E4: Figure 4 — average power vs transmission interval ===\n\n");
 
-  const Scenario scenarios[] = {measure_wifi_ps(), measure_wifi_dc(), measure_wile(false),
-                                measure_ble(), measure_wile(true)};
+  const rig::WileMeasurement wile = rig::measure_wile();
+  const Scenario scenarios[] = {{"WiFi-PS", rig::measure_wifi_ps().value()},
+                                {"WiFi-DC", rig::measure_wifi_dc()},
+                                {"Wi-LE", wile.tx_only},
+                                {"BLE", rig::measure_ble().event},
+                                {"Wi-LE (full cycle)", wile.full_cycle}};
 
   std::printf("  measured inputs to Eq. (1):\n");
   for (const auto& s : scenarios) {
     std::printf("    %-18s E_active=%11.1f uJ  Ttx=%8.1f ms  Pidle=%10.3f uW\n", s.name,
-                in_microjoules(s.active_energy), to_seconds(s.t_tx) * 1e3,
-                in_microwatts(s.p_idle));
+                in_microjoules(s.m.energy), to_seconds(s.m.active) * 1e3,
+                in_microwatts(s.m.idle));
   }
+
+  // The five series of the figure at one interval, in mW.
+  const auto series_mw = [&](Duration interval) {
+    std::array<double, 5> mw{};
+    for (std::size_t i = 0; i < mw.size(); ++i) {
+      const rig::Measurement& m = scenarios[i].m;
+      mw[i] = in_milliwatts(
+          power::duty_cycle_average_power(m.energy, m.active, m.idle, interval));
+    }
+    return mw;
+  };
 
   std::printf("\n  interval_s,WiFi-PS_mW,WiFi-DC_mW,WiLE_mW,BLE_mW,WiLE-full-cycle_mW\n");
   for (int sec = 5; sec <= 300; sec += 5) {
-    const Duration interval = seconds(sec);
-    std::printf("  %d,%.6g,%.6g,%.6g,%.6g,%.6g\n", sec, eq1_mw(scenarios[0], interval),
-                eq1_mw(scenarios[1], interval), eq1_mw(scenarios[2], interval),
-                eq1_mw(scenarios[3], interval), eq1_mw(scenarios[4], interval));
+    const auto mw = series_mw(seconds(sec));
+    std::printf("  %d,%.6g,%.6g,%.6g,%.6g,%.6g\n", sec, mw[0], mw[1], mw[2], mw[3], mw[4]);
   }
 
   // Paper shape claims:
@@ -153,16 +66,17 @@ int main() {
   //  (c) Wi-LE/BLE sit ~3 orders of magnitude below the WiFi curves.
   double crossover_s = -1.0;
   for (int sec = 1; sec <= 600; ++sec) {
-    if (eq1_mw(scenarios[0], seconds(sec)) > eq1_mw(scenarios[1], seconds(sec))) {
+    const auto mw = series_mw(seconds(sec));
+    if (mw[0] > mw[1]) {
       crossover_s = sec;
       break;
     }
   }
-  const double ratio_10s =
-      eq1_mw(scenarios[1], seconds(10)) / eq1_mw(scenarios[2], seconds(10));
-  const double ratio_1min =
-      eq1_mw(scenarios[1], minutes(1)) / eq1_mw(scenarios[2], minutes(1));
-  const double wile_vs_ble = eq1_mw(scenarios[2], minutes(1)) / eq1_mw(scenarios[3], minutes(1));
+  const auto at_10s = series_mw(seconds(10));
+  const auto at_1min = series_mw(minutes(1));
+  const double ratio_10s = at_10s[1] / at_10s[2];
+  const double ratio_1min = at_1min[1] / at_1min[2];
+  const double wile_vs_ble = at_1min[2] / at_1min[3];
 
   std::printf("\n  PS/DC crossover: %.0f s (paper's Table-1 numbers put it at ~15 s; the "
               "prose says \"about a minute\" — see EXPERIMENTS.md)\n",

@@ -47,6 +47,7 @@
 
 #include "ap/access_point.hpp"
 #include "util/flat_table.hpp"
+#include "util/fnv1a.hpp"
 #include "util/rng.hpp"
 #include "wile/controller.hpp"
 #include "wile/gateway.hpp"
@@ -56,18 +57,6 @@
 using namespace wile;
 
 namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, reinterpret_cast<const std::uint8_t*>(&v), 8);
-}
 
 // --- section 1: simulated sustained drain ------------------------------------
 
@@ -89,11 +78,11 @@ DrainResult run_drain(std::size_t batch_max, int n_senders, Duration period,
   sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
 
   ap::AccessPoint ap{scheduler, medium, {0, 0}, ap::AccessPointConfig{}, Rng{10}};
-  std::uint64_t server_digest = 0xcbf29ce484222325ull;
+  util::Fnv1a server_digest;
   std::uint64_t server_readings = 0;
   ap.set_uplink_handler([&](const MacAddress&, const net::Ipv4Header&,
                             const net::UdpDatagram& udp) {
-    server_digest = fnv1a(server_digest, udp.payload.data(), udp.payload.size());
+    server_digest.add(udp.payload);
     if (const auto batch = core::ForwardedBatch::decode(udp.payload)) {
       server_readings += batch->readings.size();
     }
@@ -138,13 +127,13 @@ DrainResult run_drain(std::size_t batch_max, int n_senders, Duration period,
   r.batches = s.batches_sent;
   r.dropped = s.dropped_total;
   r.sustained_fps = static_cast<double>(s.forwarded) / sim_seconds;
-  std::uint64_t d = server_digest;
-  d = fnv1a_u64(d, s.received);
-  d = fnv1a_u64(d, s.forwarded);
-  d = fnv1a_u64(d, s.batches_sent);
-  d = fnv1a_u64(d, s.dropped_total);
-  d = fnv1a_u64(d, server_readings);
-  r.digest = d;
+  util::Fnv1a d = server_digest;
+  d.add(s.received);
+  d.add(s.forwarded);
+  d.add(s.batches_sent);
+  d.add(s.dropped_total);
+  d.add(server_readings);
+  r.digest = d.value();
   return r;
 }
 
@@ -207,7 +196,7 @@ std::pair<std::uint64_t, PathResult> run_pipeline_once(const std::vector<Frame>&
     dev.downlink_seq = 1;
     (void)dev.queue();
   }
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  util::Fnv1a digest;
   PathResult r;
   core::ForwardedReading reading;
   Bytes arena;
@@ -220,8 +209,7 @@ std::pair<std::uint64_t, PathResult> run_pipeline_once(const std::vector<Frame>&
     if (f.rx_window) {
       const core::DeviceState* dev = table.find(f.device_id);
       if (dev != nullptr && dev->has_queued()) {
-        digest = fnv1a(digest, dev->queued_downlinks->front().data(),
-                       dev->queued_downlinks->front().size());
+        digest.add(dev->queued_downlinks->front());
       }
     }
     // Forward: append into the arena batch; flush every batch_max.
@@ -232,7 +220,7 @@ std::pair<std::uint64_t, PathResult> run_pipeline_once(const std::vector<Frame>&
     core::ForwardedBatch::append(arena, reading);
     if (++in_batch == batch_max) {
       core::ForwardedBatch::finish(arena, in_batch);
-      digest = fnv1a(digest, arena.data(), arena.size());
+      digest.add(arena);
       ++r.sends;
       core::ForwardedBatch::begin(arena);
       in_batch = 0;
@@ -240,14 +228,14 @@ std::pair<std::uint64_t, PathResult> run_pipeline_once(const std::vector<Frame>&
   }
   if (in_batch > 0) {
     core::ForwardedBatch::finish(arena, in_batch);
-    digest = fnv1a(digest, arena.data(), arena.size());
+    digest.add(arena);
     ++r.sends;
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   r.fps = static_cast<double>(frames.size()) / wall;
-  r.digest = digest;
-  return {digest, r};
+  r.digest = digest.value();
+  return {r.digest, r};
 }
 
 // --- section 3: rules engine eval rate ---------------------------------------
@@ -266,7 +254,7 @@ std::pair<std::uint64_t, PathResult> run_rules_once(const std::vector<Frame>& fr
   rules::Engine engine{std::move(specs)};
 
   rules::Reading reading;
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  util::Fnv1a digest;
   PathResult r;
   const auto t0 = std::chrono::steady_clock::now();
   std::int64_t t_us = 0;
@@ -281,11 +269,11 @@ std::pair<std::uint64_t, PathResult> run_rules_once(const std::vector<Frame>& fr
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  digest = fnv1a_u64(digest, engine.fired_total());
+  digest.add(engine.fired_total());
   r.fps = static_cast<double>(frames.size()) / wall;
-  r.digest = digest;
+  r.digest = digest.value();
   r.fired = engine.fired_total();
-  return {digest, r};
+  return {r.digest, r};
 }
 
 /// Run `once` best_of times: best fps wins, digests must all agree.

@@ -43,9 +43,14 @@
 // N first and each row reports the high-water mark up to that run;
 // rss_delta_mb is the per-run change in *current* RSS (from
 // /proc/self/statm), which does not suffer the high-water-mark
-// monotonicity.
+// monotonicity. Each run first hands the heap that earlier runs freed
+// back to the OS; otherwise a run would allocate into pages that are
+// already resident, and its delta would price only what it adds on top.
 #include <sys/resource.h>
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <chrono>
 #include <cstdio>
@@ -102,6 +107,9 @@ double current_rss_mb() {
 
 FleetResult run_fleet(int n, int sim_seconds, unsigned threads, std::size_t shards,
                       bool telemetry, std::string* telemetry_json) {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
   const double rss_before_mb = current_rss_mb();
 
   auto builder = sim::ScenarioBuilder{}

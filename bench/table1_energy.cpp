@@ -5,17 +5,13 @@
 //  Idle current  2.5 uA   1.1 uA  2.5 uA     4500 uA
 //
 // Each scenario is simulated end to end (real frames over the shared
-// medium) and energy is integrated from the device's current-draw
-// timeline, exactly as the paper integrates its multimeter trace.
+// medium, through the paper rig, wile/paper_rig.hpp) and energy is
+// integrated from the device's current-draw timeline, exactly as the
+// paper integrates its multimeter trace.
 #include <cstdio>
-#include <optional>
+#include <string>
 
-#include "ap/access_point.hpp"
-#include "ble/link.hpp"
-#include "sim/medium.hpp"
-#include "sim/scheduler.hpp"
-#include "sta/station.hpp"
-#include "wile/sender.hpp"
+#include "wile/paper_rig.hpp"
 
 using namespace wile;
 
@@ -29,88 +25,19 @@ struct Row {
   double measured_idle_ua;
 };
 
-Row run_wile() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  core::SenderConfig cfg;
-  core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
-
-  std::optional<core::SendReport> report;
-  sender.send_now(Bytes(16, 0x42), [&](const core::SendReport& r) { report = r; });
-  scheduler.run_until_idle();
-
-  // Paper §5.4: "we consider only the time required to transmit the
-  // packet and multiply that by the power consumption" — TX-only energy.
-  return {"Wi-LE", 84.0, in_microjoules(report->tx_only_energy), 2.5,
-          in_microamps(cfg.power.deep_sleep)};
-}
-
-Row run_ble() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ble::BleLinkConfig cfg;
-  cfg.connection_interval = seconds(1);
-  ble::BleMaster master{scheduler, medium, {0, 0}, cfg};
-  ble::BleSlave slave{scheduler, medium, {2, 0}, cfg};
-
-  std::optional<ble::BleEventReport> report;
-  slave.set_event_callback([&](const ble::BleEventReport& r) {
-    if (r.data_sent && !report) report = r;
-  });
-  slave.queue_payload(Bytes(20, 0x42));
-  master.start();
-  slave.start();
-  scheduler.run_until(TimePoint{seconds(3)});
-
-  return {"BLE", 71.0, in_microjoules(report->energy), 1.1, in_microamps(cfg.power.sleep)};
-}
-
-Row run_wifi_dc() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-  ap.start();
-  sta::StationConfig sta_cfg;
-  sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
-
-  std::optional<sta::CycleReport> report;
-  sta.run_duty_cycle_transmission(Bytes(16, 0x42),
-                                  [&](const sta::CycleReport& r) { report = r; });
-  scheduler.run_until(TimePoint{seconds(10)});
-
-  return {"WiFi-DC", 238'200.0, in_microjoules(report->energy), 2.5,
-          in_microamps(sta_cfg.power.deep_sleep)};
+Row to_row(const char* name, double paper_energy_uj, double paper_idle_ua,
+        const rig::Measurement& m) {
+  return {name, paper_energy_uj, in_microjoules(m.energy), paper_idle_ua,
+          in_microamps(m.idle / m.supply)};
 }
 
 Row run_wifi_ps() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-  ap.start();
-  sta::StationConfig sta_cfg;
-  sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
-
-  bool ready = false;
-  sta.connect_and_enter_power_save([&](bool ok) { ready = ok; });
-  scheduler.run_until(TimePoint{seconds(10)});
-  if (!ready) {
+  const auto ps = rig::measure_wifi_ps();
+  if (!ps) {
     std::fprintf(stderr, "WiFi-PS: association failed\n");
     return {"WiFi-PS", 19'800.0, 0.0, 4500.0, 0.0};
   }
-
-  // Idle draw: average a full minute of PS idling (beacon wakes included).
-  const TimePoint idle_from = scheduler.now();
-  scheduler.run_until(idle_from + minutes(1));
-  const Watts idle_avg = sta.timeline().average_power(idle_from, scheduler.now());
-  const double idle_ua = in_microamps(idle_avg / sta_cfg.power.supply);
-
-  std::optional<sta::CycleReport> report;
-  sta.power_save_send(Bytes(16, 0x42), [&](const sta::CycleReport& r) { report = r; });
-  scheduler.run_until(scheduler.now() + seconds(5));
-
-  return {"WiFi-PS", 19'800.0, in_microjoules(report->energy), 4500.0, idle_ua};
+  return to_row("WiFi-PS", 19'800.0, 4500.0, *ps);
 }
 
 void print_row(const Row& row) {
@@ -139,7 +66,12 @@ int main() {
   std::printf("  ---------+--------------+--------------+---------+--------------+---------"
               "-----\n");
 
-  const Row rows[] = {run_wile(), run_ble(), run_wifi_dc(), run_wifi_ps()};
+  // Paper §5.4: "we consider only the time required to transmit the
+  // packet and multiply that by the power consumption" — TX-only energy.
+  const Row rows[] = {to_row("Wi-LE", 84.0, 2.5, rig::measure_wile().tx_only),
+                      to_row("BLE", 71.0, 1.1, rig::measure_ble().event),
+                      to_row("WiFi-DC", 238'200.0, 2.5, rig::measure_wifi_dc()),
+                      run_wifi_ps()};
   for (const Row& row : rows) print_row(row);
 
   // Shape checks the paper's narrative depends on.

@@ -4,25 +4,15 @@
 // it a transmission interval (seconds) and an optional battery size
 // (mAh), and it prints projected average power and battery life for
 // Wi-LE, BLE, WiFi-DC and WiFi-PS, using energies measured from the
-// simulated protocol exchanges (the Table-1 pipeline).
-//
-// Each measurement arm gets its environment (scheduler + seeded medium)
-// from sim::ScenarioBuilder; the non-Wi-LE nodes (BLE link, WiFi
-// station/AP) are built on top of it, since only Wi-LE senders live in
-// the builder's fleet.
+// simulated protocol exchanges (the Table-1 rig, wile/paper_rig.hpp).
 //
 // Run:  ./power_comparison [interval_seconds] [battery_mah]
 //       ./power_comparison 600 225        # 10-minute sensor, CR2032
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <optional>
 
-#include "ap/access_point.hpp"
-#include "ble/link.hpp"
 #include "power/timeline.hpp"
-#include "sta/station.hpp"
-#include "wile/scenario.hpp"
+#include "wile/paper_rig.hpp"
 
 using namespace wile;
 
@@ -30,83 +20,8 @@ namespace {
 
 struct Tech {
   const char* name;
-  Joules per_message{};
-  Duration active_time{};
-  Watts idle{};
-  Volts supply{};
+  rig::Measurement m;
 };
-
-/// Environment-only scenario: scheduler + medium with the arm's seed,
-/// no Wi-LE fleet unless the arm asks for one.
-std::unique_ptr<sim::Scenario> arm_env(int devices) {
-  return sim::ScenarioBuilder{}
-      .devices(devices)
-      .gateways(0)
-      .wake_jitter(Duration{0})
-      .timeline_max_segments(0)
-      .medium_seed(1)
-      .device_rng([](int) { return Rng{2}; })
-      .auto_start(false)
-      .build();
-}
-
-Tech measure_wile() {
-  auto scenario = arm_env(/*devices=*/1);
-  core::Sender& sender = *scenario->devices().front();
-  const core::SenderConfig& cfg = sender.config();
-  std::optional<core::SendReport> r;
-  sender.send_now(Bytes(16, 1), [&](const core::SendReport& rep) { r = rep; });
-  scenario->scheduler().run_until_idle();
-  return {"Wi-LE", r->tx_only_energy, r->tx_airtime,
-          cfg.power.supply * cfg.power.deep_sleep, cfg.power.supply};
-}
-
-Tech measure_ble() {
-  auto scenario = arm_env(0);
-  ble::BleLinkConfig cfg;
-  ble::BleMaster master{scenario->scheduler(), scenario->medium(), {0, 0}, cfg};
-  ble::BleSlave slave{scenario->scheduler(), scenario->medium(), {2, 0}, cfg};
-  std::optional<ble::BleEventReport> r;
-  slave.set_event_callback([&](const ble::BleEventReport& rep) {
-    if (rep.data_sent && !r) r = rep;
-  });
-  slave.queue_payload(Bytes(20, 1));
-  master.start();
-  slave.start();
-  scenario->run_until(TimePoint{seconds(3)});
-  return {"BLE", r->energy, r->active_time, cfg.power.supply * cfg.power.sleep,
-          cfg.power.supply};
-}
-
-Tech measure_wifi(bool power_save) {
-  auto scenario = arm_env(0);
-  sim::Scheduler& scheduler = scenario->scheduler();
-  ap::AccessPointConfig ap_cfg;
-  ap::AccessPoint ap{scheduler, scenario->medium(), {0, 0}, ap_cfg, Rng{10}};
-  ap.start();
-  sta::StationConfig sta_cfg;
-  sta::Station sta{scheduler, scenario->medium(), {3, 0}, sta_cfg, Rng{20}};
-
-  if (!power_save) {
-    std::optional<sta::CycleReport> r;
-    sta.run_duty_cycle_transmission(Bytes(16, 1),
-                                    [&](const sta::CycleReport& rep) { r = rep; });
-    scenario->run_until(TimePoint{seconds(10)});
-    return {"WiFi-DC", r->energy, r->active_time,
-            sta_cfg.power.supply * sta_cfg.power.deep_sleep, sta_cfg.power.supply};
-  }
-
-  bool ready = false;
-  sta.connect_and_enter_power_save([&](bool ok) { ready = ok; });
-  scenario->run_until(TimePoint{seconds(10)});
-  const TimePoint from = scheduler.now();
-  scenario->run_for(minutes(1));
-  const Watts idle = sta.timeline().average_power(from, scheduler.now());
-  std::optional<sta::CycleReport> r;
-  sta.power_save_send(Bytes(16, 1), [&](const sta::CycleReport& rep) { r = rep; });
-  scenario->run_for(seconds(5));
-  return {"WiFi-PS", r->energy, r->active_time, idle, sta_cfg.power.supply};
-}
 
 }  // namespace
 
@@ -122,17 +37,18 @@ int main(int argc, char** argv) {
               battery_mah);
   std::printf("measuring each technology (simulated protocol exchanges)...\n\n");
 
-  const Tech techs[] = {measure_wile(), measure_ble(), measure_wifi(true),
-                        measure_wifi(false)};
+  const Tech techs[] = {{"Wi-LE", rig::measure_wile().tx_only},
+                        {"BLE", rig::measure_ble().event},
+                        {"WiFi-PS", rig::measure_wifi_ps().value()},
+                        {"WiFi-DC", rig::measure_wifi_dc()}};
 
   std::printf("%-8s | %12s | %12s | %12s | %14s\n", "tech", "E/message", "idle draw",
               "avg power", "battery life");
   std::printf("---------+--------------+--------------+--------------+---------------\n");
-  for (const Tech& t : techs) {
-    const Watts avg = power::duty_cycle_average_power(
-        t.per_message / std::max(t.active_time, usec(1)), t.active_time,
-        t.idle, seconds(interval_s));
-    const double avg_current_ma = in_milliamps(avg / t.supply);
+  for (const auto& [name, m] : techs) {
+    const Watts avg =
+        power::duty_cycle_average_power(m.energy, m.active, m.idle, seconds(interval_s));
+    const double avg_current_ma = in_milliamps(avg / m.supply);
     const double life_hours = battery_mah / avg_current_ma;
     char life[40];
     if (life_hours > 24.0 * 365.0) {
@@ -142,9 +58,9 @@ int main(int argc, char** argv) {
     } else {
       std::snprintf(life, sizeof(life), "%.1f hours", life_hours);
     }
-    std::printf("%-8s | %9.1f uJ | %9.2f uA | %9.2f uW | %14s\n", t.name,
-                in_microjoules(t.per_message),
-                in_microamps(t.idle / t.supply), in_microwatts(avg), life);
+    std::printf("%-8s | %9.1f uJ | %9.2f uA | %9.2f uW | %14s\n", name,
+                in_microjoules(m.energy), in_microamps(m.idle / m.supply),
+                in_microwatts(avg), life);
   }
 
   std::printf("\n(Wi-LE uses the paper's TX-only accounting; battery life assumes the "

@@ -22,9 +22,6 @@ struct Esp32PowerProfile {
   // --- quiescent states (paper §5.1 / Table 1) -----------------------------
   Amps deep_sleep = microamps(2.5);
   Amps light_sleep = milliamps(0.8);
-  /// Automatic light sleep while associated, waking for every 3rd beacon
-  /// (WiFi-PS idle draw; Table 1 reports 4500 uA).
-  Amps auto_light_sleep_assoc = milliamps(4.5);
 
   // --- active states --------------------------------------------------------
   /// CPU running at 80 MHz, radio off.
@@ -64,6 +61,12 @@ struct Esp32PowerProfile {
   /// Shutting the stack down before re-entering deep sleep.
   Duration shutdown_time = msec(25);
 };
+
+/// Microwatt-budget injector platform: FRAM-class retention in deep
+/// sleep, a small MCU, and the short bring-up of a TX-only radio path.
+/// The ESP32 profile's 300 ms init at 40 mA would dwarf any realistic
+/// harvest; this is the class of device BEH actually builds.
+Esp32PowerProfile harvesting_class_profile();
 
 /// 802.11ba wake-up radio companion receiver. A separate uW-class OOK
 /// envelope detector that listens continuously while the main 802.11

@@ -122,11 +122,10 @@ bool PowerTimeline::find_phase(PhaseId phase, TimePoint from, TimePoint* start,
   return false;
 }
 
-Watts duty_cycle_average_power(Watts p_tx, Duration t_tx, Watts p_idle, Duration interval) {
-  if (interval <= t_tx) return p_tx;
-  const Joules active = p_tx * t_tx;
-  const Joules idle = p_idle * (interval - t_tx);
-  return (active + idle) / interval;
+Watts duty_cycle_average_power(Joules active, Duration t_active, Watts idle,
+                               Duration interval) {
+  if (interval <= t_active) return active / t_active;
+  return (active + idle * (interval - t_active)) / interval;
 }
 
 }  // namespace wile::power

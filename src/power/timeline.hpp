@@ -112,7 +112,10 @@ class PowerTimeline {
 };
 
 /// Equation (1) of the paper: average power for a duty-cycled device
-/// that spends Ttx at Ptx each interval INT and idles at Pidle otherwise.
-Watts duty_cycle_average_power(Watts p_tx, Duration t_tx, Watts p_idle, Duration interval);
+/// that spends `active` = Ptx·Ttx over `t_active` = Ttx each interval
+/// INT and idles at Pidle otherwise. An interval no longer than Ttx
+/// averages the active draw alone.
+Watts duty_cycle_average_power(Joules active, Duration t_active, Watts idle,
+                               Duration interval);
 
 }  // namespace wile::power

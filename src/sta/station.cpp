@@ -1,5 +1,7 @@
 #include "sta/station.hpp"
 
+#include <utility>
+
 #include "crypto/pbkdf2.hpp"
 #include "net/llc.hpp"
 #include "util/log.hpp"
@@ -68,7 +70,7 @@ void Station::run_duty_cycle_transmission(Bytes payload, CycleCallback done) {
   pending_payload_ = std::move(payload);
   cycle_done_ = std::move(done);
   connect_then_ps_ = false;
-  begin_wake(/*full_connect=*/true);
+  begin_wake();
 }
 
 void Station::connect_and_enter_power_save(ReadyCallback ready) {
@@ -77,7 +79,7 @@ void Station::connect_and_enter_power_save(ReadyCallback ready) {
   }
   ready_cb_ = std::move(ready);
   connect_then_ps_ = true;
-  begin_wake(/*full_connect=*/true);
+  begin_wake();
 }
 
 void Station::power_save_send(Bytes payload, CycleCallback done) {
@@ -102,18 +104,9 @@ void Station::power_save_send(Bytes payload, CycleCallback done) {
       // Post-TX driver work, then settle back into PS idle.
       scheduler_.schedule_in(config_.power.ps_tx_processing, [this, epoch] {
         if (epoch != link_epoch_) return;
-        CycleReport report;
-        report.success = true;
-        report.wake_time = wake_time_;
-        report.sleep_time = scheduler_.now();
-        report.active_time = report.sleep_time - report.wake_time;
+        const CycleReport report = cycle_report(true);
         enter_ps_idle();
-        report.energy = timeline_.energy_between(report.wake_time, report.sleep_time);
-        if (cycle_done_) {
-          auto cb = std::move(cycle_done_);
-          cycle_done_ = {};
-          cb(report);
-        }
+        if (auto cb = std::exchange(cycle_done_, {})) cb(report);
       });
     });
   });
@@ -123,15 +116,13 @@ void Station::power_save_send(Bytes payload, CycleCallback done) {
 // Connect flow.
 // ---------------------------------------------------------------------------
 
-void Station::begin_wake(bool full_connect) {
+void Station::begin_wake() {
   wake_time_ = scheduler_.now();
   phase_ = Phase::Boot;
   step_attempts_ = 0;
   counting_connect_frames_ = true;
   tracker_.set_phase(config_.power.cpu_active, PhaseId::Init);
-  const Duration init_time =
-      config_.power.boot_from_deep_sleep +
-      (full_connect ? config_.power.wifi_client_init : config_.power.wifi_inject_init);
+  const Duration init_time = config_.power.boot_from_deep_sleep + config_.power.wifi_client_init;
   scheduler_.schedule_in(init_time, [this] {
     phase_ = Phase::Probe;
     tracker_.set_phase(config_.power.radio_rx, PhaseId::Associate);
@@ -310,19 +301,22 @@ void Station::finish_cycle(bool success) {
   phase_ = Phase::Shutdown;
   tracker_.set_phase(config_.power.cpu_active, PhaseId::Init);
   scheduler_.schedule_in(config_.power.shutdown_time, [this, success] {
-    CycleReport report;
-    report.success = success;
-    report.wake_time = wake_time_;
-    report.sleep_time = scheduler_.now();
-    report.active_time = report.sleep_time - report.wake_time;
+    const CycleReport report = cycle_report(success);
     enter_deep_sleep();
-    report.energy = timeline_.energy_between(report.wake_time, report.sleep_time);
-    if (cycle_done_) {
-      auto cb = std::move(cycle_done_);
-      cycle_done_ = {};
-      cb(report);
-    }
+    if (auto cb = std::exchange(cycle_done_, {})) cb(report);
   });
+}
+
+CycleReport Station::cycle_report(bool success) const {
+  // Read before the caller's sleep transition or after it alike: a
+  // segment that starts now adds nothing to [wake, now).
+  CycleReport report;
+  report.success = success;
+  report.wake_time = wake_time_;
+  report.sleep_time = scheduler_.now();
+  report.active_time = report.sleep_time - report.wake_time;
+  report.energy = timeline_.energy_between(report.wake_time, report.sleep_time);
+  return report;
 }
 
 void Station::enter_deep_sleep() {
@@ -340,14 +334,8 @@ void Station::fail_ps_send() {
   // A PS-mode data frame exhausted its MAC retries: either the AP is
   // gone or it rebooted and forgot us. Report the failed cycle to the
   // caller, then declare the link dead so the owner can re-associate.
-  CycleReport report;
-  report.success = false;
-  report.wake_time = wake_time_;
-  report.sleep_time = scheduler_.now();
-  report.active_time = report.sleep_time - report.wake_time;
-  report.energy = timeline_.energy_between(report.wake_time, report.sleep_time);
-  auto cb = std::move(cycle_done_);
-  cycle_done_ = {};
+  const CycleReport report = cycle_report(false);
+  auto cb = std::exchange(cycle_done_, {});
   declare_link_lost("PS data frame never acknowledged");
   if (cb) cb(report);
 }

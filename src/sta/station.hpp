@@ -207,7 +207,7 @@ class Station : public sim::MediumClient {
   };
 
   // -- connect flow steps ------------------------------------------------------
-  void begin_wake(bool full_connect);
+  void begin_wake();
   void step_probe();
   void step_auth();
   void step_assoc();
@@ -219,6 +219,8 @@ class Station : public sim::MediumClient {
   void step_announce_and_send();
   void send_payload_and_finish(std::function<void()> after_tx);
   void finish_cycle(bool success);
+  /// The cycle that woke at wake_time_ and ends now.
+  [[nodiscard]] CycleReport cycle_report(bool success) const;
   void enter_deep_sleep();
   void enter_ps_idle();
   void schedule_ps_beacon_wake();

@@ -34,34 +34,13 @@
 #include <optional>
 #include <vector>
 
+#include "util/fnv1a.hpp"
 #include "wile/receiver.hpp"
 #include "wile/scenario.hpp"
 #include "wile/sender.hpp"
 
 namespace wile::core {
 namespace {
-
-// FNV-1a over everything an application could observe about a delivery.
-class Digest {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add_bytes(const Bytes& data) {
-    add(data.size());
-    for (std::uint8_t b : data) {
-      hash_ ^= b;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 struct RunResult {
   sim::Medium::Stats medium_stats;
@@ -90,11 +69,12 @@ RunResult run_reference_scenario(bool grid_enabled,
   medium.set_spatial_grid_enabled(grid_enabled);
 
   Receiver monitor{scheduler, medium, {10, 10}};
-  Digest digest;
+  util::Fnv1a digest;
   monitor.set_message_callback([&](const Message& m, const RxMeta& meta) {
     digest.add(m.device_id);
     digest.add(m.sequence);
-    digest.add_bytes(m.data);
+    digest.add(m.data.size());
+    digest.add(m.data);
     digest.add(static_cast<std::uint64_t>(meta.received_at.us()));
   });
 
@@ -145,7 +125,7 @@ RunResult run_reference_scenario(bool grid_enabled,
 // companion listens.
 RunResult run_wur_fleet_scenario(bool grid_enabled, bool harvesting,
                                  std::optional<RxWindow> rx_window = std::nullopt) {
-  Digest digest;
+  util::Fnv1a digest;
   auto builder = sim::ScenarioBuilder{}
                      .devices(36)
                      .grid_spacing_m(4.0)
@@ -159,7 +139,8 @@ RunResult run_wur_fleet_scenario(bool grid_enabled, bool harvesting,
                      .on_message([&digest](const Message& m, const RxMeta& meta) {
                        digest.add(m.device_id);
                        digest.add(m.sequence);
-                       digest.add_bytes(m.data);
+                       digest.add(m.data.size());
+                       digest.add(m.data);
                        digest.add(static_cast<std::uint64_t>(meta.received_at.us()));
                      });
   if (rx_window) {
@@ -285,13 +266,14 @@ RunResult run_sharded_scenario(unsigned threads) {
   // thread, and each writes its own preallocated slot — no shared
   // mutable state between workers.
   auto& gateways = scenario->gateways();
-  std::vector<Digest> digests(gateways.size());
+  std::vector<util::Fnv1a> digests(gateways.size());
   for (std::size_t k = 0; k < gateways.size(); ++k) {
     gateways[k]->set_message_callback(
         [slot = &digests[k]](const Message& m, const RxMeta& meta) {
           slot->add(m.device_id);
           slot->add(m.sequence);
-          slot->add_bytes(m.data);
+          slot->add(m.data.size());
+          slot->add(m.data);
           slot->add(static_cast<std::uint64_t>(meta.received_at.us()));
         });
   }
@@ -301,8 +283,8 @@ RunResult run_sharded_scenario(unsigned threads) {
 
   RunResult result;
   result.medium_stats = scenario->medium_stats();
-  Digest combined;
-  for (const Digest& d : digests) combined.add(d.value());
+  util::Fnv1a combined;
+  for (const util::Fnv1a& d : digests) combined.add(d.value());
   result.message_digest = combined.value();
   for (const auto& gw : gateways) result.messages += gw->stats().messages;
   result.events_run = scenario->events_run();
@@ -364,13 +346,14 @@ RunResult run_sharded_wur_scenario(unsigned threads) {
                       .build();
 
   auto& gateways = scenario->gateways();
-  std::vector<Digest> digests(gateways.size());
+  std::vector<util::Fnv1a> digests(gateways.size());
   for (std::size_t k = 0; k < gateways.size(); ++k) {
     gateways[k]->set_message_callback(
         [slot = &digests[k]](const Message& m, const RxMeta& meta) {
           slot->add(m.device_id);
           slot->add(m.sequence);
-          slot->add_bytes(m.data);
+          slot->add(m.data.size());
+          slot->add(m.data);
           slot->add(static_cast<std::uint64_t>(meta.received_at.us()));
         });
   }
@@ -380,8 +363,8 @@ RunResult run_sharded_wur_scenario(unsigned threads) {
 
   RunResult result;
   result.medium_stats = scenario->medium_stats();
-  Digest combined;
-  for (const Digest& d : digests) combined.add(d.value());
+  util::Fnv1a combined;
+  for (const util::Fnv1a& d : digests) combined.add(d.value());
   combined.add(scenario->wur_ap()->wakes_sent());
   for (const auto& s : scenario->devices()) combined.add(s->wur_wakes());
   result.message_digest = combined.value();

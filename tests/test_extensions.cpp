@@ -131,16 +131,16 @@ TEST(Battery, PaperClaimButtonCellOverAYearForBle) {
   // §5.4: "This is why BLE modules can run on a small button battery for
   // over a year." BLE at a 1-minute reporting interval:
   const Watts ble_avg = power::duty_cycle_average_power(
-      microjoules(71.1) / msec(3), msec(3), volts(3.0) * microamps(1.1), minutes(1));
+      microjoules(71.1), msec(3), volts(3.0) * microamps(1.1), minutes(1));
   const auto cell = power::BatteryModel::cr2032();
   EXPECT_GT(cell.lifetime_years(ble_avg), 1.0);
   // Wi-LE on the same cell also clears a year.
   const Watts wile_avg = power::duty_cycle_average_power(
-      microjoules(84.0) / usec(140), usec(140), volts(3.3) * microamps(2.5), minutes(1));
+      microjoules(84.0), usec(140), volts(3.3) * microamps(2.5), minutes(1));
   EXPECT_GT(cell.lifetime_years(wile_avg), 1.0);
   // WiFi-PS does not come close.
   const Watts ps_avg = power::duty_cycle_average_power(
-      millijoules(19.9) / msec(150), msec(150), volts(3.3) * milliamps(4.5), minutes(1));
+      millijoules(19.9), msec(150), volts(3.3) * milliamps(4.5), minutes(1));
   EXPECT_LT(cell.lifetime_years(ps_avg), 0.1);
 }
 

@@ -33,6 +33,7 @@
 #include "ap/access_point.hpp"
 #include "power/harvester.hpp"
 #include "sim/fault.hpp"
+#include "util/fnv1a.hpp"
 #include "wile/gateway.hpp"
 #include "wile/receiver.hpp"
 #include "wile/scenario.hpp"
@@ -320,20 +321,6 @@ TEST(EnergyFaults, FleetRfDroughtDegradesGracefullyAndRecovers) {
 
 // --- determinism ------------------------------------------------------------
 
-class Digest {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 struct HarvestRun {
   std::uint64_t events = 0;
   sim::Medium::Stats medium_stats{};
@@ -345,7 +332,7 @@ struct HarvestRun {
 };
 
 HarvestRun run_harvest_fleet(bool telemetry, bool sample) {
-  Digest digest;
+  util::Fnv1a digest;
   auto builder = sim::ScenarioBuilder{}
                      .devices(4)
                      .grid_spacing_m(2)

@@ -4,108 +4,31 @@
 // this file makes them gates.
 #include <gtest/gtest.h>
 
-#include "ap/access_point.hpp"
-#include "ble/link.hpp"
 #include "phy/energy.hpp"
-#include "sim/medium.hpp"
-#include "sim/scheduler.hpp"
-#include "sta/station.hpp"
-#include "wile/sender.hpp"
+#include "wile/paper_rig.hpp"
 
 namespace wile {
 namespace {
 
-// --- shared measurement helpers (the Table-1 pipeline) ----------------------
-
-double measure_wile_uj() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  core::SenderConfig cfg;
-  core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
-  double uj = 0;
-  sender.send_now(Bytes(16, 0x42),
-                  [&](const core::SendReport& r) { uj = in_microjoules(r.tx_only_energy); });
-  scheduler.run_until_idle();
-  return uj;
-}
-
-double measure_ble_uj() {
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  ble::BleLinkConfig cfg;
-  ble::BleMaster master{scheduler, medium, {0, 0}, cfg};
-  ble::BleSlave slave{scheduler, medium, {2, 0}, cfg};
-  double uj = 0;
-  slave.set_event_callback([&](const ble::BleEventReport& r) {
-    if (r.data_sent && uj == 0) uj = in_microjoules(r.energy);
-  });
-  slave.queue_payload(Bytes(20, 0x42));
-  master.start();
-  slave.start();
-  scheduler.run_until(TimePoint{seconds(3)});
-  return uj;
-}
-
-struct WifiMeasurement {
-  double dc_mj = 0;
-  double ps_mj = 0;
-  double ps_idle_ua = 0;
-};
-
-WifiMeasurement measure_wifi() {
-  WifiMeasurement out;
-  {
-    sim::Scheduler scheduler;
-    sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-    ap::AccessPointConfig ap_cfg;
-    ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-    ap.start();
-    sta::StationConfig sta_cfg;
-    sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
-    sta.run_duty_cycle_transmission(Bytes(16, 0x42), [&](const sta::CycleReport& r) {
-      out.dc_mj = in_millijoules(r.energy);
-    });
-    scheduler.run_until(TimePoint{seconds(10)});
-  }
-  {
-    sim::Scheduler scheduler;
-    sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-    ap::AccessPointConfig ap_cfg;
-    ap::AccessPoint ap{scheduler, medium, {0, 0}, ap_cfg, Rng{10}};
-    ap.start();
-    sta::StationConfig sta_cfg;
-    sta::Station sta{scheduler, medium, {3, 0}, sta_cfg, Rng{20}};
-    bool ready = false;
-    sta.connect_and_enter_power_save([&](bool ok) { ready = ok; });
-    scheduler.run_until(TimePoint{seconds(10)});
-    if (!ready) return out;
-    const TimePoint from = scheduler.now();
-    scheduler.run_until(from + minutes(1));
-    out.ps_idle_ua =
-        in_microamps(sta.timeline().average_power(from, scheduler.now()) / volts(3.3));
-    sta.power_save_send(Bytes(16, 0x42), [&](const sta::CycleReport& r) {
-      out.ps_mj = in_millijoules(r.energy);
-    });
-    scheduler.run_until(scheduler.now() + seconds(5));
-  }
-  return out;
-}
-
 // --- Table 1 ----------------------------------------------------------------
+
+double measure_wile_uj() { return in_microjoules(rig::measure_wile().tx_only.energy); }
 
 TEST(PaperClaims, Table1WiLeEnergy84uJ) {
   EXPECT_NEAR(measure_wile_uj(), 84.0, 84.0 * 0.05);
 }
 
 TEST(PaperClaims, Table1BleEnergy71uJ) {
-  EXPECT_NEAR(measure_ble_uj(), 71.0, 71.0 * 0.05);
+  EXPECT_NEAR(in_microjoules(rig::measure_ble().event.energy), 71.0, 71.0 * 0.05);
 }
 
 TEST(PaperClaims, Table1WifiEnergies) {
-  const WifiMeasurement m = measure_wifi();
-  EXPECT_NEAR(m.dc_mj, 238.2, 238.2 * 0.05);
-  EXPECT_NEAR(m.ps_mj, 19.8, 19.8 * 0.07);
-  EXPECT_NEAR(m.ps_idle_ua, 4500.0, 4500.0 * 0.07);
+  EXPECT_NEAR(in_millijoules(rig::measure_wifi_dc().energy), 238.2, 238.2 * 0.05);
+  const auto ps = rig::measure_wifi_ps();
+  ASSERT_TRUE(ps.has_value());
+  EXPECT_NEAR(in_millijoules(ps->energy), 19.8, 19.8 * 0.07);
+  // Table 1's 4500 uA emerges from light sleep plus the beacon windows.
+  EXPECT_NEAR(in_microamps(ps->idle / ps->supply), 4500.0, 4500.0 * 0.07);
 }
 
 TEST(PaperClaims, Section1EnergyPerBitRatios) {
@@ -126,7 +49,7 @@ TEST(PaperClaims, AbstractWiLeRivalsBle) {
   // energy/message within 1.5x at equal payloads + idle currents within
   // ~2.3x (2.5 vs 1.1 uA).
   const double wile = measure_wile_uj();
-  const double ble = measure_ble_uj();
+  const double ble = in_microjoules(rig::measure_ble().event.energy);
   EXPECT_LT(wile / ble, 1.5);
   EXPECT_GT(wile / ble, 0.7);
 }
@@ -134,14 +57,7 @@ TEST(PaperClaims, AbstractWiLeRivalsBle) {
 TEST(PaperClaims, Section52WiLeAwakeFractionOfWifi) {
   // Fig. 3: the Wi-LE cycle is several times shorter than the WiFi one
   // ("significantly reduces the total time and energy").
-  sim::Scheduler scheduler;
-  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
-  core::SenderConfig cfg;
-  core::Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
-  Duration wile_active{};
-  sender.send_now(Bytes(16, 1),
-                  [&](const core::SendReport& r) { wile_active = r.active_time; });
-  scheduler.run_until_idle();
+  const Duration wile_active = rig::measure_wile().full_cycle.active;
 
   // WiFi-DC active time from the paper's Fig. 3a is ~1.4 s; ours is
   // calibrated to it (asserted in the integration suite). Compare:
@@ -153,8 +69,9 @@ TEST(PaperClaims, BestAlternativeWifiApproachIs19_8mJ) {
   // §1: "Wi-LE achieves energy efficiency of 84 uJ per message while the
   // best alternative WiFi approach achieves 19.8 mJ per message" — i.e.
   // a ~236x gap.
-  const WifiMeasurement m = measure_wifi();
-  const double gap = m.ps_mj * 1000.0 / measure_wile_uj();
+  const auto ps = rig::measure_wifi_ps();
+  ASSERT_TRUE(ps.has_value());
+  const double gap = in_microjoules(ps->energy) / measure_wile_uj();
   EXPECT_GT(gap, 180.0);
   EXPECT_LT(gap, 300.0);
 }

@@ -10,6 +10,7 @@
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
 #include "sta/station.hpp"
+#include "wile/paper_rig.hpp"
 
 namespace wile::sta {
 namespace {
@@ -136,6 +137,29 @@ TEST(StationFailure, FailedCycleEnergyStillAccounted) {
   // planning on WiFi-DC must budget for AP outages.
   EXPECT_GT(in_millijoules(report->energy), 50.0);
   EXPECT_GT(to_seconds(report->active_time), 0.5);
+}
+
+TEST(StationFailure, UnacknowledgedPsSendReportsTheFailedCycle) {
+  rig::WifiCell cell;
+  bool ready = false;
+  cell.station.connect_and_enter_power_save([&](bool ok) { ready = ok; });
+  cell.scheduler.run_until(TimePoint{seconds(10)});
+  ASSERT_TRUE(ready);
+
+  // The AP goes down, so the PS data frame exhausts its MAC retries.
+  cell.ap.stop();
+  std::optional<CycleReport> report;
+  cell.station.power_save_send(Bytes(16, 0x42), [&](const CycleReport& r) { report = r; });
+  cell.scheduler.run_until(cell.scheduler.now() + seconds(5));
+
+  ASSERT_TRUE(report.has_value());
+  EXPECT_FALSE(report->success);
+  EXPECT_GT(report->active_time, Duration{0});
+  EXPECT_EQ(report->active_time, report->sleep_time - report->wake_time);
+  EXPECT_EQ(report->energy.value,
+            cell.station.timeline().energy_between(report->wake_time, report->sleep_time).value);
+  EXPECT_EQ(cell.station.stats().link_losses, 1u);
+  EXPECT_TRUE(cell.station.deep_sleeping());
 }
 
 TEST(StationFailure, SucceedsAfterApComesBack) {

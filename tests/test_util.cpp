@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "util/byte_buffer.hpp"
+#include "util/fnv1a.hpp"
 #include "util/hex.hpp"
 #include "util/mac_address.hpp"
 #include "util/rng.hpp"
@@ -282,6 +283,25 @@ TEST(Hex, RoundTripProperty) {
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, data);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fnv1a (the run digest)
+// ---------------------------------------------------------------------------
+
+TEST(Fnv1a, MatchesTheReferenceVectors) {
+  EXPECT_EQ(util::Fnv1a{}.value(), 0xcbf29ce484222325ULL);
+  util::Fnv1a h;
+  h.add(Bytes{'f', 'o', 'o', 'b', 'a', 'r'});
+  EXPECT_EQ(h.value(), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv1a, HashesAWordAsItsLittleEndianBytes) {
+  util::Fnv1a word;
+  word.add(0x0807060504030201ULL);
+  util::Fnv1a bytes;
+  bytes.add(Bytes{1, 2, 3, 4, 5, 6, 7, 8});
+  EXPECT_EQ(word.value(), bytes.value());
 }
 
 }  // namespace

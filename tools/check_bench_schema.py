@@ -25,6 +25,10 @@ silently reshaped file):
     (delivery ratio non-increasing with station count, per mode), show
     a uW-class WUR listen draw, and pass the dual-run oracle.
 
+The scale_fleet thread-axis oracle pools the runs of every scale_fleet
+file given, so runs at different thread counts may come in separate
+files.
+
 Usage: check_bench_schema.py FILE [FILE...]
 Exit 0 when every file validates; 1 with per-file diagnostics otherwise.
 """
@@ -155,47 +159,52 @@ def check_fleet_runs(doc, errors):
                     fail(errors, f"runs[{i}] missing {key!r}")
         if run.get("transmissions", 0) <= 0 or run.get("messages", 0) <= 0:
             fail(errors, f"runs[{i}] has no traffic — broken run?")
-    if errors or not threads_aware:
-        return
 
-    # Determinism oracle across the thread axis: rows that differ only
-    # in thread count ran the exact same simulation on the exact same
-    # shard layout, so their traffic counters must be identical
-    # (DESIGN.md §13: results depend on shards, never threads). This
-    # holds regardless of the hardware the bench ran on.
+
+def check_thread_axis(runs):
+    """Determinism oracle across the thread axis, over (label, run) pairs
+    pooled from every scale_fleet file of one invocation: a run per
+    thread count may sit in a file of its own (CI writes the 1- and
+    4-thread runs separately). Rows that differ only in thread count ran
+    the exact same simulation on the exact same shard layout, so their
+    traffic counters must be identical (DESIGN.md §13: results depend on
+    shards, never threads). This holds regardless of the hardware the
+    bench ran on."""
+    errors = []
     groups = {}
-    for i, run in enumerate(runs):
+    for label, run in runs:
         if run.get("threads", 0) > 0:
             key = (run["n"], run["sim_seconds"], run["shards"])
-            groups.setdefault(key, []).append((i, run))
+            groups.setdefault(key, []).append((label, run))
     for (n, _, shards), members in groups.items():
         if len(members) < 2:
             continue
         oracle = ["transmissions", "deliveries", "messages", "events"]
-        first_i, first = members[0]
-        for i, run in members[1:]:
+        first_label, first = members[0]
+        for label, run in members[1:]:
             for key in oracle:
                 if run.get(key) != first.get(key):
                     fail(errors,
-                         f"runs[{i}] {key}={run.get(key)} differs from "
-                         f"runs[{first_i}] {key}={first.get(key)} at same "
+                         f"{label} {key}={run.get(key)} differs from "
+                         f"{first_label} {key}={first.get(key)} at same "
                          f"(n={n}, shards={shards}) — thread count leaked "
                          "into simulation results")
         # Throughput scaling gate: only enforceable where the machine
         # can actually run the workers in parallel. On a 1-core runner
         # extra threads are pure barrier overhead; the determinism
         # oracle above is the unconditional check.
-        for i, run in members[1:]:
+        for label, run in members[1:]:
             if run.get("n", 0) < 100_000:
                 continue
             if run.get("hw_threads", 0) >= run.get("threads", 0) \
                     and run.get("threads", 0) > first.get("threads", 0):
                 if run.get("events_per_sec", 0) < first.get("events_per_sec", 0):
                     fail(errors,
-                         f"runs[{i}] events/sec regressed vs runs[{first_i}] "
+                         f"{label} events/sec regressed vs {first_label} "
                          f"despite more threads ({run.get('threads')} vs "
                          f"{first.get('threads')}) on hardware with "
                          f"{run.get('hw_threads')} cores")
+    return errors
 
 
 def check_harvesting(doc, errors):
@@ -355,12 +364,14 @@ def check_wur(doc, errors):
 
 
 def check_file(path):
+    """Returns the file's errors and its parsed document (None when
+    unreadable)."""
     errors = []
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        return [f"unreadable or invalid JSON: {e}"]
+        return [f"unreadable or invalid JSON: {e}"], None
 
     if doc.get("schema") == TELEMETRY_SCHEMA:
         check_telemetry(doc, errors)
@@ -380,7 +391,7 @@ def check_file(path):
                       "frontier, a chaos_soak summary, an "
                       "ingest_throughput verdict, or an ablate_wur "
                       "contention study")
-    return errors
+    return errors, doc
 
 
 def main(argv):
@@ -388,15 +399,22 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     bad = 0
+    fleet_runs = []
     for path in argv[1:]:
-        errors = check_file(path)
+        errors, doc = check_file(path)
         if errors:
             bad += 1
             for e in errors:
                 print(f"{path}: {e}", file=sys.stderr)
-        else:
-            print(f"{path}: OK")
-    return 1 if bad else 0
+            continue
+        print(f"{path}: OK")
+        if doc.get("bench") == "scale_fleet" and "runs" in doc:
+            fleet_runs += [(f"{path} runs[{i}]", run)
+                           for i, run in enumerate(doc["runs"])]
+    axis_errors = check_thread_axis(fleet_runs)
+    for e in axis_errors:
+        print(f"scale_fleet thread axis: {e}", file=sys.stderr)
+    return 1 if bad or axis_errors else 0
 
 
 if __name__ == "__main__":
