@@ -60,6 +60,8 @@ struct Esp32PowerProfile {
   Duration ps_tx_processing = msec(120);
   /// Shutting the stack down before re-entering deep sleep.
   Duration shutdown_time = msec(25);
+
+  friend bool operator==(const Esp32PowerProfile&, const Esp32PowerProfile&) = default;
 };
 
 /// Microwatt-budget injector platform: FRAM-class retention in deep
@@ -79,6 +81,8 @@ struct WurReceiverModel {
   /// Companion-receiver decode + main-radio wake interrupt latency
   /// between the end of a wake-up frame and firmware boot starting.
   Duration wake_latency = usec(200);
+
+  friend bool operator==(const WurReceiverModel&, const WurReceiverModel&) = default;
 };
 
 struct Cc2541PowerProfile {

@@ -53,6 +53,8 @@ struct HarvesterConfig {
   [[nodiscard]] Joules capacity() const {
     return Joules{0.5 * capacitance_f * operating_voltage.value * operating_voltage.value};
   }
+
+  friend bool operator==(const HarvesterConfig&, const HarvesterConfig&) = default;
 };
 
 /// Harvested power for a rectenna `distance_m` away from an RF source

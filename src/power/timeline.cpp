@@ -27,6 +27,9 @@ void PowerTimeline::set_current(TimePoint t, Amps current, PhaseId phase) {
       last.phase = phase;
       return;
     }
+    // The last segment closes at t.
+    const TimePoint lo = std::max(last.start, sum_mark_);
+    if (t > lo) sum_ += (supply_ * last.current) * (t - lo);
   }
   if (max_segments_ > 0) {
     // Bounded: fold before the push, so the history never holds, nor
@@ -97,6 +100,26 @@ Joules PowerTimeline::energy_between(TimePoint from, TimePoint to) const {
     if (hi <= lo) continue;
     total += (supply_ * segments_[i].current) * (hi - lo);
   }
+  return total;
+}
+
+void PowerTimeline::open_sum(TimePoint mark) {
+  if (!segments_.empty() && mark < segments_.back().start) {
+    throw std::logic_error("PowerTimeline: open_sum before the last reported change");
+  }
+  sum_mark_ = mark;
+  sum_ = Joules{0.0};
+}
+
+Joules PowerTimeline::energy_since_mark(TimePoint to) const {
+  if (segments_.empty()) return Joules{0.0};
+  const Segment& open = segments_.back();
+  if (to < open.start) {
+    throw std::logic_error("PowerTimeline: energy_since_mark before the last reported change");
+  }
+  Joules total = sum_;
+  const TimePoint lo = std::max(open.start, sum_mark_);
+  if (to > lo) total += (supply_ * open.current) * (to - lo);
   return total;
 }
 

@@ -94,6 +94,16 @@ class PowerTimeline {
   /// Mean power over [from, to).
   [[nodiscard]] Watts average_power(TimePoint from, TimePoint to) const;
 
+  /// Start a running energy sum at `mark` (a duty cycle's wake), which
+  /// must not precede the last reported change. From then on each
+  /// segment adds its part after `mark` as it closes, so the sum needs no
+  /// history and a bounded timeline keeps it however many segments the
+  /// interval spans.
+  void open_sum(TimePoint mark);
+  /// energy_between(mark, to), bit for bit: the same terms added in the
+  /// same order. `to` must not precede the last reported change.
+  [[nodiscard]] Joules energy_since_mark(TimePoint to) const;
+
   [[nodiscard]] const std::vector<Segment>& segments() const { return segments_; }
 
   /// First time at or after `from` where a segment of `phase` starts;
@@ -109,6 +119,8 @@ class PowerTimeline {
   std::size_t max_segments_ = 0;
   TimePoint retained_since_{};  // history before this is baseline-only
   Joules baseline_energy_{};    // integral over [0, retained_since_)
+  TimePoint sum_mark_{};        // see open_sum
+  Joules sum_{};                // closed segments' energy after sum_mark_
 };
 
 /// Equation (1) of the paper: average power for a duty-cycled device

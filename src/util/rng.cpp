@@ -37,6 +37,9 @@ std::uint64_t Rng::next() {
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) {
+  // A power of two divides 2^64: the rejection threshold below is 0 and
+  // the modulo a mask, so this returns what the general path would.
+  if ((bound & (bound - 1)) == 0) return next() & (bound - 1);
   // Lemire-style rejection to remove modulo bias.
   const std::uint64_t threshold = (0 - bound) % bound;
   for (;;) {

@@ -19,7 +19,8 @@ class Rng {
   std::uint64_t next();
 
   /// Uniform integer in [0, bound). bound must be > 0. Uses rejection
-  /// sampling, so the distribution is exactly uniform.
+  /// sampling, so the distribution is exactly uniform; a power-of-two
+  /// bound never rejects and takes one draw.
   std::uint64_t below(std::uint64_t bound);
 
   /// Uniform integer in [lo, hi] inclusive.

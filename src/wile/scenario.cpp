@@ -152,6 +152,9 @@ Scenario::Scenario(const ScenarioBuilder& b)
                            : Position{(i % side) * b.spacing_m_, (i / side) * b.spacing_m_};
   };
   Rng master{b.master_seed_};
+  // Devices share a profile while their configs differ only in identity:
+  // each device's config is compared with the previous device's profile.
+  std::shared_ptr<const core::SenderProfile> profile;
   if (mode_ == TxMode::Ble) {
     ble_advertisers_.reserve(static_cast<std::size_t>(n));
   } else {
@@ -193,6 +196,7 @@ Scenario::Scenario(const ScenarioBuilder& b)
       cfg.wur = core::WurCompanionConfig{b.wur_opts_.receiver};
     }
     if (b.configure_sender_) b.configure_sender_(cfg, i);
+    if (!profile || !profile->fits(cfg)) profile = std::make_shared<const core::SenderProfile>(cfg);
 
     const Position pos = device_position(i);
     // The fork happens whether or not device_rng overrides it, so
@@ -202,7 +206,7 @@ Scenario::Scenario(const ScenarioBuilder& b)
     Rng rng = b.device_rng_ ? b.device_rng_(i) : std::move(forked);
     EventCore& core = core_at(pos);
     senders_.push_back(std::make_unique<core::Sender>(*core.scheduler, *core.medium, pos,
-                                                      cfg, std::move(rng)));
+                                                      profile, cfg, std::move(rng)));
     core::Sender* s = senders_.back().get();
     if (b.trace_) s->set_tracer(&tracer_);
 

@@ -10,59 +10,102 @@ namespace wile::core {
 
 using power::PhaseId;
 
+namespace {
+
+SenderConfig without_identity(SenderConfig config) {
+  config.device_id = 0;
+  config.mac = MacAddress::zero();
+  config.clock_ppm_error = 0.0;
+  return config;
+}
+
+Bytes beacon_body_prefix(const SenderConfig& config) {
+  // The timestamp placeholder is patched per beacon; SSID (hidden unless
+  // spoofed), rates and channel never change for a device.
+  dot11::Beacon prototype;
+  prototype.beacon_interval_tu = config.beacon_interval_tu;
+  prototype.capability = dot11::Capability::kEss | dot11::Capability::kShortSlot;
+  prototype.ies.add(dot11::make_ssid_ie(config.spoofed_ssid));  // "" = hidden
+  prototype.ies.add(dot11::make_supported_rates_ie(dot11::default_bg_rates()));
+  prototype.ies.add(dot11::make_ds_param_ie(6));
+  return prototype.encode();
+}
+
+std::shared_ptr<const SenderProfile> fitted(std::shared_ptr<const SenderProfile> profile,
+                                            const SenderConfig& config) {
+  if (profile == nullptr || !profile->fits(config)) {
+    throw std::invalid_argument("wile::Sender: the profile does not fit the device's config");
+  }
+  return profile;
+}
+
+sim::CsmaConfig csma_config(const SenderConfig& config) {
+  sim::CsmaConfig csma;
+  csma.tx_power_dbm = config.tx_power_dbm;
+  csma.band = config.band;
+  return csma;
+}
+
+}  // namespace
+
+SenderProfile::SenderProfile(SenderConfig from)
+    : config(without_identity(std::move(from))),
+      body_prefix(beacon_body_prefix(this->config)),
+      codec(this->config.key ? Codec{*this->config.key} : Codec{}) {}
+
+bool SenderProfile::fits(const SenderConfig& other) const {
+  return config == without_identity(other);
+}
+
 Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,
                SenderConfig config, Rng rng)
+    : Sender(scheduler, medium, position, std::make_shared<const SenderProfile>(config), config,
+             rng) {}
+
+Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,
+               std::shared_ptr<const SenderProfile> profile, const SenderConfig& config, Rng rng)
     : scheduler_(scheduler),
       medium_(medium),
-      config_(std::move(config)),
+      profile_(fitted(std::move(profile), config)),
+      device_id_(config.device_id),
+      node_id_(medium_.attach(this, position)),
+      clock_ppm_error_(config.clock_ppm_error),
+      mac_(config.mac.is_zero() ? MacAddress::from_seed(0xB13C000ULL + config.device_id)
+                                : config.mac),
+      wur_(config.wur.has_value()),
       rng_(rng),
-      timeline_(config_.power.supply),
-      tracker_(scheduler, timeline_, config_.power.radio_tx, config_.power.tx_ramp),
-      codec_(config_.key ? Codec{*config_.key} : Codec{}) {
-  if (config_.mac.is_zero()) {
-    config_.mac = MacAddress::from_seed(0xB13C000ULL + config_.device_id);
-  }
-  sequence_ = config_.initial_sequence;
-  timeline_.set_max_segments(config_.timeline_max_segments);
-  node_id_ = medium_.attach(this, position);
-  sim::CsmaConfig csma_cfg;
-  csma_cfg.tx_power_dbm = config_.tx_power_dbm;
-  csma_cfg.band = config_.band;
-  csma_ = std::make_unique<sim::Csma>(scheduler_, medium_, node_id_, rng_.fork(), csma_cfg);
-  csma_->set_tx_listener([this](Duration airtime, phy::WifiRate) {
+      // After the attach, as the device's first draw.
+      csma_(scheduler_, medium_, node_id_, rng_.fork(), csma_config(config)),
+      timeline_(config.power.supply),
+      tracker_(scheduler, timeline_, config.power.radio_tx, config.power.tx_ramp) {
+  sequence_ = config.initial_sequence;
+  timeline_.set_max_segments(config.timeline_max_segments);
+  csma_.set_tx_listener([this](Duration airtime, phy::WifiRate) {
     tracker_.on_tx_start(airtime);
     trace_end(telemetry::Phase::Csma);  // deferral over, frame on the air
   });
 
-  if (config_.harvesting) {
-    governor_ = std::make_unique<power::EnergyGovernor>(scheduler_, timeline_,
-                                                        config_.harvesting->harvester);
-    governor_->set_brown_out_handler([this] { on_brown_out(); });
-    governor_->set_harvest_changed_handler([this] {
+  if (config.reliable || config.harvesting || config.redundancy.recovery_k > 0) {
+    extras_ = std::make_unique<Extras>();
+  }
+  if (config.harvesting) {
+    extras_->governor = std::make_unique<power::EnergyGovernor>(scheduler_, timeline_,
+                                                                config.harvesting->harvester);
+    extras_->governor->set_brown_out_handler([this] { on_brown_out(); });
+    extras_->governor->set_harvest_changed_handler([this] {
       // A lifted fade turns "never" into a finite recharge time, and a
       // fresh fade invalidates a scheduled one — re-derive the resume.
       if (recovering_) schedule_resume();
     });
   }
 
-  // Precompute the constant beacon-body prefix: timestamp placeholder is
-  // patched per send; SSID (hidden unless spoofed), rates and channel
-  // never change for a device.
-  dot11::Beacon prototype;
-  prototype.beacon_interval_tu = config_.beacon_interval_tu;
-  prototype.capability = dot11::Capability::kEss | dot11::Capability::kShortSlot;
-  prototype.ies.add(dot11::make_ssid_ie(config_.spoofed_ssid));  // "" = hidden
-  prototype.ies.add(dot11::make_supported_rates_ie(dot11::default_bg_rates()));
-  prototype.ies.add(dot11::make_ds_param_ie(6));
-  body_prefix_ = prototype.encode();
-
-  if (config_.wur) {
+  if (config.wur) {
     // Companion receiver: hang the always-on listen draw over every
     // future timeline segment.
-    tracker_.set_overlay(config_.wur->receiver.listen);
-    tracker_.set_phase(config_.power.deep_sleep, PhaseId::WurListen);
+    tracker_.set_overlay(config.wur->receiver.listen);
+    tracker_.set_phase(config.power.deep_sleep, PhaseId::WurListen);
   } else {
-    timeline_.set_current(scheduler_.now(), config_.power.deep_sleep, PhaseId::Sleep);
+    timeline_.set_current(scheduler_.now(), config.power.deep_sleep, PhaseId::Sleep);
   }
   // A sleeping Wi-LE sender is deaf: keep it out of the medium's
   // listener index until its RX window opens.
@@ -70,7 +113,7 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
 }
 
 bool Sender::listens() const {
-  if (config_.wur && phase_ == Phase::DeepSleep) {
+  if (wur_ && phase_ == Phase::DeepSleep) {
     // The uW companion receiver listens whenever the main radio sleeps —
     // unless a brown-out darkened the whole board.
     return !recovering_;
@@ -81,7 +124,7 @@ bool Sender::listens() const {
 bool Sender::rx_enabled() const { return listens() && !medium_.transmitting(node_id_); }
 
 bool Sender::demodulates(const std::optional<phy::WifiRate>& rate) const {
-  const bool companion = config_.wur && phase_ == Phase::DeepSleep;
+  const bool companion = wur_ && phase_ == Phase::DeepSleep;
   return companion ? !rate.has_value() : rate.has_value();
 }
 
@@ -96,10 +139,10 @@ void Sender::start_duty_cycle(PayloadProvider provider, SendCallback per_cycle) 
   if (!provider) throw std::invalid_argument("wile::Sender: null payload provider");
   // A period the jitter can drive to zero or below would re-arm the wake
   // timer at (or before) the current instant.
-  if (config_.period.count() <= 0) {
+  if (config().period.count() <= 0) {
     throw std::invalid_argument("wile::Sender: duty-cycle period must be > 0");
   }
-  if (config_.wake_jitter >= config_.period) {
+  if (config().wake_jitter >= config().period) {
     throw std::invalid_argument("wile::Sender: wake_jitter must be shorter than period");
   }
   duty_cycling_ = true;
@@ -111,7 +154,7 @@ void Sender::start_duty_cycle(PayloadProvider provider, SendCallback per_cycle) 
 void Sender::stop_duty_cycle() { duty_cycling_ = false; }
 
 void Sender::arm_wur(PayloadProvider provider, SendCallback per_cycle) {
-  if (!config_.wur) {
+  if (!config().wur) {
     throw std::logic_error("wile::Sender: arm_wur requires SenderConfig::wur");
   }
   if (!provider) throw std::invalid_argument("wile::Sender: null payload provider");
@@ -135,17 +178,17 @@ void Sender::on_wakeup_frame(const phy::WakeUpFrame& wake) {
   // board may have browned out, or a cycle started, in the meantime.
   // The epoch strands a wake whose gap saw a cycle brown out.
   const std::uint64_t epoch = cycle_epoch_;
-  scheduler_.schedule_in(config_.wur->receiver.wake_latency, [this, epoch] {
+  scheduler_.schedule_in(config().wur->receiver.wake_latency, [this, epoch] {
     if (epoch == cycle_epoch_ && may_start_cycle()) sample_and_begin();
   });
 }
 
 Duration Sender::jittered_period() {
-  double period_us = static_cast<double>(config_.period.count());
-  period_us *= 1.0 + config_.clock_ppm_error * 1e-6;
-  if (config_.wake_jitter.count() > 0) {
+  double period_us = static_cast<double>(config().period.count());
+  period_us *= 1.0 + clock_ppm_error_ * 1e-6;
+  if (config().wake_jitter.count() > 0) {
     period_us += static_cast<double>(
-        rng_.range(-config_.wake_jitter.count(), config_.wake_jitter.count()));
+        rng_.range(-config().wake_jitter.count(), config().wake_jitter.count()));
   }
   return Duration{static_cast<std::int64_t>(period_us)};
 }
@@ -164,12 +207,13 @@ void Sender::schedule_next_cycle() {
 }
 
 bool Sender::wake_gate() {
-  if (!governor_) return true;
+  power::EnergyGovernor* gov = governor();
+  if (gov == nullptr) return true;
   // A cycle the capacitor cannot fund would brown out mid-flight;
   // cheaper to stay asleep and let the charge build.
-  const Joules need{config_.harvesting->wake_margin * estimated_cycle_cost().value};
-  if (governor_->can_afford(need)) return true;
-  ++cycles_skipped_energy_;
+  const Joules need{config().harvesting->wake_margin * estimated_cycle_cost().value};
+  if (gov->can_afford(need)) return true;
+  ++extras_->cycles_skipped_energy;
   return false;
 }
 
@@ -190,8 +234,8 @@ dot11::MacHeader Sender::next_beacon_header() {
   dot11::MacHeader h;
   h.fc = dot11::FrameControl::mgmt(dot11::MgmtSubtype::Beacon);
   h.addr1 = MacAddress::broadcast();
-  h.addr2 = config_.mac;
-  h.addr3 = config_.mac;  // the device itself is the (fake) BSSID
+  h.addr2 = mac_;
+  h.addr3 = mac_;  // the device itself is the (fake) BSSID
   h.set_sequence(seq_ctl_++ & 0x0fff);
   return h;
 }
@@ -203,8 +247,8 @@ void Sender::append_beacon(const Message& message, std::size_t element,
   // The precomputed body prefix, its timestamp (the first 8 bytes)
   // patched to the encode instant.
   train_.u64le(static_cast<std::uint64_t>(scheduler_.now().us()));
-  const BytesView prefix = BytesView{body_prefix_}.subspan(8);
-  if (config_.ssid_stuffing) {
+  const BytesView prefix = BytesView{profile_->body_prefix}.subspan(8);
+  if (config().ssid_stuffing) {
     // Beacon stuffing (§2): the data-bearing SSID element replaces the
     // prefix's own, which follows the interval and capability fields.
     // The prefix's other elements follow it, and no vendor element.
@@ -216,7 +260,7 @@ void Sender::append_beacon(const Message& message, std::size_t element,
     train_.bytes(prefix.subspan(kSsidAt + 2 + prefix[kSsidAt + 1]));
   } else {
     train_.bytes(prefix);
-    codec_.write_element(train_, message, element);  // the data-bearing element
+    profile_->codec.write_element(train_, message, element);  // the data-bearing element
   }
   train_.u32le(crypto::crc32(train_.view().subspan(offset)));  // FCS over the MPDU
   train_entries_.push_back({static_cast<std::uint32_t>(offset),
@@ -224,32 +268,34 @@ void Sender::append_beacon(const Message& message, std::size_t element,
 }
 
 std::optional<Message> Sender::maybe_recovery_message() {
-  const RedundancyTier& tier = config_.redundancy;
+  const RedundancyTier& tier = config().redundancy;
   const auto k = static_cast<std::size_t>(
       std::clamp<int>(tier.recovery_k, 0, static_cast<int>(kMaxRecoveryGroup)));
-  if (k == 0 || recent_sent_.size() < k) return std::nullopt;
+  if (k == 0) return std::nullopt;
+  Extras& fec = *extras_;
+  if (fec.recent_sent.size() < k) return std::nullopt;
   const int stride = tier.recovery_stride > 0 ? tier.recovery_stride
                                               : std::max<int>(1, static_cast<int>(k) / 2);
-  if (msgs_since_recovery_ < stride) return std::nullopt;
-  msgs_since_recovery_ = 0;
+  if (fec.msgs_since_recovery < stride) return std::nullopt;
+  fec.msgs_since_recovery = 0;
 
-  const std::size_t n = recent_sent_.size();
+  const std::size_t n = fec.recent_sent.size();
   RecoveryPayload payload;
-  payload.base_sequence = recent_sent_[n - k].sequence;
+  payload.base_sequence = fec.recent_sent[n - k].sequence;
   for (std::size_t i = n - k; i < n; ++i) {
-    const auto& r = recent_sent_[i];
+    const auto& r = fec.recent_sent[i];
     payload.entries.push_back(
         {r.type, static_cast<std::uint16_t>(std::min<std::size_t>(r.data.size(), 0xffff))});
     if (r.data.size() > payload.xor_block.size()) payload.xor_block.resize(r.data.size());
   }
   for (std::size_t i = n - k; i < n; ++i) {
-    const Bytes& d = recent_sent_[i].data;
+    const Bytes& d = fec.recent_sent[i].data;
     for (std::size_t b = 0; b < d.size(); ++b) payload.xor_block[b] ^= d[b];
   }
 
   Message m;
-  m.device_id = config_.device_id;
-  m.sequence = recovery_sequence_++;
+  m.device_id = device_id_;
+  m.sequence = fec.recovery_sequence++;
   m.type = MessageType::Recovery;
   m.data = encode_recovery_payload(payload);
   return m;
@@ -259,6 +305,7 @@ void Sender::open_cycle(bool resumed) {
   cycle_ = Cycle{};
   cycle_.wake_time = scheduler_.now();
   cycle_.resumed = resumed;
+  timeline_.open_sum(cycle_.wake_time);
   trace_begin(telemetry::Phase::Cycle);
   trace_begin(telemetry::Phase::Wake);
 }
@@ -272,31 +319,31 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
   bool fresh = false;
   if (will_retransmit()) {
     // Reliable mode: repeat the unacknowledged message, same sequence.
-    message = *unacked_;
+    message = *extras_->unacked;
     cycle_.retransmission = true;
   } else {
-    if (config_.reliable && unacked_) {
+    if (config().reliable && extras_->unacked) {
       // Retry budget exhausted: abandon and move on.
-      ++dropped_unacked_;
-      unacked_.reset();
-      unacked_attempts_ = 0;
+      ++extras_->dropped_unacked;
+      extras_->unacked.reset();
+      extras_->unacked_attempts = 0;
     }
-    message.device_id = config_.device_id;
+    message.device_id = device_id_;
     message.sequence = sequence_++;
     message.type = MessageType::Telemetry;
     message.data = std::move(data);
-    message.rx_window = config_.rx_window;
+    message.rx_window = config().rx_window;
     fresh = true;
   }
-  if (config_.reliable) {
-    unacked_ = message;
-    ++unacked_attempts_;
+  if (config().reliable) {
+    extras_->unacked = message;
+    ++extras_->unacked_attempts;
   }
 
-  const bool fec_usable = !config_.ssid_stuffing;
-  if (fresh && fec_usable) {
-    if (config_.redundancy.recovery_k > 0) recent_sent_.push(message);
-    ++msgs_since_recovery_;
+  const bool fec_usable = !config().ssid_stuffing;
+  if (fresh && fec_usable && config().redundancy.recovery_k > 0) {
+    extras_->recent_sent.push(message);
+    ++extras_->msgs_since_recovery;
   }
   cycle_.sequence = message.sequence;
 
@@ -304,7 +351,7 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
   // before any risky phase. The sequence is already assigned and the FEC
   // accumulator already booked the sample, so a post-brown-out resume
   // replays the identical train instead of minting a duplicate.
-  if (governor_) checkpoint_ = Checkpoint{message, scheduler_.now()};
+  if (governor() != nullptr) extras_->checkpoint = Checkpoint{message, scheduler_.now()};
 
   encode_and_transmit(message, fresh && fec_usable);
 }
@@ -316,28 +363,28 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
   train_entries_.clear();
   trace_instant(telemetry::Phase::Encode);
   try {
-    if (config_.ssid_stuffing) {
+    if (config().ssid_stuffing) {
       if (const auto stuffed = encode_ssid_stuffed(message)) {
         append_beacon(message, 0, *stuffed);
       } else {
         cycle_.failed = true;  // message does not fit the SSID field
       }
     } else {
-      const std::size_t elements = codec_.element_count(message);
+      const std::size_t elements = profile_->codec.element_count(message);
       for (std::size_t i = 0; i < elements; ++i) append_beacon(message, i);
     }
     // Open-loop reliability: repeat the whole fragment train. Receivers
     // drop the duplicates by (device, sequence).
     const std::size_t once = train_entries_.size();
-    for (int r = 1; r < std::max(config_.redundancy.repeats, 1); ++r) {
+    for (int r = 1; r < std::max(config().redundancy.repeats, 1); ++r) {
       for (std::size_t i = 0; i < once; ++i) train_entries_.push_back(train_entries_[i]);
     }
     // Cross-cycle FEC: one (unrepeated) recovery beacon when due.
     if (include_recovery) {
       if (auto recovery = maybe_recovery_message()) {
-        const std::size_t elements = codec_.element_count(*recovery);
+        const std::size_t elements = profile_->codec.element_count(*recovery);
         for (std::size_t i = 0; i < elements; ++i) append_beacon(*recovery, i);
-        ++recovery_beacons_sent_;
+        ++extras_->recovery_beacons_sent;
       }
     }
   } catch (const std::invalid_argument&) {
@@ -345,9 +392,9 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
   }
 
   enter_phase(Phase::Init);
-  tracker_.set_phase(config_.power.cpu_active, PhaseId::Init);
+  tracker_.set_phase(config().power.cpu_active, PhaseId::Init);
   const Duration init =
-      config_.power.boot_from_deep_sleep + config_.power.wifi_inject_init;
+      config().power.boot_from_deep_sleep + config().power.wifi_inject_init;
   const std::uint64_t epoch = cycle_epoch_;
   scheduler_.schedule_in(init, [this, epoch] {
     if (epoch != cycle_epoch_) return;  // browned out during init
@@ -358,7 +405,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
       return;
     }
     enter_phase(Phase::Tx);
-    tracker_.set_phase(config_.power.cpu_active, PhaseId::Tx);
+    tracker_.set_phase(config().power.cpu_active, PhaseId::Tx);
     trace_begin(telemetry::Phase::Tx);
     inject_fragments(0);
   });
@@ -375,7 +422,7 @@ void Sender::inject_fragments(std::size_t index) {
   }
   const TrainEntry& beacon = train_entries_[index];
   const BytesView mpdu = train_.view().subspan(beacon.offset, beacon.size);
-  const Duration airtime = phy::frame_airtime(mpdu.size(), config_.rate, config_.band);
+  const Duration airtime = phy::frame_airtime(mpdu.size(), config().rate, config().band);
   cycle_.airtime += airtime;
   ++cycle_.beacons;
   ++beacons_sent_total_;
@@ -384,9 +431,9 @@ void Sender::inject_fragments(std::size_t index) {
   // The continuation carries only {this, epoch, index}: the train stays
   // in train_, and a stranded epoch never reads it again.
   const std::uint64_t epoch = cycle_epoch_;
-  if (config_.use_csma) {
+  if (config().use_csma) {
     trace_begin(telemetry::Phase::Csma);
-    csma_->send(mpdu, config_.rate, /*expect_ack=*/false,
+    csma_.send(mpdu, config().rate, /*expect_ack=*/false,
                 [this, epoch, index](const sim::Csma::Result&) {
                   if (epoch != cycle_epoch_) return;  // browned out mid-train
                   inject_fragments(index + 1);
@@ -396,8 +443,8 @@ void Sender::inject_fragments(std::size_t index) {
     sim::TxRequest req;
     req.mpdu = FrameBuffer{mpdu};
     req.airtime = airtime;
-    req.tx_power_dbm = config_.tx_power_dbm;
-    req.rate = config_.rate;
+    req.tx_power_dbm = config().tx_power_dbm;
+    req.rate = config().rate;
     req.on_complete = [this, epoch, index] {
       if (epoch != cycle_epoch_) return;  // browned out mid-train
       inject_fragments(index + 1);
@@ -411,8 +458,8 @@ void Sender::after_last_beacon() {
   // The train is on the air: the sample has been transmitted, so the
   // checkpoint has nothing left to protect. A brown-out from here on
   // costs only the RX window / report, never the reading.
-  checkpoint_.reset();
-  if (!config_.rx_window) {
+  if (extras_) extras_->checkpoint.reset();
+  if (!config().rx_window) {
     finish_cycle();
     return;
   }
@@ -420,15 +467,15 @@ void Sender::after_last_beacon() {
   // window. The radio draws RX current for the whole window — this is
   // the energy cost E8 measures against always-on listening.
   enter_phase(Phase::Tx);  // offset gap: radio on but not yet listening
-  tracker_.set_phase(config_.power.cpu_active, PhaseId::RxWindow);
+  tracker_.set_phase(config().power.cpu_active, PhaseId::RxWindow);
   const std::uint64_t epoch = cycle_epoch_;
-  scheduler_.schedule_in(config_.rx_window->offset, [this, epoch] {
+  scheduler_.schedule_in(config().rx_window->offset, [this, epoch] {
     if (epoch != cycle_epoch_) return;
     if (maybe_brown_out()) return;
     enter_phase(Phase::RxWindow);
-    tracker_.set_phase(config_.power.radio_rx, PhaseId::RxWindow);
+    tracker_.set_phase(config().power.radio_rx, PhaseId::RxWindow);
     trace_begin(telemetry::Phase::RxWindow);
-    scheduler_.schedule_in(config_.rx_window->duration, [this, epoch] {
+    scheduler_.schedule_in(config().rx_window->duration, [this, epoch] {
       if (epoch != cycle_epoch_) return;
       trace_end(telemetry::Phase::RxWindow);
       finish_cycle();
@@ -437,21 +484,21 @@ void Sender::after_last_beacon() {
 }
 
 void Sender::finish_cycle() {
-  checkpoint_.reset();  // cycle completed (or failed terminally)
+  if (extras_) extras_->checkpoint.reset();  // cycle completed (or failed terminally)
   enter_phase(Phase::Shutdown);
-  tracker_.set_phase(config_.power.cpu_active, PhaseId::Init);
+  tracker_.set_phase(config().power.cpu_active, PhaseId::Init);
   const std::uint64_t epoch = cycle_epoch_;
-  scheduler_.schedule_in(config_.power.shutdown_time, [this, epoch] {
+  scheduler_.schedule_in(config().power.shutdown_time, [this, epoch] {
     if (epoch != cycle_epoch_) return;  // browned out during shutdown
     enter_phase(Phase::DeepSleep);
-    tracker_.set_phase(config_.power.deep_sleep,
-                       config_.wur ? PhaseId::WurListen : PhaseId::Sleep);
+    tracker_.set_phase(config().power.deep_sleep,
+                       config().wur ? PhaseId::WurListen : PhaseId::Sleep);
     // A capacitor that ran dry during shutdown browns out here; the
     // cycle's work is done, so only the recharge wait is at stake.
     maybe_brown_out();
 
     const Cycle& c = cycle_;
-    const Duration ramp = config_.power.tx_ramp;
+    const Duration ramp = config().power.tx_ramp;
     SendReport report;
     report.success = !c.failed && c.beacons > 0;
     report.sequence = c.sequence;
@@ -460,10 +507,7 @@ void Sender::finish_cycle() {
     report.tx_airtime = c.airtime;
     report.tx_only_energy = tx_power_draw() * (c.airtime + Duration{ramp.count() * c.beacons});
     report.active_time = scheduler_.now() - c.wake_time;
-    // Only a report someone reads pays for the cycle's integral, which
-    // needs the cycle's history back to its wake (the timeline throws if
-    // its bound has folded that away).
-    if (cycle_done_) report.cycle_energy = timeline_.energy_between(c.wake_time, scheduler_.now());
+    report.cycle_energy = timeline_.energy_since_mark(scheduler_.now());
     report.downlinks_received = c.downlinks;
     report.acked = c.acked;
     report.retransmission = c.retransmission;
@@ -486,45 +530,48 @@ void Sender::finish_cycle() {
 // ---------------------------------------------------------------------------
 
 Joules Sender::estimated_cycle_cost() const {
-  const auto& p = config_.power;
-  const RedundancyTier& tier = config_.redundancy;
+  const auto& p = config().power;
+  const RedundancyTier& tier = config().redundancy;
   // Nominal cost of one cycle: init + a single-fragment train (typical
   // beacon size) + RX window + shutdown.
   // The HarvestingConfig margins absorb what this cannot see (CSMA
   // deferral, fragmentation, recovery beacons).
   constexpr std::size_t kNominalMpduBytes = 128;
   const Duration airtime =
-      phy::frame_airtime(kNominalMpduBytes, config_.rate, config_.band);
+      phy::frame_airtime(kNominalMpduBytes, config().rate, config().band);
   const int beacons = std::max(tier.repeats, 1) + (tier.recovery_k > 0 ? 1 : 0);
   const Watts cpu = p.supply * p.cpu_active;
   Joules cost = cpu * (p.boot_from_deep_sleep + p.wifi_inject_init + p.shutdown_time);
   cost += tx_power_draw() * Duration{(airtime.count() + p.tx_ramp.count()) * beacons};
-  if (config_.rx_window) {
-    cost += cpu * config_.rx_window->offset;
-    cost += (p.supply * p.radio_rx) * config_.rx_window->duration;
+  if (config().rx_window) {
+    cost += cpu * config().rx_window->offset;
+    cost += (p.supply * p.radio_rx) * config().rx_window->duration;
   }
   return cost;
 }
 
-bool Sender::maybe_brown_out() { return governor_ && governor_->check_brown_out(); }
+bool Sender::maybe_brown_out() {
+  power::EnergyGovernor* gov = governor();
+  return gov != nullptr && gov->check_brown_out();
+}
 
 void Sender::on_brown_out() {
-  ++brown_outs_total_;
+  ++extras_->brown_outs;
   trace_instant(telemetry::Phase::BrownOut);
   if (phase_ != Phase::DeepSleep) {
     // Kill the in-flight cycle: strand its scheduled continuations via
     // the epoch, flush the CSMA queue, power down. The checkpoint
     // written in begin_cycle survives in the persistent region.
     ++cycle_epoch_;
-    csma_->drop_queued();
+    csma_.drop_queued();
     phase_ = Phase::DeepSleep;  // published below, with recovering_
   }
   recovering_ = true;
   publish_listening();
-  brown_out_at_ = scheduler_.now();
+  extras_->brown_out_at = scheduler_.now();
   // Dark: not even sleep current, and the WUR companion receiver dies
   // with the rest of the board (its overlay must not keep integrating).
-  if (config_.wur) tracker_.set_overlay(Amps{0.0});
+  if (config().wur) tracker_.set_overlay(Amps{0.0});
   tracker_.set_phase(Amps{0.0}, PhaseId::BrownOut);
   schedule_resume();
 }
@@ -532,53 +579,55 @@ void Sender::on_brown_out() {
 Joules Sender::resume_target() const {
   // Clamped to capacity: a small capacitor must still be able to resume
   // even when the margin asks for more than it can ever hold.
-  const double want = config_.harvesting->resume_margin * estimated_cycle_cost().value;
-  return Joules{std::min(want, governor_->harvester().capacity().value)};
+  const double want = config().harvesting->resume_margin * estimated_cycle_cost().value;
+  return Joules{std::min(want, extras_->governor->harvester().capacity().value)};
 }
 
 void Sender::schedule_resume() {
-  if (resume_event_) {
-    scheduler_.cancel(*resume_event_);
-    resume_event_.reset();
+  std::optional<sim::EventId>& resume_event = extras_->resume_event;
+  if (resume_event) {
+    scheduler_.cancel(*resume_event);
+    resume_event.reset();
   }
   if (!recovering_) return;
-  const Duration wait = governor_->time_until(resume_target());
+  const Duration wait = extras_->governor->time_until(resume_target());
   // During a drought the harvest can never reach the target; the
   // harvest-changed handler re-derives this when the fade lifts.
   if (wait == Duration::max()) return;
-  resume_event_ = scheduler_.schedule_in(std::max<Duration>(wait, usec(1)), [this] {
-    resume_event_.reset();
+  resume_event = scheduler_.schedule_in(std::max<Duration>(wait, usec(1)), [this] {
+    extras_->resume_event.reset();
     resume_cycle();
   });
 }
 
 void Sender::resume_cycle() {
   // A fade may have raced the recharge timer; re-derive if still short.
-  if (governor_->charge() < resume_target()) {
+  Extras& x = *extras_;
+  if (x.governor->charge() < resume_target()) {
     schedule_resume();
     return;
   }
   recovering_ = false;
   publish_listening();
-  if (config_.wur) tracker_.set_overlay(config_.wur->receiver.listen);
-  tracker_.set_phase(config_.power.deep_sleep,
-                     config_.wur ? PhaseId::WurListen : PhaseId::Sleep);
+  if (config().wur) tracker_.set_overlay(config().wur->receiver.listen);
+  tracker_.set_phase(config().power.deep_sleep,
+                     config().wur ? PhaseId::WurListen : PhaseId::Sleep);
   trace_instant(telemetry::Phase::Recharge);
-  if (recharge_hist_ != nullptr) {
-    recharge_hist_->record(
-        static_cast<std::uint64_t>((scheduler_.now() - brown_out_at_).count()));
+  if (x.recharge_hist != nullptr) {
+    x.recharge_hist->record(
+        static_cast<std::uint64_t>((scheduler_.now() - x.brown_out_at).count()));
   }
-  if (!checkpoint_) return;  // browned out while asleep: nothing to replay
+  if (!x.checkpoint) return;  // browned out while asleep: nothing to replay
 
-  Checkpoint cp = std::move(*checkpoint_);
-  checkpoint_.reset();
+  Checkpoint cp = std::move(*x.checkpoint);
+  x.checkpoint.reset();
   const Duration age = scheduler_.now() - cp.sampled_at;
-  const Duration bound = config_.harvesting->max_checkpoint_age;
+  const Duration bound = config().harvesting->max_checkpoint_age;
   if (bound.count() > 0 && age > bound) {
     // Bounded staleness: the reading no longer describes the world.
     // Drop it (the sequence stays consumed — receivers see a gap, which
     // is the honest signal) instead of retransmitting it forever.
-    ++cycles_aborted_stale_;
+    ++x.cycles_aborted_stale;
     if (cycle_done_) {
       SendReport report;
       report.sequence = cp.message.sequence;
@@ -593,15 +642,15 @@ void Sender::resume_cycle() {
   // message, identical already-assigned sequence — receivers dedupe any
   // fragments that made it out before the lights went off. The FEC
   // accumulator already booked this sample, so no new recovery beacon.
-  ++cycles_resumed_;
+  ++x.cycles_resumed;
   open_cycle(/*resumed=*/true);
   cycle_.sequence = cp.message.sequence;
-  checkpoint_ = Checkpoint{cp.message, cp.sampled_at};  // survive repeated brown-outs
+  x.checkpoint = Checkpoint{cp.message, cp.sampled_at};  // survive repeated brown-outs
   encode_and_transmit(cp.message, /*include_recovery=*/false);
 }
 
 void Sender::on_frame(const sim::RxFrame& frame) {
-  if (config_.wur && phase_ == Phase::DeepSleep) {
+  if (wur_ && phase_ == Phase::DeepSleep) {
     // Only the companion receiver is powered, and the medium hands it
     // only non-802.11 frames (demodulates): of those, the sole thing it
     // can decode is a 6-byte OOK wake-up frame.
@@ -616,16 +665,16 @@ void Sender::on_frame(const sim::RxFrame& frame) {
   if (!parsed->header.fc.is_mgmt(dot11::MgmtSubtype::Beacon)) return;
   auto beacon = dot11::Beacon::decode(parsed->body);
   if (!beacon) return;
-  for (const Fragment& f : codec_.decode_all(beacon->ies)) {
-    if (f.device_id != config_.device_id) continue;
+  for (const Fragment& f : profile_->codec.decode_all(beacon->ies)) {
+    if (f.device_id != device_id_) continue;
     if (f.type == MessageType::Ack) {
       // Reliable mode: match the acknowledged sequence number.
-      if (config_.reliable && unacked_ && f.data.size() == 4) {
+      if (config().reliable && extras_->unacked && f.data.size() == 4) {
         ByteReader r{f.data};
-        if (r.u32le() == unacked_->sequence) {
+        if (r.u32le() == extras_->unacked->sequence) {
           cycle_.acked = true;
-          unacked_.reset();
-          unacked_attempts_ = 0;
+          extras_->unacked.reset();
+          extras_->unacked_attempts = 0;
         }
       }
       continue;
@@ -651,9 +700,13 @@ void Sender::publish_metrics(telemetry::MetricsRegistry& registry,
     return static_cast<std::uint64_t>(tx_airtime_total_.count());
   });
   registry.bind_counter(prefix + ".rx.downlinks", &downlinks_total_);
-  registry.bind_counter(prefix + ".fec.recovery_beacons", &recovery_beacons_sent_);
-  registry.bind_counter(prefix + ".reliable.dropped_unacked", &dropped_unacked_);
-  if (config_.wur) {
+  // Every sender exports these two, so a plain device binds a zero.
+  static constexpr std::uint64_t kNone = 0;
+  registry.bind_counter(prefix + ".fec.recovery_beacons",
+                        extras_ ? &extras_->recovery_beacons_sent : &kNone);
+  registry.bind_counter(prefix + ".reliable.dropped_unacked",
+                        extras_ ? &extras_->dropped_unacked : &kNone);
+  if (config().wur) {
     registry.bind_counter(prefix + ".wur.wakes", &wur_wakes_total_);
     registry.bind_counter(prefix + ".wur.frames_ignored", &wur_frames_ignored_);
   }
@@ -666,21 +719,21 @@ void Sender::publish_metrics(telemetry::MetricsRegistry& registry,
   });
   cycle_active_hist_ = registry.histogram(prefix + ".cycle_active_us");
 
-  if (governor_) {
-    registry.bind_counter(prefix + ".energy.brown_outs", &brown_outs_total_);
-    registry.bind_counter(prefix + ".energy.cycles_resumed", &cycles_resumed_);
-    registry.bind_counter(prefix + ".energy.cycles_aborted_stale",
-                          &cycles_aborted_stale_);
-    registry.bind_counter(prefix + ".energy.cycles_skipped", &cycles_skipped_energy_);
+  if (governor() != nullptr) {
+    Extras& x = *extras_;
+    registry.bind_counter(prefix + ".energy.brown_outs", &x.brown_outs);
+    registry.bind_counter(prefix + ".energy.cycles_resumed", &x.cycles_resumed);
+    registry.bind_counter(prefix + ".energy.cycles_aborted_stale", &x.cycles_aborted_stale);
+    registry.bind_counter(prefix + ".energy.cycles_skipped", &x.cycles_skipped_energy);
     // Charge gauge: a pure projection to the snapshot time. Reading it
     // never settles the governor, so attaching telemetry cannot perturb
     // the settlement sequence (same-seed runs stay bit-exact).
     registry.bind_gauge_fn(prefix + ".energy.charge_j", [this] {
-      return governor_->projected_charge(scheduler_.now()).value;
+      return extras_->governor->projected_charge(scheduler_.now()).value;
     });
     // Resumed-vs-aborted is in the counters above; this histogram adds
     // how long each outage lasted (brown-out to recharge).
-    recharge_hist_ = registry.histogram(prefix + ".energy.recharge_us");
+    x.recharge_hist = registry.histogram(prefix + ".energy.recharge_us");
   }
 }
 

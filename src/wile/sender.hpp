@@ -11,7 +11,8 @@
 // The beacon's constant parts (MAC header template, SSID/rates/DS
 // elements) are precomputed once, mirroring §5.4's observation that "the
 // content of the packet including all of the headers can be pre-computed
-// and then only the IoT device's data needs to be inserted". Each cycle
+// and then only the IoT device's data needs to be inserted"; a fleet
+// computes them once for all its devices (SenderProfile). Each cycle
 // writes its whole beacon train into one buffer the sender reuses, so a
 // steady-state cycle allocates only its payload and, per transmission,
 // the FrameBuffer the medium carries (DESIGN.md §9).
@@ -63,6 +64,8 @@ struct RedundancyTier {
   /// groups, so every message is covered twice and two-loss patterns
   /// that fall across group boundaries remain recoverable.
   int recovery_stride = 0;
+
+  friend bool operator==(const RedundancyTier&, const RedundancyTier&) = default;
 };
 
 /// Intermittent-power operation (see power/harvester.hpp): the sender
@@ -82,6 +85,8 @@ struct HarvestingConfig {
   /// device finally recharges is discarded, not retransmitted — the
   /// reading no longer describes the world. 0 = keep forever.
   Duration max_checkpoint_age = minutes(5);
+
+  friend bool operator==(const HarvestingConfig&, const HarvestingConfig&) = default;
 };
 
 /// 802.11ba wake-up radio companion (the third transmission mode beside
@@ -95,8 +100,13 @@ struct HarvestingConfig {
 /// darkens it.
 struct WurCompanionConfig {
   power::WurReceiverModel receiver{};
+
+  friend bool operator==(const WurCompanionConfig&, const WurCompanionConfig&) = default;
 };
 
+/// How one Wi-LE device is set up. device_id, mac and clock_ppm_error
+/// are the device's identity; every other field can be shared by a fleet
+/// (SenderProfile).
 struct SenderConfig {
   std::uint32_t device_id = 1;
   /// Locally-administered MAC the fake beacons claim as their BSSID.
@@ -170,10 +180,33 @@ struct SenderConfig {
   /// Bound on the power timeline's retained segment history (0 =
   /// unbounded). Fleet-scale simulations set a small bound so 100k
   /// devices don't each keep an hour of phase annotations; lifetime
-  /// energy stays exact (power::PowerTimeline::set_max_segments). A
-  /// report's cycle_energy needs the whole cycle retained: a cycle of
-  /// more than half the bound in segments makes it throw.
+  /// energy stays exact (power::PowerTimeline::set_max_segments), and so
+  /// does a report's cycle_energy, which is a running sum from the wake.
   std::size_t timeline_max_segments = 0;
+
+  friend bool operator==(const SenderConfig&, const SenderConfig&) = default;
+};
+
+/// What the senders of a fleet share: a SenderConfig without the
+/// identity fields, and what a sender derives from it once, namely the
+/// beacon-body prefix (§5.4: the headers "can be pre-computed") and the
+/// codec with its AES key schedule. Immutable once built, so the devices
+/// of every shard read one copy concurrently; senders hold it through a
+/// std::shared_ptr.
+struct SenderProfile {
+  /// Keeps `from` with device_id, mac and clock_ppm_error reset to
+  /// zero, so no device reads another's identity from here.
+  explicit SenderProfile(SenderConfig from);
+
+  /// True when a device set up by `config` can run on this profile:
+  /// every field but the identity ones is equal.
+  [[nodiscard]] bool fits(const SenderConfig& config) const;
+
+  const SenderConfig config;
+  /// The beacon body before the vendor elements: timestamp placeholder
+  /// (patched per beacon), interval, capability, SSID, rates, DS.
+  const Bytes body_prefix;
+  const Codec codec;
 };
 
 struct SendReport {
@@ -199,8 +232,13 @@ struct SendReport {
 
 class Sender : public sim::MediumClient {
  public:
+  /// A device on a profile of its own.
   Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,
          SenderConfig config, Rng rng);
+  /// A device set up by `config` on a shared `profile`, which must fit
+  /// it (SenderProfile::fits); throws std::invalid_argument otherwise.
+  Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,
+         std::shared_ptr<const SenderProfile> profile, const SenderConfig& config, Rng rng);
 
   using SendCallback = std::function<void(const SendReport&)>;
   using PayloadProvider = std::function<Bytes()>;
@@ -232,10 +270,19 @@ class Sender : public sim::MediumClient {
   /// Step the sleep clock's systematic error at runtime (fault injection:
   /// a temperature excursion shifting the crystal). Takes effect from the
   /// next scheduled wake onward; jittered_period() reads it per cycle.
-  void apply_clock_drift_ppm(double ppm) { config_.clock_ppm_error = ppm; }
+  void apply_clock_drift_ppm(double ppm) { clock_ppm_error_ = ppm; }
 
   [[nodiscard]] const power::PowerTimeline& timeline() const { return timeline_; }
-  [[nodiscard]] const SenderConfig& config() const { return config_; }
+  /// The profile's config: its identity fields read zero. device_id(),
+  /// mac() and clock_ppm_error() give this device's.
+  [[nodiscard]] const SenderConfig& config() const { return profile_->config; }
+  [[nodiscard]] const SenderProfile& profile() const { return *profile_; }
+  [[nodiscard]] std::uint32_t device_id() const { return device_id_; }
+  /// The BSSID the beacons claim: the config's, or derived from
+  /// device_id when that was zero.
+  [[nodiscard]] MacAddress mac() const { return mac_; }
+  /// The sleep clock's systematic error now, drift steps included.
+  [[nodiscard]] double clock_ppm_error() const { return clock_ppm_error_; }
   [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
   [[nodiscard]] std::uint32_t next_sequence() const { return sequence_; }
   [[nodiscard]] std::uint64_t cycles_run() const { return cycles_; }
@@ -261,30 +308,30 @@ class Sender : public sim::MediumClient {
   void set_tracer(telemetry::Tracer* tracer) { tracer_ = tracer; }
   /// Reliable mode: messages abandoned after reliable_max_attempts.
   [[nodiscard]] std::uint64_t messages_dropped_unacked() const {
-    return dropped_unacked_;
+    return extras_ ? extras_->dropped_unacked : 0;
   }
 
   [[nodiscard]] std::uint64_t recovery_beacons_sent() const {
-    return recovery_beacons_sent_;
+    return extras_ ? extras_->recovery_beacons_sent : 0;
   }
 
   // --- intermittent power observability --------------------------------------
   /// Non-null iff config.harvesting was set. The governor is also the
   /// sim::EnergyFaultTarget to hand FaultInjector::attach_energy_target.
-  [[nodiscard]] power::EnergyGovernor* energy_governor() { return governor_.get(); }
-  [[nodiscard]] const power::EnergyGovernor* energy_governor() const {
-    return governor_.get();
-  }
+  [[nodiscard]] power::EnergyGovernor* energy_governor() { return governor(); }
+  [[nodiscard]] const power::EnergyGovernor* energy_governor() const { return governor(); }
   /// True between a brown-out and the recharge that clears it.
   [[nodiscard]] bool recovering() const { return recovering_; }
-  [[nodiscard]] std::uint64_t brown_outs() const { return brown_outs_total_; }
-  [[nodiscard]] std::uint64_t cycles_resumed() const { return cycles_resumed_; }
+  [[nodiscard]] std::uint64_t brown_outs() const { return extras_ ? extras_->brown_outs : 0; }
+  [[nodiscard]] std::uint64_t cycles_resumed() const {
+    return extras_ ? extras_->cycles_resumed : 0;
+  }
   [[nodiscard]] std::uint64_t cycles_aborted_stale() const {
-    return cycles_aborted_stale_;
+    return extras_ ? extras_->cycles_aborted_stale : 0;
   }
   /// Wakes skipped because the capacitor could not fund a full cycle.
   [[nodiscard]] std::uint64_t cycles_skipped_energy() const {
-    return cycles_skipped_energy_;
+    return extras_ ? extras_->cycles_skipped_energy : 0;
   }
   /// Charge budget the wake gate compares against (one nominal cycle,
   /// margins excluded). Exposed for benches/tests.
@@ -300,17 +347,16 @@ class Sender : public sim::MediumClient {
   /// The 12-bit WUR ID the companion answers to: device_id masked to 12
   /// bits. 0 when config.wur is absent.
   [[nodiscard]] std::uint16_t wur_id() const {
-    return config_.wur ? static_cast<std::uint16_t>(config_.device_id & phy::WurPhy::kMaxId)
-                       : 0;
+    return wur_ ? static_cast<std::uint16_t>(device_id_ & phy::WurPhy::kMaxId) : 0;
   }
 
   /// TX power draw (P_tx of Eq. 1) for this device profile.
   [[nodiscard]] Watts tx_power_draw() const {
-    return config_.power.supply * config_.power.radio_tx;
+    return config().power.supply * config().power.radio_tx;
   }
   /// Idle power draw (P_idle of Eq. 1): deep sleep.
   [[nodiscard]] Watts idle_power_draw() const {
-    return config_.power.supply * config_.power.deep_sleep;
+    return config().power.supply * config().power.deep_sleep;
   }
 
   // --- sim::MediumClient -----------------------------------------------------
@@ -383,16 +429,22 @@ class Sender : public sim::MediumClient {
 
   sim::Scheduler& scheduler_;
   sim::Medium& medium_;
-  SenderConfig config_;
-  Rng rng_;
+  std::shared_ptr<const SenderProfile> profile_;
+  // The device's identity (SenderConfig's identity fields), and its node
+  // on the medium.
+  std::uint32_t device_id_;
   sim::NodeId node_id_;
-  std::unique_ptr<sim::Csma> csma_;
+  double clock_ppm_error_;
+  MacAddress mac_;
+  /// config().wur.has_value(), kept inline: the medium asks listens() and
+  /// demodulates() of every listener in range for every frame, and a
+  /// load through the profile there cost a 1000-station WUR hall about
+  /// 3% of its speed.
+  bool wur_;
+  Rng rng_;
+  sim::Csma csma_;
   power::PowerTimeline timeline_;
   power::RadioPowerTracker tracker_;
-  Codec codec_;
-
-  /// Precomputed beacon-body prefix (everything before the vendor IEs).
-  Bytes body_prefix_;
 
   /// This cycle's beacons back to back, built at encode time and reused
   /// across cycles (clear() keeps the storage). Csma::send copies a
@@ -447,27 +499,11 @@ class Sender : public sim::MediumClient {
   SendCallback cycle_done_;
   Cycle cycle_;
 
-  // FEC: payloads of the last kMaxRecoveryGroup fresh messages, for
-  // cross-cycle recovery beacons. Kept only when the config sends them.
-  PayloadHistory<kMaxRecoveryGroup> recent_sent_;
-  int msgs_since_recovery_ = 0;
-  std::uint32_t recovery_sequence_ = 0;  // own space; never perturbs loss gaps
-  std::uint64_t recovery_beacons_sent_ = 0;
-
-  // reliable mode
-  std::optional<Message> unacked_;
-  int unacked_attempts_ = 0;
-  std::uint64_t dropped_unacked_ = 0;
-  [[nodiscard]] bool will_retransmit() const {
-    return config_.reliable && unacked_ &&
-           unacked_attempts_ < config_.reliable_max_attempts;
-  }
-
   // --- intermittent power (harvesting) --------------------------------------
   // The persistent region an intermittent device keeps across
-  // brown-outs: sequence_/recovery_sequence_/recent_sent_/
-  // msgs_since_recovery_ above (FRAM-class state), plus the checkpoint
-  // of the in-flight cycle written before the risky phases.
+  // brown-outs: sequence_ above and the FEC state below (FRAM-class
+  // state), plus the checkpoint of the in-flight cycle written before
+  // the risky phases.
   struct Checkpoint {
     Message message;          // sequence already assigned
     TimePoint sampled_at{};   // staleness is measured from first sampling
@@ -480,21 +516,47 @@ class Sender : public sim::MediumClient {
   /// this phase boundary. No-op without harvesting.
   bool maybe_brown_out();
 
-  std::unique_ptr<power::EnergyGovernor> governor_;
-  std::optional<Checkpoint> checkpoint_;
+  /// The state of the optional features: reliable mode, harvesting and
+  /// cross-cycle FEC. A plain device never allocates it (extras_ null).
+  struct Extras {
+    // reliable mode
+    std::optional<Message> unacked;
+    int unacked_attempts = 0;
+    std::uint64_t dropped_unacked = 0;
+
+    // harvesting
+    std::unique_ptr<power::EnergyGovernor> governor;
+    std::optional<Checkpoint> checkpoint;
+    std::optional<sim::EventId> resume_event;
+    TimePoint brown_out_at{};
+    std::uint64_t brown_outs = 0;
+    std::uint64_t cycles_resumed = 0;
+    std::uint64_t cycles_aborted_stale = 0;
+    std::uint64_t cycles_skipped_energy = 0;
+    telemetry::Histogram* recharge_hist = nullptr;
+
+    // FEC: payloads of the last kMaxRecoveryGroup fresh messages, for
+    // cross-cycle recovery beacons.
+    PayloadHistory<kMaxRecoveryGroup> recent_sent;
+    int msgs_since_recovery = 0;
+    std::uint32_t recovery_sequence = 0;  // own space; never perturbs loss gaps
+    std::uint64_t recovery_beacons_sent = 0;
+  };
+  std::unique_ptr<Extras> extras_;
+  [[nodiscard]] power::EnergyGovernor* governor() const {
+    return extras_ ? extras_->governor.get() : nullptr;
+  }
+  [[nodiscard]] bool will_retransmit() const {
+    return config().reliable && extras_->unacked &&
+           extras_->unacked_attempts < config().reliable_max_attempts;
+  }
+
   /// Bumped on every brown-out that kills a cycle in flight; scheduled
   /// cycle lambdas capture the epoch they belong to and bail when
   /// stranded. A brown-out in deep sleep leaves it alone: the start rule
   /// (may_start_cycle) keeps a dark board from waking.
   std::uint64_t cycle_epoch_ = 0;
   bool recovering_ = false;
-  std::optional<sim::EventId> resume_event_;
-  TimePoint brown_out_at_{};
-  std::uint64_t brown_outs_total_ = 0;
-  std::uint64_t cycles_resumed_ = 0;
-  std::uint64_t cycles_aborted_stale_ = 0;
-  std::uint64_t cycles_skipped_energy_ = 0;
-  telemetry::Histogram* recharge_hist_ = nullptr;
 
   // duty cycle
   bool duty_cycling_ = false;

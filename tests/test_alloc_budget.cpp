@@ -7,6 +7,9 @@
 // beacon train, the CSMA queue slot and every continuation reuse
 // storage from earlier cycles.
 //
+// A fleet device's footprint is guarded too: the size of a Sender and
+// the live heap a plain fleet device holds.
+//
 // This binary replaces the global operator new/delete with counting
 // malloc wrappers, so it is its own test executable.
 #include <gtest/gtest.h>
@@ -16,15 +19,37 @@
 #include <cstdlib>
 #include <new>
 
+#include "wile/scenario.hpp"
 #include "wile/sender.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+// Live blocks and requested bytes; over-aligned requests are not counted.
+std::atomic<std::int64_t> g_live_blocks{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+// Each block carries a 16-byte header holding its request size, which
+// keeps the alignment malloc gives.
+constexpr std::size_t kHeader = 16;
 
 void* counted_alloc(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  if (auto* p = static_cast<std::size_t*>(std::malloc(n + kHeader))) {
+    *p = n;
+    g_live_blocks.fetch_add(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(n), std::memory_order_relaxed);
+    return static_cast<char*>(static_cast<void*>(p)) + kHeader;
+  }
   throw std::bad_alloc{};
+}
+
+void counted_free(void* q) noexcept {
+  if (q == nullptr) return;
+  void* p = static_cast<char*>(q) - kHeader;
+  g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(*static_cast<std::size_t*>(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 
 void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
@@ -52,12 +77,12 @@ void* operator new(std::size_t n, std::align_val_t al) { return counted_aligned_
 void* operator new[](std::size_t n, std::align_val_t al) {
   return counted_aligned_alloc(n, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
@@ -127,6 +152,43 @@ TEST(AllocBudget, RawInjectionWithoutCsma) {
   EXPECT_EQ(t.cycles, 200u);
   EXPECT_EQ(t.transmissions, 200u);
   EXPECT_LE(t.allocations, t.cycles + t.transmissions);
+}
+
+TEST(AllocBudget, PlainFleetDeviceFootprint) {
+  // The Csma lives inside the Sender; the config, beacon prefix and codec
+  // live in the fleet's one profile.
+  EXPECT_LE(sizeof(Sender), 800u);
+
+  // A fleet in the benchmark's serial shape (5 m grid, a gateway per
+  // 2,500 devices, 60 s period, 64-segment power history, telemetry off,
+  // a provider whose capture outgrows std::function's inline buffer),
+  // 4,000 devices after 600 s. Live heap per device, fleet structures
+  // included.
+  constexpr int kDevices = 4000;
+  const std::int64_t blocks0 = g_live_blocks.load(std::memory_order_relaxed);
+  const std::int64_t bytes0 = g_live_bytes.load(std::memory_order_relaxed);
+  auto scenario =
+      sim::ScenarioBuilder{}
+          .devices(kDevices)
+          .grid_spacing_m(5.0)
+          .gateway_every(2500)
+          .duty_cycle(seconds(60))
+          .timeline_max_segments(64)
+          .telemetry(false)
+          .payload_provider([](int i) -> Sender::PayloadProvider {
+            return [i, seed = std::uint64_t{0x5eed}, cycle = std::uint32_t{0}]() mutable {
+              const std::uint64_t fill = seed + static_cast<std::uint64_t>(i) + cycle++;
+              return Bytes(16, static_cast<std::uint8_t>(fill));
+            };
+          })
+          .build();
+  scenario->run_until(TimePoint{seconds(600)});
+  const double blocks =
+      static_cast<double>(g_live_blocks.load(std::memory_order_relaxed) - blocks0) / kDevices;
+  const double bytes =
+      static_cast<double>(g_live_bytes.load(std::memory_order_relaxed) - bytes0) / kDevices;
+  EXPECT_LE(blocks, 8.0);
+  EXPECT_LE(bytes, 3200.0);
 }
 
 }  // namespace

@@ -596,8 +596,8 @@ TEST(ClockDriftScanWindows, CampaignDriftStepsArmThroughChaosTargets) {
 
   ASSERT_EQ(schedule_campaign(campaign, scenario->chaos_targets()), 1u);
   scenario->run_until(TimePoint{seconds(20)});
-  EXPECT_DOUBLE_EQ(scenario->devices()[0]->config().clock_ppm_error, 150000.0);
-  EXPECT_DOUBLE_EQ(scenario->devices()[1]->config().clock_ppm_error, 0.0);
+  EXPECT_DOUBLE_EQ(scenario->devices()[0]->clock_ppm_error(), 150000.0);
+  EXPECT_DOUBLE_EQ(scenario->devices()[1]->clock_ppm_error(), 0.0);
   scenario->stop_all();
   scenario->run_for(seconds(1));
   EXPECT_GT(scenario->messages(), 0u);  // fleet kept reporting through it

@@ -309,6 +309,34 @@ TEST(ParallelScenario, ShardCountExceedingOccupiedStripesStillRuns) {
   EXPECT_EQ(scenario->now(), TimePoint{seconds(20)});
 }
 
+TEST(ParallelScenario, ShardsReadOneSharedProfile) {
+  // Every device of both shards runs on one profile, whose codec seals
+  // each beacon with the fleet's AES key schedule, so two worker threads
+  // read it at once. The results do not depend on the thread count.
+  const Bytes key(16, 0x42);
+  const auto run = [&key](unsigned threads) {
+    auto scenario = ScenarioBuilder{}
+                        .devices(64)
+                        .gateways(2)
+                        .duty_cycle(seconds(5))
+                        .threads(threads)
+                        .shards(2)
+                        .configure_sender(
+                            [&key](core::SenderConfig& cfg, int) { cfg.key = key; })
+                        .configure_gateway(
+                            [&key](core::ReceiverConfig& cfg, int) { cfg.key = key; })
+                        .build();
+    const core::SenderProfile* profile = &scenario->devices().front()->profile();
+    for (const auto& d : scenario->devices()) EXPECT_EQ(&d->profile(), profile);
+    EXPECT_TRUE(profile->codec.encrypted());
+    scenario->run_for(seconds(30));
+    return std::pair{scenario->messages(), scenario->medium_stats().transmissions};
+  };
+  const auto two = run(2);
+  EXPECT_GT(two.first, 0u);
+  EXPECT_EQ(two, run(1));
+}
+
 TEST(ParallelScenario, NarrowGridPlacesGatewayLikeSerial) {
   // A 0.5 m fleet is narrower than the router's minimum 1 m span. The
   // clamp widens the stripes only; the default gateway still sits on

@@ -150,6 +150,32 @@ TEST(Timeline, QueriesIntoFoldedHistoryThrow) {
   EXPECT_EQ(bounded.current_at(kept).value, unbounded.current_at(kept).value);
 }
 
+TEST(Timeline, RunningSumEqualsTheSegmentWalk) {
+  // A sum opened at a mark mid-segment and read at several instants
+  // equals energy_between(mark, to) bit for bit; a 4-segment bound,
+  // which folds the mark away, leaves it unchanged.
+  PowerTimeline bounded{volts(3.3)};
+  bounded.set_max_segments(4);
+  PowerTimeline unbounded{volts(3.3)};
+  const TimePoint mark{msec(25)};
+  for (int i = 0; i < 20; ++i) {
+    const TimePoint t{msec(10 * i)};
+    const Amps current = milliamps(1.0 + 7.0 * (i % 3));
+    bounded.set_current(t, current, PhaseId::Sleep);
+    unbounded.set_current(t, current, PhaseId::Sleep);
+    if (t <= mark && mark < t + msec(10)) {
+      bounded.open_sum(mark);
+      unbounded.open_sum(mark);
+    }
+    const TimePoint to = t + usec(3'500);
+    if (to > mark) {
+      EXPECT_EQ(bounded.energy_since_mark(to).value, unbounded.energy_between(mark, to).value);
+    }
+  }
+  EXPECT_GT(bounded.retained_since(), mark);
+  EXPECT_THROW(bounded.open_sum(TimePoint{msec(5)}), std::logic_error);
+}
+
 static_assert(sizeof(Segment) == 24, "a segment is its start, its current and a one-byte phase");
 
 TEST(Timeline, PhaseNamesRoundTrip) {

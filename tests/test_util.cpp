@@ -213,6 +213,22 @@ TEST(Rng, BelowStaysInRange) {
   }
 }
 
+TEST(Rng, PowerOfTwoBoundMatchesRejectionSampling) {
+  // below() masks a power-of-two bound; the general path (rejection
+  // threshold, then modulo) would return the same value from one draw.
+  Rng fast{21};
+  Rng twin{21};
+  for (int k = 0; k < 64; ++k) {
+    const std::uint64_t bound = std::uint64_t{1} << k;
+    for (int i = 0; i < 100; ++i) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      std::uint64_t r = twin.next();
+      while (r < threshold) r = twin.next();
+      ASSERT_EQ(fast.below(bound), r % bound) << "k=" << k;
+    }
+  }
+}
+
 TEST(Rng, RangeIsInclusive) {
   Rng rng{6};
   bool saw_lo = false, saw_hi = false;

@@ -3,8 +3,12 @@
 // scheduling, configuration knobs, and edge cases.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "wile/controller.hpp"
 #include "wile/receiver.hpp"
+#include "wile/scenario.hpp"
 #include "wile/sender.hpp"
 
 namespace wile::core {
@@ -111,9 +115,138 @@ TEST_F(WileNodes, DerivedMacIsStablePerDevice) {
   Sender sa{scheduler_, medium_, {0, 0}, a, Rng{1}};
   Sender sb{scheduler_, medium_, {0, 1}, b, Rng{2}};
   Sender sc{scheduler_, medium_, {0, 2}, c, Rng{3}};
-  EXPECT_EQ(sa.config().mac, sb.config().mac);
-  EXPECT_NE(sa.config().mac, sc.config().mac);
-  EXPECT_TRUE(sa.config().mac.is_local());
+  EXPECT_EQ(sa.mac(), sb.mac());
+  EXPECT_NE(sa.mac(), sc.mac());
+  EXPECT_TRUE(sa.mac().is_local());
+}
+
+TEST_F(WileNodes, CycleEnergyNeedsNoHistory) {
+  // Three repeats make 10 power segments a cycle, more than half a
+  // 16-segment bound, so the wake is folded away before the cycle ends.
+  // The report's energy is a running sum from the wake and matches an
+  // unbounded twin's bit for bit.
+  const auto cycle_energies = [](std::size_t bound) {
+    sim::Scheduler scheduler;
+    sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
+    SenderConfig cfg;
+    cfg.period = seconds(1);
+    cfg.redundancy.repeats = 3;
+    cfg.timeline_max_segments = bound;
+    Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
+    std::vector<double> energies;
+    sender.start_duty_cycle([] { return Bytes(16, 0x5a); },
+                            [&](const SendReport& r) { energies.push_back(r.cycle_energy.value); });
+    scheduler.run_until(TimePoint{seconds(60)});
+    return energies;
+  };
+  const std::vector<double> bounded = cycle_energies(16);
+  const std::vector<double> unbounded = cycle_energies(0);
+  ASSERT_EQ(bounded.size(), 59u);
+  ASSERT_EQ(unbounded.size(), bounded.size());
+  for (std::size_t i = 0; i < bounded.size(); ++i) {
+    EXPECT_GT(bounded[i], 0.0);
+    EXPECT_EQ(bounded[i], unbounded[i]) << "cycle " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shared profiles: a fleet's devices share everything but their identity
+// ---------------------------------------------------------------------------
+
+bool one_profile(sim::Scenario& scenario) {
+  const auto& devices = scenario.devices();
+  for (const auto& d : devices) {
+    if (&d->profile() != &devices.front()->profile()) return false;
+  }
+  return true;
+}
+
+TEST(SenderProfile, FleetWithoutHookSharesOneProfile) {
+  auto scenario = sim::ScenarioBuilder{}.devices(1000).auto_start(false).build();
+  ASSERT_EQ(scenario->devices().size(), 1000u);
+  EXPECT_TRUE(one_profile(*scenario));
+}
+
+TEST(SenderProfile, IdentityHookKeepsOneProfileAndEveryIdentity) {
+  auto scenario = sim::ScenarioBuilder{}
+                      .devices(1000)
+                      .auto_start(false)
+                      .configure_sender([](SenderConfig& cfg, int i) {
+                        cfg.device_id = 5000 + static_cast<std::uint32_t>(i);
+                        cfg.clock_ppm_error = static_cast<double>(i % 81 - 40);
+                      })
+                      .build();
+  EXPECT_TRUE(one_profile(*scenario));
+  std::set<MacAddress> macs;
+  for (int i = 0; i < 1000; ++i) {
+    const Sender& d = *scenario->devices()[static_cast<std::size_t>(i)];
+    EXPECT_EQ(d.device_id(), 5000u + static_cast<std::uint32_t>(i));
+    EXPECT_EQ(d.mac(), MacAddress::from_seed(0xB13C000ULL + 5000 + static_cast<std::uint64_t>(i)));
+    EXPECT_EQ(d.clock_ppm_error(), static_cast<double>(i % 81 - 40));
+    macs.insert(d.mac());
+  }
+  EXPECT_EQ(macs.size(), 1000u);
+  // The shared config carries nobody's identity.
+  const SenderConfig& shared = scenario->devices().front()->config();
+  EXPECT_EQ(shared.device_id, 0u);
+  EXPECT_TRUE(shared.mac.is_zero());
+  EXPECT_EQ(shared.clock_ppm_error, 0.0);
+}
+
+TEST(SenderProfile, WurIdsAreEachDevicesOwn) {
+  auto scenario = sim::ScenarioBuilder{}.devices(300).wur(sim::WurFleetOptions{}).build();
+  EXPECT_TRUE(one_profile(*scenario));
+  for (std::size_t i = 0; i < 300; ++i) {
+    const Sender& d = *scenario->devices()[i];
+    EXPECT_EQ(d.device_id(), i + 1);
+    EXPECT_EQ(d.wur_id(), i + 1);
+  }
+}
+
+TEST(SenderProfile, DifferingConfigsGetTheirOwnProfiles) {
+  auto scenario = sim::ScenarioBuilder{}
+                      .devices(20)
+                      .duty_cycle(seconds(10))
+                      .configure_sender([](SenderConfig& cfg, int i) {
+                        if (i % 2 == 1) cfg.redundancy.repeats = 2;
+                      })
+                      .build();
+  EXPECT_FALSE(one_profile(*scenario));
+  scenario->run_for(seconds(35));
+  scenario->stop_all();
+  scenario->run_for(seconds(1));  // cycles in flight finish
+  for (std::size_t i = 0; i < 20; ++i) {
+    const Sender& d = *scenario->devices()[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(d.config().redundancy.repeats, i % 2 == 1 ? 2 : 1);
+    ASSERT_GT(d.cycles_run(), 0u);
+    EXPECT_EQ(d.beacons_sent(), d.cycles_run() * (i % 2 == 1 ? 2 : 1));
+  }
+}
+
+TEST(SenderProfile, ClockDriftStaysWithItsDevice) {
+  // Wake times, from each report: the report's instant less its active time.
+  const auto wake_times = [](bool drift_device0) {
+    auto scenario =
+        sim::ScenarioBuilder{}.devices(2).duty_cycle(seconds(2)).auto_start(false).build();
+    std::vector<std::vector<std::int64_t>> wakes(2);
+    sim::Scheduler& clock = scenario->scheduler();
+    for (std::size_t i = 0; i < 2; ++i) {
+      scenario->devices()[i]->start_duty_cycle(
+          [] { return Bytes(16, 0xA5); },
+          [&wakes, &clock, i](const SendReport& r) {
+            wakes[i].push_back((clock.now() - r.active_time).us());
+          });
+    }
+    if (drift_device0) scenario->devices()[0]->apply_clock_drift_ppm(150000.0);
+    scenario->run_for(seconds(20));
+    return wakes;
+  };
+  const auto steady = wake_times(false);
+  const auto drifted = wake_times(true);
+  ASSERT_GE(steady[1].size(), 8u);
+  EXPECT_EQ(drifted[1], steady[1]);
+  EXPECT_NE(drifted[0], steady[0]);
 }
 
 // ---------------------------------------------------------------------------
