@@ -63,7 +63,7 @@ void BM_WileDecode(benchmark::State& state) {
   msg.data = random_bytes(static_cast<std::size_t>(state.range(0)), 2);
   const auto ies = codec.encode(msg);
   for (auto _ : state) {
-    for (const auto& ie : ies) benchmark::DoNotOptimize(codec.decode(ie));
+    for (const auto& ie : ies) benchmark::DoNotOptimize(codec.decode(ie.data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }

@@ -21,14 +21,6 @@ const InfoElement* IeList::find(IeId id) const {
   return nullptr;
 }
 
-std::vector<const InfoElement*> IeList::find_all(IeId id) const {
-  std::vector<const InfoElement*> out;
-  for (const auto& ie : elements_) {
-    if (ie.id == id) out.push_back(&ie);
-  }
-  return out;
-}
-
 void IeList::write_to(ByteWriter& w) const {
   for (const auto& ie : elements_) {
     w.u8(static_cast<std::uint8_t>(ie.id));
@@ -66,11 +58,6 @@ std::optional<std::string> parse_ssid_ie(const IeList& ies) {
   const InfoElement* ie = ies.find(IeId::Ssid);
   if (ie == nullptr) return std::nullopt;
   return std::string(ie->data.begin(), ie->data.end());
-}
-
-bool has_hidden_ssid(const IeList& ies) {
-  const InfoElement* ie = ies.find(IeId::Ssid);
-  return ie != nullptr && ie->data.empty();
 }
 
 void SupportedRates::add(double mbps, bool basic) {

@@ -55,8 +55,6 @@ class IeList {
 
   /// First element with the given id, if any.
   [[nodiscard]] const InfoElement* find(IeId id) const;
-  /// All elements with the given id (vendor IEs commonly repeat).
-  [[nodiscard]] std::vector<const InfoElement*> find_all(IeId id) const;
 
   void write_to(ByteWriter& w) const;
   [[nodiscard]] std::size_t encoded_size() const;
@@ -79,8 +77,6 @@ class IeList {
 /// element Wi-LE transmits (zero-length, §4.1).
 InfoElement make_ssid_ie(std::string_view ssid);
 std::optional<std::string> parse_ssid_ie(const IeList& ies);
-/// True when the list carries an SSID element of length zero (hidden).
-bool has_hidden_ssid(const IeList& ies);
 
 /// Supported rates in units of 500 kbit/s; `basic` rates get the high bit.
 struct SupportedRates {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "crypto/crc.hpp"
+#include "dot11/frame.hpp"
 
 namespace wile::core {
 
@@ -130,20 +131,18 @@ std::vector<dot11::InfoElement> Codec::encode(const Message& message) const {
   return out;
 }
 
-std::optional<Fragment> Codec::decode(const dot11::InfoElement& element,
-                                      DecodeError* error) const {
+std::optional<Fragment> Codec::decode(BytesView element, DecodeError* error) const {
   auto fail = [&](DecodeError e) {
     if (error != nullptr) *error = e;
     return std::nullopt;
   };
 
-  if (element.id != dot11::IeId::VendorSpecific || element.data.size() < 4 ||
-      !std::equal(kWileOui.begin(), kWileOui.end(), element.data.begin()) ||
-      element.data[3] != kWileSubtype) {
+  if (element.size() < 4 || !std::equal(kWileOui.begin(), kWileOui.end(), element.begin()) ||
+      element[3] != kWileSubtype) {
     return fail(DecodeError::NotWile);
   }
 
-  const BytesView payload{element.data.data() + 4, element.data.size() - 4};
+  const BytesView payload = element.subspan(4);
   if (payload.size() < kFixedOverhead) return fail(DecodeError::Malformed);
 
   // CRC over everything before the trailing 4 bytes.
@@ -197,9 +196,35 @@ std::optional<Fragment> Codec::decode(const dot11::InfoElement& element,
 
 std::vector<Fragment> Codec::decode_all(const dot11::IeList& ies) const {
   std::vector<Fragment> out;
-  for (const dot11::InfoElement* ie : ies.find_all(dot11::IeId::VendorSpecific)) {
-    if (auto f = decode(*ie)) out.push_back(std::move(*f));
+  for (const dot11::InfoElement& ie : ies.elements()) {
+    if (ie.id != dot11::IeId::VendorSpecific) continue;
+    if (auto f = decode(ie.data)) out.push_back(std::move(*f));
   }
+  return out;
+}
+
+BeaconView read_beacon(BytesView mpdu) {
+  constexpr std::size_t kFixedFields = 12;  // timestamp, interval, capability
+  BeaconView out;
+  const auto parsed = dot11::parse_mpdu(mpdu);
+  if (parsed && !parsed->fcs_ok) out.status = BeaconStatus::BadFcs;
+  if (!parsed || !parsed->fcs_ok || !parsed->header.fc.is_mgmt(dot11::MgmtSubtype::Beacon)) {
+    return out;
+  }
+  out.status = BeaconStatus::Malformed;
+  if (parsed->body.size() < kFixedFields) return out;
+  const BytesView chain = parsed->body.subspan(kFixedFields);
+  for (std::size_t at = 0, len = 0; at < chain.size(); at += 2 + len) {
+    if (at + 2 > chain.size()) return out;
+    len = chain[at + 1];
+    if (at + 2 + len > chain.size()) return out;
+    if (!out.ssid && chain[at] == static_cast<std::uint8_t>(dot11::IeId::Ssid)) {
+      out.ssid = std::string_view{reinterpret_cast<const char*>(chain.data() + at + 2), len};
+    }
+  }
+  out.status = BeaconStatus::Ok;
+  out.addr3 = parsed->header.addr3;
+  out.elements = chain;
   return out;
 }
 
@@ -273,15 +298,10 @@ std::optional<RecoveryPayload> decode_recovery_payload(BytesView data) {
   }
 }
 
-std::optional<Message> Reassembler::add(const Fragment& fragment) {
+std::optional<Message> Reassembler::add(Fragment fragment) {
   if (fragment.frag_count <= 1) {
-    Message m;
-    m.device_id = fragment.device_id;
-    m.sequence = fragment.sequence;
-    m.type = fragment.type;
-    m.data = fragment.data;
-    m.rx_window = fragment.rx_window;
-    return m;
+    return Message{fragment.device_id, fragment.sequence, fragment.type,
+                   std::move(fragment.data), fragment.rx_window};
   }
 
   // Codec::decode enforces this, but hand-built fragments must not be
@@ -314,7 +334,7 @@ std::optional<Message> Reassembler::add(const Fragment& fragment) {
   p.type = fragment.type;
   p.last_touch = ++tick_;
   if (fragment.rx_window) p.rx_window = fragment.rx_window;
-  p.parts[fragment.frag_index] = fragment.data;
+  p.parts[fragment.frag_index] = std::move(fragment.data);
   for (const auto& part : p.parts) {
     if (!part) return std::nullopt;
   }

@@ -33,10 +33,12 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "crypto/aead.hpp"
 #include "dot11/ie.hpp"
+#include "util/mac_address.hpp"
 #include "wile/message.hpp"
 
 namespace wile::core {
@@ -91,12 +93,33 @@ class Codec {
   /// the codec encrypts.
   void write_element(ByteWriter& w, const Message& message, std::size_t index) const;
 
-  /// Decode one vendor IE payload (after OUI+subtype matching, which
-  /// decode() performs itself from the raw element).
-  [[nodiscard]] std::optional<Fragment> decode(const dot11::InfoElement& element,
+  /// Decode one vendor element's payload: OUI, subtype, then the
+  /// container. This is the one element decoder; on failure it returns
+  /// nullopt and, when `error` is given, sets it.
+  [[nodiscard]] std::optional<Fragment> decode(BytesView payload,
                                                DecodeError* error = nullptr) const;
 
-  /// Convenience: all Wi-LE fragments in an IE list.
+  /// Decode each vendor element of the chain `elements` in order, and
+  /// call visit(std::optional<Fragment>&&, DecodeError) with the fragment,
+  /// or with nullopt and the reason. Other elements are skipped, and the
+  /// walk stops at a truncated element (read_beacon rejects such chains).
+  /// Keeps no state, as decode() keeps none: a fleet's devices share one
+  /// codec across shard threads.
+  template <typename Visit>
+  void for_each_fragment(BytesView elements, Visit&& visit) const {
+    for (std::size_t at = 0, len = 0; at + 2 <= elements.size(); at += 2 + len) {
+      len = elements[at + 1];
+      if (at + 2 + len > elements.size()) return;
+      if (elements[at] != static_cast<std::uint8_t>(dot11::IeId::VendorSpecific)) continue;
+      // Two statements: in visit(decode(..., &error), error) the compiler
+      // may read `error` before decode() sets it.
+      DecodeError error{};
+      auto fragment = decode(elements.subspan(at + 2, len), &error);
+      visit(std::move(fragment), error);
+    }
+  }
+
+  /// All Wi-LE fragments of an element list, failures dropped.
   [[nodiscard]] std::vector<Fragment> decode_all(const dot11::IeList& ies) const;
 
  private:
@@ -112,6 +135,36 @@ class Codec {
 
   std::optional<crypto::Aead> aead_;
 };
+
+// ---------------------------------------------------------------------------
+// The one receive parse.
+//
+// §4: "an application looks for special beacon frames transmitted by IoT
+// devices and extracts their data". Every Wi-LE listener (the gateway's
+// Receiver, the two-way Controller and the device's own RX window) reads
+// a received frame through read_beacon, then hands its element chain to
+// Codec::for_each_fragment. Nothing is copied until a fragment's data.
+// ---------------------------------------------------------------------------
+
+/// Ordered: a beacon is Malformed or Ok.
+enum class BeaconStatus : std::uint8_t {
+  NotBeacon,  // unparseable, a control frame, or another frame type
+  BadFcs,     // any frame whose FCS fails, beacon or not
+  Malformed,  // a beacon whose body is short or whose element chain is truncated
+  Ok,
+};
+
+/// A received beacon, read in place: the views point into the MPDU.
+struct BeaconView {
+  BeaconStatus status = BeaconStatus::NotBeacon;
+  MacAddress addr3;                      // the BSSID the sender claims
+  std::optional<std::string_view> ssid;  // the first SSID element, if any
+  BytesView elements;                    // the element chain, every length checked
+};
+
+/// Read `mpdu` as a beacon. A truncated element chain makes the whole
+/// beacon Malformed, the good elements before it included.
+[[nodiscard]] BeaconView read_beacon(BytesView mpdu);
 
 // ---------------------------------------------------------------------------
 // FEC payload containers.
@@ -230,8 +283,9 @@ class Reassembler {
       : max_partials_(max_partials > 0 ? max_partials : 1) {}
 
   /// Feed one fragment; returns the completed message when all parts of
-  /// its (device, sequence) group have arrived.
-  std::optional<Message> add(const Fragment& fragment);
+  /// its (device, sequence) group have arrived. The fragment's bytes move
+  /// into the message, or into the partial until the group completes.
+  std::optional<Message> add(Fragment fragment);
 
   /// Incomplete messages dropped to keep the partial table bounded.
   [[nodiscard]] std::uint64_t partials_evicted() const { return partials_evicted_; }

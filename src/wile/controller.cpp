@@ -1,5 +1,7 @@
 #include "wile/controller.hpp"
 
+#include <stdexcept>
+
 #include "dot11/mgmt.hpp"
 
 namespace wile::core {
@@ -20,40 +22,36 @@ Controller::Controller(sim::Scheduler& scheduler, sim::Medium& medium,
 bool Controller::rx_enabled() const { return !medium_.transmitting(node_id_); }
 
 void Controller::queue_downlink(std::uint32_t device_id, Bytes data) {
+  // The device keeps no reassembler: a downlink rides one element.
+  if (data.size() > codec_.max_fragment_data(false, false)) {
+    throw std::invalid_argument("Controller::queue_downlink: payload exceeds one element");
+  }
   devices_.find_or_insert(device_id).queue().push_back(std::move(data));
   ++stats_.downlinks_queued;
 }
 
 void Controller::on_frame(const sim::RxFrame& frame) {
-  auto parsed = dot11::parse_mpdu(frame.mpdu);
-  if (!parsed || !parsed->fcs_ok) return;
-  if (!parsed->header.fc.is_mgmt(dot11::MgmtSubtype::Beacon)) return;
-  auto beacon = dot11::Beacon::decode(parsed->body);
-  if (!beacon) return;
+  const BeaconView beacon = read_beacon(frame.mpdu);
+  if (beacon.status != BeaconStatus::Ok) return;
+  const RxMeta meta{scheduler_.now(), frame.rx_power_dbm, beacon.addr3};
 
-  RxMeta meta;
-  meta.received_at = scheduler_.now();
-  meta.rssi_dbm = frame.rx_power_dbm;
-  meta.bssid = parsed->header.addr3;
-
-  for (const Fragment& fragment : codec_.decode_all(beacon->ies)) {
-    // Only the devices' own streams: another controller's Acks and
-    // Downlinks reuse the device id in that controller's downlink
-    // sequence space and are not uplink messages.
-    if (!is_uplink_data(fragment.type) && fragment.type != MessageType::Recovery) continue;
-    if (fragment.rx_window) {
+  codec_.for_each_fragment(beacon.elements, [&](std::optional<Fragment>&& fragment,
+                                                DecodeError) {
+    if (!fragment || !is_uplink_stream(fragment->type)) return;
+    const std::optional<RxWindow> window = fragment->rx_window;
+    if (window) {
       ++stats_.windows_seen;
       // Only a device with a queued downlink has a record to find.
-      DeviceState* dev = devices_.find(fragment.device_id);
+      DeviceState* dev = devices_.find(fragment->device_id);
       if (dev != nullptr && dev->has_queued()) {
-        inject_downlink(fragment.device_id, *dev, *fragment.rx_window);
+        inject_downlink(fragment->device_id, *dev, *window);
       }
     }
-    if (auto message = reassembler_.add(fragment)) {
+    if (auto message = reassembler_.add(std::move(*fragment))) {
       // Reliable mode: acknowledge completed uplinks into the window the
       // device just announced. Only data uplinks are acked — FEC and
       // control traffic is not part of the reliable stream.
-      if (config_.auto_ack && fragment.rx_window && is_uplink_data(message->type)) {
+      if (config_.auto_ack && window && is_uplink_data(message->type)) {
         Message ack;
         ack.device_id = message->device_id;
         ack.sequence = devices_.find_or_insert(message->device_id).downlink_seq++;
@@ -61,11 +59,11 @@ void Controller::on_frame(const sim::RxFrame& frame) {
         ByteWriter w(4);
         w.u32le(message->sequence);
         ack.data = w.take();
-        schedule_injection(*fragment.rx_window, std::move(ack), TxKind::Ack);
+        schedule_injection(*window, std::move(ack), TxKind::Ack);
       }
       if (callback_) callback_(*message, meta);
     }
-  }
+  });
 }
 
 Bytes Controller::build_downlink_beacon(const Message& message) {

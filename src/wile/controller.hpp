@@ -70,6 +70,9 @@ class Controller : public sim::MediumClient {
              ControllerConfig config, Rng rng);
 
   /// Queue a downlink payload; it rides the target's next RX window.
+  /// Throws std::invalid_argument for a payload larger than one element
+  /// carries (Codec::max_fragment_data(false, false)): the device does
+  /// not reassemble.
   void queue_downlink(std::uint32_t device_id, Bytes data);
 
   using MessageCallback = std::function<void(const Message&, const RxMeta&)>;

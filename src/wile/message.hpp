@@ -40,6 +40,14 @@ constexpr bool is_uplink_data(MessageType type) {
          type == MessageType::Probe;
 }
 
+/// The device's own streams, the only ones a listener tracks: uplink data
+/// and its Recovery beacons. A controller's Acks and Downlinks reuse the
+/// device id in the controller's downlink sequence space, so they would
+/// read as uplink losses and duplicates.
+constexpr bool is_uplink_stream(MessageType type) {
+  return is_uplink_data(type) || type == MessageType::Recovery;
+}
+
 /// Two-way extension (§6): the device announces that it will listen for
 /// `duration` starting `offset` after the end of this beacon.
 struct RxWindow {

@@ -1,7 +1,5 @@
 #include "wile/receiver.hpp"
 
-#include "dot11/mgmt.hpp"
-
 namespace wile::core {
 
 namespace {
@@ -36,56 +34,39 @@ void Receiver::on_corrupt_frame(const sim::RxFrame&, bool collision) {
 }
 
 void Receiver::on_frame(const sim::RxFrame& frame) {
-  auto parsed = dot11::parse_mpdu(frame.mpdu);
-  if (!parsed) return;
-  if (!parsed->fcs_ok) {
-    ++stats_.fcs_failures;
-    return;
-  }
-  if (!parsed->header.fc.is_mgmt(dot11::MgmtSubtype::Beacon)) return;
-  ++stats_.beacons_seen;
-
-  auto beacon = dot11::Beacon::decode(parsed->body);
-  if (!beacon) return;
-  if (config_.require_hidden_ssid && !dot11::has_hidden_ssid(beacon->ies)) return;
-
-  RxMeta meta;
-  meta.received_at = scheduler_.now();
-  meta.rssi_dbm = frame.rx_power_dbm;
-  meta.bssid = parsed->header.addr3;
+  const BeaconView beacon = read_beacon(frame.mpdu);
+  if (beacon.status == BeaconStatus::BadFcs) ++stats_.fcs_failures;
+  if (beacon.status >= BeaconStatus::Malformed) ++stats_.beacons_seen;
+  if (beacon.status != BeaconStatus::Ok) return;
+  // Hidden: an SSID element of length zero, not a missing one.
+  if (config_.require_hidden_ssid && beacon.ssid != std::string_view{}) return;
+  const RxMeta meta{scheduler_.now(), frame.rx_power_dbm, beacon.addr3};
 
   bool any = false;
   // Related-work arm: SSID-stuffed beacons (§2) carry data in the SSID
   // field itself.
-  if (const auto ssid = dot11::parse_ssid_ie(beacon->ies)) {
-    if (auto fragment = decode_ssid_stuffed(*ssid)) {
-      any = true;
-      ++stats_.fragments;
-      accept_fragment(*fragment, meta);
-    }
+  if (auto fragment = decode_ssid_stuffed(beacon.ssid.value_or(""))) {
+    any = true;
+    ++stats_.fragments;
+    accept_fragment(std::move(*fragment), meta);
   }
-  for (const dot11::InfoElement* ie :
-       beacon->ies.find_all(dot11::IeId::VendorSpecific)) {
-    DecodeError error{};
-    auto fragment = codec_.decode(*ie, &error);
+  codec_.for_each_fragment(beacon.elements, [&](std::optional<Fragment>&& fragment,
+                                                DecodeError error) {
     if (!fragment) {
       if (error == DecodeError::BadCrc) ++stats_.crc_failures;
       if (error == DecodeError::DecryptFailed) ++stats_.decrypt_failures;
-      continue;
+      return;
     }
     any = true;
     ++stats_.fragments;
-    accept_fragment(*fragment, meta);
-  }
+    accept_fragment(std::move(*fragment), meta);
+  });
   if (any) ++stats_.wile_beacons;
 }
 
-void Receiver::accept_fragment(const Fragment& fragment, const RxMeta& meta) {
-  // Only the devices' own streams reach the registry: a controller's
-  // Acks and Downlinks reuse the device id in the controller's downlink
-  // sequence space, so they would read as uplink losses and duplicates.
-  if (!is_uplink_data(fragment.type) && fragment.type != MessageType::Recovery) return;
-  auto message = reassembler_.add(fragment);
+void Receiver::accept_fragment(Fragment fragment, const RxMeta& meta) {
+  if (!is_uplink_stream(fragment.type)) return;  // only the devices' own streams register
+  auto message = reassembler_.add(std::move(fragment));
   stats_.partials_evicted = reassembler_.partials_evicted();
   if (!message) return;
 

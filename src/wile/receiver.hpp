@@ -125,7 +125,7 @@ class Receiver : public sim::MediumClient {
     std::optional<std::uint32_t> last_recovery_seq;
   };
 
-  void accept_fragment(const Fragment& fragment, const RxMeta& meta);
+  void accept_fragment(Fragment fragment, const RxMeta& meta);
   /// Registry update (dedup, gap/loss accounting, wrap-safe). Returns
   /// false for duplicates and beyond-horizon stragglers.
   bool register_message(const Message& message, const RxMeta& meta);

@@ -7,6 +7,9 @@
 // beacon train, the CSMA queue slot and every continuation reuse
 // storage from earlier cycles.
 //
+// A gateway in range keeps the same discipline: it decodes each beacon in
+// place and allocates only the message it delivers.
+//
 // A fleet device's footprint is guarded too: the size of a Sender and
 // the live heap a plain fleet device holds.
 //
@@ -18,7 +21,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
+#include "wile/receiver.hpp"
 #include "wile/scenario.hpp"
 #include "wile/sender.hpp"
 
@@ -95,12 +100,16 @@ struct Tally {
   std::uint64_t allocations = 0;
   std::uint64_t cycles = 0;
   std::uint64_t transmissions = 0;
+  std::uint64_t delivered = 0;  // messages the gateway handed its callback
 };
 
-/// One sender alone on its channel (no listener in range), a 1 s
-/// period, a bounded power timeline and a provider that returns a fresh
-/// Bytes each cycle. Warm up for 60 s, then count over 200 cycles.
-Tally steady_state(void (*configure)(SenderConfig&), std::size_t payload_bytes) {
+/// One sender on its channel, a 1 s period, a bounded power timeline and
+/// a provider that returns a fresh Bytes each cycle. With `gateway`, a
+/// Receiver 1 m away decodes every beacon and counts the messages it
+/// delivers; without, no listener is in range. Warm up for `warm_up`,
+/// then count over 200 cycles.
+Tally steady_state(void (*configure)(SenderConfig&), std::size_t payload_bytes,
+                   bool gateway = false, Duration warm_up = seconds(60)) {
   sim::Scheduler scheduler;
   sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
   SenderConfig cfg;
@@ -108,17 +117,25 @@ Tally steady_state(void (*configure)(SenderConfig&), std::size_t payload_bytes) 
   cfg.timeline_max_segments = 16;
   configure(cfg);
   Sender sender{scheduler, medium, {0, 0}, cfg, Rng{2}};
+  std::uint64_t delivered = 0;
+  std::optional<Receiver> receiver;
+  if (gateway) {
+    receiver.emplace(scheduler, medium, sim::Position{1, 0});
+    receiver->set_message_callback([&delivered](const Message&, const RxMeta&) { ++delivered; });
+  }
   sender.start_duty_cycle([payload_bytes] { return Bytes(payload_bytes, 0x5a); });
 
-  scheduler.run_until(TimePoint{seconds(60) + msec(500)});
+  scheduler.run_until(TimePoint{warm_up + msec(500)});
   const std::uint64_t cycles0 = sender.cycles_run();
   const std::uint64_t tx0 = medium.stats().transmissions;
+  const std::uint64_t delivered0 = delivered;
   const std::uint64_t alloc0 = g_allocations.load(std::memory_order_relaxed);
-  scheduler.run_until(TimePoint{seconds(260) + msec(500)});
+  scheduler.run_until(TimePoint{warm_up + seconds(200) + msec(500)});
   Tally t;
   t.allocations = g_allocations.load(std::memory_order_relaxed) - alloc0;
   t.cycles = sender.cycles_run() - cycles0;
   t.transmissions = medium.stats().transmissions - tx0;
+  t.delivered = delivered - delivered0;
   // The bounded history never reserves room beyond its bound.
   EXPECT_LE(sender.timeline().segments().capacity(), 16u);
   sender.stop_duty_cycle();
@@ -152,6 +169,17 @@ TEST(AllocBudget, RawInjectionWithoutCsma) {
   EXPECT_EQ(t.cycles, 200u);
   EXPECT_EQ(t.transmissions, 200u);
   EXPECT_LE(t.allocations, t.cycles + t.transmissions);
+}
+
+TEST(AllocBudget, GatewayInRange) {
+  // Past the gateway's 64-slot FEC payload cache, whose slots then keep
+  // their capacity: each beacon is decoded in place, and the only
+  // allocation on the receive side is the message delivered.
+  const Tally t = steady_state([](SenderConfig&) {}, 16, /*gateway=*/true, seconds(100));
+  EXPECT_EQ(t.cycles, 200u);
+  EXPECT_EQ(t.transmissions, 200u);
+  EXPECT_EQ(t.delivered, 200u);
+  EXPECT_LE(t.allocations, t.cycles + t.transmissions + t.delivered);
 }
 
 TEST(AllocBudget, PlainFleetDeviceFootprint) {

@@ -110,12 +110,15 @@ TEST(Ie, SsidHelpers) {
   IeList list;
   list.add(make_ssid_ie("GoogleWifi"));
   EXPECT_EQ(parse_ssid_ie(list), "GoogleWifi");
-  EXPECT_FALSE(has_hidden_ssid(list));
 
+  // Hidden: an SSID element of length zero, not a missing one.
   IeList hidden;
   hidden.add(make_ssid_ie(""));
-  EXPECT_TRUE(has_hidden_ssid(hidden));
+  ASSERT_EQ(hidden.elements().size(), 1u);
+  EXPECT_EQ(hidden.elements()[0].id, IeId::Ssid);
+  EXPECT_TRUE(hidden.elements()[0].data.empty());
   EXPECT_EQ(parse_ssid_ie(hidden), "");
+  EXPECT_EQ(parse_ssid_ie(IeList{}), std::nullopt);
 }
 
 TEST(Ie, SsidTooLongThrows) {

@@ -96,7 +96,7 @@ TEST(FecReassembler, PartialTableEvictsOldestFirst) {
   auto first_fragment_of = [&](std::uint32_t device) {
     Message msg = fragmented_message(codec, 2);
     msg.device_id = device;
-    auto f = codec.decode(codec.encode(msg).front());
+    auto f = codec.decode(codec.encode(msg).front().data);
     EXPECT_TRUE(f && f->frag_count == 2);
     return *f;
   };
@@ -116,7 +116,7 @@ TEST(FecReassembler, PartialTableEvictsOldestFirst) {
     Message msg = fragmented_message(codec, 2);
     msg.device_id = device;
     const auto ies = codec.encode(msg);
-    auto f = codec.decode(ies.back());
+    auto f = codec.decode(ies.back().data);
     ASSERT_TRUE(f.has_value());
     auto completed = reassembler.add(*f);
     ASSERT_TRUE(completed.has_value()) << "device " << device;

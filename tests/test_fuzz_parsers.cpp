@@ -86,6 +86,50 @@ TEST(FuzzParsers, BeaconBodyDecoderToleratesGarbageIes) {
   fuzz_mutations(beacon.encode(), 7, parse);
 }
 
+TEST(FuzzParsers, ReceiveParseAgreesWithFullBeaconDecode) {
+  // read_beacon and Codec::for_each_fragment, the in-place parse every
+  // Wi-LE listener shares, accept exactly the beacon bodies that
+  // Beacon::decode accepts, and yield decode_all's fragments and
+  // parse_ssid_ie's SSID.
+  const core::Codec codec;
+  auto check = [&](BytesView body) {
+    const Bytes mpdu =
+        dot11::build_mgmt_mpdu(dot11::MgmtSubtype::Beacon, MacAddress::broadcast(),
+                               MacAddress::from_seed(1), MacAddress::from_seed(1), 0, body);
+    const core::BeaconView view = core::read_beacon(mpdu);
+    const auto full = dot11::Beacon::decode(body);
+    EXPECT_EQ(view.status, full ? core::BeaconStatus::Ok : core::BeaconStatus::Malformed);
+    if (!full) return;
+    const auto ssid = dot11::parse_ssid_ie(full->ies);
+    EXPECT_EQ(view.ssid.has_value(), ssid.has_value());
+    if (ssid && view.ssid) {
+      EXPECT_EQ(std::string(*view.ssid), *ssid);
+    }
+    std::vector<core::Fragment> walked;
+    codec.for_each_fragment(view.elements,
+                            [&](std::optional<core::Fragment>&& f, core::DecodeError) {
+                              if (f) walked.push_back(std::move(*f));
+                            });
+    const std::vector<core::Fragment> listed = codec.decode_all(full->ies);
+    ASSERT_EQ(walked.size(), listed.size());
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      EXPECT_EQ(walked[i].device_id, listed[i].device_id);
+      EXPECT_EQ(walked[i].sequence, listed[i].sequence);
+      EXPECT_EQ(walked[i].frag_index, listed[i].frag_index);
+      EXPECT_EQ(walked[i].data, listed[i].data);
+    }
+  };
+  fuzz_random(30, 2000, 300, check);
+  core::Message msg;
+  msg.device_id = 11;
+  msg.data = Bytes(300, 0x3c);  // two elements
+  dot11::Beacon beacon;
+  beacon.ies.add(dot11::make_ssid_ie(""));
+  beacon.ies.add(dot11::make_supported_rates_ie(dot11::default_bg_rates()));
+  for (const auto& ie : codec.encode(msg)) beacon.ies.add(ie);
+  fuzz_mutations(beacon.encode(), 31, check);
+}
+
 TEST(FuzzParsers, MgmtBodyDecodersNeverCrash) {
   auto parse = [](BytesView in) {
     (void)dot11::ProbeRequest::decode(in);
@@ -139,8 +183,8 @@ TEST(FuzzParsers, WileCodecNeverCrashes) {
     dot11::InfoElement ie;
     ie.id = dot11::IeId::VendorSpecific;
     ie.data = random_bytes(rng, 255);
-    EXPECT_NO_THROW((void)plain.decode(ie));
-    EXPECT_NO_THROW((void)keyed.decode(ie));
+    EXPECT_NO_THROW((void)plain.decode(ie.data));
+    EXPECT_NO_THROW((void)keyed.decode(ie.data));
   }
   // Mutations of a valid element.
   core::Message msg;
@@ -151,7 +195,7 @@ TEST(FuzzParsers, WileCodecNeverCrashes) {
   for (int i = 0; i < 300; ++i) {
     dot11::InfoElement ie = ies[0];
     ie.data[mut.below(ie.data.size())] ^= static_cast<std::uint8_t>(1u << mut.below(8));
-    EXPECT_NO_THROW((void)keyed.decode(ie));
+    EXPECT_NO_THROW((void)keyed.decode(ie.data));
   }
 }
 
@@ -191,7 +235,7 @@ TEST(FuzzParsers, MutatedFragmentTrainsNeverCrashReassembly) {
         ie.data[rng.below(ie.data.size())] ^=
             static_cast<std::uint8_t>(1u << rng.below(8));
       }
-      auto fragment = codec.decode(ie);
+      auto fragment = codec.decode(ie.data);
       if (!fragment) continue;  // CRC catches most mutations
       EXPECT_NO_THROW((void)reassembler.add(*fragment));
     }

@@ -23,7 +23,7 @@ Message make_message(std::size_t data_size, Rng& rng, std::uint32_t device = 7,
 Message must_decode(const Codec& codec, const std::vector<dot11::InfoElement>& ies) {
   Reassembler reassembler;
   for (const auto& ie : ies) {
-    auto fragment = codec.decode(ie);
+    auto fragment = codec.decode(ie.data);
     EXPECT_TRUE(fragment.has_value());
     if (auto msg = reassembler.add(*fragment)) return *msg;
   }
@@ -112,7 +112,7 @@ TEST(Codec, UndefinedFlagBitsAreMalformed) {
   Rng rng{5};
   const Message msg = make_message(16, rng);
   const dot11::InfoElement plain = codec.encode(msg).front();
-  ASSERT_TRUE(codec.decode(plain).has_value());
+  ASSERT_TRUE(codec.decode(plain.data).has_value());
   for (const std::uint8_t bit : {0x08, 0x80}) {
     SCOPED_TRACE(testing::Message() << "flag bit 0x" << std::hex << int{bit});
     dot11::InfoElement ie = plain;
@@ -124,7 +124,7 @@ TEST(Codec, UndefinedFlagBitsAreMalformed) {
         crypto::crc32(BytesView{ie.data.data() + 4, crc_at - 4});
     for (int k = 0; k < 4; ++k) ie.data[crc_at + k] = static_cast<std::uint8_t>(crc >> (8 * k));
     DecodeError error{};
-    EXPECT_FALSE(codec.decode(ie, &error).has_value());
+    EXPECT_FALSE(codec.decode(ie.data, &error).has_value());
     EXPECT_EQ(error, DecodeError::Malformed);
   }
 }
@@ -170,7 +170,7 @@ TEST(Codec, RejectsForeignVendorIe) {
   // OUI 00:50:f2 (not Wi-LE's), vendor subtype 1, payload 1 2 3.
   const dot11::InfoElement ie{dot11::IeId::VendorSpecific, {0x00, 0x50, 0xf2, 1, 1, 2, 3}};
   DecodeError error{};
-  EXPECT_FALSE(codec.decode(ie, &error).has_value());
+  EXPECT_FALSE(codec.decode(ie.data, &error).has_value());
   EXPECT_EQ(error, DecodeError::NotWile);
 }
 
@@ -181,7 +181,7 @@ TEST(Codec, DetectsCorruptionViaCrc) {
   ASSERT_EQ(ies.size(), 1u);
   ies[0].data[10] ^= 0x01;
   DecodeError error{};
-  EXPECT_FALSE(codec.decode(ies[0], &error).has_value());
+  EXPECT_FALSE(codec.decode(ies[0].data, &error).has_value());
   EXPECT_EQ(error, DecodeError::BadCrc);
 }
 
@@ -191,7 +191,7 @@ TEST(Codec, WrongKeyFailsDecrypt) {
   Rng rng{6};
   const auto ies = enc.encode(make_message(50, rng));
   DecodeError error{};
-  EXPECT_FALSE(wrong.decode(ies[0], &error).has_value());
+  EXPECT_FALSE(wrong.decode(ies[0].data, &error).has_value());
   EXPECT_EQ(error, DecodeError::DecryptFailed);
 }
 
@@ -201,7 +201,7 @@ TEST(Codec, EncryptedElementNeedsKey) {
   Rng rng{7};
   const auto ies = enc.encode(make_message(50, rng));
   DecodeError error{};
-  EXPECT_FALSE(plain.decode(ies[0], &error).has_value());
+  EXPECT_FALSE(plain.decode(ies[0].data, &error).has_value());
   EXPECT_EQ(error, DecodeError::KeyRequired);
 }
 
@@ -212,7 +212,7 @@ TEST(Codec, PlainCodecReadsPlainElements) {
   Rng rng{8};
   const Message msg = make_message(20, rng);
   const auto ies = plain.encode(msg);
-  const auto fragment = keyed.decode(ies[0]);
+  const auto fragment = keyed.decode(ies[0].data);
   ASSERT_TRUE(fragment.has_value());
   EXPECT_EQ(fragment->data, msg.data);
 }
@@ -223,7 +223,7 @@ TEST(Codec, RejectsTruncatedContainer) {
   auto ies = codec.encode(make_message(50, rng));
   ies[0].data.resize(10);
   DecodeError error{};
-  EXPECT_FALSE(codec.decode(ies[0], &error).has_value());
+  EXPECT_FALSE(codec.decode(ies[0].data, &error).has_value());
   EXPECT_EQ(error, DecodeError::Malformed);
 }
 
@@ -251,10 +251,10 @@ TEST(Reassembler, InterleavedDevicesReassembleIndependently) {
   std::vector<Message> complete;
   for (std::size_t i = 0; i < std::max(ies_a.size(), ies_b.size()); ++i) {
     if (i < ies_a.size()) {
-      if (auto m = r.add(*codec.decode(ies_a[i]))) complete.push_back(*m);
+      if (auto m = r.add(*codec.decode(ies_a[i].data))) complete.push_back(*m);
     }
     if (i < ies_b.size()) {
-      if (auto m = r.add(*codec.decode(ies_b[i]))) complete.push_back(*m);
+      if (auto m = r.add(*codec.decode(ies_b[i].data))) complete.push_back(*m);
     }
   }
   ASSERT_EQ(complete.size(), 2u);
@@ -273,12 +273,12 @@ TEST(Reassembler, LostFragmentDropsMessageButNotNext) {
   Reassembler r;
   // Drop fragment 0 of `first`; feed the rest.
   for (std::size_t i = 1; i < ies_first.size(); ++i) {
-    EXPECT_FALSE(r.add(*codec.decode(ies_first[i])).has_value());
+    EXPECT_FALSE(r.add(*codec.decode(ies_first[i].data)).has_value());
   }
   // `second` arrives complete and must reassemble despite the stale partial.
   std::optional<Message> got;
   for (const auto& ie : ies_second) {
-    if (auto m = r.add(*codec.decode(ie))) got = m;
+    if (auto m = r.add(*codec.decode(ie.data))) got = m;
   }
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->data, second.data);
@@ -292,11 +292,11 @@ TEST(Reassembler, DuplicateFragmentIsIdempotent) {
   ASSERT_GE(ies.size(), 2u);
 
   Reassembler r;
-  EXPECT_FALSE(r.add(*codec.decode(ies[0])).has_value());
-  EXPECT_FALSE(r.add(*codec.decode(ies[0])).has_value());  // duplicate
+  EXPECT_FALSE(r.add(*codec.decode(ies[0].data)).has_value());
+  EXPECT_FALSE(r.add(*codec.decode(ies[0].data)).has_value());  // duplicate
   std::optional<Message> got;
   for (std::size_t i = 1; i < ies.size(); ++i) {
-    if (auto m = r.add(*codec.decode(ies[i]))) got = m;
+    if (auto m = r.add(*codec.decode(ies[i].data))) got = m;
   }
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->data, msg.data);
