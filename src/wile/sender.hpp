@@ -183,8 +183,6 @@ struct SenderConfig {
   /// energy stays exact (power::PowerTimeline::set_max_segments), and so
   /// does a report's cycle_energy, which is a running sum from the wake.
   std::size_t timeline_max_segments = 0;
-
-  friend bool operator==(const SenderConfig&, const SenderConfig&) = default;
 };
 
 /// What the senders of a fleet share: a SenderConfig without the

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "wile/controller.hpp"
@@ -159,6 +160,43 @@ bool one_profile(sim::Scenario& scenario) {
     if (&d->profile() != &devices.front()->profile()) return false;
   }
   return true;
+}
+
+TEST(SenderProfile, FitsEveryFieldButIdentity) {
+  const SenderProfile profile{SenderConfig{}};
+  SenderConfig identity;
+  identity.device_id = 77;
+  identity.mac = MacAddress::from_seed(3);
+  identity.clock_ppm_error = 20.0;
+  EXPECT_TRUE(profile.fits(identity));
+
+  using Change = void (*)(SenderConfig&);
+  const std::vector<std::pair<const char*, Change>> changes = {
+      {"rate", [](SenderConfig& c) { c.rate = phy::WifiRate::B1; }},
+      {"band", [](SenderConfig& c) { c.band = phy::Band::G5; }},
+      {"tx_power_dbm", [](SenderConfig& c) { c.tx_power_dbm = 3.0; }},
+      {"key", [](SenderConfig& c) { c.key = Bytes(16, 0x42); }},
+      {"period", [](SenderConfig& c) { c.period = seconds(30); }},
+      {"wake_jitter", [](SenderConfig& c) { c.wake_jitter = msec(5); }},
+      {"use_csma", [](SenderConfig& c) { c.use_csma = false; }},
+      {"beacon_interval_tu", [](SenderConfig& c) { c.beacon_interval_tu = 200; }},
+      {"spoofed_ssid", [](SenderConfig& c) { c.spoofed_ssid = "cafe"; }},
+      {"ssid_stuffing", [](SenderConfig& c) { c.ssid_stuffing = true; }},
+      {"rx_window", [](SenderConfig& c) { c.rx_window = RxWindow{msec(2), msec(20)}; }},
+      {"reliable", [](SenderConfig& c) { c.reliable = true; }},
+      {"reliable_max_attempts", [](SenderConfig& c) { c.reliable_max_attempts = 5; }},
+      {"initial_sequence", [](SenderConfig& c) { c.initial_sequence = 9; }},
+      {"redundancy", [](SenderConfig& c) { c.redundancy.recovery_k = 4; }},
+      {"harvesting", [](SenderConfig& c) { c.harvesting = HarvestingConfig{}; }},
+      {"wur", [](SenderConfig& c) { c.wur = WurCompanionConfig{}; }},
+      {"power", [](SenderConfig& c) { c.power.radio_tx = milliamps(150.0); }},
+      {"timeline_max_segments", [](SenderConfig& c) { c.timeline_max_segments = 64; }},
+  };
+  for (const auto& [field, change] : changes) {
+    SenderConfig other = identity;
+    change(other);
+    EXPECT_FALSE(profile.fits(other)) << field;
+  }
 }
 
 TEST(SenderProfile, FleetWithoutHookSharesOneProfile) {
