@@ -7,12 +7,15 @@
 // gateway decoding thousands of Wi-LE beacons per second).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "crypto/aes_modes.hpp"
@@ -507,31 +510,46 @@ void BM_RulesEval(benchmark::State& state) {
 }
 BENCHMARK(BM_RulesEval)->Arg(100)->Arg(10000);
 
+/// A stand-in node with 15 per-node counters, bound through one schema.
+struct ExportNode {
+  std::array<std::uint64_t, 15> slots{};
+};
+
+constexpr std::array<std::string_view, 15> kExportNames = {
+    "metric_0", "metric_1", "metric_2",  "metric_3",  "metric_4",
+    "metric_5", "metric_6", "metric_7",  "metric_8",  "metric_9",
+    "metric_10", "metric_11", "metric_12", "metric_13", "metric_14"};
+
+template <std::size_t... K>
+constexpr std::array<telemetry::Row, sizeof...(K)> export_rows(std::index_sequence<K...>) {
+  return {telemetry::counter<ExportNode>(kExportNames[K],
+                                         [](const ExportNode& n) { return n.slots[K]; })...};
+}
+
 void BM_TelemetryExport(benchmark::State& state) {
-  // The wile-telemetry-v1 JSON export of one final snapshot: N nodes x 15
+  // The wile-telemetry-v1 JSON export of a registry: N nodes x 15
   // per-node counters (the telemetry_rules shape: 3,000 senders) plus a
   // few aggregates. The per-node section dominates.
-  constexpr int kMetricsPerNode = 15;
-  const auto n_nodes = static_cast<int>(state.range(0));
-  std::vector<std::uint64_t> slots(static_cast<std::size_t>(n_nodes) * kMetricsPerNode + 3);
-  for (std::size_t k = 0; k < slots.size(); ++k) slots[k] = k * 7919;
-  telemetry::MetricsRegistry registry;
-  registry.bind_counter("medium.transmissions", &slots[0]);
-  registry.bind_counter("medium.deliveries", &slots[1]);
-  registry.bind_counter("gateway.messages", &slots[2]);
-  std::size_t next = 3;
-  for (int node = 0; node < n_nodes; ++node) {
-    for (int m = 0; m < kMetricsPerNode; ++m) {
-      registry.bind_counter("node." + std::to_string(node) + ".sender.metric_" + std::to_string(m),
-                            &slots[next++]);
-    }
+  static constexpr auto kRows = export_rows(std::make_index_sequence<15>{});
+  static constexpr telemetry::Schema kSchema{"sender", kRows};
+  const auto n_nodes = static_cast<std::size_t>(state.range(0));
+  std::vector<ExportNode> nodes(n_nodes);
+  std::uint64_t next = 3;
+  for (ExportNode& node : nodes) {
+    for (std::uint64_t& slot : node.slots) slot = next++ * 7919;
   }
-  const telemetry::Snapshot snapshot = registry.snapshot(TimePoint{seconds(600)});
+  telemetry::MetricsRegistry registry;
+  registry.bind_counter_fn("medium.transmissions", [] { return std::uint64_t{0}; });
+  registry.bind_counter_fn("medium.deliveries", [] { return std::uint64_t{7919}; });
+  registry.bind_counter_fn("gateway.messages", [] { return std::uint64_t{2 * 7919}; });
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    registry.bind_node(static_cast<std::uint32_t>(i), kSchema, &nodes[i]);
+  }
   telemetry::ExportMeta meta;
   meta.bench = "micro_perf";
 
   for (auto _ : state) {
-    const std::string json = telemetry::to_json(snapshot, {}, meta);
+    const std::string json = telemetry::to_json(registry, TimePoint{seconds(600)}, {}, meta);
     benchmark::DoNotOptimize(json.data());
   }
   state.SetItemsProcessed(state.iterations());

@@ -72,8 +72,7 @@ int main() {
     }
   });
   access_point.start();
-  access_point.publish_metrics(
-      scenario->metrics(), "node." + std::to_string(access_point.node_id()) + ".ap");
+  access_point.publish_metrics(scenario->metrics(), access_point.node_id());
 
   // The gateway, a few meters from the AP.
   core::GatewayConfig gw_cfg;

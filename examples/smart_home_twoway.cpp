@@ -92,8 +92,7 @@ int main() {
     std::printf("t=%6.1fs  [hub] report: room %.2f C, setpoint %.1f C\n",
                 to_seconds(scheduler.now().since_epoch()), temp, sp);
   });
-  hub.publish_metrics(scenario->metrics(),
-                      "node." + std::to_string(hub.node_id()) + ".controller");
+  hub.publish_metrics(scenario->metrics(), hub.node_id());
 
   // The user bumps the setpoint twice during the simulation.
   scheduler.schedule_at(TimePoint{seconds(150)}, [&] {

@@ -106,10 +106,9 @@ class AccessPoint : public sim::MediumClient {
   [[nodiscard]] const AccessPointConfig& config() const { return config_; }
   [[nodiscard]] const ApStats& stats() const { return stats_; }
 
-  /// Bind AP counters into a telemetry registry under `prefix`
-  /// (canonically "node.<id>.ap"); stats() keeps the same slots.
-  void publish_metrics(telemetry::MetricsRegistry& registry,
-                       const std::string& prefix) const;
+  /// Bind AP counters into a telemetry registry as node `node`'s
+  /// ("node.<node>.ap.*"); stats() keeps the same slots.
+  void publish_metrics(telemetry::MetricsRegistry& registry, sim::NodeId node) const;
 
   /// Uplink sink: called for every decrypted/deencapsulated UDP datagram
   /// a client sends through the AP.

@@ -169,7 +169,7 @@ class FaultInjector {
   /// Bind the fault counters into a telemetry registry under `prefix`
   /// ("fault.windows_started", ...); stats() stays the same slots.
   void publish_metrics(telemetry::MetricsRegistry& registry,
-                       const std::string& prefix = "fault") const;
+                       std::string prefix = "fault") const;
 
  private:
   class Jammer;

@@ -167,10 +167,10 @@ class Station : public sim::MediumClient {
   [[nodiscard]] const power::PowerTimeline& timeline() const { return timeline_; }
   [[nodiscard]] const StationStats& stats() const { return stats_; }
 
-  /// Bind station counters into a telemetry registry under `prefix`
-  /// (canonically "node.<id>.station"); stats() keeps the same slots.
-  void publish_metrics(telemetry::MetricsRegistry& registry,
-                       const std::string& prefix) const;
+  /// Bind station counters into a telemetry registry under the
+  /// aggregate prefix `prefix` (a Gateway's "<gateway>.station");
+  /// stats() keeps the same slots.
+  void publish_metrics(telemetry::MetricsRegistry& registry, std::string prefix) const;
   [[nodiscard]] const StationConfig& config() const { return config_; }
   [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
   [[nodiscard]] std::optional<net::Ipv4Address> ip() const { return ip_; }

@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_map>
+#include <span>
 
 namespace wile::telemetry {
 
@@ -48,11 +48,28 @@ void append_key(std::string& out, std::string_view key) {
   out += "\": ";
 }
 
-void append_metric_value(std::string& out, const MetricValue& v) {
-  if (v.kind == MetricKind::Counter) {
-    append_u64(out, v.count);
+/// The key of `m`: its whole name, or below its node just
+/// "<component>.<suffix>".
+void append_key(std::string& out, const Metric& m, bool below_node) {
+  out.push_back('"');
+  if (m.per_node() && !below_node) {
+    out += "node.";
+    append_u64(out, m.node());
+    out.push_back('.');
+  }
+  append_escaped(out, m.head());
+  if (!m.tail().empty()) {
+    out.push_back('.');
+    append_escaped(out, m.tail());
+  }
+  out += "\": ";
+}
+
+void append_metric_value(std::string& out, const Metric& m) {
+  if (m.kind() == MetricKind::Counter) {
+    append_u64(out, m.counter());
   } else {
-    append_f64(out, v.value);
+    append_f64(out, m.gauge());
   }
 }
 
@@ -69,63 +86,47 @@ void append_histogram(std::string& out, const Histogram& h) {
   append_f64(out, h.mean());
   out += ", \"buckets\": {";
   bool first = true;
-  for (std::size_t k = 0; k < h.buckets.size(); ++k) {
-    if (h.buckets[k] == 0) continue;
+  const std::span<const std::uint64_t> span = h.span();
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    if (span[i] == 0) continue;
     if (!first) out += ", ";
     first = false;
     out.push_back('"');
-    append_u64(out, k);
+    append_u64(out, h.first_bucket() + i);
     out += "\": ";
-    append_u64(out, h.buckets[k]);
+    append_u64(out, span[i]);
   }
   out += "}}";
 }
 
-/// Split "node.<id>.<suffix>" -> true + id + suffix; false otherwise.
-bool split_node_metric(std::string_view name, std::uint64_t* id,
-                       std::string_view* suffix) {
-  constexpr std::string_view kPrefix = "node.";
-  if (name.substr(0, kPrefix.size()) != kPrefix) return false;
-  const std::string_view rest = name.substr(kPrefix.size());
-  const std::size_t dot = rest.find('.');
-  if (dot == std::string_view::npos || dot == 0) return false;
-  std::uint64_t value = 0;
-  for (char c : rest.substr(0, dot)) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *id = value;
-  *suffix = rest.substr(dot + 1);
-  return true;
-}
-
-void append_metrics_object(std::string& out, const Snapshot& s, bool nodes) {
+/// A sample's counters and gauges, keyed by name.
+void append_sample_metrics(std::string& out, const Snapshot& s) {
   out.push_back('{');
   bool first = true;
-  std::uint64_t id = 0;
-  std::string_view suffix;
   for (const MetricValue& v : s.values) {
-    if (v.kind == MetricKind::HistogramKind) continue;  // own section
-    if (split_node_metric(v.name, &id, &suffix) != nodes) continue;
     if (!first) out += ", ";
     first = false;
     append_key(out, v.name);
-    append_metric_value(out, v);
+    if (v.kind == MetricKind::Counter) {
+      append_u64(out, v.count);
+    } else {
+      append_f64(out, v.value);
+    }
   }
   out.push_back('}');
 }
 
 }  // namespace
 
-std::string to_json(const Snapshot& snapshot, const std::vector<Snapshot>& samples,
-                    const ExportMeta& meta, const Tracer* tracer,
-                    bool include_trace_events) {
+std::string to_json(const MetricsRegistry& registry, TimePoint at,
+                    const std::vector<Snapshot>& samples, const ExportMeta& meta,
+                    const Tracer* tracer, bool include_trace_events) {
   std::string out;
-  out.reserve(4096 + snapshot.values.size() * 48);
+  out.reserve(4096 + registry.size() * 48);
   out += "{\n  \"schema\": \"wile-telemetry-v1\",\n  \"bench\": \"";
   append_escaped(out, meta.bench);
   out += "\",\n  \"sim_time_us\": ";
-  append_i64(out, snapshot.at.us());
+  append_i64(out, at.us());
   out += ",\n  \"meta\": {";
   bool first = true;
   for (const auto& [k, v] : meta.ints) {
@@ -140,80 +141,56 @@ std::string to_json(const Snapshot& snapshot, const std::vector<Snapshot>& sampl
     append_key(out, k);
     append_f64(out, v);
   }
-  out += "},\n  \"aggregates\": ";
-  {
-    std::string agg;
-    bool first_agg = true;
-    std::uint64_t id = 0;
-    std::string_view suffix;
-    agg.push_back('{');
-    for (const MetricValue& v : snapshot.values) {
-      if (v.kind == MetricKind::HistogramKind) continue;
-      if (split_node_metric(v.name, &id, &suffix)) continue;
-      if (!first_agg) agg += ", ";
-      first_agg = false;
-      append_key(agg, v.name);
-      append_metric_value(agg, v);
-    }
-    agg.push_back('}');
-    out += agg;
-  }
-
-  out += ",\n  \"histograms\": {";
+  out += "},\n  \"aggregates\": {";
   first = true;
-  for (const MetricValue& v : snapshot.values) {
-    if (v.kind != MetricKind::HistogramKind) continue;
+  registry.for_each_aggregate([&out, &first](const Metric& m) {
+    if (m.kind() == MetricKind::HistogramKind) return;  // own section
     if (!first) out += ", ";
     first = false;
-    append_key(out, v.name);
-    append_histogram(out, v.histogram);
-  }
+    append_key(out, m, /*below_node=*/false);
+    append_metric_value(out, m);
+  });
+
+  out += "},\n  \"histograms\": {";
+  first = true;
+  registry.for_each([&out, &first](const Metric& m) {
+    if (m.kind() != MetricKind::HistogramKind) return;
+    if (!first) out += ", ";
+    first = false;
+    append_key(out, m, /*below_node=*/false);
+    append_histogram(out, m.histogram());
+  });
   out += "},\n  \"nodes\": [";
 
-  // Group per-node metrics by id in one pass, preserving first-appearance
-  // order (registration attaches nodes in ascending NodeId order) and,
-  // within a node, snapshot order.
-  {
-    struct NodeMetrics {
-      std::uint64_t id = 0;
-      std::vector<std::pair<std::string_view, const MetricValue*>> metrics;
-    };
-    std::vector<NodeMetrics> nodes;
-    std::unordered_map<std::uint64_t, std::size_t> slot_of;  // id -> index in nodes
-    std::uint64_t id = 0;
-    std::string_view suffix;
-    for (const MetricValue& v : snapshot.values) {
-      if (v.kind == MetricKind::HistogramKind) continue;
-      if (!split_node_metric(v.name, &id, &suffix)) continue;
-      const auto [it, added] = slot_of.try_emplace(id, nodes.size());
-      if (added) nodes.push_back({id, {}});
-      nodes[it->second].metrics.emplace_back(suffix, &v);
-    }
-    bool first_node = true;
-    for (const NodeMetrics& node : nodes) {
-      if (!first_node) out += ",";
-      first_node = false;
+  // The registry hands each node's values over together, nodes in
+  // first-appearance order (registration attaches nodes in ascending id
+  // order) and, within a node, in registration order.
+  bool any_node = false;
+  bool first_metric = true;
+  std::uint32_t node = 0;
+  registry.for_each_node_value([&](const Metric& m) {
+    if (!any_node || m.node() != node) {
+      if (any_node) out += "}},";
+      any_node = true;
+      node = m.node();
       out += "\n    {\"node\": ";
-      append_u64(out, node.id);
+      append_u64(out, node);
       out += ", \"metrics\": {";
-      bool first_metric = true;
-      for (const auto& [name, value] : node.metrics) {
-        if (!first_metric) out += ", ";
-        first_metric = false;
-        append_key(out, name);
-        append_metric_value(out, *value);
-      }
-      out += "}}";
+      first_metric = true;
     }
-    if (!nodes.empty()) out += "\n  ";
-  }
+    if (!first_metric) out += ", ";
+    first_metric = false;
+    append_key(out, m, /*below_node=*/true);
+    append_metric_value(out, m);
+  });
+  if (any_node) out += "}}\n  ";
   out += "],\n  \"samples\": [";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     if (i != 0) out += ",";
     out += "\n    {\"t_us\": ";
     append_i64(out, samples[i].at.us());
     out += ", \"metrics\": ";
-    append_metrics_object(out, samples[i], /*nodes=*/false);
+    append_sample_metrics(out, samples[i]);
     out += "}";
   }
   if (!samples.empty()) out += "\n  ";

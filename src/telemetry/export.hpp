@@ -1,7 +1,8 @@
-// Snapshot serialization: the BENCH_*.json telemetry schema.
+// Registry serialization: the BENCH_*.json telemetry schema.
 //
 // The JSON schema ("wile-telemetry-v1", checked in CI by
-// tools/check_bench_schema.py) serializes one whole-sim snapshot:
+// tools/check_bench_schema.py) serializes every metric of a registry,
+// read at one instant:
 //
 //   {
 //     "schema": "wile-telemetry-v1",
@@ -19,7 +20,9 @@
 // Formatting is deterministic: metrics appear in registration order,
 // integers as integers, doubles via %.17g (round-trip exact), so two
 // same-seed runs export byte-identical files — pinned by
-// tests/test_telemetry.cpp.
+// tests/test_telemetry.cpp and the scenario exports in tests/golden/.
+// Names are written piece by piece as they are formatted; no per-node
+// name is ever built.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +42,10 @@ struct ExportMeta {
   std::vector<std::pair<std::string, double>> doubles;
 };
 
-/// Serialize a final snapshot (+ optional time-series samples and trace)
-/// to the wile-telemetry-v1 JSON document.
-[[nodiscard]] std::string to_json(const Snapshot& snapshot,
+/// Serialize every metric of `registry`, read now and stamped with the
+/// simulated time `at` (+ optional time-series samples and trace), to
+/// the wile-telemetry-v1 JSON document.
+[[nodiscard]] std::string to_json(const MetricsRegistry& registry, TimePoint at,
                                   const std::vector<Snapshot>& samples,
                                   const ExportMeta& meta,
                                   const Tracer* tracer = nullptr,

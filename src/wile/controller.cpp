@@ -106,12 +106,16 @@ void Controller::schedule_injection(const RxWindow& window, Message message, TxK
   });
 }
 
-void Controller::publish_metrics(telemetry::MetricsRegistry& registry,
-                                 const std::string& prefix) const {
-  registry.bind_counter(prefix + ".downlinks_queued", &stats_.downlinks_queued);
-  registry.bind_counter(prefix + ".downlinks_sent", &stats_.downlinks_sent);
-  registry.bind_counter(prefix + ".windows_seen", &stats_.windows_seen);
-  registry.bind_counter(prefix + ".acks_sent", &stats_.acks_sent);
+void Controller::publish_metrics(telemetry::MetricsRegistry& registry, sim::NodeId node) const {
+  using S = ControllerStats;
+  static constexpr telemetry::Row kRows[] = {
+      telemetry::counter<S>("downlinks_queued", [](const S& s) { return s.downlinks_queued; }),
+      telemetry::counter<S>("downlinks_sent", [](const S& s) { return s.downlinks_sent; }),
+      telemetry::counter<S>("windows_seen", [](const S& s) { return s.windows_seen; }),
+      telemetry::counter<S>("acks_sent", [](const S& s) { return s.acks_sent; }),
+  };
+  static constexpr telemetry::Schema kSchema{"controller", kRows};
+  registry.bind_node(node, kSchema, &stats_);
 }
 
 }  // namespace wile::core

@@ -81,10 +81,9 @@ class Controller : public sim::MediumClient {
   [[nodiscard]] const ControllerStats& stats() const { return stats_; }
   [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
 
-  /// Bind controller counters into a telemetry registry under `prefix`
-  /// (canonically "node.<id>.controller").
-  void publish_metrics(telemetry::MetricsRegistry& registry,
-                       const std::string& prefix) const;
+  /// Bind controller counters into a telemetry registry as node
+  /// `node`'s ("node.<node>.controller.*").
+  void publish_metrics(telemetry::MetricsRegistry& registry, sim::NodeId node) const;
 
   // --- sim::MediumClient -----------------------------------------------------
   void on_frame(const sim::RxFrame& frame) override;

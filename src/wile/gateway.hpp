@@ -147,13 +147,13 @@ class Gateway {
   [[nodiscard]] bool uplink_ready() const { return uplink_ready_; }
   [[nodiscard]] const GatewayStats& stats() const { return stats_; }
 
-  /// Bind bridge counters (and the monitor radio's receiver counters,
-  /// under `prefix`.monitor) into a telemetry registry; the stats()
-  /// accessors keep reading the same slots. Also creates the
+  /// Bind bridge counters into a telemetry registry under the aggregate
+  /// prefix `prefix`, the monitor radio's receiver counters under
+  /// `prefix`.monitor and the station's under `prefix`.station; the
+  /// stats() accessors keep reading the same slots. Also creates the
   /// `<prefix>.batch_fill` histogram of readings per sent batch
   /// (canonically "ingest.batch_fill" when prefix = "ingest").
-  void publish_metrics(telemetry::MetricsRegistry& registry,
-                       const std::string& prefix) const;
+  void publish_metrics(telemetry::MetricsRegistry& registry, std::string prefix) const;
 
   /// Attach a tracer (nullptr detaches): the gateway emits a Drop
   /// instant, on the monitor radio's node, for every reading it

@@ -84,11 +84,12 @@ class Receiver : public sim::MediumClient {
 
   [[nodiscard]] const ReceiverStats& stats() const { return stats_; }
 
-  /// Bind this receiver's counters into a telemetry registry under
-  /// `prefix` (canonically "node.<id>.receiver"); stats() remains a
-  /// view of the exact same slots.
-  void publish_metrics(telemetry::MetricsRegistry& registry,
-                       const std::string& prefix) const;
+  /// Bind this receiver's counters into a telemetry registry as node
+  /// `node`'s ("node.<node>.receiver.*"), or under an aggregate prefix
+  /// (a Gateway's "<gateway>.monitor"); stats() remains a view of the
+  /// exact same slots.
+  void publish_metrics(telemetry::MetricsRegistry& registry, sim::NodeId node) const;
+  void publish_metrics(telemetry::MetricsRegistry& registry, std::string prefix) const;
   /// Registry ordered by device id (stable iteration for tests/benches).
   [[nodiscard]] const std::map<std::uint32_t, DeviceInfo>& devices() const {
     return devices_;
@@ -110,6 +111,9 @@ class Receiver : public sim::MediumClient {
   [[nodiscard]] bool demodulates(const std::optional<phy::WifiRate>& rate) const override;
 
  private:
+  /// The receiver's metrics (stats() plus the device registry's size and
+  /// its loss estimate), for both kinds of binding.
+  static const telemetry::Schema& metric_schema();
   /// How many payloads (and how far back in sequence space) the FEC
   /// machinery can reach: matches DeviceInfo::recent_seen's 64-bit
   /// horizon, so anything the bitmap remembers is XOR-reconstructable.

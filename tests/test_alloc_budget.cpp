@@ -10,8 +10,8 @@
 // A gateway in range keeps the same discipline: it decodes each beacon in
 // place and allocates only the message it delivers.
 //
-// A fleet device's footprint is guarded too: the size of a Sender and
-// the live heap a plain fleet device holds.
+// A fleet device's footprint is guarded too: the size of a Sender, the
+// live heap a plain fleet device holds, and what per-node metrics add.
 //
 // This binary replaces the global operator new/delete with counting
 // malloc wrappers, so it is its own test executable.
@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <vector>
 
 #include "wile/receiver.hpp"
 #include "wile/scenario.hpp"
@@ -217,6 +218,57 @@ TEST(AllocBudget, PlainFleetDeviceFootprint) {
       static_cast<double>(g_live_bytes.load(std::memory_order_relaxed) - bytes0) / kDevices;
   EXPECT_LE(blocks, 8.0);
   EXPECT_LE(bytes, 3200.0);
+}
+
+struct Footprint {
+  double blocks = 0.0;  // live heap blocks per device
+  double bytes = 0.0;   // live requested bytes per device
+};
+
+/// Build and run a fleet in the benchmark's telemetry_rules shape (5 m
+/// grid, a 5 s period, a gateway per 100 devices, a 3-rule chain polled
+/// every second, a 10 s sampler, 64-segment power history), and return
+/// the live heap it holds per device after `sim_seconds`.
+Footprint telemetry_fleet_footprint(int devices, int sim_seconds, bool per_node) {
+  std::vector<rules::RuleSpec> chain(3);
+  chain[0].name = "hot-held";
+  chain[0].when = rules::ConditionSpec{rules::Field::Value, rules::Cmp::Gt, 40000.0};
+  chain[0].hold = seconds(10);
+  chain[1].name = "burst";
+  chain[1].aggregate = rules::AggregateSpec{rules::AggOp::Count, seconds(30), rules::Cmp::Ge, 8.0};
+  chain[2].name = "weak-signal";
+  chain[2].when = rules::ConditionSpec{rules::Field::RssiDbm, rules::Cmp::Lt, -85.0};
+  chain[2].cooldown = seconds(60);
+
+  const std::int64_t blocks0 = g_live_blocks.load(std::memory_order_relaxed);
+  const std::int64_t bytes0 = g_live_bytes.load(std::memory_order_relaxed);
+  auto scenario = sim::ScenarioBuilder{}
+                      .devices(devices)
+                      .grid_spacing_m(5.0)
+                      .gateway_every(100)
+                      .duty_cycle(seconds(5))
+                      .timeline_max_segments(64)
+                      .per_node_metrics(per_node)
+                      .rules(std::move(chain))
+                      .rules_poll_every(seconds(1))
+                      .sample_every(seconds(10))
+                      .build();
+  scenario->run_until(TimePoint{seconds(sim_seconds)});
+  Footprint f;
+  f.blocks = static_cast<double>(g_live_blocks.load(std::memory_order_relaxed) - blocks0) / devices;
+  f.bytes = static_cast<double>(g_live_bytes.load(std::memory_order_relaxed) - bytes0) / devices;
+  return f;
+}
+
+TEST(AllocBudget, PerNodeTelemetryFootprint) {
+  // Per-node metrics are rows of their components' schemas: a device
+  // costs a row in the registry's node table and its histograms'
+  // buckets, not a named entry per metric.
+  constexpr int kDevices = 1000;
+  const Footprint with = telemetry_fleet_footprint(kDevices, 60, true);
+  const Footprint without = telemetry_fleet_footprint(kDevices, 60, false);
+  EXPECT_LE(with.blocks - without.blocks, 1.5);
+  EXPECT_LE(with.bytes - without.bytes, 256.0);
 }
 
 }  // namespace

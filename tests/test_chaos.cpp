@@ -173,7 +173,9 @@ TEST(FaultValidation, OverlappingSameTargetWindowsCountedOnce) {
   // The warning is published as a telemetry counter.
   telemetry::MetricsRegistry registry;
   fi.publish_metrics(registry);
-  EXPECT_EQ(registry.counter_value("fault.windows_overlapping"), 2u);
+  const telemetry::Snapshot snap = registry.snapshot(TimePoint{});
+  ASSERT_NE(snap.find("fault.windows_overlapping"), nullptr);
+  EXPECT_EQ(snap.find("fault.windows_overlapping")->count, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string_view>
 
 #include "util/flat_table.hpp"
 #include "wile/controller.hpp"
@@ -380,11 +381,17 @@ TEST(RulesEngine, PublishMetricsExposesPerNodeCounters) {
   engine.on_reading(reading_at(1, 7, 35.0));
   engine.on_reading(reading_at(2, 7, 25.0));
 
-  EXPECT_EQ(registry.counter_value("rules.fired"), 1u);
-  EXPECT_EQ(registry.counter_value("rules.hot.fired"), 1u);
-  EXPECT_EQ(registry.counter_value("rules.hot.condition.evaluated"), 2u);
-  EXPECT_EQ(registry.counter_value("rules.hot.condition.passed"), 1u);
-  EXPECT_EQ(registry.counter_value("rules.hot.cooldown.passed"), 1u);
+  const telemetry::Snapshot snap = registry.snapshot(TimePoint{});
+  const auto count = [&snap](std::string_view name) {
+    const telemetry::MetricValue* v = snap.find(name);
+    EXPECT_NE(v, nullptr) << name;
+    return v != nullptr ? v->count : 0;
+  };
+  EXPECT_EQ(count("rules.fired"), 1u);
+  EXPECT_EQ(count("rules.hot.fired"), 1u);
+  EXPECT_EQ(count("rules.hot.condition.evaluated"), 2u);
+  EXPECT_EQ(count("rules.hot.condition.passed"), 1u);
+  EXPECT_EQ(count("rules.hot.cooldown.passed"), 1u);
 }
 
 // --- scenario wiring ---------------------------------------------------------
@@ -407,8 +414,9 @@ TEST(ScenarioRules, EngineSeesEveryGatewayDelivery) {
   ASSERT_NE(scenario->rules(), nullptr);
   EXPECT_GT(scenario->messages(), 0u);
   EXPECT_EQ(scenario->rules()->fired_total(), scenario->messages());
-  EXPECT_EQ(scenario->metrics().counter_value("rules.fired"),
-            scenario->rules()->fired_total());
+  const telemetry::Snapshot snap = scenario->snapshot();
+  ASSERT_NE(snap.find("rules.fired"), nullptr);
+  EXPECT_EQ(snap.find("rules.fired")->count, scenario->rules()->fired_total());
 }
 
 TEST(ScenarioRules, StalePollCatchesSilencedFleet) {
