@@ -3,6 +3,7 @@
 // scheduling, configuration knobs, and edge cases.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -260,6 +261,36 @@ TEST(SenderProfile, DifferingConfigsGetTheirOwnProfiles) {
     ASSERT_GT(d.cycles_run(), 0u);
     EXPECT_EQ(d.beacons_sent(), d.cycles_run() * (i % 2 == 1 ? 2 : 1));
   }
+}
+
+TEST(SenderProfile, MismatchedCandidateIsNotUsed) {
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
+  // A device offered a profile that does not fit its config runs on one
+  // of its own; a fitting one, or none, behaves as before.
+  SenderConfig fleet;
+  fleet.period = seconds(10);
+  const auto shared = std::make_shared<const SenderProfile>(fleet);
+
+  SenderConfig repeats = fleet;
+  repeats.device_id = 9;
+  repeats.redundancy.repeats = 2;
+  Sender odd{scheduler, medium, {0, 0}, shared, repeats, Rng{2}};
+  EXPECT_NE(&odd.profile(), shared.get());
+  EXPECT_TRUE(odd.profile().fits(repeats));
+  EXPECT_EQ(odd.config().redundancy.repeats, 2);
+
+  SenderConfig identity = fleet;
+  identity.device_id = 10;
+  Sender same{scheduler, medium, {1, 0}, shared, identity, Rng{3}};
+  EXPECT_EQ(&same.profile(), shared.get());
+  Sender own{scheduler, medium, {2, 0}, nullptr, identity, Rng{4}};
+  EXPECT_TRUE(own.profile().fits(identity));
+
+  // The device transmits what its own config says: two copies.
+  odd.send_now(Bytes{1, 2, 3}, {});
+  scheduler.run_until_idle();
+  EXPECT_EQ(odd.beacons_sent(), 2u);
 }
 
 TEST(SenderProfile, ClockDriftStaysWithItsDevice) {
