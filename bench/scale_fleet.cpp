@@ -120,10 +120,12 @@ FleetResult run_fleet(int n, int sim_seconds, unsigned threads, std::size_t shar
                      .seed(0xF1EE7C0DE)
                      .medium_seed(0xF1EE7)
                      .telemetry(telemetry)
-                     // Above ~10k nodes the per-node registry itself
-                     // becomes a measurable slice of RSS; keep it out
-                     // of the fleet-memory measurement. Aggregates
-                     // stay on regardless.
+                     // Per-node metrics cost a registry row and a
+                     // histogram per device; the cut-off is for the
+                     // export's size. The last plan row's export is the
+                     // committed BENCH_scale_fleet_telemetry.json, and
+                     // at ~450 B of JSON per node its 1M devices would
+                     // write about 450 MB. Aggregates stay on regardless.
                      .per_node_metrics(n <= 10'000);
   if (threads > 0) builder.threads(threads).shards(shards);
   auto scenario = builder.build();

@@ -409,8 +409,11 @@ class ScenarioBuilder {
   /// Register per-node metrics (node.<id>.sender.* / .receiver.*) in
   /// addition to aggregates. <id> is the fleet-wide index (devices, then
   /// gateways) — each node's NodeId on the serial engine, and the same
-  /// name on the sharded one. Default on; fleet-scale benches turn it
-  /// off above ~10k nodes to keep registry RSS out of the measurement.
+  /// name on the sharded one. A node costs one registry row plus its
+  /// histograms' buckets; what grows with the fleet is the export, about
+  /// 450 B of JSON per node. Default on; scale_fleet turns it off above
+  /// 10k nodes, since its last run's export (1M devices) is a committed
+  /// file.
   ScenarioBuilder& per_node_metrics(bool on) { per_node_ = on; return *this; }
   /// Enable protocol-phase tracing with the given event-buffer bound.
   ScenarioBuilder& trace(bool on,
