@@ -4,8 +4,13 @@
 // engine from gateway deliveries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "util/flat_table.hpp"
 #include "wile/controller.hpp"
@@ -315,6 +320,82 @@ TEST(RulesEngine, AggregateMeanOverConditionPassingReadings) {
   engine.on_reading(reading_at(2, 1, 40.0));  // mean 25: fires
   ASSERT_EQ(fires.size(), 1u);
   EXPECT_DOUBLE_EQ(fires[0].observed, 25.0);  // aggregate result, not the raw value
+}
+
+TEST(RulesEngine, EveryAggregateOverAgingWindowsAcrossTableGrowth) {
+  // One always-firing rule per AggOp over a 2 s window, so each fire
+  // carries the aggregate of its device's window. 1,100 devices join in
+  // groups over the first rounds: each rule's table grows from 1,024 to
+  // 2,048 and then to 4,096 slots while the windows it moves hold
+  // entries. A round is a second. A device sends one reading a round at
+  // a fixed offset, or a burst of five 50 ms apart, and skips some
+  // rounds, so a window holds 1 to 11 entries, and an entry exactly 2 s
+  // old stays in. Round 8 comes after a 5 s gap that ages every window
+  // out.
+  constexpr std::uint32_t kDevices = 1100;
+  constexpr int kRounds = 10;
+  const Duration window = seconds(2);
+  const rules::AggOp ops[] = {rules::AggOp::Count, rules::AggOp::Sum, rules::AggOp::Mean,
+                              rules::AggOp::Min, rules::AggOp::Max};
+  std::vector<rules::RuleSpec> specs;
+  for (const rules::AggOp op : ops) {
+    rules::RuleSpec spec;
+    spec.name = std::to_string(static_cast<int>(op));
+    spec.aggregate = rules::AggregateSpec{op, window, rules::Cmp::Ge, -1e300};
+    specs.push_back(spec);
+  }
+  rules::Engine engine{specs};
+  std::vector<rules::Fire> fires;
+  engine.set_fire_callback([&](const rules::Fire& f) { fires.push_back(f); });
+
+  // Values a tenth apart do not add exactly, so the sums below pin the
+  // oldest-first order as well as the window's contents.
+  const auto value = [](std::uint32_t d, std::uint32_t k, std::uint32_t j) {
+    return static_cast<double>((d * 31 + k * 17 + j * 5) % 23) * 0.1 - 1.0;
+  };
+  std::vector<std::vector<std::pair<std::int64_t, double>>> sent(kDevices);
+  std::size_t longest = 0;
+  for (std::uint32_t k = 0; k < kRounds; ++k) {
+    const std::int64_t round_us = (k < 8 ? k : k + 4) * std::int64_t{1'000'000};
+    for (std::uint32_t d = 0; d < kDevices; ++d) {
+      if (d / 160 > k || (d + k) % 5 == 0) continue;
+      const std::uint32_t burst = (d + k) % 4 < 2 && d % 3 == 0 ? 5 : 1;
+      for (std::uint32_t j = 0; j < burst; ++j) {
+        rules::Reading r;
+        r.device_id = d * 2654435761u;  // scattered ids
+        r.value = value(d, k, j);
+        r.at = TimePoint{Duration{round_us + (d % 3) * 100'000 + j * 50'000}};
+        sent[d].emplace_back(r.at.us(), *r.value);
+        const std::size_t before = fires.size();
+        engine.on_reading(r);
+        ASSERT_EQ(fires.size(), before + std::size(ops)) << "device " << d << " round " << k;
+
+        // The window as the reference sees it: every reading of d no
+        // older than the window, oldest first.
+        const std::int64_t horizon = r.at.us() - window.count();
+        double count = 0.0, sum = 0.0;
+        double lo = std::numeric_limits<double>::infinity(), hi = -lo;
+        for (const auto& [t, v] : sent[d]) {
+          if (t < horizon) continue;
+          count += 1.0;
+          sum += v;
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
+        longest = std::max(longest, static_cast<std::size_t>(count));
+        const double expected[] = {count, sum, sum / count, lo, hi};
+        for (std::size_t i = 0; i < std::size(ops); ++i) {
+          const rules::Fire& f = fires[before + i];
+          EXPECT_EQ(f.rule, specs[i].name);
+          EXPECT_EQ(f.device_id, r.device_id);
+          EXPECT_EQ(f.observed, expected[i])
+              << "op " << specs[i].name << " device " << d << " round " << k << " reading " << j;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(engine.fired_total(), fires.size());
+  EXPECT_EQ(longest, 11u);
 }
 
 TEST(RulesEngine, StaleWatchdogFiresOncePerSilence) {
