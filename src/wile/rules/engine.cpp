@@ -101,31 +101,29 @@ void Engine::evaluate(Rule& rule, const Reading& reading) {
     const AggregateSpec& agg = *rule.spec.aggregate;
     const double sample =
         agg.op == AggOp::Count ? 1.0 : reading.value.value_or(observed);
-    dev.window.emplace_back(reading.at.us(), sample);
+    Window& window = dev.window;
+    window.push_back({reading.at.us(), sample});
     const std::int64_t horizon = reading.at.us() - agg.window.count();
-    while (!dev.window.empty() && dev.window.front().first < horizon) {
-      dev.window.pop_front();
-    }
+    while (!window.empty() && window[0].first < horizon) window.pop_front();
+    // Every reduction runs oldest first.
     double result = 0.0;
     switch (agg.op) {
-      case AggOp::Count: result = static_cast<double>(dev.window.size()); break;
+      case AggOp::Count: result = static_cast<double>(window.size()); break;
       case AggOp::Sum:
       case AggOp::Mean: {
         double sum = 0.0;
-        for (const auto& [_, v] : dev.window) sum += v;
-        result = agg.op == AggOp::Sum
-                     ? sum
-                     : sum / static_cast<double>(dev.window.size());
+        for (std::size_t i = 0; i < window.size(); ++i) sum += window[i].second;
+        result = agg.op == AggOp::Sum ? sum : sum / static_cast<double>(window.size());
         break;
       }
       case AggOp::Min: {
-        result = dev.window.front().second;
-        for (const auto& [_, v] : dev.window) result = std::min(result, v);
+        result = window[0].second;
+        for (std::size_t i = 0; i < window.size(); ++i) result = std::min(result, window[i].second);
         break;
       }
       case AggOp::Max: {
-        result = dev.window.front().second;
-        for (const auto& [_, v] : dev.window) result = std::max(result, v);
+        result = window[0].second;
+        for (std::size_t i = 0; i < window.size(); ++i) result = std::max(result, window[i].second);
         break;
       }
     }
@@ -163,6 +161,19 @@ void Engine::evaluate(Rule& rule, const Reading& reading) {
     dev.last_fire = reading.at;
     emit(rule, reading.device_id, reading.at, observed, /*stale=*/false);
   }
+}
+
+void Engine::Window::push_back(const Sample& sample) {
+  if (size_ == capacity_) {
+    const std::uint32_t capacity = capacity_ == 0 ? 4 : capacity_ * 2;
+    auto ring = std::make_unique<Sample[]>(capacity);
+    for (std::uint32_t i = 0; i < size_; ++i) ring[i] = (*this)[i];
+    ring_ = std::move(ring);
+    capacity_ = capacity;
+    head_ = 0;
+  }
+  ring_[(head_ + size_) & (capacity_ - 1)] = sample;
+  ++size_;
 }
 
 void Engine::poll(TimePoint now) {

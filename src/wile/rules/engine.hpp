@@ -23,11 +23,13 @@
 // bit-identical.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
@@ -128,17 +130,44 @@ class Engine {
                        const std::string& prefix) const;
 
  private:
-  /// Per-(rule, device) evaluation state.
+  /// (timestamp us, value) pairs inside an aggregate window, oldest
+  /// first: a power-of-two ring that allocates at its first sample and
+  /// doubles when full. Push and pop are amortised O(1).
+  class Window {
+   public:
+    using Sample = std::pair<std::int64_t, double>;
+
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    /// The i-th oldest sample.
+    [[nodiscard]] const Sample& operator[](std::size_t i) const {
+      return ring_[(head_ + i) & (capacity_ - 1)];
+    }
+    void push_back(const Sample& sample);
+    void pop_front() {
+      head_ = (head_ + 1) & (capacity_ - 1);
+      --size_;
+    }
+
+   private:
+    std::unique_ptr<Sample[]> ring_;
+    std::uint32_t capacity_ = 0;  // 0 or a power of two
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+  };
+
+  /// Per-(rule, device) evaluation state. Every slot of a rule's table
+  /// holds one, empty slots included, so it holds no heap until its
+  /// window stores a sample.
   struct DevState {
     TimePoint hold_since;
     TimePoint last_fire;
     TimePoint last_seen;
+    Window window;
     bool holding = false;
     bool fired_once = false;
     bool seen = false;
     bool stale_fired = false;
-    /// (timestamp us, value) pairs inside the aggregate window.
-    std::deque<std::pair<std::int64_t, double>> window;
   };
 
   struct Rule {
