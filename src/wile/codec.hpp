@@ -28,8 +28,12 @@
 // below), so a receiver that missed one covered message rebuilds it.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -196,46 +200,81 @@ constexpr std::size_t kMaxRecoveryGroup = 32;
 
 /// The last N uplink payloads of one device, oldest first: the XOR inputs
 /// of cross-cycle recovery, kept by the sender that builds Recovery
-/// beacons and by the receiver that decodes them. A ring: it grows to N
-/// slots, then overwrites the oldest in place, so each slot keeps its
-/// capacity.
+/// beacons and by the receiver that decodes them. Two heap blocks however
+/// many payloads it holds: a ring of 8 B slot headers (sequence, type,
+/// length), which grows to N and then overwrites the oldest in place, and
+/// one byte array that gives every slot the same stride. The stride is
+/// the longest payload held so far; a longer payload re-strides the array
+/// and copies each held payload to its new place.
 template <std::size_t N>
 class PayloadHistory {
  public:
+  /// A slot's length field is 16 bits, as RecoveryEntry's is. No message
+  /// the codec can encode is longer (255 fragments of under 256 B).
+  static constexpr std::size_t kMaxPayload = 0xffff;
+
   struct Entry {
     std::uint32_t sequence = 0;
     MessageType type = MessageType::Telemetry;
-    Bytes data;
+    BytesView data;  // valid until the next push
   };
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
   /// The i-th oldest retained payload.
-  [[nodiscard]] const Entry& operator[](std::size_t i) const {
-    return slots_[(head_ + i) % slots_.size()];
+  [[nodiscard]] Entry operator[](std::size_t i) const {
+    const std::size_t at = (head_ + i) % slots_.size();
+    const Slot& slot = slots_[at];
+    return {slot.sequence, slot.type, BytesView{bytes_.data() + at * stride_, slot.length}};
   }
   /// Retain `message`'s payload, dropping the oldest once N are held.
+  /// Throws std::length_error past kMaxPayload bytes.
   void push(const Message& message) {
-    Entry* slot = nullptr;
+    const std::size_t length = message.data.size();
+    if (length > kMaxPayload) throw std::length_error("PayloadHistory: payload too long");
+    std::size_t at = head_;
     if (slots_.size() < N) {
-      slot = &slots_.emplace_back();
+      at = slots_.size();
+      slots_.emplace_back();
     } else {
-      slot = &slots_[head_];
       head_ = (head_ + 1) % N;
     }
-    slot->sequence = message.sequence;
-    slot->type = message.type;
-    slot->data.assign(message.data.begin(), message.data.end());
-  }
-  /// The oldest retained payload carrying `sequence`, or nullptr.
-  [[nodiscard]] const Entry* find(std::uint32_t sequence) const {
-    for (std::size_t i = 0; i < size(); ++i) {
-      if ((*this)[i].sequence == sequence) return &(*this)[i];
+    if (length > stride_ || bytes_.size() != slots_.capacity() * stride_) {
+      restride(std::max(length, stride_));
     }
-    return nullptr;
+    slots_[at] = {message.sequence, static_cast<std::uint16_t>(length), message.type};
+    std::copy(message.data.begin(), message.data.end(),
+              bytes_.begin() + static_cast<std::ptrdiff_t>(at * stride_));
+  }
+  /// The oldest retained payload carrying `sequence`, if any.
+  [[nodiscard]] std::optional<Entry> find(std::uint32_t sequence) const {
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (const Entry entry = (*this)[i]; entry.sequence == sequence) return entry;
+    }
+    return std::nullopt;
   }
 
  private:
-  std::vector<Entry> slots_;
+  struct Slot {
+    std::uint32_t sequence = 0;
+    std::uint16_t length = 0;
+    MessageType type = MessageType::Telemetry;
+  };
+
+  /// Room for every slot header the ring has capacity for, at `stride`.
+  void restride(std::size_t stride) {
+    Bytes bytes(slots_.capacity() * stride);
+    for (std::size_t j = 0; j < slots_.size(); ++j) {
+      const auto from = bytes_.begin() + static_cast<std::ptrdiff_t>(j * stride_);
+      std::copy(from, from + slots_[j].length,
+                bytes.begin() + static_cast<std::ptrdiff_t>(j * stride));
+    }
+    bytes_.swap(bytes);
+    stride_ = stride;
+  }
+
+  std::vector<Slot> slots_;
+  Bytes bytes_;  // slot j's payload starts at j * stride_
+  std::size_t stride_ = 0;
   std::size_t head_ = 0;
 };
 

@@ -183,11 +183,11 @@ bool Receiver::attempt_recovery(std::uint32_t device_id, const RecoveryPayload& 
   Bytes data = payload.xor_block;
   const FecState& fec = fec_[device_id];
   for (const std::size_t i : present) {
-    const auto* cached =
+    const auto cached =
         fec.cache.find(payload.base_sequence + static_cast<std::uint32_t>(i));
     // Received but no longer cached (or delivered before this receiver's
     // cache horizon): the XOR input is gone for good.
-    if (cached == nullptr) return true;
+    if (!cached) return true;
     if (cached->data.size() > data.size()) return true;  // inconsistent: spend it
     for (std::size_t b = 0; b < cached->data.size(); ++b) data[b] ^= cached->data[b];
   }

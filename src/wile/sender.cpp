@@ -295,13 +295,12 @@ std::optional<Message> Sender::maybe_recovery_message() {
   RecoveryPayload payload;
   payload.base_sequence = fec.recent_sent[n - k].sequence;
   for (std::size_t i = n - k; i < n; ++i) {
-    const auto& r = fec.recent_sent[i];
-    payload.entries.push_back(
-        {r.type, static_cast<std::uint16_t>(std::min<std::size_t>(r.data.size(), 0xffff))});
+    const auto r = fec.recent_sent[i];
+    payload.entries.push_back({r.type, static_cast<std::uint16_t>(r.data.size())});
     if (r.data.size() > payload.xor_block.size()) payload.xor_block.resize(r.data.size());
   }
   for (std::size_t i = n - k; i < n; ++i) {
-    const Bytes& d = fec.recent_sent[i].data;
+    const BytesView d = fec.recent_sent[i].data;
     for (std::size_t b = 0; b < d.size(); ++b) payload.xor_block[b] ^= d[b];
   }
 

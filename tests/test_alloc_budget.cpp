@@ -11,7 +11,8 @@
 // place and allocates only the message it delivers.
 //
 // A fleet device's footprint is guarded too: the size of a Sender, the
-// live heap a plain fleet device holds, and what per-node metrics add.
+// live heap a plain fleet device holds, what per-node metrics add, and
+// what gateways and rules keep for it.
 //
 // This binary replaces the global operator new/delete with counting
 // malloc wrappers, so it is its own test executable.
@@ -173,8 +174,8 @@ TEST(AllocBudget, RawInjectionWithoutCsma) {
 }
 
 TEST(AllocBudget, GatewayInRange) {
-  // Past the gateway's 64-slot FEC payload cache, whose slots then keep
-  // their capacity: each beacon is decoded in place, and the only
+  // Past the gateway's 64-slot FEC payload history, whose two arrays then
+  // stop growing: each beacon is decoded in place, and the only
   // allocation on the receive side is the message delivered.
   const Tally t = steady_state([](SenderConfig&) {}, 16, /*gateway=*/true, seconds(100));
   EXPECT_EQ(t.cycles, 200u);
@@ -225,11 +226,20 @@ struct Footprint {
   double bytes = 0.0;   // live requested bytes per device
 };
 
-/// Build and run a fleet in the benchmark's telemetry_rules shape (5 m
-/// grid, a 5 s period, a gateway per 100 devices, a 3-rule chain polled
-/// every second, a 10 s sampler, 64-segment power history), and return
-/// the live heap it holds per device after `sim_seconds`.
-Footprint telemetry_fleet_footprint(int devices, int sim_seconds, bool per_node) {
+/// A fleet in the benchmark's telemetry_rules shape: a 5 m grid, a 5 s
+/// period and a 64-segment power history.
+struct FleetShape {
+  int devices = 1000;
+  int sim_seconds = 60;
+  int gateway_every = 100;  // 0 = one gateway
+  bool rules = true;        // the 3-rule chain, polled every second
+  bool telemetry = true;    // a 10 s sampler
+  bool per_node = true;     // per-node metrics, with telemetry
+};
+
+/// Build and run a fleet of `shape`, and return the live heap it holds
+/// per device at the end.
+Footprint telemetry_fleet_footprint(const FleetShape& shape) {
   std::vector<rules::RuleSpec> chain(3);
   chain[0].name = "hot-held";
   chain[0].when = rules::ConditionSpec{rules::Field::Value, rules::Cmp::Gt, 40000.0};
@@ -242,21 +252,28 @@ Footprint telemetry_fleet_footprint(int devices, int sim_seconds, bool per_node)
 
   const std::int64_t blocks0 = g_live_blocks.load(std::memory_order_relaxed);
   const std::int64_t bytes0 = g_live_bytes.load(std::memory_order_relaxed);
-  auto scenario = sim::ScenarioBuilder{}
-                      .devices(devices)
-                      .grid_spacing_m(5.0)
-                      .gateway_every(100)
-                      .duty_cycle(seconds(5))
-                      .timeline_max_segments(64)
-                      .per_node_metrics(per_node)
-                      .rules(std::move(chain))
-                      .rules_poll_every(seconds(1))
-                      .sample_every(seconds(10))
-                      .build();
-  scenario->run_until(TimePoint{seconds(sim_seconds)});
+  sim::ScenarioBuilder builder;
+  builder.devices(shape.devices)
+      .grid_spacing_m(5.0)
+      .duty_cycle(seconds(5))
+      .timeline_max_segments(64)
+      .telemetry(shape.telemetry)
+      .per_node_metrics(shape.per_node);
+  if (shape.gateway_every > 0) {
+    builder.gateway_every(shape.gateway_every);
+  } else {
+    builder.gateways(1);
+  }
+  if (shape.rules) builder.rules(std::move(chain)).rules_poll_every(seconds(1));
+  if (shape.telemetry) builder.sample_every(seconds(10));
+  auto scenario = builder.build();
+  scenario->run_until(TimePoint{seconds(shape.sim_seconds)});
+  const auto per_device = [&shape](std::int64_t delta) {
+    return static_cast<double>(delta) / shape.devices;
+  };
   Footprint f;
-  f.blocks = static_cast<double>(g_live_blocks.load(std::memory_order_relaxed) - blocks0) / devices;
-  f.bytes = static_cast<double>(g_live_bytes.load(std::memory_order_relaxed) - bytes0) / devices;
+  f.blocks = per_device(g_live_blocks.load(std::memory_order_relaxed) - blocks0);
+  f.bytes = per_device(g_live_bytes.load(std::memory_order_relaxed) - bytes0);
   return f;
 }
 
@@ -264,11 +281,24 @@ TEST(AllocBudget, PerNodeTelemetryFootprint) {
   // Per-node metrics are rows of their components' schemas: a device
   // costs a row in the registry's node table and its histograms'
   // buckets, not a named entry per metric.
-  constexpr int kDevices = 1000;
-  const Footprint with = telemetry_fleet_footprint(kDevices, 60, true);
-  const Footprint without = telemetry_fleet_footprint(kDevices, 60, false);
+  const Footprint with = telemetry_fleet_footprint({});
+  const Footprint without = telemetry_fleet_footprint({.per_node = false});
   EXPECT_LE(with.blocks - without.blocks, 1.5);
   EXPECT_LE(with.bytes - without.bytes, 256.0);
+}
+
+TEST(AllocBudget, IngestStateFootprint) {
+  // What the ingest side keeps for a device: the registry record and FEC
+  // payload history of each gateway that hears it, and its state in each
+  // rule. A gateway per 100 devices and the 3-rule chain, minus one
+  // gateway and no rules, telemetry off. A payload history is two blocks
+  // however many payloads it holds, and a rule's empty slots hold no
+  // heap.
+  const Footprint ingest = telemetry_fleet_footprint({.sim_seconds = 300, .telemetry = false});
+  const Footprint bare = telemetry_fleet_footprint(
+      {.sim_seconds = 300, .gateway_every = 0, .rules = false, .telemetry = false});
+  EXPECT_LE(ingest.blocks - bare.blocks, 4.0);
+  EXPECT_LE(ingest.bytes - bare.bytes, 1200.0);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 // memory bound. Everything here is deterministic for the pinned seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "wile/receiver.hpp"
 #include "wile/sender.hpp"
@@ -83,6 +87,95 @@ TEST(FecPayloads, RecoveryDecodeRejectsMalformedInput) {
   Bytes huge_k = valid;
   huge_k[4] = static_cast<std::uint8_t>(kMaxRecoveryGroup + 1);
   EXPECT_FALSE(decode_recovery_payload(huge_k).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Payload history: the XOR inputs both ends keep.
+// ---------------------------------------------------------------------------
+
+Message payload_message(std::uint32_t sequence, std::size_t length) {
+  Message m;
+  m.sequence = sequence;
+  m.type = sequence % 2 == 0 ? MessageType::Telemetry : MessageType::Event;
+  m.data.resize(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    m.data[i] = static_cast<std::uint8_t>(sequence * 37 + i * 11 + 1);
+  }
+  return m;
+}
+
+/// Every entry of `history`, oldest first, equals the message of the
+/// same position in `expected`.
+template <std::size_t N>
+void expect_history(const PayloadHistory<N>& history, const std::vector<Message>& expected) {
+  ASSERT_EQ(history.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto entry = history[i];
+    EXPECT_EQ(entry.sequence, expected[i].sequence) << "entry " << i;
+    EXPECT_EQ(entry.type, expected[i].type) << "entry " << i;
+    EXPECT_EQ(Bytes(entry.data.begin(), entry.data.end()), expected[i].data) << "entry " << i;
+  }
+}
+
+TEST(FecPayloadHistory, RingWrapsAtNAndDropsTheOldest) {
+  PayloadHistory<4> history;
+  std::vector<Message> sent;
+  for (std::uint32_t seq = 10; seq < 20; ++seq) {
+    sent.push_back(payload_message(seq, 6));
+    history.push(sent.back());
+    const std::size_t held = std::min<std::size_t>(sent.size(), 4);
+    expect_history(history, std::vector<Message>(sent.end() - static_cast<std::ptrdiff_t>(held),
+                                                 sent.end()));
+  }
+  EXPECT_FALSE(history.find(15).has_value());  // dropped
+  ASSERT_TRUE(history.find(16).has_value());
+}
+
+TEST(FecPayloadHistory, LongerPayloadKeepsEveryEarlierPayloadByteExact) {
+  // Lengths rise, fall back and rise past the stride again, while the
+  // ring is still growing and after it wraps; an empty payload is held
+  // too.
+  PayloadHistory<8> history;
+  std::vector<Message> sent;
+  const std::size_t lengths[] = {3, 1, 0, 12, 5, 40, 2, 41, 7, 90, 4, 16};
+  std::uint32_t seq = 100;
+  for (const std::size_t length : lengths) {
+    sent.push_back(payload_message(seq++, length));
+    history.push(sent.back());
+    const std::size_t held = std::min<std::size_t>(sent.size(), 8);
+    expect_history(history, std::vector<Message>(sent.end() - static_cast<std::ptrdiff_t>(held),
+                                                 sent.end()));
+  }
+}
+
+TEST(FecPayloadHistory, FindReturnsTheOldestEntryCarryingASequence) {
+  PayloadHistory<4> history;
+  const Message first = payload_message(5, 3);
+  Message again = payload_message(5, 9);  // a second payload under sequence 5
+  again.data[0] ^= 0xff;
+  history.push(first);
+  history.push(payload_message(6, 4));
+  history.push(again);
+  auto found = history.find(5);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(Bytes(found->data.begin(), found->data.end()), first.data);
+  EXPECT_FALSE(history.find(7).has_value());
+
+  // Once the first falls out of the ring, the later one is the oldest.
+  history.push(payload_message(8, 2));
+  history.push(payload_message(9, 2));
+  found = history.find(5);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(Bytes(found->data.begin(), found->data.end()), again.data);
+}
+
+TEST(FecPayloadHistory, RefusesPayloadsItsLengthFieldCannotHold) {
+  PayloadHistory<4> history;
+  EXPECT_THROW(history.push(payload_message(1, PayloadHistory<4>::kMaxPayload + 1)),
+               std::length_error);
+  EXPECT_EQ(history.size(), 0u);
+  history.push(payload_message(2, PayloadHistory<4>::kMaxPayload));
+  EXPECT_EQ(history[0].data.size(), PayloadHistory<4>::kMaxPayload);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +286,47 @@ TEST(FecEndToEnd, RecoveryBeaconRestoresMessageLostInDeafCycle) {
   ASSERT_EQ(monitor.devices().size(), 1u);
   // The gap charged when sequence 4 arrived is walked back on recovery.
   EXPECT_EQ(monitor.devices().begin()->second.estimated_losses, 0u);
+}
+
+TEST(FecEndToEnd, RecoveryRebuildsAPayloadOfChangingLengthByteExact) {
+  // The payload length changes from cycle to cycle, so both ends' payload
+  // histories re-stride mid-run. Sequence 3, longer than everything
+  // before it, is lost in a deaf cycle; the beacon covering 2..5 pads
+  // every entry to 30 B and rebuilds it.
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{3}};
+  auto cfg = fec_sender_config(1);
+  cfg.redundancy.recovery_k = 4;
+  Sender sender{scheduler, medium, {0, 0}, cfg, Rng{4}};
+  Receiver monitor{scheduler, medium, {2, 0}};
+
+  const std::size_t lengths[] = {3, 3, 3, 24, 9, 30, 1, 17, 5, 12};
+  const auto payload = [&lengths](std::uint32_t seq) {
+    Bytes b(lengths[seq % std::size(lengths)]);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<std::uint8_t>(seq * 29 + i * 7);
+    return b;
+  };
+  std::map<std::uint32_t, Bytes> delivered;
+  monitor.set_message_callback(
+      [&](const Message& m, const RxMeta&) { delivered.emplace(m.sequence, m.data); });
+
+  std::uint32_t cycle = 0;
+  sender.start_duty_cycle([&] { return payload(cycle++); },
+                          [&](const SendReport& r) {
+                            if (r.sequence == 2) {
+                              medium.set_rx_blocked(monitor.node_id(), true);
+                            } else if (r.sequence == 3) {
+                              medium.set_rx_blocked(monitor.node_id(), false);
+                            }
+                          });
+  scheduler.run_until(TimePoint{seconds(10) + msec(500)});
+  sender.stop_duty_cycle();
+
+  EXPECT_EQ(monitor.stats().recovered, 1u);
+  for (std::uint32_t s = 0; s < 10; ++s) {
+    ASSERT_TRUE(delivered.count(s)) << "seq " << s;
+    EXPECT_EQ(delivered[s], payload(s)) << "seq " << s;
+  }
 }
 
 TEST(FecEndToEnd, RecoveryWorksAcrossSequenceWrap) {
