@@ -1,5 +1,7 @@
 #include "wile/receiver.hpp"
 
+#include <algorithm>
+
 namespace wile::core {
 
 namespace {
@@ -153,45 +155,46 @@ bool Receiver::attempt_recovery(std::uint32_t device_id, const RecoveryPayload& 
   const auto dev_it = devices_.find(device_id);
   const DeviceInfo* dev = dev_it == devices_.end() ? nullptr : &dev_it->second;
 
-  std::vector<std::size_t> missing;
-  std::vector<std::size_t> present;
+  std::size_t missing = 0;
+  std::size_t idx = 0;  // the last missing entry
   for (std::size_t i = 0; i < payload.entries.size(); ++i) {
     const std::uint32_t seq = payload.base_sequence + static_cast<std::uint32_t>(i);
-    if (dev == nullptr) {
-      missing.push_back(i);
-      continue;
+    bool lost = dev == nullptr;
+    if (!lost) {
+      const std::int32_t ahead = seq_ahead(seq, dev->last_sequence);
+      if (ahead > 0) {
+        lost = true;  // newer than anything received: lost in flight
+      } else {
+        const auto age = static_cast<std::uint32_t>(-ahead);
+        if (age >= 64) return true;  // beyond the horizon: unrecoverable, spend it
+        lost = (dev->recent_seen & (std::uint64_t{1} << age)) == 0;
+      }
     }
-    const std::int32_t ahead = seq_ahead(seq, dev->last_sequence);
-    if (ahead > 0) {
-      missing.push_back(i);  // newer than anything received: lost in flight
-      continue;
-    }
-    const auto age = static_cast<std::uint32_t>(-ahead);
-    if (age >= 64) return true;  // beyond the horizon: unrecoverable, spend it
-    if (dev->recent_seen & (std::uint64_t{1} << age)) {
-      present.push_back(i);
-    } else {
-      missing.push_back(i);
+    if (lost) {
+      ++missing;
+      idx = i;
     }
   }
-  if (missing.size() != 1) return missing.empty();
+  // Every other entry is present: its payload is an XOR input.
+  if (missing != 1) return missing == 0;
 
-  const std::size_t idx = missing.front();
   const std::size_t length = payload.entries[idx].length;
   if (length > payload.xor_block.size()) return true;  // malformed: spend it
 
-  Bytes data = payload.xor_block;
+  Bytes data(payload.xor_block.begin(),
+             payload.xor_block.begin() + static_cast<std::ptrdiff_t>(length));
   const FecState& fec = fec_[device_id];
-  for (const std::size_t i : present) {
+  for (std::size_t i = 0; i < payload.entries.size(); ++i) {
+    if (i == idx) continue;
     const auto cached =
         fec.cache.find(payload.base_sequence + static_cast<std::uint32_t>(i));
     // Received but no longer cached (or delivered before this receiver's
     // cache horizon): the XOR input is gone for good.
     if (!cached) return true;
-    if (cached->data.size() > data.size()) return true;  // inconsistent: spend it
-    for (std::size_t b = 0; b < cached->data.size(); ++b) data[b] ^= cached->data[b];
+    if (cached->data.size() > payload.xor_block.size()) return true;  // inconsistent: spend it
+    const std::size_t n = std::min(cached->data.size(), length);
+    for (std::size_t b = 0; b < n; ++b) data[b] ^= cached->data[b];
   }
-  data.resize(length);
 
   Message recovered;
   recovered.device_id = device_id;
@@ -203,16 +206,15 @@ bool Receiver::attempt_recovery(std::uint32_t device_id, const RecoveryPayload& 
 }
 
 void Receiver::drain_pending(std::uint32_t device_id, const RxMeta& meta) {
-  FecState& fec = fec_[device_id];
+  // By reference: attempt_recovery and deliver never touch `pending`, and
+  // fec_ is a std::map, whose nodes stay put.
+  std::vector<RecoveryPayload>& pending = fec_[device_id].pending;
   bool progress = true;
-  while (progress && !fec.pending.empty()) {
+  while (progress && !pending.empty()) {
     progress = false;
-    for (std::size_t i = 0; i < fec.pending.size();) {
-      // Copy: attempt_recovery -> deliver may not touch pending, but the
-      // vector can still reallocate via fec_ lookups elsewhere.
-      const RecoveryPayload payload = fec.pending[i];
-      if (attempt_recovery(device_id, payload, meta)) {
-        fec.pending.erase(fec.pending.begin() + static_cast<std::ptrdiff_t>(i));
+    for (std::size_t i = 0; i < pending.size();) {
+      if (attempt_recovery(device_id, pending[i], meta)) {
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
         progress = true;
       } else {
         ++i;

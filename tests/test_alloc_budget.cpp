@@ -184,6 +184,24 @@ TEST(AllocBudget, GatewayInRange) {
   EXPECT_LE(t.allocations, t.cycles + t.transmissions + t.delivered);
 }
 
+TEST(AllocBudget, GatewayDecodesRecoveryBeacons) {
+  // A recovery_k = 4 sender sends a Recovery beacon every second cycle.
+  // The gateway allocates the message of each delivery and, per Recovery
+  // beacon, the reassembled message and the decoded container's two
+  // arrays. Finding that nothing in the group is missing allocates
+  // nothing more. The sender's own allocations are those of the same
+  // sender with no gateway in range.
+  const auto fec = [](SenderConfig& c) { c.redundancy.recovery_k = 4; };
+  const Tally alone = steady_state(fec, 16, /*gateway=*/false, seconds(100));
+  const Tally t = steady_state(fec, 16, /*gateway=*/true, seconds(100));
+  EXPECT_EQ(t.cycles, 200u);
+  EXPECT_EQ(t.transmissions, 300u);
+  EXPECT_EQ(t.delivered, 200u);
+  ASSERT_EQ(alone.transmissions, t.transmissions);
+  const std::uint64_t recovery_beacons = t.transmissions - t.cycles;
+  EXPECT_LE(t.allocations - alone.allocations, t.delivered + 3 * recovery_beacons);
+}
+
 TEST(AllocBudget, PlainFleetDeviceFootprint) {
   // The Csma lives inside the Sender; the config, beacon prefix and codec
   // live in the fleet's one profile.
