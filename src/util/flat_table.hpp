@@ -8,9 +8,13 @@
 // are never removed (device registries only grow), which keeps probing
 // tombstone-free.
 //
-// Used for every per-device registry on the ingest hot path: the
-// controller's DeviceState table (wile/controller.hpp) and the rules
-// engine's per-(rule, device) state (wile/rules/engine.hpp).
+// Used for the controller's DeviceState table (wile/controller.hpp) and
+// the rules engine's per-(rule, device) state (wile/rules/engine.hpp).
+// The receiver's device registry and FEC state stay std::maps: at load
+// <= 1/2 a table keeps 2 to 4 slots per entry, each the key plus a
+// default-constructed record, which for those records costs more than a
+// map node (a 56 B DeviceInfo takes 128-256 B of slots against a 96 B
+// node), and Receiver::devices() hands its registry out in id order.
 #pragma once
 
 #include <cstddef>
