@@ -54,6 +54,8 @@ class WurScheduler : public sim::MediumClient {
   void stop();
 
   [[nodiscard]] std::uint64_t wakes_sent() const { return wakes_sent_; }
+  /// Wake frames waiting in the CSMA queue (the leak oracle counts them).
+  [[nodiscard]] std::size_t frames_held() const { return csma_->frames_held(); }
   [[nodiscard]] Duration tx_airtime_total() const { return tx_airtime_total_; }
   [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
   [[nodiscard]] const Config& config() const { return config_; }

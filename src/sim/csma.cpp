@@ -12,35 +12,33 @@ using phy::MacTiming;
 Csma::Csma(Scheduler& scheduler, Medium& medium, NodeId self, Rng rng, Config config)
     : scheduler_(scheduler), medium_(medium), self_(self), rng_(rng), config_(config) {}
 
-void Csma::send(BytesView mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done) {
-  Slot& s = enqueue(mpdu, std::move(done));
+void Csma::send(FrameBuffer mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done) {
+  Slot& s = enqueue(std::move(mpdu), std::move(done));
   s.rate = rate;
   s.expect_ack = expect_ack;
   s.raw_airtime.reset();
   if (!busy_) start_next();
 }
 
-void Csma::send_raw(BytesView mpdu, Duration airtime, DoneCallback done) {
-  Slot& s = enqueue(mpdu, std::move(done));
+void Csma::send_raw(FrameBuffer mpdu, Duration airtime, DoneCallback done) {
+  Slot& s = enqueue(std::move(mpdu), std::move(done));
   s.rate = {};
   s.expect_ack = false;
   s.raw_airtime = airtime;
   if (!busy_) start_next();
 }
 
-Csma::Slot& Csma::enqueue(BytesView mpdu, DoneCallback done) {
+Csma::Slot& Csma::enqueue(FrameBuffer mpdu, DoneCallback done) {
   if (queued_ == ring_.size()) {
     // Full: unroll into a ring twice the size, oldest first.
     std::vector<Slot> bigger(std::max<std::size_t>(1, 2 * ring_.size()));
-    for (std::size_t i = 0; i < queued_; ++i) {
-      bigger[i] = std::move(ring_[(head_ + i) % ring_.size()]);
-    }
+    for (std::size_t i = 0; i < queued_; ++i) bigger[i] = std::move(ring_[at(i)]);
     ring_ = std::move(bigger);
     head_ = 0;
   }
-  Slot& s = ring_[(head_ + queued_) % ring_.size()];
+  Slot& s = ring_[at(queued_)];
   ++queued_;
-  s.mpdu.assign(mpdu.begin(), mpdu.end());
+  s.mpdu = std::move(mpdu);
   s.done = std::move(done);
   s.transmissions = 0;
   s.cw = config_.cw_min;
@@ -49,12 +47,20 @@ Csma::Slot& Csma::enqueue(BytesView mpdu, DoneCallback done) {
 
 void Csma::drop_queued() {
   // The head send keeps going while it is in flight; every other slot
-  // is freed, its callback destroyed uninvoked.
+  // is freed: its frame released, its callback destroyed uninvoked.
   const std::size_t keep = busy_ ? 1 : 0;
   for (std::size_t i = keep; i < queued_; ++i) {
-    ring_[(head_ + i) % ring_.size()].done.reset();
+    Slot& s = ring_[at(i)];
+    s.mpdu = {};
+    s.done.reset();
   }
   queued_ = keep;
+}
+
+std::size_t Csma::frames_held() const {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < queued_; ++i) n += ring_[at(i)].mpdu.empty() ? 0 : 1;
+  return n;
 }
 
 void Csma::start_next() {
@@ -127,24 +133,23 @@ void Csma::resume_after_busy(int remaining_slots) {
 }
 
 void Csma::transmit_now() {
-  const Slot& cur = current();
+  Slot& cur = current();
   TxRequest req;
-  // The frame's one FrameBuffer, made as it goes on the air. Fill the
-  // Duration/ID field just before transmission: unicast frames reserve
-  // the channel through their ACK (SIFS + ACK airtime).
+  if (cur.raw_airtime) {
+    req.airtime = *cur.raw_airtime;
+  } else {
+    req.airtime = phy::frame_airtime(cur.mpdu.size(), cur.rate, config_.band);
+    req.rate = cur.rate;
+  }
   if (cur.expect_ack) {
+    // The slot keeps the frame for retries; the air gets a copy whose
+    // Duration/ID field reserves the channel through the ACK (SIFS +
+    // ACK airtime).
     const auto nav = static_cast<std::uint16_t>(
         (MacTiming::kSifs + phy::ack_airtime(config_.band)).count());
     req.mpdu = dot11::with_duration(cur.mpdu, nav);
   } else {
-    req.mpdu = FrameBuffer{cur.mpdu};
-  }
-  if (cur.raw_airtime) {
-    req.airtime = *cur.raw_airtime;
-    req.rate = std::nullopt;
-  } else {
-    req.airtime = phy::frame_airtime(cur.mpdu.size(), cur.rate, config_.band);
-    req.rate = cur.rate;
+    req.mpdu = std::move(cur.mpdu);  // the sender's own allocation goes on the air
   }
   req.tx_power_dbm = config_.tx_power_dbm;
   req.on_complete = [this] { on_tx_complete(); };
@@ -196,6 +201,7 @@ void Csma::finish(bool success) {
   result.success = success;
   result.transmissions = current().transmissions;
   DoneCallback done = std::move(current().done);
+  current().mpdu = {};  // a unicast's retry copy
   // Free the slot before the callback, which may queue the next send.
   head_ = (head_ + 1) % ring_.size();
   --queued_;

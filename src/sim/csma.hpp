@@ -16,6 +16,7 @@
 #include "phy/airtime.hpp"
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
+#include "util/frame_buffer.hpp"
 #include "util/inline_function.hpp"
 #include "util/rng.hpp"
 
@@ -43,21 +44,22 @@ class Csma {
 
   Csma(Scheduler& scheduler, Medium& medium, NodeId self, Rng rng, Config config = {});
 
-  /// Queue an MPDU for transmission. The bytes are copied into a recycled
-  /// queue slot before this returns, so the caller may reuse its buffer
-  /// at once; the slot keeps its capacity, and the frame's one
-  /// FrameBuffer is made when it goes on the air. `expect_ack` enables
-  /// the ACK-timeout retry loop (unicast); broadcast frames complete when
-  /// they leave the antenna. Sends are serviced FIFO.
-  void send(BytesView mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done);
+  /// Queue an MPDU for transmission. The frame moves into a recycled
+  /// queue slot and from there onto the air, so a broadcast goes out as
+  /// the very allocation the caller made. `expect_ack` enables the
+  /// ACK-timeout retry loop (unicast): the slot keeps the frame for its
+  /// retries, and each attempt puts a copy on the air with the
+  /// Duration/ID field set. Broadcast frames complete when they leave
+  /// the antenna. Sends are serviced FIFO.
+  void send(FrameBuffer mpdu, phy::WifiRate rate, bool expect_ack, DoneCallback done);
 
   /// Queue a frame whose airtime does not follow the 802.11 rate table —
   /// the 802.11ba WUR PPDU's OOK body, whose duration the caller computes
   /// from phy::WurPhy. The frame contends exactly like any broadcast
   /// (DIFS + backoff, no ACK) and is put on the medium with no WiFi rate,
-  /// so receivers apply the non-OFDM error model. Copies `mpdu` as
-  /// send() does.
-  void send_raw(BytesView mpdu, Duration airtime, DoneCallback done);
+  /// so receivers apply the non-OFDM error model. Moves `mpdu` as send()
+  /// does.
+  void send_raw(FrameBuffer mpdu, Duration airtime, DoneCallback done);
 
   /// The owner observed an ACK addressed to this station.
   void notify_ack();
@@ -79,18 +81,22 @@ class Csma {
   /// True when no send is queued or in flight.
   [[nodiscard]] bool idle() const { return !busy_ && queued_ == 0; }
 
+  /// Frames the queue owns: each queued send's, and an in-flight
+  /// unicast's, which it keeps for retries. An in-flight broadcast's
+  /// frame belongs to the medium. The leak oracle counts these.
+  [[nodiscard]] std::size_t frames_held() const;
+
   /// Discard every queued (not yet begun) send without invoking its
-  /// callback. An in-flight transmission still completes — a crashing
-  /// node's final frame leaves the antenna. Used by fault injection
-  /// (AP outage) and brown-outs to silence a node instantly.
+  /// callback, and free its frame. An in-flight transmission still
+  /// completes — a crashing node's final frame leaves the antenna. Used
+  /// by fault injection (AP outage) and brown-outs to silence a node
+  /// instantly.
   void drop_queued();
 
  private:
-  /// One send. Slots are recycled in place, so `mpdu` keeps its capacity
-  /// and a steady stream of similar frames copies into storage the slot
-  /// already owns.
+  /// One send. Slots are recycled in place; a free slot holds no frame.
   struct Slot {
-    Bytes mpdu;
+    FrameBuffer mpdu;
     phy::WifiRate rate{};
     bool expect_ack = false;
     DoneCallback done;
@@ -101,9 +107,11 @@ class Csma {
     int cw = 0;
   };
 
-  /// Copy `mpdu` into the next free slot (growing the ring when full)
+  /// Move `mpdu` into the next free slot (growing the ring when full)
   /// and return it with its per-send state reset.
-  Slot& enqueue(BytesView mpdu, DoneCallback done);
+  Slot& enqueue(FrameBuffer mpdu, DoneCallback done);
+  /// Ring index of the i-th queued send, oldest first.
+  [[nodiscard]] std::size_t at(std::size_t i) const { return (head_ + i) % ring_.size(); }
   /// The send at the head of the queue: the one in flight while busy_.
   Slot& current() { return ring_[head_]; }
 

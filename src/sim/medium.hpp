@@ -150,9 +150,10 @@ class MediumClient {
 };
 
 struct TxRequest {
-  /// The transmission's one payload allocation, made by the caller right
-  /// before transmit(). The medium moves it into the transmission, and
-  /// every receiver shares it.
+  /// The transmission's one payload allocation, which the caller made
+  /// (a Wi-LE sender at encode time, a unicast sim::Csma per attempt).
+  /// The medium moves it into the transmission, and every receiver
+  /// shares it.
   FrameBuffer mpdu;
   Duration airtime{};
   double tx_power_dbm = 0.0;
@@ -329,9 +330,10 @@ class Medium {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// In-flight transmissions right now (each holds one FrameBuffer).
-  /// With FrameBuffer::live_buffers() this forms the chaos harness's
-  /// leak oracle: once the channel is idle, no payload buffers other
-  /// than those owned by active transmissions may remain alive.
+  /// The chaos harness's leak oracle adds the frames CSMA queues and
+  /// senders' trains hold and compares the sum with
+  /// FrameBuffer::live_buffers(): between events, every live payload
+  /// buffer has exactly one of those owners.
   [[nodiscard]] std::size_t active_transmissions() const { return active_.size(); }
 
   /// Attached node count (SoA columns all share this length).

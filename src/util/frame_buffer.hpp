@@ -40,8 +40,11 @@ class FrameBuffer {
 
   /// Copies `bytes` into a fresh single-allocation buffer (header and
   /// payload contiguous): one allocation, one memcpy. A transmission
-  /// makes exactly one of these, at transmit time (sim::Csma, or the
-  /// node that calls Medium::transmit directly).
+  /// makes exactly one of these: the node builds its frame into one and
+  /// moves it along its transmit path (a Wi-LE sender's train, then a
+  /// sim::Csma queue slot, then Medium::transmit). A unicast sim::Csma
+  /// send keeps its frame for retries and puts a copy on the air per
+  /// attempt.
   explicit FrameBuffer(BytesView bytes)
       : data_(bytes.empty() ? nullptr : allocate(bytes.data(), bytes.size())) {}
   /// Implicit, so `req.mpdu = build_...()` call sites keep compiling.
@@ -94,8 +97,9 @@ class FrameBuffer {
 
   /// Distinct payload allocations currently alive, process-wide. Copies
   /// share an allocation; only creating/destroying the last owner moves
-  /// this count. The chaos harness's leak oracle compares it against
-  /// Medium::active_transmissions() on an idle channel — a component
+  /// this count. The chaos harness's leak oracle compares it with the
+  /// frames its owners hold: transmissions in flight, CSMA queues and
+  /// senders' trains (Scenario::attach_invariants) — a component
   /// squirrelling away RxFrames past its contract shows up here. Relaxed
   /// census: read it only when the threads that could move it are
   /// quiescent (the oracle sweeps between events; tests join first).

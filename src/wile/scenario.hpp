@@ -116,13 +116,14 @@ class Scenario {
 
   // --- chaos harness ---------------------------------------------------------
   /// Wire the standard invariant catalog over this fleet: scheduler
-  /// monotonicity, FrameBuffer leak accounting against the medium's
-  /// in-flight transmissions, per-gateway reassembler bounds and
-  /// per-device sequence uniqueness (the gateway callbacks report every
-  /// delivery to the monitor), per-device monotone sequence counters, and —
-  /// for harvesting fleets — energy conservation via the governor's
-  /// non-perturbing projected charge. The monitor must outlive every
-  /// event this scenario runs. Call monitor.start() separately to sweep.
+  /// monotonicity, FrameBuffer accounting (live buffers equal those in
+  /// flight, in CSMA queues and in device trains), per-gateway
+  /// reassembler bounds and per-device sequence uniqueness (the gateway
+  /// callbacks report every delivery to the monitor), per-device
+  /// monotone sequence counters, and — for harvesting fleets — energy
+  /// conservation via the governor's non-perturbing projected charge.
+  /// The monitor must outlive every event this scenario runs. Call
+  /// monitor.start() separately to sweep.
   void attach_invariants(InvariantMonitor& monitor);
 
   /// Binding for chaos campaigns: the injector plus every device and

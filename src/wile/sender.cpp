@@ -51,6 +51,15 @@ std::shared_ptr<const SenderProfile> fitted(std::shared_ptr<const SenderProfile>
   return std::make_shared<const SenderProfile>(config);
 }
 
+/// The beacon being built. Each beacon is written here and copied into
+/// its own FrameBuffer, so the senders run by one thread (every sender of
+/// an event core) share this storage instead of each keeping a train
+/// buffer of its own.
+ByteWriter& beacon_scratch() {
+  thread_local ByteWriter scratch;
+  return scratch;
+}
+
 sim::CsmaConfig csma_config(const SenderConfig& config) {
   sim::CsmaConfig csma;
   csma.tx_power_dbm = config.tx_power_dbm;
@@ -133,6 +142,12 @@ bool Sender::listens() const {
   return phase_ == Phase::RxWindow;
 }
 
+std::size_t Sender::frames_held() const {
+  const auto waiting = std::count_if(train_.begin(), train_.end(),
+                                     [](const FrameBuffer& f) { return !f.empty(); });
+  return static_cast<std::size_t>(waiting) + csma_.frames_held();
+}
+
 bool Sender::rx_enabled() const { return listens() && !medium_.transmitting(node_id_); }
 
 bool Sender::demodulates(const std::optional<phy::WifiRate>& rate) const {
@@ -159,7 +174,7 @@ void Sender::start_duty_cycle(PayloadProvider provider, SendCallback per_cycle) 
   }
   duty_cycling_ = true;
   provider_ = std::move(provider);
-  per_cycle_ = std::move(per_cycle);
+  set_callback(&Extras::per_cycle, std::move(per_cycle));
   schedule_next_cycle();
 }
 
@@ -172,7 +187,11 @@ void Sender::arm_wur(PayloadProvider provider, SendCallback per_cycle) {
   if (!provider) throw std::invalid_argument("wile::Sender: null payload provider");
   wur_armed_ = true;
   provider_ = std::move(provider);
-  per_cycle_ = std::move(per_cycle);
+  set_callback(&Extras::per_cycle, std::move(per_cycle));
+}
+
+void Sender::set_downlink_callback(DownlinkCallback cb) {
+  set_callback(&Extras::downlink_cb, std::move(cb));
 }
 
 void Sender::on_wakeup_frame(const phy::WakeUpFrame& wake) {
@@ -238,7 +257,9 @@ void Sender::sample_and_begin() {
     data = provider_();
   }
   SendCallback done;
-  if (per_cycle_) done = [this](const SendReport& report) { per_cycle_(report); };
+  if (extras_ && extras_->per_cycle) {
+    done = [this](const SendReport& report) { extras_->per_cycle(report); };
+  }
   begin_cycle(std::move(data), std::move(done));
 }
 
@@ -254,29 +275,29 @@ dot11::MacHeader Sender::next_beacon_header() {
 
 void Sender::append_beacon(const Message& message, std::size_t element,
                            std::string_view stuffed_ssid) {
-  const std::size_t offset = train_.size();
-  next_beacon_header().write_to(train_);
+  ByteWriter& w = beacon_scratch();
+  w.clear();
+  next_beacon_header().write_to(w);
   // The precomputed body prefix, its timestamp (the first 8 bytes)
   // patched to the encode instant.
-  train_.u64le(static_cast<std::uint64_t>(scheduler_.now().us()));
+  w.u64le(static_cast<std::uint64_t>(scheduler_.now().us()));
   const BytesView prefix = BytesView{profile_->body_prefix}.subspan(8);
   if (config().ssid_stuffing) {
     // Beacon stuffing (§2): the data-bearing SSID element replaces the
     // prefix's own, which follows the interval and capability fields.
     // The prefix's other elements follow it, and no vendor element.
     constexpr std::size_t kSsidAt = 4;
-    train_.bytes(prefix.first(kSsidAt));
-    train_.u8(static_cast<std::uint8_t>(dot11::IeId::Ssid));
-    train_.u8(static_cast<std::uint8_t>(stuffed_ssid.size()));
-    train_.str(stuffed_ssid);
-    train_.bytes(prefix.subspan(kSsidAt + 2 + prefix[kSsidAt + 1]));
+    w.bytes(prefix.first(kSsidAt));
+    w.u8(static_cast<std::uint8_t>(dot11::IeId::Ssid));
+    w.u8(static_cast<std::uint8_t>(stuffed_ssid.size()));
+    w.str(stuffed_ssid);
+    w.bytes(prefix.subspan(kSsidAt + 2 + prefix[kSsidAt + 1]));
   } else {
-    train_.bytes(prefix);
-    profile_->codec.write_element(train_, message, element);  // the data-bearing element
+    w.bytes(prefix);
+    profile_->codec.write_element(w, message, element);  // the data-bearing element
   }
-  train_.u32le(crypto::crc32(train_.view().subspan(offset)));  // FCS over the MPDU
-  train_entries_.push_back({static_cast<std::uint32_t>(offset),
-                            static_cast<std::uint32_t>(train_.size() - offset)});
+  w.u32le(crypto::crc32(w.view()));  // FCS over the MPDU
+  train_.emplace_back(w.view());
 }
 
 std::optional<Message> Sender::maybe_recovery_message() {
@@ -323,7 +344,7 @@ void Sender::open_cycle(bool resumed) {
 
 void Sender::begin_cycle(Bytes data, SendCallback done) {
   ++cycles_;
-  cycle_done_ = std::move(done);
+  set_callback(&Extras::cycle_done, std::move(done));
   open_cycle(/*resumed=*/false);
 
   Message message;
@@ -368,10 +389,9 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
 }
 
 void Sender::encode_and_transmit(const Message& message, bool include_recovery) {
-  // The whole train is built now, at the encode instant, into storage
-  // kept from earlier cycles.
+  // The whole train is built now, at the encode instant, one buffer per
+  // transmission.
   train_.clear();
-  train_entries_.clear();
   trace_instant(telemetry::Phase::Encode);
   try {
     if (config().ssid_stuffing) {
@@ -384,11 +404,12 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
       const std::size_t elements = profile_->codec.element_count(message);
       for (std::size_t i = 0; i < elements; ++i) append_beacon(message, i);
     }
-    // Open-loop reliability: repeat the whole fragment train. Receivers
-    // drop the duplicates by (device, sequence).
-    const std::size_t once = train_entries_.size();
+    // Open-loop reliability: repeat the whole fragment train, each copy
+    // a buffer of its own. Receivers drop the duplicates by (device,
+    // sequence).
+    const std::size_t once = train_.size();
     for (int r = 1; r < std::max(config().redundancy.repeats, 1); ++r) {
-      for (std::size_t i = 0; i < once; ++i) train_entries_.push_back(train_entries_[i]);
+      for (std::size_t i = 0; i < once; ++i) train_.emplace_back(train_[i].view());
     }
     // Cross-cycle FEC: one (unrepeated) recovery beacon when due.
     if (include_recovery) {
@@ -400,6 +421,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
     }
   } catch (const std::invalid_argument&) {
     cycle_.failed = true;
+    train_.clear();  // a failed cycle transmits nothing
   }
 
   enter_phase(Phase::Init);
@@ -411,7 +433,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
     if (epoch != cycle_epoch_) return;  // browned out during init
     trace_end(telemetry::Phase::Wake);
     if (maybe_brown_out()) return;  // the init phase outran the charge
-    if (cycle_.failed || train_entries_.empty()) {
+    if (cycle_.failed || train_.empty()) {
       finish_cycle();
       return;
     }
@@ -426,25 +448,26 @@ void Sender::inject_fragments(std::size_t index) {
   // Organic brown-out check at every fragment boundary: a capacitor
   // that ran dry during the previous fragment kills the train here.
   if (maybe_brown_out()) return;
-  if (index >= train_entries_.size()) {
+  if (index >= train_.size()) {
     trace_end(telemetry::Phase::Tx);
     after_last_beacon();
     return;
   }
-  const TrainEntry& beacon = train_entries_[index];
-  const BytesView mpdu = train_.view().subspan(beacon.offset, beacon.size);
+  // The train hands the beacon on: it is the CSMA queue's, then the
+  // medium's.
+  FrameBuffer mpdu = std::move(train_[index]);
   const Duration airtime = phy::frame_airtime(mpdu.size(), config().rate, config().band);
   cycle_.airtime += airtime;
   ++cycle_.beacons;
   ++beacons_sent_total_;
   tx_airtime_total_ += airtime;
 
-  // The continuation carries only {this, epoch, index}: the train stays
-  // in train_, and a stranded epoch never reads it again.
+  // The continuation carries only {this, epoch, index}: the rest of the
+  // train stays in train_, and a stranded epoch never reads it again.
   const std::uint64_t epoch = cycle_epoch_;
   if (config().use_csma) {
     trace_begin(telemetry::Phase::Csma);
-    csma_.send(mpdu, config().rate, /*expect_ack=*/false,
+    csma_.send(std::move(mpdu), config().rate, /*expect_ack=*/false,
                 [this, epoch, index](const sim::Csma::Result&) {
                   if (epoch != cycle_epoch_) return;  // browned out mid-train
                   inject_fragments(index + 1);
@@ -452,7 +475,7 @@ void Sender::inject_fragments(std::size_t index) {
   } else {
     // Raw injection: fire immediately, no carrier sense (E7 ablation).
     sim::TxRequest req;
-    req.mpdu = FrameBuffer{mpdu};
+    req.mpdu = std::move(mpdu);
     req.airtime = airtime;
     req.tx_power_dbm = config().tx_power_dbm;
     req.rate = config().rate;
@@ -528,12 +551,16 @@ void Sender::finish_cycle() {
     }
     trace_instant(telemetry::Phase::Sleep);
     trace_end(telemetry::Phase::Cycle);
-    if (cycle_done_) {
-      auto cb = std::move(cycle_done_);
-      cycle_done_ = {};
-      cb(report);
-    }
+    report_cycle(report);
   });
+}
+
+void Sender::report_cycle(const SendReport& report) {
+  if (!extras_ || !extras_->cycle_done) return;
+  // Cleared before the call, which may start the next cycle.
+  auto cb = std::move(extras_->cycle_done);
+  extras_->cycle_done = {};
+  cb(report);
 }
 
 // ---------------------------------------------------------------------------
@@ -571,9 +598,11 @@ void Sender::on_brown_out() {
   trace_instant(telemetry::Phase::BrownOut);
   if (phase_ != Phase::DeepSleep) {
     // Kill the in-flight cycle: strand its scheduled continuations via
-    // the epoch, flush the CSMA queue, power down. The checkpoint
-    // written in begin_cycle survives in the persistent region.
+    // the epoch, free the train and the CSMA queue, power down. The
+    // checkpoint written in begin_cycle survives in the persistent
+    // region.
     ++cycle_epoch_;
+    train_.clear();
     csma_.drop_queued();
     phase_ = Phase::DeepSleep;  // published below, with recovering_
   }
@@ -639,13 +668,9 @@ void Sender::resume_cycle() {
     // Drop it (the sequence stays consumed — receivers see a gap, which
     // is the honest signal) instead of retransmitting it forever.
     ++x.cycles_aborted_stale;
-    if (cycle_done_) {
-      SendReport report;
-      report.sequence = cp.message.sequence;
-      auto cb = std::move(cycle_done_);
-      cycle_done_ = {};
-      cb(report);
-    }
+    SendReport report;
+    report.sequence = cp.message.sequence;
+    report_cycle(report);
     return;
   }
 
@@ -695,7 +720,7 @@ void Sender::on_frame(const sim::RxFrame& frame) {
     const Message m{f->device_id, f->sequence, f->type, std::move(f->data), std::nullopt};
     ++cycle_.downlinks;
     ++downlinks_total_;
-    if (downlink_cb_) downlink_cb_(m);
+    if (extras_ && extras_->downlink_cb) extras_->downlink_cb(m);
   });
 }
 

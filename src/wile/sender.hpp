@@ -13,9 +13,10 @@
 // content of the packet including all of the headers can be pre-computed
 // and then only the IoT device's data needs to be inserted"; a fleet
 // computes them once for all its devices (SenderProfile). Each cycle
-// writes its whole beacon train into one buffer the sender reuses, so a
-// steady-state cycle allocates only its payload and, per transmission,
-// the FrameBuffer the medium carries (DESIGN.md §9).
+// builds its whole beacon train at encode time, each beacon straight
+// into the FrameBuffer the medium will carry, so a steady-state cycle
+// allocates only its payload and one buffer per transmission (DESIGN.md
+// §9).
 //
 // Optional extensions implemented from §6:
 //   * clock-jittered periods, so co-periodic devices drift apart;
@@ -29,6 +30,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dot11/mac_header.hpp"
 #include "phy/airtime.hpp"
@@ -42,6 +44,7 @@
 #include "sim/scheduler.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "util/frame_buffer.hpp"
 #include "util/mac_address.hpp"
 #include "util/rng.hpp"
 #include "wile/codec.hpp"
@@ -265,7 +268,7 @@ class Sender : public sim::MediumClient {
   void disarm_wur() { wur_armed_ = false; }
 
   /// Deliver Downlink messages received during announced RX windows.
-  void set_downlink_callback(DownlinkCallback cb) { downlink_cb_ = std::move(cb); }
+  void set_downlink_callback(DownlinkCallback cb);
 
   /// Step the sleep clock's systematic error at runtime (fault injection:
   /// a temperature excursion shifting the crystal). Takes effect from the
@@ -294,6 +297,10 @@ class Sender : public sim::MediumClient {
   [[nodiscard]] std::uint64_t beacons_sent() const { return beacons_sent_total_; }
   /// Cumulative on-air time of everything this device transmitted.
   [[nodiscard]] Duration tx_airtime_total() const { return tx_airtime_total_; }
+  /// Frames this device owns off the air: the beacons of its train not
+  /// yet handed on, and those its CSMA queue holds. Zero in deep sleep.
+  /// The leak oracle counts these.
+  [[nodiscard]] std::size_t frames_held() const;
 
   // --- telemetry -------------------------------------------------------------
   /// Bind this device's metrics into a telemetry registry as node
@@ -372,13 +379,6 @@ class Sender : public sim::MediumClient {
  private:
   enum class Phase { DeepSleep, Init, Tx, RxWindow, Shutdown };
 
-  /// One transmission of this cycle's train: a span of train_. Repeats
-  /// re-send a span.
-  struct TrainEntry {
-    std::uint32_t offset = 0;
-    std::uint32_t size = 0;
-  };
-
   /// Whether the radio can hear in its current state: the main radio in
   /// its RX window, or the WUR companion while the board deep-sleeps and
   /// is not browned out. rx_enabled() adds "not transmitting right now".
@@ -404,7 +404,7 @@ class Sender : public sim::MediumClient {
   /// capacitor cannot fund a full cycle. Always true on a mains supply.
   bool wake_gate();
   /// Sample the provider (unless a reliable-mode retransmission is
-  /// pending) and begin a cycle that reports to per_cycle_.
+  /// pending) and begin a cycle that reports to Extras::per_cycle.
   void sample_and_begin();
 
   void begin_cycle(Bytes data, SendCallback done);
@@ -414,10 +414,10 @@ class Sender : public sim::MediumClient {
   /// Shared back half of begin_cycle/resume_cycle: encode `message`
   /// into this cycle's beacon train and schedule the init->TX chain.
   void encode_and_transmit(const Message& message, bool include_recovery);
-  /// Write one beacon into train_ and list it for transmission: the MAC
-  /// header, the body prefix (timestamp patched), then element `element`
-  /// of `message` as a vendor element, or, for ssid_stuffing,
-  /// `stuffed_ssid` in place of the prefix's SSID element. Advances seq_ctl_.
+  /// Build one beacon and append it to train_: the MAC header, the body
+  /// prefix (timestamp patched), then element `element` of `message` as
+  /// a vendor element, or, for ssid_stuffing, `stuffed_ssid` in place of
+  /// the prefix's SSID element. Advances seq_ctl_.
   void append_beacon(const Message& message, std::size_t element,
                      std::string_view stuffed_ssid = {});
   void inject_fragments(std::size_t index);
@@ -449,13 +449,14 @@ class Sender : public sim::MediumClient {
   power::PowerTimeline timeline_;
   power::RadioPowerTracker tracker_;
 
-  /// This cycle's beacons back to back, built at encode time and reused
-  /// across cycles (clear() keeps the storage). Csma::send copies a
-  /// beacon out, so a resume may rebuild this while an older frame is
-  /// still on the air.
-  ByteWriter train_;
-  /// Transmission order over train_.
-  std::vector<TrainEntry> train_entries_;
+  /// This cycle's transmissions in order, each its own FrameBuffer
+  /// built at encode time (a repeat too). inject_fragments() moves each
+  /// into the CSMA queue, the first link of the chain train -> CSMA slot
+  /// -> Medium::transmit, so the train holds only the beacons not yet
+  /// handed on, and none in deep sleep. A brown-out clears it; a resume
+  /// builds fresh buffers while a stranded cycle's frame in flight keeps
+  /// its own. clear() keeps the vector's storage across cycles.
+  std::vector<FrameBuffer> train_;
 
   // --- telemetry hooks (null/zero when no registry is attached) -------------
   telemetry::Tracer* tracer_ = nullptr;
@@ -487,7 +488,7 @@ class Sender : public sim::MediumClient {
   Duration tx_airtime_total_{};
 
   /// The cycle in flight, reset by open_cycle(); finish_cycle() reports
-  /// it. The callback lives outside: it survives a brown-out resume.
+  /// it to Extras::cycle_done, which survives a brown-out resume.
   struct Cycle {
     TimePoint wake_time{};
     Duration airtime{};
@@ -499,7 +500,6 @@ class Sender : public sim::MediumClient {
     bool retransmission = false;
     bool resumed = false;
   };
-  SendCallback cycle_done_;
   Cycle cycle_;
 
   // --- intermittent power (harvesting) --------------------------------------
@@ -519,9 +519,17 @@ class Sender : public sim::MediumClient {
   /// this phase boundary. No-op without harvesting.
   bool maybe_brown_out();
 
-  /// The state of the optional features: reliable mode, harvesting and
-  /// cross-cycle FEC. A plain device never allocates it (extras_ null).
+  /// The state of the optional features (reliable mode, harvesting,
+  /// cross-cycle FEC) and the callbacks a plain fleet device never
+  /// receives. A plain device never allocates it (extras_ null): the
+  /// constructor makes it for a feature, set_callback() for a callback.
   struct Extras {
+    // callbacks: per-cycle reports, the one of the cycle in flight, and
+    // RX-window downlinks
+    SendCallback per_cycle;
+    SendCallback cycle_done;
+    DownlinkCallback downlink_cb;
+
     // reliable mode
     std::optional<Message> unacked;
     int unacked_attempts = 0;
@@ -546,6 +554,16 @@ class Sender : public sim::MediumClient {
     std::uint64_t recovery_beacons_sent = 0;
   };
   std::unique_ptr<Extras> extras_;
+  /// Store a callback in Extras, allocating the block only for a
+  /// non-empty one.
+  template <class F>
+  void set_callback(F Extras::*slot, F fn) {
+    if (!fn && !extras_) return;
+    if (!extras_) extras_ = std::make_unique<Extras>();
+    (*extras_).*slot = std::move(fn);
+  }
+  /// Hand `report` to the cycle's callback, if it has one, and clear it.
+  void report_cycle(const SendReport& report);
   [[nodiscard]] power::EnergyGovernor* governor() const {
     return extras_ ? extras_->governor.get() : nullptr;
   }
@@ -564,7 +582,6 @@ class Sender : public sim::MediumClient {
   // duty cycle
   bool duty_cycling_ = false;
   PayloadProvider provider_;
-  SendCallback per_cycle_;
 
   // --- 802.11ba wake-up companion ---------------------------------------------
   void on_wakeup_frame(const phy::WakeUpFrame& wake);
@@ -573,8 +590,6 @@ class Sender : public sim::MediumClient {
   std::uint64_t wur_frames_ignored_ = 0;
   /// Sequence dedupe for repeated wake frames.
   std::optional<std::uint8_t> last_wake_seq_;
-
-  DownlinkCallback downlink_cb_;
 };
 
 }  // namespace wile::core

@@ -4,9 +4,12 @@
 // the clock-drift step interacting with receiver scan windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "sim/chaos.hpp"
 #include "sim/invariants.hpp"
@@ -320,6 +323,186 @@ TEST(FrameBufferAccounting, LiveBufferCountTracksAllocations) {
     EXPECT_EQ(FrameBuffer::live_buffers(), before + 2);
   }
   EXPECT_EQ(FrameBuffer::live_buffers(), before);
+}
+
+/// A listener that keeps the first frame it hears past on_frame, which
+/// the medium's contract forbids.
+class FrameKeeper : public MediumClient {
+ public:
+  void on_frame(const RxFrame& frame) override {
+    if (heard++ == 0) kept = frame;
+  }
+  [[nodiscard]] bool rx_enabled() const override { return true; }
+  std::optional<RxFrame> kept;
+  int heard = 0;
+};
+
+TEST(FrameBufferAccounting, AFrameKeptPastOnFrameIsReported) {
+  auto scenario = ScenarioBuilder{}
+                      .devices(4)
+                      .gateways(1)
+                      .duty_cycle(seconds(2))
+                      .build();
+  FrameKeeper keeper;
+  scenario->medium().attach(&keeper, {1, 1});
+  InvariantMonitor monitor;
+  scenario->attach_invariants(monitor);
+  monitor.start(scenario->scheduler(), msec(10));
+  scenario->run_until(TimePoint{seconds(6)});
+
+  ASSERT_TRUE(keeper.kept.has_value());
+  ASSERT_FALSE(monitor.ok());
+  for (const Violation& v : monitor.violations()) {
+    EXPECT_EQ(v.invariant, "medium.frame_buffer_leak");
+  }
+  // Released, the frame leaves the count exact again.
+  keeper.kept.reset();
+  const std::uint64_t reported = monitor.stats().violations;
+  scenario->run_until(TimePoint{seconds(12)});
+  monitor.stop();
+  EXPECT_EQ(monitor.stats().violations, reported);
+}
+
+/// Arm the catalog on `scenario` and sweep it every millisecond for
+/// `horizon`, then stop the fleet, let it finish and check once more.
+/// `waiting` counts the sweeps that found frames waiting off the air
+/// (more live buffers than transmissions in flight): those that needed
+/// the queues' and trains' counts.
+void sweep_every_ms(Scenario& scenario, InvariantMonitor& monitor, Duration horizon,
+                    std::uint64_t& waiting) {
+  scenario.attach_invariants(monitor);
+  const Medium* medium = &scenario.medium();
+  monitor.add_check("test.frames_waiting", [medium, &waiting]() -> std::optional<std::string> {
+    if (FrameBuffer::live_buffers() > medium->active_transmissions()) ++waiting;
+    return std::nullopt;
+  });
+  monitor.start(scenario.scheduler(), msec(1));
+  scenario.run_until(TimePoint{horizon});
+  scenario.stop_all();
+  scenario.run_for(seconds(2));
+  monitor.run_checks(scenario.scheduler().now());
+  monitor.stop();
+}
+
+TEST(FrameBufferAccounting, RepeatsFleetSweptEveryMillisecondIsExact) {
+  // Each beacon goes out three times, each copy a buffer of its own.
+  auto scenario = ScenarioBuilder{}
+                      .devices(24)
+                      .gateways(1)
+                      .duty_cycle(seconds(1))
+                      .configure_sender([](core::SenderConfig& cfg, int) {
+                        cfg.redundancy.repeats = 3;
+                      })
+                      .build();
+  std::uint64_t waiting = 0;
+  InvariantMonitor monitor;
+  sweep_every_ms(*scenario, monitor, seconds(10), waiting);
+  EXPECT_TRUE(monitor.ok()) << monitor.violations().front().invariant << ": "
+                            << monitor.violations().front().detail;
+  EXPECT_GT(monitor.stats().sweeps, 10'000u);
+  EXPECT_GT(waiting, 100u);
+  for (const auto& dev : scenario->devices()) {
+    EXPECT_GT(dev->cycles_run(), 0u);
+    EXPECT_EQ(dev->beacons_sent(), 3 * dev->cycles_run());
+  }
+}
+
+TEST(FrameBufferAccounting, WurFleetSweptEveryMillisecondIsExact) {
+  // The AP's wake frames wait in its CSMA queue, two per wake.
+  WurFleetOptions wur;
+  wur.cadence = seconds(2);
+  wur.scheduler.repeats = 2;
+  auto scenario = ScenarioBuilder{}
+                      .devices(32)
+                      .grid_spacing_m(0.5)
+                      .duty_cycle(seconds(2))
+                      .wur(wur)
+                      .gateways(1)
+                      .build();
+  std::uint64_t waiting = 0;
+  InvariantMonitor monitor;
+  sweep_every_ms(*scenario, monitor, seconds(10), waiting);
+  EXPECT_TRUE(monitor.ok()) << monitor.violations().front().invariant << ": "
+                            << monitor.violations().front().detail;
+  EXPECT_GT(monitor.stats().sweeps, 10'000u);
+  EXPECT_GT(waiting, 100u);
+  EXPECT_GT(scenario->wur_ap()->wakes_sent(), 0u);
+  EXPECT_GT(scenario->messages(), 0u);
+}
+
+TEST(FrameBufferAccounting, ADeviceInDeepSleepHoldsNoFrame) {
+  // Each report fires as its device enters deep sleep.
+  Scenario* fleet = nullptr;
+  std::vector<std::size_t> held_asleep;
+  auto scenario = ScenarioBuilder{}
+                      .devices(8)
+                      .gateways(1)
+                      .duty_cycle(seconds(1))
+                      .configure_sender([](core::SenderConfig& cfg, int) {
+                        cfg.redundancy.repeats = 2;
+                      })
+                      .on_send_report([&fleet, &held_asleep](int i, const core::SendReport&) {
+                        held_asleep.push_back(fleet->devices()[i]->frames_held());
+                      })
+                      .build();
+  fleet = scenario.get();
+  // Awake, a device holds its train until the frames go on the air.
+  std::size_t most_held = 0;
+  InvariantMonitor monitor;
+  monitor.add_check("test.most_held", [fleet, &most_held]() -> std::optional<std::string> {
+    for (const auto& dev : fleet->devices()) most_held = std::max(most_held, dev->frames_held());
+    return std::nullopt;
+  });
+  monitor.start(fleet->scheduler(), msec(1));
+  scenario->run_until(TimePoint{seconds(10)});
+  monitor.stop();
+
+  EXPECT_EQ(most_held, 2u);
+  ASSERT_GT(held_asleep.size(), 60u);
+  EXPECT_EQ(held_asleep, std::vector<std::size_t>(held_asleep.size(), 0));
+}
+
+TEST(FrameBufferAccounting, BrownOutFreesTheTrainAndTheResumeBuildsItAgain) {
+  core::HarvestingConfig harvesting;
+  harvesting.harvester.harvest_power = microwatts(50'000);
+  auto scenario = ScenarioBuilder{}
+                      .devices(1)
+                      .gateways(1)
+                      .duty_cycle(seconds(2))
+                      .wake_jitter(Duration{0})
+                      .configure_sender([](core::SenderConfig& cfg, int) {
+                        cfg.redundancy.repeats = 3;
+                      })
+                      .harvesting(harvesting)
+                      .build();
+  core::Sender& dev = *scenario->devices().front();
+  InvariantMonitor monitor;
+  scenario->attach_invariants(monitor);
+  monitor.start(scenario->scheduler(), msec(1));
+
+  // The first wake is at 2 s; 100 us later the device is booting with
+  // its whole train built.
+  std::size_t held_before = 0;
+  std::size_t held_after = 0;
+  scenario->scheduler().schedule_at(TimePoint{seconds(2) + usec(100)}, [&] {
+    held_before = dev.frames_held();
+    dev.energy_governor()->fault_brown_out();
+    held_after = dev.frames_held();
+  });
+  scenario->run_until(TimePoint{seconds(30)});
+  scenario->stop_all();
+  scenario->run_for(seconds(2));
+  monitor.run_checks(scenario->scheduler().now());
+  monitor.stop();
+
+  EXPECT_EQ(held_before, 3u);
+  EXPECT_EQ(held_after, 0u);
+  EXPECT_EQ(dev.brown_outs(), 1u);
+  EXPECT_EQ(dev.cycles_resumed(), 1u);
+  EXPECT_EQ(dev.frames_held(), 0u);
+  EXPECT_TRUE(monitor.ok()) << monitor.violations().front().invariant << ": "
+                            << monitor.violations().front().detail;
+  EXPECT_GT(scenario->messages(), 0u);
 }
 
 // A healthy fleet under a multi-fault campaign trips nothing.

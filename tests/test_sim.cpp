@@ -1075,6 +1075,103 @@ TEST_F(CsmaTest, DropQueuedKeepsTheFrameInFlightAndSilencesTheRest) {
   EXPECT_EQ(rx_client.frames[1].mpdu[0], 5);
 }
 
+// A frame moves from the caller into the queue and from there onto the
+// air: a broadcast is transmitted as the allocation the caller made.
+TEST_F(CsmaTest, BroadcastPutsTheAllocationItWasGivenOnTheAir) {
+  RecordingClient tx_client, rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  medium.attach(&rx_client, {2, 0});
+  Csma csma{scheduler, medium, tx, Rng{2}};
+
+  FrameBuffer frame{Bytes(100, 0xab)};
+  const std::uint8_t* bytes = frame.data();
+  const std::uint64_t live = FrameBuffer::live_buffers();
+  csma.send(std::move(frame), phy::WifiRate::G6, /*expect_ack=*/false, {});
+  EXPECT_EQ(csma.frames_held(), 1u);
+  while (scheduler.run_one()) {
+    EXPECT_EQ(FrameBuffer::live_buffers(), live);
+    if (medium.transmitting(tx)) {
+      EXPECT_EQ(csma.frames_held(), 0u);  // the medium's now
+    }
+  }
+
+  ASSERT_EQ(rx_client.frames.size(), 1u);
+  EXPECT_EQ(rx_client.frames[0].mpdu.data(), bytes);
+  EXPECT_EQ(rx_client.frames[0].mpdu, Bytes(100, 0xab));
+  EXPECT_TRUE(csma.idle());
+  EXPECT_EQ(csma.frames_held(), 0u);
+  rx_client.frames.clear();
+  EXPECT_EQ(FrameBuffer::live_buffers(), live - 1);
+}
+
+TEST_F(CsmaTest, DropQueuedFreesEveryQueuedFrameAndKeepsTheOneInFlight) {
+  RecordingClient tx_client, rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  medium.attach(&rx_client, {2, 0});
+  Csma csma{scheduler, medium, tx, Rng{2}};
+
+  const std::uint64_t live = FrameBuffer::live_buffers();
+  for (std::uint8_t tag = 1; tag <= 4; ++tag) {
+    csma.send(Bytes(20, tag), phy::WifiRate::G6, /*expect_ack=*/false, {});
+  }
+  EXPECT_EQ(FrameBuffer::live_buffers(), live + 4);
+  EXPECT_EQ(csma.frames_held(), 4u);
+  while (!medium.transmitting(tx)) ASSERT_TRUE(scheduler.run_one());
+  EXPECT_EQ(csma.frames_held(), 3u);  // the head's frame is on the air
+
+  csma.drop_queued();
+  EXPECT_EQ(csma.frames_held(), 0u);
+  EXPECT_EQ(FrameBuffer::live_buffers(), live + 1);  // only the frame in flight
+  scheduler.run_until_idle();
+
+  ASSERT_EQ(rx_client.frames.size(), 1u);
+  EXPECT_EQ(rx_client.frames[0].mpdu, Bytes(20, 1));
+  rx_client.frames.clear();
+  EXPECT_EQ(FrameBuffer::live_buffers(), live);
+}
+
+// A unicast keeps its frame for retries, and every attempt puts the same
+// bytes on the air: the frame with its Duration/ID reserving SIFS + ACK.
+TEST_F(CsmaTest, UnicastRetriedToItsLimitSendsIdenticalBytes) {
+  RecordingClient tx_client, rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  medium.attach(&rx_client, {2, 0});
+  CsmaConfig cfg;
+  cfg.retry_limit = 3;
+  Csma csma{scheduler, medium, tx, Rng{2}, cfg};
+
+  const Bytes mpdu = dot11::build_data_to_ds(MacAddress::from_seed(1), MacAddress::from_seed(2),
+                                             MacAddress::from_seed(1), 7, Bytes(30, 0x5c),
+                                             false);
+  const std::uint64_t live = FrameBuffer::live_buffers();
+  std::optional<Csma::Result> result;
+  csma.send(mpdu, phy::WifiRate::G6, /*expect_ack=*/true,
+            [&](const Csma::Result& r) { result = r; });
+  while (scheduler.run_one()) {
+    if (!result) {
+      EXPECT_EQ(csma.frames_held(), 1u);
+    }
+  }
+
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->success);
+  EXPECT_EQ(result->transmissions, 4);
+  ASSERT_EQ(rx_client.frames.size(), 4u);
+  const auto nav = static_cast<std::uint16_t>(
+      (phy::MacTiming::kSifs + phy::ack_airtime(phy::Band::G2_4)).count());
+  const Bytes on_air = dot11::with_duration(mpdu, nav);
+  for (const RxFrame& frame : rx_client.frames) {
+    EXPECT_EQ(frame.mpdu, on_air);
+    const auto parsed = dot11::parse_mpdu(frame.mpdu);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE(parsed->fcs_ok);
+    EXPECT_EQ(parsed->header.duration_id, nav);
+  }
+  EXPECT_EQ(csma.frames_held(), 0u);
+  rx_client.frames.clear();
+  EXPECT_EQ(FrameBuffer::live_buffers(), live);
+}
+
 TEST_F(CsmaTest, CompletionQueuesSendsWhileTheRingIsFull) {
   RecordingClient tx_client, rx_client;
   const NodeId tx = medium.attach(&tx_client, {0, 0});
